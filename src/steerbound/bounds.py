@@ -10,9 +10,16 @@ therefore redundant and never materialize; per strategy the state
 optimization collapses to a top-|eigenvalue| computation (Hermitian
 tables) or a numerical radius (general tables).
 
-Strategy enumeration is embarrassingly parallel: workers own fixed,
-thread-count-independent chunks and results reduce by (value, first
-index), so reports are identical for any worker count.
+One driver enumerates the strategies for every entry point. It builds
+each chunk of strategy operators as one GEMM of a one-hot selector with
+the flattened table, and for two-outcome tables with F_x^2 = -F_x^1
+computes only the a_0 = 0 half, since a strategy and its complement have
+the same value. Chunks have fixed, shape-only bounds; the `threads` pool
+workers are the only parallelism, because the enumeration holds OpenBLAS
+at one thread. The maximum is the first one in lexicographic order, so
+reports are identical for any `threads` and any OPENBLAS_NUM_THREADS
+(the see-saw, used only without an analytic quantum value, runs BLAS at
+the ambient thread count).
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from .functionals import (
     canonical_quantum_assemblage,
     evaluate,
 )
-from .linalg import hermitian_part, numerical_radius, operator_norm
+from .linalg import blas_threads, hermitian_part, numerical_radius, operator_norm
 from .mub import MubFamily
 from .tolerances import TOLERANCES
 
@@ -139,56 +146,77 @@ def _strategy_total(n: int, m: int, cap: int) -> int:
     return total
 
 
-def _chunk_size(n: int, d: int) -> int:
-    # keeps the (chunk, n, d, d) gather below ~32 MiB; depends only on the
-    # problem shape so results cannot vary with the worker count
-    return max(1, min(8192, (1 << 21) // max(1, n * d * d)))
+def _chunk_size(d: int) -> int:
+    # keeps a chunk's (chunk, d, d) operator stack at or below 8 MiB; depends
+    # only on the problem shape so results cannot vary with the worker count
+    return max(1, min(8192, (1 << 19) // (d * d)))
 
 
-def _chunk_operators(f: SteeringFunctional, start: int, stop: int) -> np.ndarray:
-    n, m = f.n, f.m
-    flat = np.arange(start, stop)
-    idx = np.stack(np.unravel_index(flat, (m,) * n), axis=1)  # lexicographic
-    return f.coefficients[np.arange(n)[None, :], idx].sum(axis=1)
+def _complement_symmetric(f: SteeringFunctional) -> bool:
+    """Two outcomes with F_x^2 = -F_x^1 exactly: a strategy and its
+    complement then sum to negated operators of equal value."""
+    c = f.coefficients
+    return c.shape[1] == 2 and bool(np.array_equal(c[:, 1], -c[:, 0]))
 
 
-def _hermitian_chunk_values(f: SteeringFunctional, start: int, stop: int) -> np.ndarray:
-    eigs = np.linalg.eigvalsh(_chunk_operators(f, start, stop))
+def _chunk_operators(
+    cells: np.ndarray, n: int, m: int, d: int, start: int, stop: int
+) -> np.ndarray:
+    """sum_x F_x^{a(x)} for strategies start..stop-1 in lexicographic order,
+    as one GEMM: a one-hot (strategy, n*m) selector times the table's cells
+    flattened to real rows (n*m, 2*d*d)."""
+    rows = np.arange(stop - start)
+    digits = np.stack(np.unravel_index(start + rows, (m,) * n), axis=1)
+    select = np.zeros((rows.size, n * m))
+    select[rows[:, None], np.arange(n) * m + digits] = 1.0
+    return (select @ cells).view(complex).reshape(-1, d, d)
+
+
+def _top_abs_eigenvalues(ops: np.ndarray) -> np.ndarray:
+    eigs = np.linalg.eigvalsh(ops)
     return np.maximum(np.abs(eigs[:, 0]), np.abs(eigs[:, -1]))
 
 
-def _radius_chunk_values(
-    f: SteeringFunctional, start: int, stop: int, resolution: int
+def _strategy_values(
+    f: SteeringFunctional, kernel, cap: int, threads: int
 ) -> np.ndarray:
-    ops = _chunk_operators(f, start, stop)
-    return np.array([numerical_radius(h, resolution) for h in ops])
+    """kernel(sum_x F_x^{a(x)}) for every deterministic strategy, in
+    lexicographic order.
 
-
-def _enumerate_max(f: SteeringFunctional, values_fn, cap: int, threads: int):
+    Fixed, shape-only chunks run on `threads` pool workers with OpenBLAS
+    held at one thread. For complement-symmetric tables only the a_0 = 0
+    half is computed: the complement of strategy i is m^n - 1 - i, so the
+    second half is the first one reversed.
+    """
     if threads < 1:
         raise PreconditionError(f"thread count must be positive, got {threads}")
-    total = _strategy_total(f.n, f.m, cap)
-    chunk = _chunk_size(f.n, f.d)
-    spans = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
+    n, m, d = f.n, f.m, f.d
+    total = _strategy_total(n, m, cap)
+    mirrored = _complement_symmetric(f)
+    count = total // 2 if mirrored else total
+    chunk = _chunk_size(d)
+    spans = [(s, min(s + chunk, count)) for s in range(0, count, chunk)]
+    cells = np.ascontiguousarray(f.coefficients).reshape(n * m, d * d).view(np.float64)
 
-    def best_of(span):
-        start, stop = span
-        vals = values_fn(f, start, stop)
-        j = int(np.argmax(vals))
-        return start + j, float(vals[j])
+    def values_of(span):
+        return kernel(_chunk_operators(cells, n, m, d, *span))
 
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(best_of, spans))
-    else:
-        results = [best_of(span) for span in spans]
+    with blas_threads(1):
+        if threads > 1 and len(spans) > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                parts = list(pool.map(values_of, spans))
+        else:
+            parts = [values_of(span) for span in spans]
+    values = np.concatenate(parts) if parts else np.zeros(0)
+    return np.concatenate([values, values[::-1]]) if mirrored else values
 
-    best_idx, best_val = results[0]
-    for idx, val in results[1:]:  # spans are ordered, so first max wins ties
-        if val > best_val:
-            best_idx, best_val = idx, val
-    witness = tuple(int(a) for a in np.unravel_index(best_idx, (f.m,) * f.n))
-    return LhsExactResult(value=best_val, witness=witness, strategy_count=total)
+
+def _best_strategy(f: SteeringFunctional, values: np.ndarray) -> LhsExactResult:
+    best = int(np.argmax(values))  # first maximum: lexicographically first strategy
+    witness = tuple(int(a) for a in np.unravel_index(best, (f.m,) * f.n))
+    return LhsExactResult(
+        value=float(values[best]), witness=witness, strategy_count=values.size
+    )
 
 
 def lhs_bound_exact(
@@ -206,7 +234,7 @@ def lhs_bound_exact(
         raise PreconditionError(
             "functional is not Hermitian; use lhs_bound_exact_general"
         )
-    return _enumerate_max(f, _hermitian_chunk_values, cap, threads)
+    return _best_strategy(f, _strategy_values(f, _top_abs_eigenvalues, cap, threads))
 
 
 def lhs_bound_exact_general(
@@ -224,10 +252,10 @@ def lhs_bound_exact_general(
     """
     f = _as_steering(functional)
 
-    def values(ff, start, stop):
-        return _radius_chunk_values(ff, start, stop, angular_resolution)
+    def radii(ops):
+        return np.array([numerical_radius(h, angular_resolution) for h in ops])
 
-    return _enumerate_max(f, values, cap, threads)
+    return _best_strategy(f, _strategy_values(f, radii, cap, threads))
 
 
 def strategy_norms(
@@ -238,19 +266,7 @@ def strategy_norms(
     f = _as_steering(functional)
     if not f.hermitian:
         raise PreconditionError("strategy_norms requires a Hermitian functional")
-    total = _strategy_total(f.n, f.m, cap)
-    chunk = _chunk_size(f.n, f.d)
-    spans = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
-
-    def values_of(span):
-        return _hermitian_chunk_values(f, span[0], span[1])
-
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(values_of, spans))
-    else:
-        parts = [values_of(span) for span in spans]
-    return np.concatenate(parts) if parts else np.zeros(0)
+    return _strategy_values(f, _top_abs_eigenvalues, cap, threads)
 
 
 # ---------------------------------------------------------------------------

@@ -102,8 +102,6 @@ def _build_functional(kind: str, d, n, seed, full_dim: bool):
 
 
 def cmd_generate(args) -> int:
-    if args.format != "json":
-        raise PreconditionError("generate only writes json")
     functional = _build_functional(args.kind, args.d, args.n, args.seed, args.full_dim)
     text = functional_to_json(functional)
     _write_output(text, args.out)
@@ -176,8 +174,6 @@ def _parse_values(raw: str | None) -> list[int]:
 
 
 def cmd_sweep(args) -> int:
-    if args.format != "csv":
-        raise PreconditionError("sweep only writes csv")
     if args.kind == "mub":
         values = _parse_values(args.d)
     elif args.kind in ("clifford", "dichotomic"):
@@ -268,7 +264,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, help="sign seed for random kind (default 0)")
     gen.add_argument("--full-dim", action="store_true", help="use the 2^n-dimensional chain")
     gen.add_argument("--out", help="output path (default stdout)")
-    gen.add_argument("--format", choices=["json", "csv"], default="json")
     gen.set_defaults(func=cmd_generate)
 
     bnd = sub.add_parser("bounds", help="exact and analytic bounds for a functional file")
@@ -281,7 +276,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bnd.add_argument("--tol", type=float, default=1e-10, help="see-saw convergence tolerance")
     bnd.add_argument("--seed", type=int, default=0, help="see-saw restart seed")
     bnd.add_argument("--out", help="write the JSON report here")
-    bnd.add_argument("--format", choices=["json", "csv"], default="json")
     bnd.set_defaults(func=cmd_bounds)
 
     swp = sub.add_parser("sweep", help="violation table over a parameter range")
@@ -292,7 +286,6 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--cap", type=int, default=10**6)
     swp.add_argument("--threads", type=int, default=_default_threads())
     swp.add_argument("--out", help="output CSV path (default stdout)")
-    swp.add_argument("--format", choices=["json", "csv"], default="csv")
     swp.set_defaults(func=cmd_sweep)
 
     ver = sub.add_parser("verify", help="run the cross-module self-check suite")

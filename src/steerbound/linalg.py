@@ -7,12 +7,70 @@ mutate their inputs; values can be shared freely between threads.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import threading
+from contextlib import contextmanager
+from pathlib import Path
+
 import numpy as np
 
 from .errors import PreconditionError
 from .tolerances import TOLERANCES
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+_blas_lock = threading.Lock()
+_blas_requests: dict[object, int] = {}  # active blas_threads bodies, oldest first
+_blas_ambient = 0  # count to restore once no request is active
+
+
+@functools.cache
+def _openblas() -> tuple:
+    """(get, set) thread-count entry points of numpy's bundled OpenBLAS,
+    bound on first use, or () when the library or its symbols are absent."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return ()
+
+
+@contextmanager
+def blas_threads(count: int):
+    """Hold numpy's OpenBLAS at `count` threads for the body.
+
+    The count is process-wide. While bodies overlap (nested, or on several
+    threads) the most recently entered one that is still running sets it;
+    when the last one leaves, the count found before the first is
+    restored, also when a body raises. A no-op when numpy does not bundle
+    OpenBLAS.
+    """
+    global _blas_ambient
+    calls = _openblas()
+    if not calls:
+        yield
+        return
+    get, put = calls
+    token = object()
+    with _blas_lock:
+        if not _blas_requests:
+            _blas_ambient = get()
+        _blas_requests[token] = count
+        put(count)
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            del _blas_requests[token]
+            put(next(reversed(_blas_requests.values()), _blas_ambient))
 
 
 def as_matrix(m) -> np.ndarray:

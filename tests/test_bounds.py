@@ -30,6 +30,7 @@ from steerbound import (
     strategy_norms,
     violation,
 )
+from steerbound.linalg import blas_threads
 
 LHS_23 = (3 + np.sqrt(3)) / 2
 
@@ -129,6 +130,95 @@ def test_lhs_general_matches_rank_one_oracle_for_all_sign_tables():
             expected = max(expected, (abs(u[0]) + np.linalg.norm(u)) / 2)
         got = lhs_bound_exact_general(functional, angular_resolution=64).value
         assert got == pytest.approx(expected, abs=1e-7)
+
+
+def full_enumeration_norms(functional):
+    """Reference: every strategy operator gathered by index and summed."""
+    n, m = functional.n, functional.m
+    strategies = np.array(list(itertools.product(range(m), repeat=n)))
+    ops = functional.coefficients[np.arange(n)[None, :], strategies].sum(axis=1)
+    return np.abs(np.linalg.eigvalsh(ops)).max(axis=1)
+
+
+def plus_minus_functional(rng, n, d, kind="custom"):
+    raw = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    herm = raw + raw.conj().transpose(0, 2, 1)
+    return SteeringFunctional.from_table(np.stack([herm, -herm], axis=1), kind=kind)
+
+
+def complement_symmetric_cases():
+    rng = np.random.default_rng(2024)
+    for n in range(1, 11):
+        family = build_clifford_family(n)
+        yield f"clifford-{n}", clifford_functional(family)
+        yield f"dichotomic-{n}", dichotomic_functional(family).as_steering_functional()
+    for n, d in ((1, 3), (3, 2), (4, 5), (6, 4)):
+        yield f"plus-minus-{n}-{d}", plus_minus_functional(rng, n, d)
+
+
+@pytest.fixture
+def eigvalsh_matrices(monkeypatch):
+    """Counts the matrices passed to numpy's batched eigvalsh."""
+    counted = []
+    original = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        counted.append(int(np.prod(np.shape(a)[:-2])))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return counted
+
+
+def test_complement_halving_matches_full_enumeration(eigvalsh_matrices):
+    for name, functional in complement_symmetric_cases():
+        reference = full_enumeration_norms(functional)
+        eigvalsh_matrices.clear()
+        norms = strategy_norms(functional)
+        assert sum(eigvalsh_matrices) == 2 ** (functional.n - 1), name
+        assert norms.shape == reference.shape, name
+        assert np.abs(norms - reference).max() <= 1e-12, name
+        # strategy i and its complement 2^n - 1 - i share one computed value
+        assert np.array_equal(norms, norms[::-1]), name
+        result = lhs_bound_exact(functional)
+        assert result.strategy_count == 2**functional.n, name
+        assert abs(result.value - reference.max()) <= 1e-12, name
+        assert result.witness[0] == 0, name
+        witness_index = int(np.ravel_multi_index(result.witness, (2,) * functional.n))
+        assert abs(reference[witness_index] - reference.max()) <= 1e-12, name
+
+
+def test_two_outcome_table_without_symmetry_enumerates_fully(eigvalsh_matrices):
+    rng = np.random.default_rng(77)
+    asymmetric = random_hermitian_functional(rng, 5, 2, 3)
+    # one bit away from F_x^2 = -F_x^1, under a kind that usually has it
+    table = plus_minus_functional(rng, 5, 3).coefficients.copy()
+    table[2, 1, 0, 0] = np.nextafter(table[2, 1, 0, 0].real, np.inf)
+    near = SteeringFunctional.from_table(table, kind="clifford-dichotomic")
+    for functional in (asymmetric, near):
+        reference = full_enumeration_norms(functional)
+        eigvalsh_matrices.clear()
+        norms = strategy_norms(functional)
+        assert sum(eigvalsh_matrices) == 2**5
+        assert np.abs(norms - reference).max() <= 1e-12
+        result = lhs_bound_exact(functional)
+        assert abs(result.value - reference.max()) <= 1e-12
+        assert result.witness == tuple(
+            int(a) for a in np.unravel_index(int(np.argmax(norms)), (2,) * 5)
+        )
+
+
+def test_lhs_exact_independent_of_ambient_blas_threads():
+    # d = 256 eigensolves differ in the last bits between one and two
+    # OpenBLAS threads; the enumeration pins BLAS, so the caller's count
+    # cannot reach the result
+    functional = clifford_functional(build_clifford_family(8, full_dimension=True))
+    results = []
+    for count in (1, 2):
+        with blas_threads(count):
+            results.append(lhs_bound_exact(functional))
+    assert results[0] == results[1]
+    assert results[0].value == pytest.approx(np.sqrt(2), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

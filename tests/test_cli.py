@@ -80,6 +80,15 @@ def test_usage_error_exit_code():
     assert run([]) == EXIT_USAGE
 
 
+def test_format_flag_is_gone(tmp_path):
+    # bounds always writes JSON and sweep always CSV; no flag pretends otherwise
+    functional = tmp_path / "m23.json"
+    run(["generate", "--kind", "mub", "--d", "2", "--n", "3", "--out", str(functional)])
+    assert run(["bounds", str(functional), "--format", "csv"]) == EXIT_USAGE
+    assert run(["generate", "--kind", "mub", "--d", "2", "--format", "json"]) == EXIT_USAGE
+    assert run(["sweep", "--kind", "mub", "--d", "2", "--format", "csv"]) == EXIT_USAGE
+
+
 def test_bounds_mub_report(tmp_path, capsys):
     functional = tmp_path / "m23.json"
     report = tmp_path / "report.json"

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from steerbound import (
     operator_norm,
     tensor,
 )
+from steerbound.linalg import _openblas, blas_threads
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -174,3 +178,68 @@ def test_numerical_radius_sandwich_bounds():
 def test_numerical_radius_resolution_validated():
     with pytest.raises(PreconditionError, match="at least 8"):
         numerical_radius(np.eye(2), angular_resolution=4)
+
+
+def test_blas_threads_sets_and_restores_count():
+    calls = _openblas()
+    if not calls:
+        pytest.skip("numpy does not bundle OpenBLAS here")
+    get = calls[0]
+    before = get()
+    with blas_threads(1):
+        assert get() == 1
+        with blas_threads(2):
+            assert get() == 2
+        assert get() == 1
+    assert get() == before
+    with pytest.raises(RuntimeError, match="body failed"):
+        with blas_threads(1):
+            assert get() == 1
+            raise RuntimeError("body failed")
+    assert get() == before
+
+
+def test_blas_threads_overlapping_bodies():
+    # bodies on different threads need not leave in entry order: the most
+    # recent body still running sets the count, the last one restores
+    calls = _openblas()
+    if not calls:
+        pytest.skip("numpy does not bundle OpenBLAS here")
+    get = calls[0]
+    before = get()
+    outer, inner = blas_threads(2), blas_threads(1)
+    outer.__enter__()
+    inner.__enter__()
+    assert get() == 1
+    outer.__exit__(None, None, None)
+    assert get() == 1
+    inner.__exit__(None, None, None)
+    assert get() == before
+
+
+def test_blas_threads_concurrent_bodies_restore_ambient():
+    calls = _openblas()
+    if not calls:
+        pytest.skip("numpy does not bundle OpenBLAS here")
+    get = calls[0]
+    before = get()
+    seen = []
+
+    def work():
+        for _ in range(2000):
+            with blas_threads(1):
+                seen.append(get())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work) for _ in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert len(seen) == 8000 and set(seen) == {1}
+    assert get() == before
