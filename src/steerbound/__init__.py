@@ -22,9 +22,8 @@ from .bounds import (
     fine_grained_xi,
     gram_matrix,
     gram_norm_identity_check,
+    lhs_bound,
     lhs_bound_clifford_analytic,
-    lhs_bound_exact,
-    lhs_bound_exact_general,
     lhs_bound_mub_analytic,
     quantum_bound,
     quantum_bound_seesaw,
@@ -47,7 +46,6 @@ from .errors import (
 from .functionals import (
     Assemblage,
     AssemblageReport,
-    DichotomicFunctional,
     SteeringFunctional,
     canonical_quantum_assemblage,
     clifford_functional,
@@ -57,13 +55,7 @@ from .functionals import (
     mub_functional,
     random_functional,
 )
-from .linalg import (
-    hermitian_eigensystem,
-    hermitian_eigenvalues,
-    numerical_radius,
-    operator_norm,
-    tensor,
-)
+from .linalg import numerical_radius, operator_norm, tensor
 from .mub import MubFamily, UnbiasednessReport, build_mub_family, verify_unbiasedness
 from .tolerances import TOLERANCES, Tolerances
 
@@ -76,8 +68,6 @@ __all__ = [
     "EnumerationCapExceeded",
     "SchemaError",
     "BoundCheckError",
-    "hermitian_eigenvalues",
-    "hermitian_eigensystem",
     "operator_norm",
     "numerical_radius",
     "tensor",
@@ -92,7 +82,6 @@ __all__ = [
     "SteeringFunctional",
     "Assemblage",
     "AssemblageReport",
-    "DichotomicFunctional",
     "mub_functional",
     "clifford_functional",
     "clifford_projectors",
@@ -107,8 +96,7 @@ __all__ = [
     "LhsExactResult",
     "QuantumBoundResult",
     "SeesawResult",
-    "lhs_bound_exact",
-    "lhs_bound_exact_general",
+    "lhs_bound",
     "lhs_bound_mub_analytic",
     "lhs_bound_clifford_analytic",
     "strategy_norms",

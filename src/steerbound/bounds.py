@@ -10,16 +10,18 @@ therefore redundant and never materialize; per strategy the state
 optimization collapses to a top-|eigenvalue| computation (Hermitian
 tables) or a numerical radius (general tables).
 
-One driver enumerates the strategies for every entry point. It builds
-each chunk of strategy operators as one GEMM of a one-hot selector with
-the flattened table, and for two-outcome tables with F_x^2 = -F_x^1
-computes only the a_0 = 0 half, since a strategy and its complement have
-the same value. Chunks have fixed, shape-only bounds; the `threads` pool
-workers are the only parallelism, because the enumeration holds OpenBLAS
-at one thread. The maximum is the first one in lexicographic order, so
-reports are identical for any `threads` and any OPENBLAS_NUM_THREADS
-(the see-saw, used only without an analytic quantum value, runs BLAS at
-the ambient thread count).
+lhs_bound is the one entry point. strategy_norms enumerates the
+strategies for it and picks the per-strategy norm from the table: the
+top |eigenvalue| when the table is Hermitian, the numerical radius
+otherwise. It builds each chunk of strategy operators as one GEMM of a
+one-hot selector with the flattened table, and for two-outcome tables
+with F_x^2 = -F_x^1 computes only the a_0 = 0 half, since a strategy and
+its complement have the same value. Chunks have fixed, shape-only
+bounds; the `threads` pool workers are the only parallelism, because the
+enumeration holds OpenBLAS at one thread. The maximum is the first one
+in lexicographic order, so reports are identical for any `threads` and
+any OPENBLAS_NUM_THREADS (the see-saw, used only without an analytic
+quantum value, runs BLAS at the ambient thread count).
 """
 
 from __future__ import annotations
@@ -31,12 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BoundCheckError, EnumerationCapExceeded, PreconditionError
-from .functionals import (
-    DichotomicFunctional,
-    SteeringFunctional,
-    canonical_quantum_assemblage,
-    evaluate,
-)
+from .functionals import SteeringFunctional, canonical_quantum_assemblage, evaluate
 from .linalg import blas_threads, hermitian_part, numerical_radius, operator_norm
 from .mub import MubFamily
 from .tolerances import TOLERANCES
@@ -131,12 +128,6 @@ class BoundsReport:
 # strategy enumeration
 
 
-def _as_steering(functional) -> SteeringFunctional:
-    if isinstance(functional, DichotomicFunctional):
-        return functional.as_steering_functional()
-    return functional
-
-
 def _strategy_total(n: int, m: int, cap: int) -> int:
     total = m**n
     if total > cap:
@@ -177,16 +168,22 @@ def _top_abs_eigenvalues(ops: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(eigs[:, 0]), np.abs(eigs[:, -1]))
 
 
-def _strategy_values(
-    f: SteeringFunctional, kernel, cap: int, threads: int
+def strategy_norms(
+    f: SteeringFunctional,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+    threads: int = 1,
+    angular_resolution: int = DEFAULT_ANGULAR_RESOLUTION,
 ) -> np.ndarray:
-    """kernel(sum_x F_x^{a(x)}) for every deterministic strategy, in
-    lexicographic order.
+    """Norm of sum_x F_x^{a(x)} for every deterministic strategy, in
+    lexicographic strategy order.
 
-    Fixed, shape-only chunks run on `threads` pool workers with OpenBLAS
-    held at one thread. For complement-symmetric tables only the a_0 = 0
-    half is computed: the complement of strategy i is m^n - 1 - i, so the
-    second half is the first one reversed.
+    The norm is the one the state optimization of |<F, sigma>| produces:
+    the top |eigenvalue| for Hermitian tables, the numerical radius (at
+    `angular_resolution`) otherwise. Fixed, shape-only chunks run on
+    `threads` pool workers with OpenBLAS held at one thread. For
+    complement-symmetric tables only the a_0 = 0 half is computed: the
+    complement of strategy i is m^n - 1 - i, so the second half is the
+    first one reversed.
     """
     if threads < 1:
         raise PreconditionError(f"thread count must be positive, got {threads}")
@@ -199,7 +196,10 @@ def _strategy_values(
     cells = np.ascontiguousarray(f.coefficients).reshape(n * m, d * d).view(np.float64)
 
     def values_of(span):
-        return kernel(_chunk_operators(cells, n, m, d, *span))
+        ops = _chunk_operators(cells, n, m, d, *span)
+        if f.hermitian:
+            return _top_abs_eigenvalues(ops)
+        return np.array([numerical_radius(h, angular_resolution) for h in ops])
 
     with blas_threads(1):
         if threads > 1 and len(spans) > 1:
@@ -211,62 +211,21 @@ def _strategy_values(
     return np.concatenate([values, values[::-1]]) if mirrored else values
 
 
-def _best_strategy(f: SteeringFunctional, values: np.ndarray) -> LhsExactResult:
-    best = int(np.argmax(values))  # first maximum: lexicographically first strategy
+def lhs_bound(
+    f: SteeringFunctional,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+    threads: int = 1,
+    angular_resolution: int = DEFAULT_ANGULAR_RESOLUTION,
+) -> LhsExactResult:
+    """Exact LHS bound: the largest strategy norm (see strategy_norms) over
+    all m^n deterministic strategies; ties break toward the
+    lexicographically first strategy."""
+    values = strategy_norms(f, cap, threads, angular_resolution)
+    best = int(np.argmax(values))
     witness = tuple(int(a) for a in np.unravel_index(best, (f.m,) * f.n))
     return LhsExactResult(
         value=float(values[best]), witness=witness, strategy_count=values.size
     )
-
-
-def lhs_bound_exact(
-    functional,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    threads: int = 1,
-) -> LhsExactResult:
-    """Exact LHS bound of a Hermitian functional.
-
-    Maximizes ||sum_x F_x^{a(x)}|| over all m^n deterministic strategies;
-    ties break toward the lexicographically first strategy.
-    """
-    f = _as_steering(functional)
-    if not f.hermitian:
-        raise PreconditionError(
-            "functional is not Hermitian; use lhs_bound_exact_general"
-        )
-    return _best_strategy(f, _strategy_values(f, _top_abs_eigenvalues, cap, threads))
-
-
-def lhs_bound_exact_general(
-    functional,
-    angular_resolution: int = DEFAULT_ANGULAR_RESOLUTION,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    threads: int = 1,
-) -> LhsExactResult:
-    """Exact LHS bound through |<F, sigma>| for arbitrary tables.
-
-    The state optimization of |Tr(H rho)| over density matrices equals the
-    numerical radius of H, so each strategy contributes the radius of its
-    summed coefficient operator. Coincides with lhs_bound_exact on
-    Hermitian input up to the radius accuracy.
-    """
-    f = _as_steering(functional)
-
-    def radii(ops):
-        return np.array([numerical_radius(h, angular_resolution) for h in ops])
-
-    return _best_strategy(f, _strategy_values(f, radii, cap, threads))
-
-
-def strategy_norms(
-    functional, cap: int = DEFAULT_ENUMERATION_CAP, threads: int = 1
-) -> np.ndarray:
-    """||sum_x F_x^{a(x)}|| for every deterministic strategy, in
-    lexicographic strategy order (Hermitian tables only)."""
-    f = _as_steering(functional)
-    if not f.hermitian:
-        raise PreconditionError("strategy_norms requires a Hermitian functional")
-    return _strategy_values(f, _top_abs_eigenvalues, cap, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +294,7 @@ def applicable_violation_lower_bounds(f: SteeringFunctional) -> dict[str, float]
 # quantum bounds
 
 
-def quantum_bound(functional, method: str = "analytic") -> QuantumBoundResult:
+def quantum_bound(f: SteeringFunctional, method: str = "analytic") -> QuantumBoundResult:
     """Quantum bound of a structured functional.
 
     Known values: n for unbiased-basis tables, n/2 for the +-A_x/2 table,
@@ -347,7 +306,6 @@ def quantum_bound(functional, method: str = "analytic") -> QuantumBoundResult:
     For positive-semidefinite tables the envelope sum_x max_a ||F_x^a||
     is asserted as a consistency upper bound.
     """
-    f = _as_steering(functional)
     targets = {"mub": float(f.n), "clifford": f.n / 2.0, "clifford-dichotomic": float(f.n)}
     if f.kind not in targets:
         raise PreconditionError(
@@ -407,7 +365,7 @@ def _povm_pairwise_update(conditioned: np.ndarray, povm: np.ndarray) -> np.ndarr
 
 
 def quantum_bound_seesaw(
-    functional,
+    f: SteeringFunctional,
     dim_a: int | None = None,
     restarts: int = 20,
     max_iters: int = 500,
@@ -428,7 +386,6 @@ def quantum_bound_seesaw(
     lower bound on the quantum value up to solver tolerance; restarts draw
     fresh random initial states.
     """
-    f = _as_steering(functional)
     n, m, d = f.n, f.m, f.d
     dim_a = d if dim_a is None else dim_a
     if dim_a < 1 or restarts < 1 or max_iters < 1:
@@ -477,6 +434,10 @@ def quantum_bound_seesaw(
             vals, vecs = np.linalg.eigh(hermitian_part(assembled))
             state = vecs[:, -1].reshape(dim_a, d)
             objective = float(vals[-1])
+            if trace and objective < previous - TOLERANCES.seesaw_monotone:
+                raise BoundCheckError(
+                    f"see-saw objective fell from {previous!r} to {objective!r}"
+                )
             trace.append(objective)
             if len(trace) > 1 and objective - previous <= tol:
                 converged = True
@@ -500,7 +461,7 @@ def quantum_bound_seesaw(
 
 
 def violation(
-    functional,
+    f: SteeringFunctional,
     cap: int = DEFAULT_ENUMERATION_CAP,
     threads: int = 1,
     angular_resolution: int = DEFAULT_ANGULAR_RESOLUTION,
@@ -514,17 +475,14 @@ def violation(
     certificate per proven bound the values must respect.
 
     Structured kinds get analytic quantum values; random/custom tables
-    fall back to the see-saw lower bound (tagged as such). With strict
-    enabled, a failed certificate raises instead of being reported.
+    fall back to the see-saw lower bound (tagged as such). A table whose
+    LHS bound is 0 has no ratio and is rejected. With strict enabled, a
+    failed certificate raises instead of being reported.
     """
-    f = _as_steering(functional)
     t0 = time.perf_counter()
-    if f.hermitian:
-        lhs = lhs_bound_exact(f, cap=cap, threads=threads)
-    else:
-        lhs = lhs_bound_exact_general(
-            f, angular_resolution=angular_resolution, cap=cap, threads=threads
-        )
+    lhs = lhs_bound(f, cap=cap, threads=threads, angular_resolution=angular_resolution)
+    if lhs.value <= 0:
+        raise PreconditionError("S_LHS is 0; the violation ratio is undefined")
     t1 = time.perf_counter()
 
     diagnostics: dict = {"strategy_count": lhs.strategy_count, "enumeration_cap": cap}
@@ -556,7 +514,7 @@ def violation(
         diagnostics["seesaw_converged"] = seesaw.converged
     t2 = time.perf_counter()
 
-    value = s_q / lhs.value if lhs.value > 0 else float("nan")
+    value = s_q / lhs.value
     for tag, bound in analytic.items():
         certificates.append(
             Certificate(
@@ -613,15 +571,6 @@ class GramMatrix:
     matrix: np.ndarray  # (n*d, n*d)
     settings: int
     dimension: int
-
-    @property
-    def scaled(self) -> np.ndarray:
-        """sqrt(d)-scaled copy whose off-diagonal blocks are rank one."""
-        return np.sqrt(self.dimension) * self.matrix
-
-    def block(self, x: int, y: int) -> np.ndarray:
-        d = self.dimension
-        return self.scaled[x * d : (x + 1) * d, y * d : (y + 1) * d]
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,14 @@ def _write_output(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _reject_unread_flags(kind: str, flags: dict[str, tuple[bool, tuple[str, ...]]]) -> None:
+    """Raise for a flag that was given although `kind` does not read it;
+    `flags` maps each flag to (given, kinds that read it)."""
+    for flag, (given, readers) in flags.items():
+        if given and kind not in readers:
+            raise PreconditionError(f"{flag} does not apply to --kind {kind}")
+
+
 def _build_functional(kind: str, d, n, seed, full_dim: bool):
     if kind == "mub":
         if d is None:
@@ -92,8 +100,7 @@ def _build_functional(kind: str, d, n, seed, full_dim: bool):
     if kind == "dichotomic":
         if n is None:
             raise PreconditionError("--kind dichotomic requires --n")
-        family = build_clifford_family(n, full_dimension=full_dim)
-        return dichotomic_functional(family).as_steering_functional()
+        return dichotomic_functional(build_clifford_family(n, full_dimension=full_dim))
     if kind == "random":
         if d is None:
             raise PreconditionError("--kind random requires --d")
@@ -102,6 +109,15 @@ def _build_functional(kind: str, d, n, seed, full_dim: bool):
 
 
 def cmd_generate(args) -> int:
+    _reject_unread_flags(
+        args.kind,
+        {
+            "--d": (args.d is not None, ("mub", "random")),
+            "--n": (args.n is not None, ("mub", "clifford", "dichotomic")),
+            "--seed": (args.seed is not None, ("random",)),
+            "--full-dim": (args.full_dim, ("clifford", "dichotomic")),
+        },
+    )
     functional = _build_functional(args.kind, args.d, args.n, args.seed, args.full_dim)
     text = functional_to_json(functional)
     _write_output(text, args.out)
@@ -174,12 +190,15 @@ def _parse_values(raw: str | None) -> list[int]:
 
 
 def cmd_sweep(args) -> int:
-    if args.kind == "mub":
-        values = _parse_values(args.d)
-    elif args.kind in ("clifford", "dichotomic"):
-        values = _parse_values(args.n)
-    else:
-        raise PreconditionError(f"kind {args.kind!r} has no sweep parameter")
+    _reject_unread_flags(
+        args.kind,
+        {
+            "--d": (args.d is not None, ("mub",)),
+            "--n": (args.n is not None, ("clifford", "dichotomic")),
+            "--full-dim": (args.full_dim, ("clifford", "dichotomic")),
+        },
+    )
+    values = _parse_values(args.d if args.kind == "mub" else args.n)
 
     buffer = io.StringIO()
     writer = csv.writer(buffer)

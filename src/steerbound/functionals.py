@@ -116,9 +116,6 @@ class Assemblage:
     def d(self) -> int:
         return self.members.shape[2]
 
-    def reduced_state(self) -> np.ndarray:
-        return self.members[0].sum(axis=0)
-
     def validate(self, tol: float = TOLERANCES.assemblage) -> AssemblageReport:
         members = _table(self.members)
         flat = members.reshape(-1, members.shape[2], members.shape[3])
@@ -144,28 +141,6 @@ class Assemblage:
         return self
 
 
-@dataclass(frozen=True)
-class DichotomicFunctional:
-    """n Hermitian observables F_x paired with difference assemblages
-    sigma_x = sigma_x^1 - sigma_x^2."""
-
-    observables: np.ndarray  # (n, d, d)
-
-    @property
-    def n(self) -> int:
-        return self.observables.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.observables.shape[1]
-
-    def as_steering_functional(self) -> SteeringFunctional:
-        """Equivalent two-outcome table: Tr(sum_x F_x (sigma_x^1 - sigma_x^2))
-        equals the steering pairing of the table {F_x, -F_x}."""
-        table = np.stack([np.stack([f, -f]) for f in self.observables])
-        return SteeringFunctional.from_table(table, kind="clifford-dichotomic")
-
-
 def mub_functional(family: MubFamily) -> SteeringFunctional:
     """Rank-1 projector table F_x^a = |phi_x^a><phi_x^a| (m = d outcomes)."""
     table = np.einsum("xai,xaj->xaij", family.bases, family.bases.conj())
@@ -187,11 +162,13 @@ def clifford_functional(family: CliffordFamily) -> SteeringFunctional:
     return SteeringFunctional.from_table(table, kind="clifford")
 
 
-def dichotomic_functional(family: CliffordFamily) -> DichotomicFunctional:
-    """Observable form F_x = A_x = P_x^1 - P_x^2."""
-    obs = family.observables.copy()
-    obs.setflags(write=False)
-    return DichotomicFunctional(observables=obs)
+def dichotomic_functional(family: CliffordFamily) -> SteeringFunctional:
+    """Observable form: the two-outcome table F_x^1 = A_x, F_x^2 = -A_x with
+    A_x = P_x^1 - P_x^2. Its steering pairing with an assemblage is
+    Tr(sum_x A_x (sigma_x^1 - sigma_x^2)), the dichotomic inequality on the
+    difference assemblages."""
+    table = np.stack([np.stack([a, -a]) for a in family.observables])
+    return SteeringFunctional.from_table(table, kind="clifford-dichotomic")
 
 
 def random_functional(d: int, seed: int) -> SteeringFunctional:

@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import PreconditionError
-from .tolerances import TOLERANCES
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -73,55 +72,16 @@ def blas_threads(count: int):
             put(next(reversed(_blas_requests.values()), _blas_ambient))
 
 
-def as_matrix(m) -> np.ndarray:
-    arr = np.asarray(m, dtype=complex)
-    if arr.ndim != 2:
-        raise PreconditionError(f"expected a matrix, got an array of ndim {arr.ndim}")
-    return arr
-
-
 def require_square(m) -> np.ndarray:
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise PreconditionError(f"matrix is not square: shape {m.shape}")
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise PreconditionError(f"expected a square matrix, got shape {m.shape}")
     return m
-
-
-def hermiticity_defect(m) -> float:
-    """Entrywise max norm of m - m^dagger."""
-    m = require_square(m)
-    return float(np.abs(m - m.conj().T).max(initial=0.0))
 
 
 def hermitian_part(m) -> np.ndarray:
     m = require_square(m)
     return (m + m.conj().T) / 2
-
-
-def require_hermitian(m, tol: float = TOLERANCES.hermiticity) -> np.ndarray:
-    m = require_square(m)
-    defect = float(np.abs(m - m.conj().T).max(initial=0.0))
-    if defect > tol:
-        raise PreconditionError(
-            f"matrix is not Hermitian: max |m - m^dagger| = {defect:.3e} exceeds {tol:.1e}"
-        )
-    return m
-
-
-def hermitian_eigenvalues(m) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, in descending order.
-
-    Rejects non-square or non-Hermitian input with a diagnostic naming the
-    violated check. Results are deterministic for identical input bit
-    patterns: the LAPACK driver behind numpy uses a fixed iteration order.
-    """
-    return np.linalg.eigvalsh(require_hermitian(m))[::-1]
-
-
-def hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and matching eigenvectors (as columns)."""
-    vals, vecs = np.linalg.eigh(require_hermitian(m))
-    return vals[::-1], vecs[:, ::-1]
 
 
 def operator_norm(m) -> float:

@@ -57,9 +57,6 @@ class MubFamily:
     def count(self) -> int:
         return self.bases.shape[0]
 
-    def vector(self, x: int, a: int) -> np.ndarray:
-        return self.bases[x, a]
-
     def projector(self, x: int, a: int) -> np.ndarray:
         v = self.bases[x, a]
         return np.outer(v, v.conj())

@@ -167,10 +167,6 @@ def functional_from_json(text: str) -> SteeringFunctional:
     return SteeringFunctional.from_table(table, kind=meta["kind"], seed=meta["seed"])
 
 
-def dump_functional(functional: SteeringFunctional, path) -> None:
-    Path(path).write_text(functional_to_json(functional))
-
-
 def load_functional(path) -> SteeringFunctional:
     return functional_from_json(Path(path).read_text())
 

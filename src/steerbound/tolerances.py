@@ -7,9 +7,8 @@ from dataclasses import dataclass
 class Tolerances:
     """Absolute tolerances shared across the toolkit.
 
-    hermiticity: max-norm defect before a matrix is rejected as non-Hermitian.
-    spectrum: accuracy expected of the dense eigensolver, relative to the
-        matrix norm.
+    hermiticity: largest max-norm defect F - F^dagger of a coefficient table
+        that still counts as Hermitian.
     anticommutation: slack on anticommutator identities.
     unbiasedness: slack on basis orthonormality and cross-basis overlaps.
     assemblage: slack on positivity, no-signaling and normalization of
@@ -26,7 +25,6 @@ class Tolerances:
     """
 
     hermiticity: float = 1e-10
-    spectrum: float = 1e-9
     anticommutation: float = 1e-12
     unbiasedness: float = 1e-10
     assemblage: float = 1e-9

@@ -17,8 +17,8 @@ from .bounds import (
     fine_grained_bound,
     fine_grained_xi,
     gram_norm_identity_check,
+    lhs_bound,
     lhs_bound_clifford_analytic,
-    lhs_bound_exact,
     quantum_bound,
     quantum_bound_seesaw,
     strategy_norms,
@@ -114,7 +114,7 @@ def _check_lhs_dominance(threads: int) -> tuple[bool, str]:
     slack = TOLERANCES.bound_slack
     for d, n in ((2, 3), (3, 4), (5, 6)):
         functional = mub_functional(build_mub_family(d, n))
-        exact = lhs_bound_exact(functional, threads=threads).value
+        exact = lhs_bound(functional, threads=threads).value
         for tag, bound in applicable_lhs_analytic(functional).items():
             if exact > bound + slack:
                 return False, f"mub d={d} n={n}: exact {exact} > {tag} bound {bound}"
@@ -125,8 +125,8 @@ def _check_lhs_dominance(threads: int) -> tuple[bool, str]:
             return False, f"clifford n={n}: strategy norms not sqrt(n)/2"
         if norms.max() > lhs_bound_clifford_analytic(n) + slack:
             return False, f"clifford n={n}: exact above analytic bound"
-        dicho = dichotomic_functional(family).as_steering_functional()
-        exact = lhs_bound_exact(dicho, threads=threads).value
+        dicho = dichotomic_functional(family)
+        exact = lhs_bound(dicho, threads=threads).value
         if abs(exact - np.sqrt(n)) > slack or exact > lhs_bound_clifford_analytic(
             n, dichotomic=True
         ) + slack:
@@ -149,7 +149,7 @@ def _check_canonical_attainment() -> tuple[bool, str]:
             worst,
             abs(evaluate(functional, canonical_quantum_assemblage(functional)) - n / 2),
         )
-        dicho = dichotomic_functional(family).as_steering_functional()
+        dicho = dichotomic_functional(family)
         worst = max(
             worst, abs(evaluate(dicho, canonical_quantum_assemblage(dicho)) - n)
         )

@@ -23,8 +23,7 @@ from steerbound import (
     fine_grained_bound,
     fine_grained_xi,
     gram_norm_identity_check,
-    lhs_bound_exact,
-    lhs_bound_exact_general,
+    lhs_bound,
     lhs_bound_mub_analytic,
     mub_functional,
     numerical_radius,
@@ -65,7 +64,7 @@ def test_criterion_1_quantum_attainment():
 def test_criterion_2_exact_lhs_qubit_triple():
     with criterion(2, "exact LHS bound at (d=2, n=3) equals (3+sqrt(3))/2 and its analytic bound"):
         functional = mub_functional(build_mub_family(2, 3))
-        exact = lhs_bound_exact(functional).value
+        exact = lhs_bound(functional).value
         assert exact == pytest.approx((3 + np.sqrt(3)) / 2, abs=1e-9)
         assert exact == pytest.approx(lhs_bound_mub_analytic(2, 3, "uncertainty"), abs=1e-9)
         report = violation(functional)
@@ -78,7 +77,7 @@ def test_criterion_3_analytic_dominance():
         for d, n in cases:
             start = time.perf_counter()
             functional = mub_functional(build_mub_family(d, n))
-            exact = lhs_bound_exact(functional).value
+            exact = lhs_bound(functional).value
             gram = lhs_bound_mub_analytic(d, n, "gram")
             uncertainty = lhs_bound_mub_analytic(d, n, "uncertainty")
             assert exact <= min(gram, uncertainty) + 1e-9
@@ -98,7 +97,7 @@ def test_criterion_4_clifford_exactness():
             norms = strategy_norms(functional)
             assert norms.shape == (2**n,)
             assert np.abs(norms - np.sqrt(n) / 2).max() <= 1e-10
-            s_lhs = lhs_bound_exact(functional).value
+            s_lhs = lhs_bound(functional).value
             assert s_lhs == pytest.approx(np.sqrt(n) / 2, abs=1e-10)
             assert s_lhs <= np.sqrt(n / 2) + 1e-12
             s_q = quantum_bound(functional).value
@@ -113,7 +112,7 @@ def test_criterion_5_dichotomic_exactness():
     with criterion(5, "dichotomic table: LHS sqrt(n) <= sqrt(2n), quantum value n"):
         for n in range(1, 13):
             functional = dichotomic_functional(build_clifford_family(n))
-            s_lhs = lhs_bound_exact(functional).value
+            s_lhs = lhs_bound(functional).value
             assert s_lhs == pytest.approx(np.sqrt(n), abs=1e-9)
             assert s_lhs <= np.sqrt(2 * n) + 1e-12
             s_q = quantum_bound(functional).value
@@ -171,8 +170,8 @@ def test_criterion_8_seesaw_attainment():
 def test_criterion_9_random_regression():
     with criterion(9, "random functional at d=2, seed 7: stable pinned LHS value"):
         functional = random_functional(2, 7)
-        first = lhs_bound_exact_general(functional).value
-        second = lhs_bound_exact_general(functional).value
+        first = lhs_bound(functional).value
+        second = lhs_bound(functional).value
         assert abs(first - second) <= 1e-7
         envelope = sum(
             max(numerical_radius(functional.coefficients[x, a]) for a in range(2))

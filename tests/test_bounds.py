@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 from steerbound import (
+    TOLERANCES,
     BoundCheckError,
     EnumerationCapExceeded,
     MubFamily,
@@ -19,11 +21,11 @@ from steerbound import (
     fine_grained_xi,
     gram_matrix,
     gram_norm_identity_check,
+    lhs_bound,
     lhs_bound_clifford_analytic,
-    lhs_bound_exact,
-    lhs_bound_exact_general,
     lhs_bound_mub_analytic,
     mub_functional,
+    numerical_radius,
     quantum_bound,
     quantum_bound_seesaw,
     random_functional,
@@ -49,7 +51,7 @@ def test_lhs_exact_mub_qubit_value():
     # each of the 8 strategies sums three pairwise unbiased projectors,
     # (3 1 + v.sigma)/2 with |v| = sqrt(3), so every norm is (3+sqrt(3))/2
     functional = mub_functional(build_mub_family(2, 3))
-    result = lhs_bound_exact(functional)
+    result = lhs_bound(functional)
     assert result.strategy_count == 8
     assert result.value == pytest.approx(LHS_23, abs=1e-9)
     norms = strategy_norms(functional)
@@ -62,7 +64,7 @@ def test_lhs_exact_clifford_all_strategies_tie(n):
     norms = strategy_norms(functional)
     assert norms.shape == (2**n,)
     assert np.abs(norms - np.sqrt(n) / 2).max() <= 1e-10
-    result = lhs_bound_exact(functional)
+    result = lhs_bound(functional)
     assert result.value == pytest.approx(np.sqrt(n) / 2, abs=1e-10)
     # ties break to the first strategy at exact float equality
     first_max = int(np.argmax(norms))
@@ -71,47 +73,56 @@ def test_lhs_exact_clifford_all_strategies_tie(n):
 
 @pytest.mark.parametrize("n", [1, 2, 4, 9])
 def test_lhs_exact_dichotomic(n):
-    functional = dichotomic_functional(build_clifford_family(n)).as_steering_functional()
-    result = lhs_bound_exact(functional)
+    functional = dichotomic_functional(build_clifford_family(n))
+    result = lhs_bound(functional)
     assert result.value == pytest.approx(np.sqrt(n), abs=1e-9)
 
 
 def test_lhs_exact_witness_is_maximizer():
     rng = np.random.default_rng(41)
     functional = random_hermitian_functional(rng, 3, 2, 3)
-    result = lhs_bound_exact(functional)
+    result = lhs_bound(functional)
     chosen = sum(functional.coefficients[x, result.witness[x]] for x in range(3))
     assert np.abs(np.linalg.eigvalsh(chosen)).max() == pytest.approx(result.value, abs=1e-12)
 
 
 def test_lhs_exact_threads_identical():
     functional = mub_functional(build_mub_family(3, 4))
-    single = lhs_bound_exact(functional, threads=1)
-    multi = lhs_bound_exact(functional, threads=8)
+    single = lhs_bound(functional, threads=1)
+    multi = lhs_bound(functional, threads=8)
     assert single == multi
 
 
 def test_lhs_exact_cap():
     functional = mub_functional(build_mub_family(3, 4))
     with pytest.raises(EnumerationCapExceeded, match="81"):
-        lhs_bound_exact(functional, cap=80)
+        lhs_bound(functional, cap=80)
 
 
 def test_lhs_exact_redirects_non_hermitian():
-    with pytest.raises(PreconditionError, match="general"):
-        lhs_bound_exact(random_functional(2, 3))
+    # non-Hermitian tables take the numerical-radius norm; the values are
+    # pinned from the radius enumeration of these tables
+    expected = (1.4013878188659974, 1.4013878188659974, 1.290569415042095)
+    for seed, value in enumerate(expected):
+        functional = random_functional(4, seed)
+        assert not functional.hermitian
+        assert lhs_bound(functional).value == value
 
 
 def test_lhs_general_agrees_on_hermitian():
+    # on a Hermitian table the numerical radius of every strategy operator
+    # gives the same maximum as the top |eigenvalue| lhs_bound uses
     functional = mub_functional(build_mub_family(2, 3))
-    exact = lhs_bound_exact(functional).value
-    general = lhs_bound_exact_general(functional).value
-    assert general == pytest.approx(exact, abs=1e-7)
+    radii = [
+        numerical_radius(sum(functional.coefficients[x, a] for x, a in enumerate(strategy)))
+        for strategy in itertools.product(range(2), repeat=3)
+    ]
+    assert lhs_bound(functional).value == pytest.approx(max(radii), abs=1e-7)
 
 
 def test_lhs_general_zero_functional():
     functional = SteeringFunctional.from_table(np.zeros((2, 2, 2, 2)), kind="custom")
-    assert lhs_bound_exact_general(functional).value == 0.0
+    assert lhs_bound(functional).value == 0.0
 
 
 def test_lhs_general_matches_rank_one_oracle_for_all_sign_tables():
@@ -128,7 +139,7 @@ def test_lhs_general_matches_rank_one_oracle_for_all_sign_tables():
         for strategy in itertools.product(range(d), repeat=d):
             u = sum(eps[x, strategy[x]] for x in range(d)) / d
             expected = max(expected, (abs(u[0]) + np.linalg.norm(u)) / 2)
-        got = lhs_bound_exact_general(functional, angular_resolution=64).value
+        got = lhs_bound(functional, angular_resolution=64).value
         assert got == pytest.approx(expected, abs=1e-7)
 
 
@@ -151,7 +162,7 @@ def complement_symmetric_cases():
     for n in range(1, 11):
         family = build_clifford_family(n)
         yield f"clifford-{n}", clifford_functional(family)
-        yield f"dichotomic-{n}", dichotomic_functional(family).as_steering_functional()
+        yield f"dichotomic-{n}", dichotomic_functional(family)
     for n, d in ((1, 3), (3, 2), (4, 5), (6, 4)):
         yield f"plus-minus-{n}-{d}", plus_minus_functional(rng, n, d)
 
@@ -180,7 +191,7 @@ def test_complement_halving_matches_full_enumeration(eigvalsh_matrices):
         assert np.abs(norms - reference).max() <= 1e-12, name
         # strategy i and its complement 2^n - 1 - i share one computed value
         assert np.array_equal(norms, norms[::-1]), name
-        result = lhs_bound_exact(functional)
+        result = lhs_bound(functional)
         assert result.strategy_count == 2**functional.n, name
         assert abs(result.value - reference.max()) <= 1e-12, name
         assert result.witness[0] == 0, name
@@ -201,7 +212,7 @@ def test_two_outcome_table_without_symmetry_enumerates_fully(eigvalsh_matrices):
         norms = strategy_norms(functional)
         assert sum(eigvalsh_matrices) == 2**5
         assert np.abs(norms - reference).max() <= 1e-12
-        result = lhs_bound_exact(functional)
+        result = lhs_bound(functional)
         assert abs(result.value - reference.max()) <= 1e-12
         assert result.witness == tuple(
             int(a) for a in np.unravel_index(int(np.argmax(norms)), (2,) * 5)
@@ -216,7 +227,7 @@ def test_lhs_exact_independent_of_ambient_blas_threads():
     results = []
     for count in (1, 2):
         with blas_threads(count):
-            results.append(lhs_bound_exact(functional))
+            results.append(lhs_bound(functional))
     assert results[0] == results[1]
     assert results[0].value == pytest.approx(np.sqrt(2), abs=1e-12)
 
@@ -236,7 +247,7 @@ def test_mub_analytic_values():
 def test_clifford_analytic_values():
     assert lhs_bound_clifford_analytic(8) == pytest.approx(2.0, abs=1e-12)
     assert lhs_bound_clifford_analytic(2, dichotomic=True) == pytest.approx(2.0, abs=1e-12)
-    exact = lhs_bound_exact(clifford_functional(build_clifford_family(1))).value
+    exact = lhs_bound(clifford_functional(build_clifford_family(1))).value
     assert exact == pytest.approx(0.5, abs=1e-12)
     assert exact <= lhs_bound_clifford_analytic(1)
 
@@ -244,7 +255,7 @@ def test_clifford_analytic_values():
 @pytest.mark.parametrize("d,n", [(2, 3), (3, 4), (5, 6)])
 def test_exact_below_both_mub_bounds(d, n):
     functional = mub_functional(build_mub_family(d, n))
-    exact = lhs_bound_exact(functional).value
+    exact = lhs_bound(functional).value
     assert exact <= lhs_bound_mub_analytic(d, n, "gram") + 1e-9
     assert exact <= lhs_bound_mub_analytic(d, n, "uncertainty") + 1e-9
 
@@ -297,7 +308,20 @@ def test_seesaw_monotone_trace():
     functional = mub_functional(build_mub_family(3, 4))
     result = quantum_bound_seesaw(functional, restarts=1, max_iters=200, seed=5)
     diffs = np.diff(result.trace)
-    assert diffs.min(initial=0.0) >= -1e-12
+    assert diffs.min(initial=0.0) >= -TOLERANCES.seesaw_monotone
+
+
+def test_seesaw_raises_on_a_decreasing_step(monkeypatch):
+    import steerbound.bounds as bounds_module
+
+    # a negative tolerance turns every step that does not rise by at least
+    # 1.0 into a violation, so the per-step check must fire
+    monkeypatch.setattr(
+        bounds_module, "TOLERANCES", dataclasses.replace(TOLERANCES, seesaw_monotone=-1.0)
+    )
+    functional = mub_functional(build_mub_family(2, 3))
+    with pytest.raises(BoundCheckError, match="see-saw objective fell"):
+        quantum_bound_seesaw(functional, restarts=1, max_iters=50, seed=5)
 
 
 def test_seesaw_never_exceeds_quantum_value():
@@ -334,6 +358,12 @@ def test_violation_dichotomic_nine():
     assert report.violation >= np.sqrt(9 / 2)
 
 
+def test_violation_rejects_zero_lhs_bound():
+    functional = SteeringFunctional.from_table(np.zeros((2, 2, 2, 2)))
+    with pytest.raises(PreconditionError, match="S_LHS is 0"):
+        violation(functional)
+
+
 def test_violation_random_uses_seesaw():
     report = violation(random_functional(2, 7), seesaw_restarts=5)
     assert report.s_q_method == "seesaw-lower"
@@ -355,7 +385,7 @@ def test_lhs_convexity_reduction_sampling():
     rng = np.random.default_rng(44)
     for _ in range(5):
         functional = random_hermitian_functional(rng, 2, 2, 2)
-        oracle = lhs_bound_exact(functional).value
+        oracle = lhs_bound(functional).value
         for _ in range(200):
             p = rng.random((2, 2))
             p /= p.sum(axis=1, keepdims=True)
@@ -434,7 +464,7 @@ def test_gram_deterministic_table_relates_to_witness_norm():
     # the Gram norm matches its top eigenvalue
     family = build_mub_family(2, 3)
     functional = mub_functional(family)
-    strategy = lhs_bound_exact(functional).witness
+    strategy = lhs_bound(functional).witness
     p = np.zeros((3, 2))
     for x, a in enumerate(strategy):
         p[x, a] = 1.0

@@ -75,6 +75,26 @@ def test_generate_missing_required_parameter():
     assert run(["generate", "--kind", "mub"]) == EXIT_PRECONDITION
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["generate", "--kind", "random", "--d", "2", "--n", "9"], "--n"),
+        (["generate", "--kind", "clifford", "--n", "3", "--d", "3", "--seed", "5"], "--d"),
+        (["generate", "--kind", "dichotomic", "--n", "3", "--seed", "5"], "--seed"),
+        (["generate", "--kind", "mub", "--d", "3", "--full-dim"], "--full-dim"),
+        (["generate", "--kind", "random", "--d", "2", "--full-dim"], "--full-dim"),
+        (["sweep", "--kind", "mub", "--d", "2", "--n", "9"], "--n"),
+        (["sweep", "--kind", "mub", "--d", "2", "--full-dim"], "--full-dim"),
+        (["sweep", "--kind", "dichotomic", "--n", "2", "--d", "3"], "--d"),
+    ],
+)
+def test_flag_the_kind_does_not_read_is_rejected(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == EXIT_PRECONDITION
+    assert f"{flag} does not apply" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_usage_error_exit_code():
     assert run(["generate", "--kind", "bogus"]) == EXIT_USAGE
     assert run([]) == EXIT_USAGE
@@ -136,6 +156,20 @@ def test_bounds_random_kind_uses_seesaw(tmp_path):
     assert doc["report"]["s_q_method"] == "seesaw-lower"
     assert doc["report"]["s_lhs_exact"] == pytest.approx(1.2071067811865475, abs=1e-7)
     assert "seesaw_iterations" in doc["report"]["diagnostics"]
+
+
+def test_bounds_zero_table_is_a_precondition_failure(tmp_path, capsys):
+    from steerbound import SteeringFunctional
+    from steerbound.serialize import functional_to_json
+
+    table = tmp_path / "zero.json"
+    table.write_text(functional_to_json(SteeringFunctional.from_table(np.zeros((2, 2, 2, 2)))))
+    report = tmp_path / "report.json"
+    assert run(["bounds", str(table), "--out", str(report)]) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "S_LHS is 0" in captured.err
+    assert not report.exists()
 
 
 def test_bounds_truncated_input(tmp_path):

@@ -70,22 +70,30 @@ def test_clifford_functional_is_shifted_projector_table():
 
 def test_dichotomic_functional_observables():
     family = build_clifford_family(3)
-    dicho = dichotomic_functional(family)
-    assert np.array_equal(dicho.observables, family.observables)
+    functional = dichotomic_functional(family)
+    assert functional.kind == "clifford-dichotomic"
+    assert (functional.n, functional.m, functional.d) == (3, 2, family.dimension)
+    assert np.array_equal(functional.coefficients[:, 0], family.observables)
+    assert np.array_equal(functional.coefficients[:, 1], -family.observables)
     projectors = clifford_projectors(family)
     for x in range(3):
-        assert np.trace(dicho.observables[x]) == pytest.approx(0.0, abs=1e-12)
+        assert np.trace(functional.coefficients[x, 0]) == pytest.approx(0.0, abs=1e-12)
         rebuilt = projectors[x, 0] - projectors[x, 1]
-        assert np.abs(dicho.observables[x] - rebuilt).max() <= 1e-15
+        assert np.abs(functional.coefficients[x, 0] - rebuilt).max() <= 1e-15
 
 
-def test_dichotomic_as_steering_functional():
-    dicho = dichotomic_functional(build_clifford_family(2))
-    functional = dicho.as_steering_functional()
-    assert functional.kind == "clifford-dichotomic"
-    assert functional.m == 2
-    assert np.array_equal(functional.coefficients[:, 0], dicho.observables)
-    assert np.array_equal(functional.coefficients[:, 1], -dicho.observables)
+def test_dichotomic_functional_pairs_difference_assemblages():
+    # the table's pairing is Tr(sum_x A_x (sigma_x^1 - sigma_x^2))
+    family = build_clifford_family(2)
+    functional = dichotomic_functional(family)
+    rng = np.random.default_rng(5)
+    raw = rng.normal(size=(2, 2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2, 2))
+    members = raw + raw.conj().transpose(0, 1, 3, 2)
+    expected = sum(
+        np.trace(a @ (members[x, 0] - members[x, 1])).real
+        for x, a in enumerate(family.observables)
+    )
+    assert evaluate(functional, members) == pytest.approx(expected, abs=1e-12)
 
 
 def test_random_functional_shape():
@@ -177,7 +185,7 @@ def test_canonical_assemblage_valid_and_no_signaling():
     for functional in (
         mub_functional(build_mub_family(3, 4)),
         clifford_functional(build_clifford_family(4)),
-        dichotomic_functional(build_clifford_family(3)).as_steering_functional(),
+        dichotomic_functional(build_clifford_family(3)),
     ):
         assemblage = canonical_quantum_assemblage(functional)
         report = assemblage.validate()
