@@ -179,14 +179,18 @@ def strategy_norms(
 
     The norm is the one the state optimization of |<F, sigma>| produces:
     the top |eigenvalue| for Hermitian tables, the numerical radius (at
-    `angular_resolution`) otherwise. Fixed, shape-only chunks run on
-    `threads` pool workers with OpenBLAS held at one thread. For
-    complement-symmetric tables only the a_0 = 0 half is computed: the
-    complement of strategy i is m^n - 1 - i, so the second half is the
-    first one reversed.
+    `angular_resolution`) otherwise; `angular_resolution` must be at least
+    8 whatever the table. Fixed, shape-only chunks run on `threads` pool
+    workers with OpenBLAS held at one thread. For complement-symmetric
+    tables only the a_0 = 0 half is computed: the complement of strategy i
+    is m^n - 1 - i, so the second half is the first one reversed.
     """
     if threads < 1:
         raise PreconditionError(f"thread count must be positive, got {threads}")
+    if angular_resolution < 8:
+        raise PreconditionError(
+            f"angular_resolution must be at least 8, got {angular_resolution}"
+        )
     n, m, d = f.n, f.m, f.d
     total = _strategy_total(n, m, cap)
     mirrored = _complement_symmetric(f)

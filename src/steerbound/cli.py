@@ -58,14 +58,25 @@ SWEEP_COLUMNS = (
 )
 
 
+THREADS_HELP = "worker threads (default: $STEERBOUND_THREADS, else 1)"
+
+
 def _default_threads() -> int:
+    """Thread count when --threads is not given: STEERBOUND_THREADS, else 1."""
     env = os.environ.get("STEERBOUND_THREADS")
     if env is None:
         return 1
     try:
-        return max(1, int(env))
+        threads = int(env)
     except ValueError:
-        return 1
+        threads = 0  # rejected below, like any count below one
+    if threads < 1:
+        raise PreconditionError(f"STEERBOUND_THREADS must be a positive integer, got {env!r}")
+    return threads
+
+
+def _threads(args) -> int:
+    return _default_threads() if args.threads is None else args.threads
 
 
 def _timestamp() -> str:
@@ -150,11 +161,12 @@ def _print_bounds_table(report: BoundsReport) -> None:
 
 
 def cmd_bounds(args) -> int:
+    threads = _threads(args)
     functional = load_functional(args.input)
     report = violation(
         functional,
         cap=args.cap,
-        threads=args.threads,
+        threads=threads,
         angular_resolution=args.angular_res,
         seesaw_restarts=args.restarts,
         seesaw_max_iters=args.max_iters,
@@ -199,6 +211,7 @@ def cmd_sweep(args) -> int:
         },
     )
     values = _parse_values(args.d if args.kind == "mub" else args.n)
+    threads = _threads(args)
 
     buffer = io.StringIO()
     writer = csv.writer(buffer)
@@ -212,7 +225,7 @@ def cmd_sweep(args) -> int:
             functional = _build_functional(args.kind, None, value, None, args.full_dim)
         try:
             report = violation(
-                functional, cap=args.cap, threads=args.threads, strict=True
+                functional, cap=args.cap, threads=threads, strict=True
             )
         except BoundCheckError as exc:
             print(
@@ -249,7 +262,7 @@ def cmd_verify(args) -> int:
         seed=args.seed,
         seesaw_restarts=args.restarts,
         seesaw_max_iters=args.max_iters,
-        threads=args.threads,
+        threads=_threads(args),
     )
     width = max((len(r.name) for r in results), default=10)
     for r in results:
@@ -288,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bnd = sub.add_parser("bounds", help="exact and analytic bounds for a functional file")
     bnd.add_argument("input", help="functional JSON file")
     bnd.add_argument("--cap", type=int, default=10**6, help="strategy enumeration cap")
-    bnd.add_argument("--threads", type=int, default=_default_threads())
+    bnd.add_argument("--threads", type=int, help=THREADS_HELP)
     bnd.add_argument("--angular-res", type=int, default=720)
     bnd.add_argument("--restarts", type=int, default=20, help="see-saw restarts")
     bnd.add_argument("--max-iters", type=int, default=500, help="see-saw iteration cap")
@@ -303,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--n", help="comma-separated setting counts (clifford, dichotomic)")
     swp.add_argument("--full-dim", action="store_true")
     swp.add_argument("--cap", type=int, default=10**6)
-    swp.add_argument("--threads", type=int, default=_default_threads())
+    swp.add_argument("--threads", type=int, help=THREADS_HELP)
     swp.add_argument("--out", help="output CSV path (default stdout)")
     swp.set_defaults(func=cmd_sweep)
 
@@ -312,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seed", type=int, default=7)
     ver.add_argument("--restarts", type=int, default=8, help="see-saw restarts in the suite")
     ver.add_argument("--max-iters", type=int, default=300)
-    ver.add_argument("--threads", type=int, default=_default_threads())
+    ver.add_argument("--threads", type=int, help=THREADS_HELP)
     ver.add_argument("--out", help="write the machine-readable summary here")
     ver.set_defaults(func=cmd_verify)
 

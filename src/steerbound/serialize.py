@@ -1,16 +1,21 @@
-"""Canonical JSON encoding for operators, functionals and families.
+"""Canonical JSON encoding for functionals, assemblages and families.
 
-Complex scalars serialize as [re, im] pairs and matrices as row-major
-nested lists - universally parseable, no binary formats. Keys are emitted
-sorted and floats with 17 significant digits, so loading a file and
-re-serializing it reproduces identical bytes. Loaders validate strictly:
-unknown keys, wrong shapes and unknown kinds are all rejected.
+Every file kind is one document {"meta", "matrices"}: `meta` names the
+kind and its sizes, and `matrices` is a stack of complex d x d matrices
+written as nested lists of [re, im] pairs, row-major - universally
+parseable, no binary formats. One codec serves all four kinds: `_dump`
+writes a complex stack through the emitter's float-array branch, the only
+code that writes matrix data, and `_load` parses it back with every schema
+check in one place. Keys are emitted sorted and floats with 17 significant
+digits, so loading a file and re-serializing it reproduces identical
+bytes. Loaders validate strictly: unknown keys, wrong shapes, unknown
+kinds, values that are not numbers and non-finite values (NaN, Infinity)
+are all rejected with SchemaError.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -22,19 +27,25 @@ from .functionals import KINDS, Assemblage, SteeringFunctional
 from .mub import MubFamily, verify_unbiasedness
 
 META_KEYS = ("kind", "d", "n", "m", "seed", "version")
-FAMILY_KINDS = ("mub-family", "clifford-family")
 
 
 # ---------------------------------------------------------------------------
 # canonical emitter
 
 
-def format_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
+def _format_floats(values: np.ndarray) -> str:
+    """Nested JSON arrays of `values`, each written with 17 significant
+    digits; -0.0 is written as 0 and non-finite values are rejected."""
+    if not np.isfinite(values).all():
         raise SchemaError("non-finite values cannot be serialized")
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    return format(x, ".17g")
+    template = "%.17g"
+    for size in reversed(values.shape):
+        template = "[" + ",".join([template] * size) + "]"
+    return template % tuple(np.where(values == 0.0, 0.0, values).ravel().tolist())
+
+
+def format_float(x: float) -> str:
+    return _format_floats(np.asarray(x, dtype=np.float64))
 
 
 def _emit(obj, out: list) -> None:
@@ -56,6 +67,8 @@ def _emit(obj, out: list) -> None:
                 out.append(",")
             _emit(item, out)
         out.append("]")
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
+        out.append(_format_floats(obj))
     elif isinstance(obj, (bool, np.bool_)) or obj is None:
         out.append("null" if obj is None else "true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
@@ -76,32 +89,29 @@ def canonical_dumps(obj) -> str:
 
 
 # ---------------------------------------------------------------------------
-# matrix codec
+# matrix-stack codec
 
 
-def matrix_to_lists(matrix: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix, dtype=complex)]
+def _dump(kind: str, stack: np.ndarray, n: int, m: int, seed) -> str:
+    """Document of `kind` holding the complex d x d matrices of `stack` in
+    C order, written as the (count, d, d, 2) real view."""
+    stack = np.ascontiguousarray(stack, dtype=complex)
+    d = stack.shape[-1]
+    meta = {
+        "kind": kind,
+        "d": int(d),
+        "n": int(n),
+        "m": int(m),
+        "seed": None if seed is None else int(seed),
+        "version": __version__,
+    }
+    matrices = stack.view(np.float64).reshape(-1, d, d, 2)
+    return canonical_dumps({"meta": meta, "matrices": matrices})
 
 
-def lists_to_matrix(data, d: int) -> np.ndarray:
-    if not isinstance(data, list) or len(data) != d:
-        raise SchemaError(f"matrix must have {d} rows")
-    out = np.empty((d, d), dtype=complex)
-    for i, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != d:
-            raise SchemaError(f"matrix row {i} must have {d} entries")
-        for j, entry in enumerate(row):
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
-            ):
-                raise SchemaError(f"matrix entry ({i},{j}) must be a [re, im] pair")
-            out[i, j] = complex(entry[0], entry[1])
-    return out
-
-
-def _parse_document(text: str) -> tuple[dict, list]:
+def _load(text: str, kind: str) -> tuple[dict, np.ndarray]:
+    """Parse a document of `kind` ("functional" accepts every functional
+    kind) into its meta and its complex (n * m, d, d) matrix stack."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -111,6 +121,9 @@ def _parse_document(text: str) -> tuple[dict, list]:
     meta = doc["meta"]
     if not isinstance(meta, dict) or set(meta) != set(META_KEYS):
         raise SchemaError(f"meta must have exactly the keys {sorted(META_KEYS)}")
+    kinds = KINDS if kind == "functional" else (kind,)
+    if meta["kind"] not in kinds:
+        raise SchemaError(f"unknown {kind} kind {meta['kind']!r}, expected one of {kinds}")
     for key in ("d", "n", "m"):
         if not isinstance(meta[key], int) or isinstance(meta[key], bool) or meta[key] < 1:
             raise SchemaError(f"meta.{key} must be a positive integer")
@@ -120,50 +133,39 @@ def _parse_document(text: str) -> tuple[dict, list]:
         raise SchemaError("meta.seed must be an integer or null")
     if not isinstance(meta["version"], str):
         raise SchemaError("meta.version must be a string")
+    count, d = meta["n"] * meta["m"], meta["d"]
     matrices = doc["matrices"]
-    if not isinstance(matrices, list):
-        raise SchemaError("matrices must be a list")
-    return meta, matrices
-
-
-def _meta(kind: str, d: int, n: int, m: int, seed) -> dict:
-    return {
-        "kind": kind,
-        "d": int(d),
-        "n": int(n),
-        "m": int(m),
-        "seed": None if seed is None else int(seed),
-        "version": __version__,
-    }
+    if not isinstance(matrices, list) or len(matrices) != count:
+        found = len(matrices) if isinstance(matrices, list) else type(matrices).__name__
+        raise SchemaError(f"expected {count} matrices, found {found}")
+    entries = np.array(matrices, dtype=object)  # stops at the first ragged level
+    if entries.shape != (count, d, d, 2):
+        raise SchemaError(f"every matrix must be {d} rows of {d} [re, im] pairs")
+    if not set(map(type, entries.ravel())) <= {int, float}:
+        raise SchemaError("matrix entries must be numbers")
+    try:
+        values = entries.astype(np.float64)
+    except OverflowError as exc:
+        raise SchemaError("matrix entries must be finite") from exc
+    if not np.isfinite(values).all():
+        raise SchemaError("matrix entries must be finite")
+    return meta, values.view(complex).reshape(count, d, d)
 
 
 # ---------------------------------------------------------------------------
-# steering functionals
+# steering functionals and assemblages (matrices listed setting-major:
+# setting x = 0 first, outcomes within it in order)
 
 
 def functional_to_json(functional: SteeringFunctional) -> str:
-    """Matrices are listed setting-major: x = 0 row group first, outcomes
-    within it in order."""
-    matrices = [
-        matrix_to_lists(functional.coefficients[x, a])
-        for x in range(functional.n)
-        for a in range(functional.m)
-    ]
-    meta = _meta(functional.kind, functional.d, functional.n, functional.m, functional.seed)
-    return canonical_dumps({"meta": meta, "matrices": matrices})
+    return _dump(
+        functional.kind, functional.coefficients, functional.n, functional.m, functional.seed
+    )
 
 
 def functional_from_json(text: str) -> SteeringFunctional:
-    meta, matrices = _parse_document(text)
-    if meta["kind"] not in KINDS:
-        raise SchemaError(f"unknown functional kind {meta['kind']!r}")
-    n, m, d = meta["n"], meta["m"], meta["d"]
-    if len(matrices) != n * m:
-        raise SchemaError(f"expected {n * m} matrices, found {len(matrices)}")
-    table = np.empty((n, m, d, d), dtype=complex)
-    for x in range(n):
-        for a in range(m):
-            table[x, a] = lists_to_matrix(matrices[x * m + a], d)
+    meta, stack = _load(text, "functional")
+    table = stack.reshape(meta["n"], meta["m"], meta["d"], meta["d"])
     return SteeringFunctional.from_table(table, kind=meta["kind"], seed=meta["seed"])
 
 
@@ -171,77 +173,50 @@ def load_functional(path) -> SteeringFunctional:
     return functional_from_json(Path(path).read_text())
 
 
-# ---------------------------------------------------------------------------
-# assemblages
-
-
 def assemblage_to_json(assemblage: Assemblage) -> str:
-    matrices = [
-        matrix_to_lists(assemblage.members[x, a])
-        for x in range(assemblage.n)
-        for a in range(assemblage.m)
-    ]
-    meta = _meta("assemblage", assemblage.d, assemblage.n, assemblage.m, None)
-    return canonical_dumps({"meta": meta, "matrices": matrices})
+    return _dump("assemblage", assemblage.members, assemblage.n, assemblage.m, None)
 
 
 def assemblage_from_json(text: str) -> Assemblage:
-    meta, matrices = _parse_document(text)
-    if meta["kind"] != "assemblage":
-        raise SchemaError(f"expected kind 'assemblage', found {meta['kind']!r}")
-    n, m, d = meta["n"], meta["m"], meta["d"]
-    if len(matrices) != n * m:
-        raise SchemaError(f"expected {n * m} matrices, found {len(matrices)}")
-    members = np.empty((n, m, d, d), dtype=complex)
-    for x in range(n):
-        for a in range(m):
-            members[x, a] = lists_to_matrix(matrices[x * m + a], d)
-    return Assemblage(members=members)
+    meta, stack = _load(text, "assemblage")
+    return Assemblage(members=stack.reshape(meta["n"], meta["m"], meta["d"], meta["d"]))
 
 
 # ---------------------------------------------------------------------------
-# basis and observable families (one matrix per family element; for a
-# basis family the rows of each matrix are its vectors)
+# basis and observable families (one matrix per family element, m = 1; for
+# a basis family the rows of each matrix are its vectors)
+
+
+def _load_family(text: str, kind: str) -> np.ndarray:
+    meta, stack = _load(text, kind)
+    if meta["m"] != 1:
+        raise SchemaError(f"a {kind} file has m = 1, found {meta['m']}")
+    stack.setflags(write=False)
+    return stack
 
 
 def mub_family_to_json(family: MubFamily) -> str:
-    matrices = [matrix_to_lists(family.bases[x]) for x in range(family.count)]
-    meta = _meta("mub-family", family.dimension, family.count, 1, None)
-    return canonical_dumps({"meta": meta, "matrices": matrices})
+    return _dump("mub-family", family.bases, family.count, 1, None)
 
 
 def mub_family_from_json(text: str) -> MubFamily:
-    meta, matrices = _parse_document(text)
-    if meta["kind"] != "mub-family":
-        raise SchemaError(f"expected kind 'mub-family', found {meta['kind']!r}")
-    n, d = meta["n"], meta["d"]
-    if meta["m"] != 1 or len(matrices) != n:
-        raise SchemaError(f"expected {n} basis matrices")
-    bases = np.stack([lists_to_matrix(m_, d) for m_ in matrices])
-    bases.setflags(write=False)
-    family = MubFamily(bases=bases)
+    family = MubFamily(bases=_load_family(text, "mub-family"))
     if not verify_unbiasedness(family).passed:
         raise SchemaError("file does not contain a mutually unbiased family")
     return family
 
 
 def clifford_family_to_json(family: CliffordFamily) -> str:
-    matrices = [matrix_to_lists(a) for a in family.observables]
-    meta = _meta("clifford-family", family.dimension, family.count, 1, None)
-    return canonical_dumps({"meta": meta, "matrices": matrices})
+    return _dump("clifford-family", family.observables, family.count, 1, None)
 
 
 def clifford_family_from_json(text: str) -> CliffordFamily:
-    meta, matrices = _parse_document(text)
-    if meta["kind"] != "clifford-family":
-        raise SchemaError(f"expected kind 'clifford-family', found {meta['kind']!r}")
-    n, d = meta["n"], meta["d"]
+    observables = _load_family(text, "clifford-family")
+    d = observables.shape[1]
     qubits = d.bit_length() - 1
-    if meta["m"] != 1 or len(matrices) != n or 2**qubits != d:
-        raise SchemaError("malformed observable family document")
-    obs = np.stack([lists_to_matrix(m_, d) for m_ in matrices])
-    obs.setflags(write=False)
-    family = CliffordFamily(qubits=qubits, observables=obs)
+    if 2**qubits != d:
+        raise SchemaError(f"observable dimension must be a power of two, got {d}")
+    family = CliffordFamily(qubits=qubits, observables=observables)
     if not verify_anticommutation(family).passed:
         raise SchemaError("file does not contain an anticommuting family")
     return family

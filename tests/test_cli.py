@@ -1,11 +1,15 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import steerbound
+from steerbound import PreconditionError
 from steerbound.cli import (
     EXIT_CAP,
     EXIT_CHECK,
@@ -178,6 +182,24 @@ def test_bounds_truncated_input(tmp_path):
     assert run(["bounds", str(bad)]) == EXIT_PARSE
 
 
+def test_bounds_non_finite_input(tmp_path):
+    functional = tmp_path / "m23.json"
+    run(["generate", "--kind", "mub", "--d", "2", "--n", "3", "--out", str(functional)])
+    doc = json.loads(functional.read_text())
+    doc["matrices"][0][0][0][0] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(doc))  # json.dumps writes the NaN token
+    assert "NaN" in bad.read_text()
+    assert run(["bounds", str(bad)]) == EXIT_PARSE
+
+
+def test_bounds_angular_resolution_checked_on_hermitian_tables(tmp_path, capsys):
+    functional = tmp_path / "m34.json"
+    run(["generate", "--kind", "mub", "--d", "3", "--n", "4", "--out", str(functional)])
+    assert run(["bounds", str(functional), "--angular-res", "4"]) == EXIT_PRECONDITION
+    assert "angular_resolution must be at least 8" in capsys.readouterr().err
+
+
 def test_bounds_missing_file(tmp_path):
     assert run(["bounds", str(tmp_path / "nope.json")]) == EXIT_PARSE
 
@@ -259,10 +281,15 @@ def test_verify_unknown_filter():
 
 
 def test_console_entry_point(tmp_path):
+    # the subprocess does not see pytest's pythonpath setting, so pass on
+    # the directory the package was imported from
+    src = str(Path(steerbound.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "steerbound.cli", "generate", "--kind", "random", "--d", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert result.returncode == 0
     doc = json.loads(result.stdout)
@@ -270,15 +297,29 @@ def test_console_entry_point(tmp_path):
     assert doc["meta"]["seed"] == 0
 
 
-def test_threads_env_override(monkeypatch):
+def test_threads_env_override(tmp_path, capsys, monkeypatch):
     from steerbound.cli import _default_threads
 
     monkeypatch.setenv("STEERBOUND_THREADS", "6")
     assert _default_threads() == 6
-    monkeypatch.setenv("STEERBOUND_THREADS", "zero")
-    assert _default_threads() == 1
     monkeypatch.delenv("STEERBOUND_THREADS")
     assert _default_threads() == 1
+    functional = tmp_path / "m23.json"
+    for bad in ("zero", "0", "-2"):
+        monkeypatch.setenv("STEERBOUND_THREADS", bad)
+        with pytest.raises(PreconditionError, match="STEERBOUND_THREADS"):
+            _default_threads()
+        # generate does not read the variable; an explicit --threads wins
+        assert run(["generate", "--kind", "mub", "--d", "2", "--out", str(functional)]) == EXIT_OK
+        assert run(["bounds", str(functional), "--threads", "1"]) == EXIT_OK
+        capsys.readouterr()
+        for argv in (
+            ["bounds", str(functional)],
+            ["sweep", "--kind", "mub", "--d", "2"],
+            ["verify", "--filter", "gram"],
+        ):
+            assert run(argv) == EXIT_PRECONDITION
+            assert "STEERBOUND_THREADS" in capsys.readouterr().err
 
 
 def test_verify_reports_injected_failure(capsys, monkeypatch):
