@@ -13,15 +13,26 @@ tables) or a numerical radius (general tables).
 lhs_bound is the one entry point. strategy_norms enumerates the
 strategies for it and picks the per-strategy norm from the table: the
 top |eigenvalue| when the table is Hermitian, the numerical radius
-otherwise. It builds each chunk of strategy operators as one GEMM of a
+otherwise, taken over each chunk's whole stack of strategy operators in
+one call. It builds each chunk of strategy operators as one GEMM of a
 one-hot selector with the flattened table, and for two-outcome tables
 with F_x^2 = -F_x^1 computes only the a_0 = 0 half, since a strategy and
 its complement have the same value. Chunks have fixed, shape-only
 bounds; the `threads` pool workers are the only parallelism, because the
 enumeration holds OpenBLAS at one thread. The maximum is the first one
 in lexicographic order, so reports are identical for any `threads` and
-any OPENBLAS_NUM_THREADS (the see-saw, used only without an analytic
-quantum value, runs BLAS at the ambient thread count).
+any OPENBLAS_NUM_THREADS.
+
+Tables without an analytic quantum value get a see-saw lower bound
+instead. quantum_bound_seesaw advances its restarts together, batched
+over restarts and settings, in groups whose assembled operators stay
+within 8 MiB, also with OpenBLAS at one thread.
+
+Memory is bounded by shape alone: 8 MiB of strategy operators per chunk,
+256 KiB of rotated matrices per numerical-radius grid block (see
+linalg.numerical_radius), 8 MiB of assembled operators per see-saw
+group. A table whose absolute entry sum reaches 1e300 is rejected before
+any of them runs, since its strategy sums could overflow.
 """
 
 from __future__ import annotations
@@ -33,13 +44,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BoundCheckError, EnumerationCapExceeded, PreconditionError
-from .functionals import SteeringFunctional, canonical_quantum_assemblage, evaluate
+from .functionals import (
+    SteeringFunctional,
+    canonical_quantum_assemblage,
+    evaluate,
+    require_seed,
+)
 from .linalg import blas_threads, hermitian_part, numerical_radius, operator_norm
 from .mub import MubFamily
 from .tolerances import TOLERANCES
 
 DEFAULT_ENUMERATION_CAP = 10**6
 DEFAULT_ANGULAR_RESOLUTION = 720
+_MAX_TABLE_MASS = 1e300
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +180,22 @@ def _chunk_operators(
     return (select @ cells).view(complex).reshape(-1, d, d)
 
 
+def _require_bounded_table(f: SteeringFunctional) -> None:
+    """Reject a table whose strategy sums or see-saw operators can overflow.
+
+    Each of their entries is at most the table's absolute entry sum
+    (|Re| + |Im| over all entries) times a few sqrt(d); a sum below
+    _MAX_TABLE_MASS keeps all of them, and their Hermitian parts, finite.
+    """
+    with np.errstate(over="ignore"):
+        mass = np.abs(f.coefficients.real).sum() + np.abs(f.coefficients.imag).sum()
+    if not mass < _MAX_TABLE_MASS:
+        raise PreconditionError(
+            f"table entries sum to {mass:.3g} in absolute value; above "
+            f"{_MAX_TABLE_MASS:.0e} strategy sums can overflow"
+        )
+
+
 def _top_abs_eigenvalues(ops: np.ndarray) -> np.ndarray:
     eigs = np.linalg.eigvalsh(ops)
     return np.maximum(np.abs(eigs[:, 0]), np.abs(eigs[:, -1]))
@@ -180,8 +213,10 @@ def strategy_norms(
     The norm is the one the state optimization of |<F, sigma>| produces:
     the top |eigenvalue| for Hermitian tables, the numerical radius (at
     `angular_resolution`) otherwise; `angular_resolution` must be at least
-    8 whatever the table. Fixed, shape-only chunks run on `threads` pool
-    workers with OpenBLAS held at one thread. For complement-symmetric
+    8 whatever the table, and a table whose strategy sums can overflow is
+    rejected first (_require_bounded_table). Fixed, shape-only chunks run
+    on `threads` pool workers with OpenBLAS held at one thread; a chunk of
+    a non-Hermitian table is one numerical_radius call on its stack. For complement-symmetric
     tables only the a_0 = 0 half is computed: the complement of strategy i
     is m^n - 1 - i, so the second half is the first one reversed.
     """
@@ -191,6 +226,7 @@ def strategy_norms(
         raise PreconditionError(
             f"angular_resolution must be at least 8, got {angular_resolution}"
         )
+    _require_bounded_table(f)
     n, m, d = f.n, f.m, f.d
     total = _strategy_total(n, m, cap)
     mirrored = _complement_symmetric(f)
@@ -203,7 +239,7 @@ def strategy_norms(
         ops = _chunk_operators(cells, n, m, d, *span)
         if f.hermitian:
             return _top_abs_eigenvalues(ops)
-        return np.array([numerical_radius(h, angular_resolution) for h in ops])
+        return numerical_radius(ops, angular_resolution)
 
     with blas_threads(1):
         if threads > 1 and len(spans) > 1:
@@ -336,36 +372,106 @@ def quantum_bound(f: SteeringFunctional, method: str = "analytic") -> QuantumBou
     return QuantumBoundResult(value=value, method=method, canonical_value=attained)
 
 
-def _optimal_two_outcome(difference: np.ndarray) -> np.ndarray:
-    """Projector onto the positive eigenspace: the exact maximizer of
-    Tr(E difference) over 0 <= E <= 1."""
-    vals, vecs = np.linalg.eigh(hermitian_part(difference))
-    pos = vecs[:, vals > 0]
-    return pos @ pos.conj().T
+_SEESAW_GROUP_BYTES = 1 << 23  # assembled stack of one restart group
 
 
-def _povm_pairwise_update(conditioned: np.ndarray, povm: np.ndarray) -> np.ndarray:
-    """One sweep of exact two-outcome splits over all outcome pairs.
+def _dagger(stack: np.ndarray) -> np.ndarray:
+    return stack.conj().swapaxes(-1, -2)
 
-    Rewriting E_a = Q^(1/2) X Q^(1/2) with Q = E_a + E_b turns each pair
-    subproblem into Tr(X Q^(1/2)(R_a - R_b)Q^(1/2)) over 0 <= X <= 1,
-    solved by the positive-eigenspace projector; the objective never
+
+def _positive_projectors(h: np.ndarray) -> np.ndarray:
+    """Projector onto the positive eigenspace of each Hermitian matrix in
+    the stack: the exact maximizer of Tr(E h) over 0 <= E <= 1."""
+    vals, vecs = np.linalg.eigh(h)
+    return (vecs * (vals > 0)[..., None, :]) @ _dagger(vecs)
+
+
+def _povm_update(rotated: np.ndarray, povms: np.ndarray) -> np.ndarray:
+    """Exact coordinate step for every (..., setting) POVM at once.
+
+    Two outcomes take the positive-eigenspace projector of R^1 - R^2.
+    More outcomes take one sweep of exact two-outcome splits over all
+    outcome pairs: rewriting E_a = Q^(1/2) X Q^(1/2) with Q = E_a + E_b
+    turns each pair subproblem into Tr(X Q^(1/2)(R_a - R_b)Q^(1/2)) over
+    0 <= X <= 1, solved by the same projector. The objective never
     decreases.
     """
-    m = conditioned.shape[0]
-    povm = povm.copy()
+    m = povms.shape[-3]
+    if m == 2:
+        proj = _positive_projectors(hermitian_part(rotated[..., 0, :, :] - rotated[..., 1, :, :]))
+        return np.stack([proj, np.eye(proj.shape[-1]) - proj], axis=-3)
+    povms = povms.copy()
     for a in range(m):
         for b in range(a + 1, m):
-            q = hermitian_part(povm[a] + povm[b])
+            q = hermitian_part(povms[..., a, :, :] + povms[..., b, :, :])
             vals, vecs = np.linalg.eigh(q)
-            root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
-            split = hermitian_part(root @ (conditioned[a] - conditioned[b]) @ root)
-            svals, svecs = np.linalg.eigh(split)
-            pos = svecs[:, svals > 0]
-            e_a = hermitian_part(root @ (pos @ pos.conj().T) @ root)
-            povm[a] = e_a
-            povm[b] = q - e_a
-    return povm
+            root = (vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]) @ _dagger(vecs)
+            split = hermitian_part(root @ (rotated[..., a, :, :] - rotated[..., b, :, :]) @ root)
+            e_a = hermitian_part(root @ _positive_projectors(split) @ root)
+            povms[..., a, :, :] = e_a
+            povms[..., b, :, :] = q - e_a
+    return povms
+
+
+def _phases(povms: np.ndarray, conditioned: np.ndarray) -> np.ndarray:
+    """e^{-i arg v} per restart, v = sum_xa Tr(E_x^a R_x^a); 1 where v = 0."""
+    value = np.einsum("rxaij,rxaji->r", povms, conditioned)
+    return np.where(value == 0, 1.0, np.exp(-1j * np.angle(value)))
+
+
+def _seesaw_group(
+    f: SteeringFunctional, state: np.ndarray, max_iters: int, tol: float
+) -> tuple[np.ndarray, np.ndarray, list[list[float]], int]:
+    """Run the restarts starting from the (k, dim_a, d) states together
+    until each converges or takes max_iters steps: (final values,
+    converged flags, traces, steps taken by all of them)."""
+    k, dim_a, d = state.shape
+    n, m = f.n, f.m
+    coeffs_t = f.coefficients.transpose(0, 1, 3, 2)  # (n, m, d, d), F^T per cell
+    povms = np.broadcast_to(np.eye(dim_a, dtype=complex) / m, (k, n, m, dim_a, dim_a)).copy()
+    finals = np.zeros(k)
+    converged = np.zeros(k, dtype=bool)
+    traces: list[list[float]] = [[] for _ in range(k)]
+    active = np.arange(k)
+    steps = 0
+    for step in range(max_iters):
+        steps += active.size
+        # R_x^a = Psi F_x^a^T Psi^dagger, per restart
+        conditioned = state[:, None, None] @ coeffs_t @ _dagger(state)[:, None, None]
+        phase = _phases(povms, conditioned)[:, None, None, None, None]
+        povms = _povm_update(hermitian_part(phase * conditioned), povms)
+        phase = _phases(povms, conditioned)[:, None, None]
+        assembled = np.einsum("rxaij,xakl->rikjl", povms, f.coefficients, optimize=True)
+        assembled = assembled.reshape(-1, dim_a * d, dim_a * d)
+        vals, vecs = np.linalg.eigh(hermitian_part(phase * assembled))
+        state = vecs[..., -1].reshape(-1, dim_a, d)
+        objective = vals[:, -1]
+        previous = finals[active]
+        fell = objective < previous - TOLERANCES.seesaw_monotone
+        if step and fell.any():
+            r = int(np.argmax(fell))
+            raise BoundCheckError(
+                f"see-saw objective fell from {float(previous[r])!r} to {float(objective[r])!r}"
+            )
+        for r, value in zip(active.tolist(), objective.tolist()):
+            traces[r].append(value)
+        finals[active] = objective
+        done = (objective - previous <= tol) & (step > 0)
+        converged[active[done]] = True
+        active, state, povms = active[~done], state[~done], povms[~done]
+        if not active.size:
+            break
+    return finals, converged, traces, steps
+
+
+def _check_seesaw_parameters(restarts: int, max_iters: int, tol: float, seed: int) -> None:
+    if restarts < 1 or max_iters < 1:
+        raise PreconditionError(
+            f"see-saw restarts and max_iters must be positive, got {restarts} and {max_iters}"
+        )
+    if not (np.isfinite(tol) and tol >= 0):
+        raise PreconditionError(f"see-saw tolerance must be finite and at least 0, got {tol!r}")
+    require_seed(seed)
 
 
 def quantum_bound_seesaw(
@@ -388,75 +494,42 @@ def quantum_bound_seesaw(
     handled through |<F, sigma>| by rotating with the phase of the current
     value, which preserves monotonicity of the modulus. The result is a
     lower bound on the quantum value up to solver tolerance; restarts draw
-    fresh random initial states.
+    fresh random initial states, in restart order from one generator.
+
+    Restarts advance together, in groups whose assembled
+    (group, dim_a*d, dim_a*d) stack stays within 8 MiB (at least one
+    restart per group), with OpenBLAS held at one thread; every step is
+    batched over the group's restarts and settings, and a restart leaves
+    the group once a step gains at most `tol`. `iterations` counts the
+    steps of all restarts; the result is the first restart with the
+    largest final value, with its trace.
     """
-    n, m, d = f.n, f.m, f.d
+    d = f.d
     dim_a = d if dim_a is None else dim_a
-    if dim_a < 1 or restarts < 1 or max_iters < 1:
-        raise PreconditionError("dim_a, restarts and max_iters must be positive")
+    if dim_a < 1:
+        raise PreconditionError(f"dim_a must be positive, got {dim_a}")
+    _check_seesaw_parameters(restarts, max_iters, tol, seed)
+    _require_bounded_table(f)
     rng = np.random.default_rng(seed)
-    coeffs_t = f.coefficients.transpose(0, 1, 3, 2)  # (n, m, d, d), F^T per cell
-
-    best_value = 0.0
-    best_trace: tuple[float, ...] = ()
-    best_converged = False
-    total_iters = 0
-    eye_a = np.eye(dim_a, dtype=complex)
-
-    for _ in range(restarts):
-        raw = rng.normal(size=dim_a * d) + 1j * rng.normal(size=dim_a * d)
-        state = (raw / np.linalg.norm(raw)).reshape(dim_a, d)
-        povms = np.broadcast_to(eye_a / m, (n, m, dim_a, dim_a)).copy()
-        trace: list[float] = []
-        converged = False
-        previous = 0.0
-        for _ in range(max_iters):
-            total_iters += 1
-            conditioned = np.einsum(
-                "pj,xajq,rq->xapr", state, coeffs_t, state.conj()
-            )  # R_x^a = Psi F_x^a^T Psi^dagger
-            value = complex(np.einsum("xaij,xaji->", povms, conditioned))
-            phase = 1.0 if value == 0 else np.exp(-1j * np.angle(value))
-            rotated = np.asarray(
-                (phase * conditioned + (phase * conditioned).conj().transpose(0, 1, 3, 2))
-                / 2
-            )
-            for x in range(n):
-                if m == 2:
-                    proj = _optimal_two_outcome(rotated[x, 0] - rotated[x, 1])
-                    povms[x, 0] = proj
-                    povms[x, 1] = eye_a - proj
-                else:
-                    povms[x] = _povm_pairwise_update(rotated[x], povms[x])
-            value = complex(np.einsum("xaij,xaji->", povms, conditioned))
-            phase = 1.0 if value == 0 else np.exp(-1j * np.angle(value))
-            assembled = sum(
-                np.kron(povms[x, a], phase * f.coefficients[x, a])
-                for x in range(n)
-                for a in range(m)
-            )
-            vals, vecs = np.linalg.eigh(hermitian_part(assembled))
-            state = vecs[:, -1].reshape(dim_a, d)
-            objective = float(vals[-1])
-            if trace and objective < previous - TOLERANCES.seesaw_monotone:
-                raise BoundCheckError(
-                    f"see-saw objective fell from {previous!r} to {objective!r}"
-                )
-            trace.append(objective)
-            if len(trace) > 1 and objective - previous <= tol:
-                converged = True
-                previous = objective
-                break
-            previous = objective
-        if not best_trace or previous > best_value:
-            best_value = previous
-            best_trace = tuple(trace)
-            best_converged = converged
+    group = max(1, _SEESAW_GROUP_BYTES // (16 * (dim_a * d) ** 2))
+    finals, converged, traces, iterations = [], [], [], 0
+    with blas_threads(1):
+        for first in range(0, restarts, group):
+            raw = rng.normal(size=(min(group, restarts - first), 2, dim_a * d))
+            raw = raw[:, 0] + 1j * raw[:, 1]
+            state = (raw / np.linalg.norm(raw, axis=1, keepdims=True)).reshape(-1, dim_a, d)
+            values, flags, paths, steps = _seesaw_group(f, state, max_iters, tol)
+            finals.append(values)
+            converged.append(flags)
+            traces += paths
+            iterations += steps
+    values = np.concatenate(finals)
+    best = int(np.argmax(values))
     return SeesawResult(
-        value=best_value,
-        converged=best_converged,
-        iterations=total_iters,
-        trace=best_trace,
+        value=float(values[best]),
+        converged=bool(np.concatenate(converged)[best]),
+        iterations=iterations,
+        trace=tuple(traces[best]),
     )
 
 
@@ -480,9 +553,11 @@ def violation(
 
     Structured kinds get analytic quantum values; random/custom tables
     fall back to the see-saw lower bound (tagged as such). A table whose
-    LHS bound is 0 has no ratio and is rejected. With strict enabled, a
-    failed certificate raises instead of being reported.
+    LHS bound is 0 has no ratio and is rejected. The see-saw parameters
+    are checked first, for every table. With strict enabled, a failed
+    certificate raises instead of being reported.
     """
+    _check_seesaw_parameters(seesaw_restarts, seesaw_max_iters, seesaw_tol, seesaw_seed)
     t0 = time.perf_counter()
     lhs = lhs_bound(f, cap=cap, threads=threads, angular_resolution=angular_resolution)
     if lhs.value <= 0:

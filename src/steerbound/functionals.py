@@ -171,6 +171,12 @@ def dichotomic_functional(family: CliffordFamily) -> SteeringFunctional:
     return SteeringFunctional.from_table(table, kind="clifford-dichotomic")
 
 
+def require_seed(seed: int) -> None:
+    """Reject a seed numpy's generators do not accept."""
+    if seed < 0:
+        raise PreconditionError(f"seed must be non-negative, got {seed}")
+
+
 def random_functional(d: int, seed: int) -> SteeringFunctional:
     """Random sign table in the (d, d, d) scenario.
 
@@ -182,6 +188,7 @@ def random_functional(d: int, seed: int) -> SteeringFunctional:
     """
     if d < 2:
         raise PreconditionError(f"dimension must be at least 2, got {d}")
+    require_seed(seed)
     rng = np.random.default_rng(seed)
     eps = 2 * rng.integers(0, 2, size=(d, d, d)) - 1
     table = np.zeros((d, d, d, d), dtype=complex)

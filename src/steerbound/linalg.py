@@ -80,8 +80,13 @@ def require_square(m) -> np.ndarray:
 
 
 def hermitian_part(m) -> np.ndarray:
-    m = require_square(m)
-    return (m + m.conj().T) / 2
+    """(m + m^dagger) / 2 of a square matrix, or of each one in a stack."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise PreconditionError(
+            f"expected a square matrix or a stack of them, got shape {m.shape}"
+        )
+    return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
 def operator_norm(m) -> float:
@@ -97,12 +102,15 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def _rotated_top_eigenvalue(m: np.ndarray, theta: float) -> float:
-    h = np.exp(1j * theta) * m
-    return float(np.linalg.eigvalsh((h + h.conj().T) / 2)[-1])
+_GRID_BLOCK_BYTES = 1 << 18  # rotated grid stack of one block, see numerical_radius
 
 
-def numerical_radius(m, angular_resolution: int = 720) -> float:
+def _rotated_top_eigenvalues(ms: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Top eigenvalue of the Hermitian part of e^{i thetas[k]} ms[k], per k."""
+    return np.linalg.eigvalsh(hermitian_part(np.exp(1j * thetas)[:, None, None] * ms))[:, -1]
+
+
+def numerical_radius(m, angular_resolution: int = 720) -> float | np.ndarray:
     """Max over unit vectors of |<v, m v>|, from below.
 
     Evaluates the top eigenvalue of the Hermitian part of e^{i theta} m on
@@ -112,21 +120,42 @@ def numerical_radius(m, angular_resolution: int = 720) -> float:
     the grid refines; at resolution 720 the value is accurate to better
     than 1e-7 away from degenerate spectra. For Hermitian input the grid
     hits theta = 0 and pi, so the value equals max |eigenvalue| exactly.
+
+    `m` is one (d, d) matrix, giving a float, or a (k, d, d) stack, giving
+    a (k,) array. A stack runs its grid in blocks of whole matrices whose
+    rotated (block, resolution, d, d) stack stays within 256 KiB (at least
+    one matrix per block), a bound that depends only on the shape, then
+    refines every matrix at once: one bracket per matrix, and matrices
+    whose bracket has closed drop out. Each matrix goes through the same
+    floating-point operations as on its own, so a stack gives exactly the
+    values of per-matrix calls.
     """
-    m = require_square(m)
+    m = np.asarray(m, dtype=complex)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise PreconditionError(
+            f"expected a square matrix or a stack of them, got shape {m.shape}"
+        )
     if angular_resolution < 8:
         raise PreconditionError(
             f"angular_resolution must be at least 8, got {angular_resolution}"
         )
-    if not m.any():
-        return 0.0
+    if m.ndim == 2:
+        return float(numerical_radius(m[None], angular_resolution)[0])
+    radii = np.zeros(m.shape[0])
+    live = np.flatnonzero(m.any(axis=(1, 2)))
+    if not live.size:
+        return radii
+    ms = m[live]
+    dim = m.shape[-1]
     thetas = np.linspace(0.0, 2.0 * np.pi, angular_resolution, endpoint=False)
-    phases = np.exp(1j * thetas)
-    rotated = phases[:, None, None] * m[None, :, :]
-    rotated = (rotated + rotated.conj().transpose(0, 2, 1)) / 2
-    grid_vals = np.linalg.eigvalsh(rotated)[:, -1]
-    j = int(np.argmax(grid_vals))
-    best = float(grid_vals[j])
+    phases = np.exp(1j * thetas)[:, None, None]
+    block = max(1, _GRID_BLOCK_BYTES // (16 * angular_resolution * dim * dim))
+    j = np.zeros(ms.shape[0], dtype=np.intp)
+    best = np.zeros(ms.shape[0])
+    for s in range(0, ms.shape[0], block):
+        grid_vals = np.linalg.eigvalsh(hermitian_part(phases * ms[s : s + block, None]))[..., -1]
+        j[s : s + block] = np.argmax(grid_vals, axis=1)
+        best[s : s + block] = grid_vals.max(axis=1)
 
     # Local refinement on the bracket spanned by the neighbours of the
     # best grid point; keeps the lower-bound guarantee.
@@ -135,16 +164,20 @@ def numerical_radius(m, angular_resolution: int = 720) -> float:
     b = thetas[j] + step
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc = _rotated_top_eigenvalue(m, c)
-    fd = _rotated_top_eigenvalue(m, d)
-    while b - a > 1e-12:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = _rotated_top_eigenvalue(m, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = _rotated_top_eigenvalue(m, d)
-        best = max(best, fc, fd)
-    return best
+    fc = _rotated_top_eigenvalues(ms, c)
+    fd = _rotated_top_eigenvalues(ms, d)
+    open_ = np.flatnonzero(b - a > 1e-12)
+    while open_.size:
+        left = fc[open_] >= fd[open_]
+        lo, hi = open_[left], open_[~left]
+        b[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
+        c[lo] = b[lo] - _GOLDEN * (b[lo] - a[lo])
+        a[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
+        d[hi] = a[hi] + _GOLDEN * (b[hi] - a[hi])
+        probes = np.where(left, c[open_], d[open_])
+        values = _rotated_top_eigenvalues(ms[open_], probes)
+        fc[lo], fd[hi] = values[left], values[~left]
+        best[open_] = np.maximum(best[open_], np.maximum(fc[open_], fd[open_]))
+        open_ = open_[b[open_] - a[open_] > 1e-12]
+    radii[live] = best
+    return radii

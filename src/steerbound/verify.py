@@ -30,6 +30,7 @@ from .functionals import (
     dichotomic_functional,
     evaluate,
     mub_functional,
+    require_seed,
 )
 from .mub import build_mub_family, verify_unbiasedness
 from .tolerances import TOLERANCES
@@ -194,6 +195,7 @@ def run_suite(
     threads: int = 1,
 ) -> list[CheckResult]:
     """Run all (or name-filtered) checks and collect their results."""
+    require_seed(seed)
     rng = np.random.default_rng(seed)
     checks = [
         ("mub-unbiasedness", lambda: _check_mub_unbiasedness()),

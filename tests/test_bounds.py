@@ -324,6 +324,93 @@ def test_seesaw_raises_on_a_decreasing_step(monkeypatch):
         quantum_bound_seesaw(functional, restarts=1, max_iters=50, seed=5)
 
 
+def sequential_seesaw(f, restarts, max_iters, tol=1e-10, seed=0):
+    """One restart, and within it one setting, at a time: the reference
+    the batched see-saw must agree with. Returns (value, converged)."""
+
+    def herm(x):
+        return (x + x.conj().T) / 2
+
+    def positive_projector(h):
+        vals, vecs = np.linalg.eigh(herm(h))
+        pos = vecs[:, vals > 0]
+        return pos @ pos.conj().T
+
+    def pairwise(conditioned, povm):
+        povm = povm.copy()
+        for a in range(povm.shape[0]):
+            for b in range(a + 1, povm.shape[0]):
+                q = herm(povm[a] + povm[b])
+                vals, vecs = np.linalg.eigh(q)
+                root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+                split = herm(root @ (conditioned[a] - conditioned[b]) @ root)
+                povm[a] = herm(root @ positive_projector(split) @ root)
+                povm[b] = q - povm[a]
+        return povm
+
+    n, m, d = f.n, f.m, f.d
+    rng = np.random.default_rng(seed)
+    coeffs_t = f.coefficients.transpose(0, 1, 3, 2)
+    eye = np.eye(d, dtype=complex)
+    best = None
+    for _ in range(restarts):
+        raw = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
+        state = (raw / np.linalg.norm(raw)).reshape(d, d)
+        povms = np.broadcast_to(eye / m, (n, m, d, d)).copy()
+        previous, converged = 0.0, False
+        for it in range(max_iters):
+            conditioned = np.einsum("pj,xajq,rq->xapr", state, coeffs_t, state.conj())
+            value = complex(np.einsum("xaij,xaji->", povms, conditioned))
+            phase = 1.0 if value == 0 else np.exp(-1j * np.angle(value))
+            rotated = np.array([[herm(phase * c) for c in row] for row in conditioned])
+            for x in range(n):
+                if m == 2:
+                    povms[x, 0] = positive_projector(rotated[x, 0] - rotated[x, 1])
+                    povms[x, 1] = eye - povms[x, 0]
+                else:
+                    povms[x] = pairwise(rotated[x], povms[x])
+            value = complex(np.einsum("xaij,xaji->", povms, conditioned))
+            phase = 1.0 if value == 0 else np.exp(-1j * np.angle(value))
+            assembled = sum(
+                np.kron(povms[x, a], phase * f.coefficients[x, a])
+                for x in range(n)
+                for a in range(m)
+            )
+            vals, vecs = np.linalg.eigh(herm(assembled))
+            state = vecs[:, -1].reshape(d, d)
+            objective = float(vals[-1])
+            if it and objective - previous <= tol:
+                previous, converged = objective, True
+                break
+            previous = objective
+        if best is None or previous > best[0]:
+            best = (previous, converged)
+    return best
+
+
+@pytest.mark.parametrize(
+    "functional, max_iters",
+    [
+        (random_functional(2, 7), 4),  # stopped early: the restarts end apart
+        (random_functional(2, 7), 300),
+        (random_functional(3, 0), 300),
+        (mub_functional(build_mub_family(2, 3)), 300),
+        (clifford_functional(build_clifford_family(3)), 300),
+    ],
+    ids=["random-2-capped", "random-2", "random-3", "mub-2-3", "clifford-3"],
+)
+def test_batched_seesaw_matches_sequential_reference(functional, max_iters):
+    result = quantum_bound_seesaw(functional, restarts=8, max_iters=max_iters, seed=3)
+    value, converged = sequential_seesaw(functional, restarts=8, max_iters=max_iters, seed=3)
+    assert result.value == pytest.approx(value, abs=1e-9)
+    assert result.converged == converged
+    assert result.trace[-1] == result.value
+    # a restart stops at its first step that gains at most tol
+    gains = np.diff(result.trace)
+    assert (gains[:-1] > 1e-10).all()
+    assert (gains[-1] <= 1e-10) == result.converged
+
+
 def test_seesaw_never_exceeds_quantum_value():
     for functional, target in (
         (mub_functional(build_mub_family(2, 3)), 3.0),

@@ -176,6 +176,57 @@ def test_bounds_zero_table_is_a_precondition_failure(tmp_path, capsys):
     assert not report.exists()
 
 
+def test_bounds_overflowing_table_is_a_precondition_failure(tmp_path, capsys):
+    from steerbound import SteeringFunctional, build_mub_family, mub_functional
+    from steerbound.serialize import functional_to_json
+
+    # finite entries whose strategy sums overflow to inf
+    table = mub_functional(build_mub_family(2, 3)).coefficients * 1e308
+    path = tmp_path / "huge.json"
+    path.write_text(functional_to_json(SteeringFunctional.from_table(table, kind="custom")))
+    report = tmp_path / "report.json"
+    assert run(["bounds", str(path), "--out", str(report)]) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "overflow" in captured.err
+    assert not report.exists()
+
+
+def test_negative_seed_and_bad_tolerance_are_precondition_failures(tmp_path, capsys):
+    table = tmp_path / "rand.json"
+    mub = tmp_path / "mub.json"
+    run(["generate", "--kind", "random", "--d", "2", "--out", str(table)])
+    run(["generate", "--kind", "mub", "--d", "2", "--out", str(mub)])
+    capsys.readouterr()
+    for argv in (
+        ["generate", "--kind", "random", "--d", "2", "--seed", "-1"],
+        ["bounds", str(table), "--seed", "-1"],
+        ["bounds", str(mub), "--seed", "-1"],
+        ["verify", "--filter", "gram", "--seed", "-1"],
+        ["bounds", str(table), "--tol", "-1"],
+        ["bounds", str(table), "--tol", "nan"],
+        ["bounds", str(table), "--tol", "inf"],
+        ["bounds", str(mub), "--tol", "nan"],
+    ):
+        assert run(argv) == EXIT_PRECONDITION, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed" in captured.err or "tolerance" in captured.err
+    assert run(["bounds", str(table), "--tol", "0", "--restarts", "2", "--max-iters", "5"]) == EXIT_OK
+
+
+def test_bounds_random_d4_thread_count_invariant(tmp_path):
+    functional = tmp_path / "rand4.json"
+    run(["generate", "--kind", "random", "--d", "4", "--seed", "1", "--out", str(functional)])
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"r{threads}.json"
+        argv = ["bounds", str(functional), "--threads", threads, "--out", str(out)]
+        assert run(argv) == EXIT_OK
+        reports.append(load_report(out))
+    assert reports[0] == reports[1]
+
+
 def test_bounds_truncated_input(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"meta": {"kind": "mub"')

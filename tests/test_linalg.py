@@ -12,6 +12,7 @@ from steerbound import (
     operator_norm,
     tensor,
 )
+from steerbound import linalg
 from steerbound.linalg import _openblas, blas_threads
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -28,6 +29,8 @@ def test_square_matrix_required():
     for bad in (np.zeros((2, 3)), np.zeros((2, 2, 2)), np.zeros(4)):
         with pytest.raises(PreconditionError, match="square matrix"):
             operator_norm(bad)
+    # numerical_radius also takes a (k, d, d) stack of square matrices
+    for bad in (np.zeros((2, 3)), np.zeros((3, 2, 3)), np.zeros((2, 2, 2, 2)), np.zeros(4)):
         with pytest.raises(PreconditionError, match="square matrix"):
             numerical_radius(bad)
 
@@ -207,3 +210,60 @@ def test_blas_threads_concurrent_bodies_restore_ambient():
     assert not any(w.is_alive() for w in workers)
     assert len(seen) == 8000 and set(seen) == {1}
     assert get() == before
+
+
+def loop_numerical_radius(m, angular_resolution=720):
+    """One matrix at a time, refining with one eigensolve per golden-section
+    step: the reference a stack must reproduce bit for bit."""
+
+    def top(theta):
+        h = np.exp(1j * theta) * m
+        return float(np.linalg.eigvalsh((h + h.conj().T) / 2)[-1])
+
+    m = np.asarray(m, dtype=complex)
+    if not m.any():
+        return 0.0
+    golden = (np.sqrt(5.0) - 1.0) / 2.0
+    thetas = np.linspace(0.0, 2.0 * np.pi, angular_resolution, endpoint=False)
+    rotated = np.exp(1j * thetas)[:, None, None] * m[None, :, :]
+    rotated = (rotated + rotated.conj().transpose(0, 2, 1)) / 2
+    grid_vals = np.linalg.eigvalsh(rotated)[:, -1]
+    j = int(np.argmax(grid_vals))
+    best = float(grid_vals[j])
+    step = 2.0 * np.pi / angular_resolution
+    a, b = thetas[j] - step, thetas[j] + step
+    c, d = b - golden * (b - a), a + golden * (b - a)
+    fc, fd = top(c), top(d)
+    while b - a > 1e-12:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - golden * (b - a)
+            fc = top(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + golden * (b - a)
+            fd = top(d)
+        best = max(best, fc, fd)
+    return best
+
+
+def test_numerical_radius_stack_matches_per_matrix_calls():
+    rng = np.random.default_rng(23)
+    for d in range(1, 6):
+        stack = rng.normal(size=(8, d, d)) + 1j * rng.normal(size=(8, d, d))
+        stack[0] = 0
+        stack[1] = random_hermitian(rng, d)
+        stack[2] = np.triu(stack[2], 1)  # nilpotent
+        stack[3] = np.outer(stack[3, 0], stack[4, 0].conj())  # rank one
+        for resolution in (8, 720):
+            radii = numerical_radius(stack, resolution)
+            single = [numerical_radius(m, resolution) for m in stack]
+            assert radii.shape == (8,)
+            assert all(type(r) is float for r in single)
+            assert np.array_equal(radii, single)
+            assert np.array_equal(radii, [loop_numerical_radius(m, resolution) for m in stack])
+    # more matrices than one grid block holds
+    stack = rng.normal(size=(13, 2, 2)) + 1j * rng.normal(size=(13, 2, 2))
+    assert stack.shape[0] > linalg._GRID_BLOCK_BYTES // (16 * 720 * 2 * 2)
+    assert np.array_equal(numerical_radius(stack), [loop_numerical_radius(m) for m in stack])
+    assert numerical_radius(np.zeros((0, 3, 3))).shape == (0,)
