@@ -10,15 +10,21 @@ therefore redundant and never materialize; per strategy the state
 optimization collapses to a top-|eigenvalue| computation (Hermitian
 tables) or a numerical radius (general tables).
 
-lhs_bound is the one entry point. strategy_norms enumerates the
-strategies for it and picks the per-strategy norm from the table: the
-top |eigenvalue| when the table is Hermitian, the numerical radius
-otherwise, taken over each chunk's whole stack of strategy operators in
-one call. It builds each chunk of strategy operators as one GEMM of a
-one-hot selector with the flattened table, and for two-outcome tables
-with F_x^2 = -F_x^1 computes only the a_0 = 0 half, since a strategy and
-its complement have the same value. Chunks have fixed, shape-only
-bounds; the `threads` pool workers are the only parallelism, because the
+lhs_bound is the one entry point. It asks structure.table_structure
+which path the table allows - never its `kind` - and takes it: a closed
+form for anticommuting +- tables (no strategy evaluated, all-zeros
+witness), or the first m^(n-k) strategies in lexicographic order, those
+with a_0..a_{k-1} = 0, for a prefix k of 2 (Weyl-covariant tables), 1
+(complement-symmetric tables) or 0 (everything else); rank-one tables
+swap the per-strategy norm for their exact closed-form radius. Every
+evaluated strategy has the value it has in strategy_norms, the full
+enumeration, which stays the reference: the top |eigenvalue| when the
+table is Hermitian, the numerical radius otherwise, taken over each
+chunk's whole stack of strategy operators in one call, and for
+two-outcome tables with F_x^2 = -F_x^1 only the a_0 = 0 half, mirrored.
+Both build each chunk of strategy operators as one GEMM of a one-hot
+selector with the flattened table. Chunks have fixed, shape-only bounds;
+the `threads` pool workers are the only parallelism, because the
 enumeration holds OpenBLAS at one thread. The maximum is the first one
 in lexicographic order, so reports are identical for any `threads` and
 any OPENBLAS_NUM_THREADS.
@@ -31,8 +37,10 @@ within 8 MiB, also with OpenBLAS at one thread.
 Memory is bounded by shape alone: 8 MiB of strategy operators per chunk,
 256 KiB of rotated matrices per numerical-radius grid block (see
 linalg.numerical_radius), 8 MiB of assembled operators per see-saw
-group. A table whose absolute entry sum reaches 1e300 is rejected before
-any of them runs, since its strategy sums could overflow.
+group; table_structure adds one setting's cells, a d x d product and a
+boolean mask of the table at a time. A table whose absolute entry sum
+reaches 1e300 is rejected before any of them runs, since its strategy
+sums could overflow.
 """
 
 from __future__ import annotations
@@ -52,6 +60,7 @@ from .functionals import (
 )
 from .linalg import blas_threads, hermitian_part, numerical_radius, operator_norm
 from .mub import MubFamily
+from .structure import complement_symmetric, table_scale, table_structure
 from .tolerances import TOLERANCES
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -67,7 +76,9 @@ _MAX_TABLE_MASS = 1e300
 class LhsExactResult:
     value: float
     witness: tuple[int, ...]  # outcome index per setting, 0-based
-    strategy_count: int
+    strategy_count: int  # m^n, whatever the path
+    method: str  # the table_structure path that ran
+    strategies_evaluated: int  # strategies whose norm was computed
 
 
 @dataclass(frozen=True)
@@ -160,24 +171,15 @@ def _chunk_size(d: int) -> int:
     return max(1, min(8192, (1 << 19) // (d * d)))
 
 
-def _complement_symmetric(f: SteeringFunctional) -> bool:
-    """Two outcomes with F_x^2 = -F_x^1 exactly: a strategy and its
-    complement then sum to negated operators of equal value."""
-    c = f.coefficients
-    return c.shape[1] == 2 and bool(np.array_equal(c[:, 1], -c[:, 0]))
-
-
-def _chunk_operators(
-    cells: np.ndarray, n: int, m: int, d: int, start: int, stop: int
-) -> np.ndarray:
+def _chunk_sums(cells: np.ndarray, n: int, m: int, start: int, stop: int) -> np.ndarray:
     """sum_x F_x^{a(x)} for strategies start..stop-1 in lexicographic order,
-    as one GEMM: a one-hot (strategy, n*m) selector times the table's cells
-    flattened to real rows (n*m, 2*d*d)."""
+    each flattened to one complex row, as one GEMM: a one-hot
+    (strategy, n*m) selector times the cells flattened to real rows."""
     rows = np.arange(stop - start)
     digits = np.stack(np.unravel_index(start + rows, (m,) * n), axis=1)
     select = np.zeros((rows.size, n * m))
     select[rows[:, None], np.arange(n) * m + digits] = 1.0
-    return (select @ cells).view(complex).reshape(-1, d, d)
+    return (select @ cells).view(complex)
 
 
 def _require_bounded_table(f: SteeringFunctional) -> None:
@@ -201,6 +203,56 @@ def _top_abs_eigenvalues(ops: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(eigs[:, 0]), np.abs(eigs[:, -1]))
 
 
+def _checked_total(
+    f: SteeringFunctional, cap: int, threads: int, angular_resolution: int
+) -> int:
+    """m^n, after every check strategy_norms and lhs_bound share."""
+    if threads < 1:
+        raise PreconditionError(f"thread count must be positive, got {threads}")
+    if angular_resolution < 8:
+        raise PreconditionError(
+            f"angular_resolution must be at least 8, got {angular_resolution}"
+        )
+    _require_bounded_table(f)
+    return _strategy_total(f.n, f.m, cap)
+
+
+def _strategy_values(
+    f: SteeringFunctional,
+    count: int,
+    threads: int,
+    angular_resolution: int,
+    row: int | None = None,
+) -> np.ndarray:
+    """Values of the first `count` strategies in lexicographic order, over
+    fixed, shape-only chunks on `threads` pool workers with OpenBLAS held
+    at one thread: the top |eigenvalue| of each strategy operator for
+    Hermitian tables, its numerical radius otherwise (one call per chunk),
+    or, when every cell is zero outside `row`, the exact rank-one radius
+    (|w_row| + |w|)/2 of that row w of the operator."""
+    n, m, d = f.n, f.m, f.d
+    chunk = _chunk_size(d)
+    spans = [(s, min(s + chunk, count)) for s in range(0, count, chunk)]
+    cells = f.coefficients if row is None else f.coefficients[:, :, row : row + 1]
+    cells = np.ascontiguousarray(cells).reshape(n * m, -1).view(np.float64)
+
+    def values_of(span):
+        sums = _chunk_sums(cells, n, m, *span)
+        if row is not None:
+            return (np.abs(sums[:, row]) + np.linalg.norm(sums, axis=1)) / 2
+        if f.hermitian:
+            return _top_abs_eigenvalues(sums.reshape(-1, d, d))
+        return numerical_radius(sums.reshape(-1, d, d), angular_resolution)
+
+    with blas_threads(1):
+        if threads > 1 and len(spans) > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                parts = list(pool.map(values_of, spans))
+        else:
+            parts = [values_of(span) for span in spans]
+    return np.concatenate(parts) if parts else np.zeros(0)
+
+
 def strategy_norms(
     f: SteeringFunctional,
     cap: int = DEFAULT_ENUMERATION_CAP,
@@ -216,38 +268,17 @@ def strategy_norms(
     8 whatever the table, and a table whose strategy sums can overflow is
     rejected first (_require_bounded_table). Fixed, shape-only chunks run
     on `threads` pool workers with OpenBLAS held at one thread; a chunk of
-    a non-Hermitian table is one numerical_radius call on its stack. For complement-symmetric
-    tables only the a_0 = 0 half is computed: the complement of strategy i
-    is m^n - 1 - i, so the second half is the first one reversed.
+    a non-Hermitian table is one numerical_radius call on its stack. For
+    complement-symmetric tables only the a_0 = 0 half is computed: the
+    complement of strategy i is m^n - 1 - i, so the second half is the
+    first one reversed. No other structure is used: this is the full
+    enumeration lhs_bound's shortcuts are tested against.
     """
-    if threads < 1:
-        raise PreconditionError(f"thread count must be positive, got {threads}")
-    if angular_resolution < 8:
-        raise PreconditionError(
-            f"angular_resolution must be at least 8, got {angular_resolution}"
-        )
-    _require_bounded_table(f)
-    n, m, d = f.n, f.m, f.d
-    total = _strategy_total(n, m, cap)
-    mirrored = _complement_symmetric(f)
-    count = total // 2 if mirrored else total
-    chunk = _chunk_size(d)
-    spans = [(s, min(s + chunk, count)) for s in range(0, count, chunk)]
-    cells = np.ascontiguousarray(f.coefficients).reshape(n * m, d * d).view(np.float64)
-
-    def values_of(span):
-        ops = _chunk_operators(cells, n, m, d, *span)
-        if f.hermitian:
-            return _top_abs_eigenvalues(ops)
-        return numerical_radius(ops, angular_resolution)
-
-    with blas_threads(1):
-        if threads > 1 and len(spans) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(values_of, spans))
-        else:
-            parts = [values_of(span) for span in spans]
-    values = np.concatenate(parts) if parts else np.zeros(0)
+    total = _checked_total(f, cap, threads, angular_resolution)
+    mirrored = complement_symmetric(f)
+    values = _strategy_values(
+        f, total // 2 if mirrored else total, threads, angular_resolution
+    )
     return np.concatenate([values, values[::-1]]) if mirrored else values
 
 
@@ -258,13 +289,37 @@ def lhs_bound(
     angular_resolution: int = DEFAULT_ANGULAR_RESOLUTION,
 ) -> LhsExactResult:
     """Exact LHS bound: the largest strategy norm (see strategy_norms) over
-    all m^n deterministic strategies; ties break toward the
-    lexicographically first strategy."""
-    values = strategy_norms(f, cap, threads, angular_resolution)
+    all m^n deterministic strategies, by the path table_structure finds.
+
+    A closed form (anticommuting) returns its value with the all-zeros
+    witness and evaluates no strategy. Otherwise the first m^(n-k)
+    strategies are evaluated, those with a_0..a_{k-1} = 0 for the prefix k
+    of the structure (0 for a full enumeration), each with the same value
+    it has in strategy_norms (or, for rank-one tables, the exact radius),
+    and ties break toward the lexicographically first. The cap applies to
+    m^n whatever the path, and strategy_count is always m^n.
+    """
+    total = _checked_total(f, cap, threads, angular_resolution)
+    structure = table_structure(f)
+    if structure.value is not None:
+        return LhsExactResult(
+            value=structure.value,
+            witness=(0,) * f.n,
+            strategy_count=total,
+            method=structure.method,
+            strategies_evaluated=0,
+        )
+    values = _strategy_values(
+        f, f.m ** (f.n - structure.prefix), threads, angular_resolution, structure.row
+    )
     best = int(np.argmax(values))
     witness = tuple(int(a) for a in np.unravel_index(best, (f.m,) * f.n))
     return LhsExactResult(
-        value=float(values[best]), witness=witness, strategy_count=values.size
+        value=float(values[best]),
+        witness=witness,
+        strategy_count=total,
+        method=structure.method,
+        strategies_evaluated=values.size,
     )
 
 
@@ -420,11 +475,12 @@ def _phases(povms: np.ndarray, conditioned: np.ndarray) -> np.ndarray:
 
 
 def _seesaw_group(
-    f: SteeringFunctional, state: np.ndarray, max_iters: int, tol: float
+    f: SteeringFunctional, state: np.ndarray, max_iters: int, tol: float, slack: float
 ) -> tuple[np.ndarray, np.ndarray, list[list[float]], int]:
     """Run the restarts starting from the (k, dim_a, d) states together
     until each converges or takes max_iters steps: (final values,
-    converged flags, traces, steps taken by all of them)."""
+    converged flags, traces, steps taken by all of them). A step that
+    falls by more than `slack` raises."""
     k, dim_a, d = state.shape
     n, m = f.n, f.m
     coeffs_t = f.coefficients.transpose(0, 1, 3, 2)  # (n, m, d, d), F^T per cell
@@ -447,7 +503,7 @@ def _seesaw_group(
         state = vecs[..., -1].reshape(-1, dim_a, d)
         objective = vals[:, -1]
         previous = finals[active]
-        fell = objective < previous - TOLERANCES.seesaw_monotone
+        fell = objective < previous - slack
         if step and fell.any():
             r = int(np.argmax(fell))
             raise BoundCheckError(
@@ -502,7 +558,9 @@ def quantum_bound_seesaw(
     batched over the group's restarts and settings, and a restart leaves
     the group once a step gains at most `tol`. `iterations` counts the
     steps of all restarts; the result is the first restart with the
-    largest final value, with its trace.
+    largest final value, with its trace. A step that falls by more than
+    TOLERANCES.seesaw_monotone * table_scale(f), a slack that grows with
+    the table's scale as its rounding does, raises BoundCheckError.
     """
     d = f.d
     dim_a = d if dim_a is None else dim_a
@@ -512,13 +570,14 @@ def quantum_bound_seesaw(
     _require_bounded_table(f)
     rng = np.random.default_rng(seed)
     group = max(1, _SEESAW_GROUP_BYTES // (16 * (dim_a * d) ** 2))
+    slack = TOLERANCES.seesaw_monotone * table_scale(f)
     finals, converged, traces, iterations = [], [], [], 0
     with blas_threads(1):
         for first in range(0, restarts, group):
             raw = rng.normal(size=(min(group, restarts - first), 2, dim_a * d))
             raw = raw[:, 0] + 1j * raw[:, 1]
             state = (raw / np.linalg.norm(raw, axis=1, keepdims=True)).reshape(-1, dim_a, d)
-            values, flags, paths, steps = _seesaw_group(f, state, max_iters, tol)
+            values, flags, paths, steps = _seesaw_group(f, state, max_iters, tol, slack)
             finals.append(values)
             converged.append(flags)
             traces += paths
@@ -564,7 +623,12 @@ def violation(
         raise PreconditionError("S_LHS is 0; the violation ratio is undefined")
     t1 = time.perf_counter()
 
-    diagnostics: dict = {"strategy_count": lhs.strategy_count, "enumeration_cap": cap}
+    diagnostics: dict = {
+        "strategy_count": lhs.strategy_count,
+        "enumeration_cap": cap,
+        "lhs_method": lhs.method,
+        "strategies_evaluated": lhs.strategies_evaluated,
+    }
     analytic = applicable_lhs_analytic(f)
     lower_bounds = applicable_violation_lower_bounds(f)
 

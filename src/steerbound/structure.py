@@ -1,0 +1,154 @@
+"""Structure of a steering functional's table, read from the table alone.
+
+table_structure inspects a SteeringFunctional once and says which path
+the LHS bound can take; it never reads `kind`, so a file labelled `mub`
+or `clifford-dichotomic` that lacks the structure gets no shortcut. The
+cases, in the order they are tried:
+
+- anticommuting: two outcomes with F_x^2 = -F_x^1, and B_x = F_x^1
+  Hermitian with B_x B_y + B_y B_x = 0 (x != y) and B_x^2 = c_x^2 I, all
+  exactly. Then (sum_x s_x B_x)^2 = (sum_x c_x^2) I for every sign string,
+  so every strategy has the norm sqrt(sum_x c_x^2), a closed form.
+- rank-one: a non-Hermitian table whose cells are all zero outside one
+  common row r, exactly. Strategy operators are then e_r w^T, whose
+  numerical radius is exactly (|w_r| + |w|)/2.
+- weyl-orbit: conjugating every cell by the shift X and by the clock Z
+  of dimension d maps it onto its nearest cell of the same setting (in
+  Frobenius norm), a bijection per setting, and the outcome permutations
+  so found act transitively on (a_0, a_1). A strategy and its image are
+  unitarily similar up to the matching residue, which moves a strategy
+  operator's norm by at most sum_x max_a ||U F_x^a U^dagger - F_x^b||_F
+  per step; every strategy is at most `depth` steps (the breadth-first
+  depth of the orbit of (0, 0)) from one with a_0 = a_1 = 0. The case
+  holds only when depth times the larger per-step residue is within
+  TOLERANCES.outcome_symmetry * table_scale(f), so the largest value of
+  the strategies with a_0 = a_1 = 0 is the largest of all to within that.
+- complement-half: two outcomes with F_x^2 = -F_x^1 exactly; a strategy
+  and its complement have negated operators of equal value, so the
+  strategies with a_0 = 0 suffice.
+- enumeration: none of the above.
+
+A rank-one table keeps the complement halving when it has it. The
+strategies with a_0..a_{k-1} = 0 are the first m^(n-k) in lexicographic
+order, so a prefix reduction enumerates exactly those.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .functionals import SteeringFunctional
+from .linalg import blas_threads
+from .tolerances import TOLERANCES
+
+
+@dataclass(frozen=True)
+class TableStructure:
+    """What the LHS bound may exploit in one table."""
+
+    method: str  # "anticommuting" | "rank-one" | "weyl-orbit" | "complement-half" | "enumeration"
+    prefix: int = 0  # leading settings whose outcome is fixed to 0
+    value: float | None = None  # closed-form LHS bound (anticommuting)
+    row: int | None = None  # the one nonzero row of every cell (rank-one)
+
+
+def complement_symmetric(f: SteeringFunctional) -> bool:
+    """Two outcomes with F_x^2 = -F_x^1 exactly: a strategy and its
+    complement then sum to negated operators of equal value."""
+    c = f.coefficients
+    return c.shape[1] == 2 and bool(np.array_equal(c[:, 1], -c[:, 0]))
+
+
+def _anticommuting_value(f: SteeringFunctional) -> float | None:
+    """sqrt(sum_x c_x^2) when the table is an anticommuting +- table, else
+    None; checked pair by pair, with O(d^2) memory per pair."""
+    if not complement_symmetric(f):
+        return None
+    ops = f.coefficients[:, 0]
+    if not all(np.array_equal(b, b.conj().T) for b in ops):
+        return None
+    eye = np.eye(f.d)
+    total = 0.0
+    for x, b in enumerate(ops):
+        square = b @ b
+        c2 = square[0, 0]
+        if c2.imag != 0 or not np.array_equal(square, c2 * eye):
+            return None
+        total += c2.real
+        for y in range(x):
+            # B_y B_x = (B_x B_y)^dagger for Hermitian B
+            p = b @ ops[y]
+            if (p + p.conj().T).any():
+                return None
+    return float(np.sqrt(total))
+
+
+def _rank_one_row(f: SteeringFunctional) -> int | None:
+    rows = np.flatnonzero(np.any(f.coefficients != 0, axis=(0, 1, 3)))
+    return int(rows[0]) if rows.size == 1 else None
+
+
+def table_scale(f: SteeringFunctional) -> float:
+    """max(1, sum_x max_a ||F_x^a||_F): a bound on every strategy
+    operator's norm, and the unit of scale-relative tolerances."""
+    return max(1.0, float(np.linalg.norm(f.coefficients, axis=(2, 3)).max(axis=1).sum()))
+
+
+def _outcome_permutation(f: SteeringFunctional, conjugate) -> tuple[np.ndarray, float] | None:
+    """(n, m) map a -> b, F_x^b the cell nearest conjugate(F_x^a) in
+    Frobenius norm, and the residue sum_x max_a of those distances; None
+    unless the map is a bijection per setting."""
+    perm = np.empty((f.n, f.m), dtype=int)
+    residue = 0.0
+    for x, cells in enumerate(f.coefficients):
+        dist = np.array([np.linalg.norm(cells - conjugate(cell), axis=(1, 2)) for cell in cells])
+        perm[x] = dist.argmin(axis=1)
+        if len(set(perm[x].tolist())) != f.m:
+            return None
+        residue += dist[np.arange(f.m), perm[x]].max()
+    return perm, float(residue)
+
+
+def _weyl_transitive(f: SteeringFunctional) -> bool:
+    """Shift and clock conjugation permute each setting's outcomes, the
+    permutations act transitively on (a_0, a_1), and the orbit depth times
+    the per-step residue stays within outcome_symmetry * table_scale."""
+    n, m, d = f.n, f.m, f.d
+    if n < 2:
+        return False
+    k = np.arange(d)
+    clock = np.exp(2j * np.pi * (np.subtract.outer(k, k) % d) / d)  # omega^(i-j)
+    perms, residue = [], 0.0
+    for conjugate in (lambda c: np.roll(c, 1, axis=(0, 1)), lambda c: clock * c):
+        found = _outcome_permutation(f, conjugate)
+        if found is None:
+            return False
+        perm, step = found
+        perms.append((perm[0].tolist(), perm[1].tolist()))
+        residue = max(residue, step)
+    seen, level, depth = {(0, 0)}, {(0, 0)}, 0
+    while True:
+        level = {(p0[a], p1[b]) for a, b in level for p0, p1 in perms} - seen
+        if not level:
+            break
+        seen |= level
+        depth += 1
+    return len(seen) == m * m and depth * residue <= TOLERANCES.outcome_symmetry * table_scale(f)
+
+
+def table_structure(f: SteeringFunctional) -> TableStructure:
+    """The first case of the module docstring that the table satisfies.
+    Products run with OpenBLAS at one thread, so the exact checks cannot
+    depend on the caller's thread count."""
+    with blas_threads(1):
+        value = _anticommuting_value(f)
+    if value is not None:
+        return TableStructure("anticommuting", value=value)
+    row = None if f.hermitian else _rank_one_row(f)
+    prefix = 2 if _weyl_transitive(f) else int(complement_symmetric(f))
+    if row is not None:
+        return TableStructure("rank-one", prefix=prefix, row=row)
+    method = ("enumeration", "complement-half", "weyl-orbit")[prefix]
+    return TableStructure(method, prefix=prefix)

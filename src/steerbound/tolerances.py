@@ -21,7 +21,12 @@ class Tolerances:
     bound_slack: slack when asserting computed values against proven
         analytic bounds.
     seesaw_monotone: per-step decrease tolerated before the alternating
-        optimizer is considered non-monotone.
+        optimizer is considered non-monotone, per unit of the table's
+        scale (structure.table_scale).
+    outcome_symmetry: largest change of the LHS bound, per unit of the
+        table's scale, that the Weyl-orbit reduction may carry: orbit depth
+        times the norm change one shift or clock step makes to a strategy
+        operator.
     """
 
     hermiticity: float = 1e-10
@@ -33,6 +38,7 @@ class Tolerances:
     gram_identity: float = 1e-8
     bound_slack: float = 1e-9
     seesaw_monotone: float = 1e-12
+    outcome_symmetry: float = 1e-12
 
 
 TOLERANCES = Tolerances()

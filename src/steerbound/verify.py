@@ -25,11 +25,13 @@ from .bounds import (
 )
 from .clifford import build_clifford_family, verify_anticommutation
 from .functionals import (
+    SteeringFunctional,
     canonical_quantum_assemblage,
     clifford_functional,
     dichotomic_functional,
     evaluate,
     mub_functional,
+    random_functional,
     require_seed,
 )
 from .mub import build_mub_family, verify_unbiasedness
@@ -135,6 +137,30 @@ def _check_lhs_dominance(threads: int) -> tuple[bool, str]:
     return True, "exact values below every analytic bound"
 
 
+def _check_lhs_structure_shortcuts(rng, threads: int) -> tuple[bool, str]:
+    """One small table per lhs_bound path, against the full enumeration."""
+    plus_minus = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+    plus_minus = plus_minus + plus_minus.conj().transpose(0, 2, 1)
+    perturbed = mub_functional(build_mub_family(3, 3)).coefficients.copy()
+    perturbed[1, 1, 0, 0] += 1e-9
+    cases = (
+        ("anticommuting", dichotomic_functional(build_clifford_family(5))),
+        ("rank-one", random_functional(3, 0)),
+        ("weyl-orbit", mub_functional(build_mub_family(5, 4))),
+        ("complement-half", SteeringFunctional.from_table(np.stack([plus_minus, -plus_minus], 1))),
+        ("enumeration", SteeringFunctional.from_table(perturbed, kind="mub")),
+    )
+    worst = 0.0
+    for method, functional in cases:
+        result = lhs_bound(functional, threads=threads)
+        norms = strategy_norms(functional, threads=threads)
+        if result.method != method:
+            return False, f"{method} table took the {result.method} path"
+        witness = int(np.ravel_multi_index(result.witness, (functional.m,) * functional.n))
+        worst = max(worst, abs(result.value - norms.max()), abs(norms[witness] - norms.max()))
+    return worst <= 1e-12, f"max gap to the full enumeration {worst:.2e}"
+
+
 def _check_canonical_attainment() -> tuple[bool, str]:
     worst = 0.0
     for d, n in ((2, 3), (3, 4), (5, 6), (7, 8)):
@@ -204,6 +230,7 @@ def run_suite(
         ("clifford-square-identity", lambda: _check_clifford_square_identity(rng)),
         ("gram-identity", lambda: _check_gram_identity(rng)),
         ("lhs-analytic-dominance", lambda: _check_lhs_dominance(threads)),
+        ("lhs-structure-shortcuts", lambda: _check_lhs_structure_shortcuts(rng, threads)),
         ("quantum-canonical-attainment", lambda: _check_canonical_attainment()),
         (
             "seesaw-attainment",

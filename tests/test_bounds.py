@@ -65,10 +65,13 @@ def test_lhs_exact_clifford_all_strategies_tie(n):
     assert norms.shape == (2**n,)
     assert np.abs(norms - np.sqrt(n) / 2).max() <= 1e-10
     result = lhs_bound(functional)
-    assert result.value == pytest.approx(np.sqrt(n) / 2, abs=1e-10)
-    # ties break to the first strategy at exact float equality
-    first_max = int(np.argmax(norms))
-    assert result.witness == tuple(int(a) for a in np.unravel_index(first_max, (2,) * n))
+    # the closed form sqrt(sum_x c_x^2) with the all-zeros witness; the
+    # enumerated maximum may sit elsewhere, where rounding makes it larger
+    assert result.method == "anticommuting"
+    assert result.witness == (0,) * n
+    assert result.value == np.sqrt(n) / 2
+    witness_op = sum(functional.coefficients[x, a] for x, a in enumerate(result.witness))
+    assert abs(np.abs(np.linalg.eigvalsh(witness_op)).max() - norms.max()) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 9])
@@ -219,17 +222,284 @@ def test_two_outcome_table_without_symmetry_enumerates_fully(eigvalsh_matrices):
         )
 
 
-def test_lhs_exact_independent_of_ambient_blas_threads():
+def off_anticommuting(functional, kind="clifford-dichotomic"):
+    """A copy with the first nonzero entry of B_0 given an imaginary part
+    of one ulp of its modulus (and its Hermitian mirror), F_0^2 = -F_0^1
+    kept: B_0^2 stays exactly c^2 I, but B_0 no longer anticommutes
+    exactly, so the closed form does not apply."""
+    table = functional.coefficients.copy()
+    i, j = 0, int(np.flatnonzero(table[0, 0, 0])[0])
+    table[0, 0, i, j] += 1j * np.spacing(abs(table[0, 0, i, j]))
+    table[0, 0, j, i] = np.conj(table[0, 0, i, j])
+    table[0, 1] = -table[0, 0]
+    return SteeringFunctional.from_table(table, kind=kind)
+
+
+def test_lhs_exact_independent_of_ambient_blas_threads(eigvalsh_matrices):
     # d = 256 eigensolves differ in the last bits between one and two
     # OpenBLAS threads; the enumeration pins BLAS, so the caller's count
-    # cannot reach the result
-    functional = clifford_functional(build_clifford_family(8, full_dimension=True))
+    # cannot reach the result. The full-dim table itself takes the closed
+    # form, so a copy one ulp off it keeps lhs_bound on the enumeration.
+    functional = off_anticommuting(
+        clifford_functional(build_clifford_family(8, full_dimension=True))
+    )
     results = []
     for count in (1, 2):
+        eigvalsh_matrices.clear()
         with blas_threads(count):
             results.append(lhs_bound(functional))
+        assert sum(eigvalsh_matrices) == 2**7
     assert results[0] == results[1]
+    assert results[0].method == "complement-half"
     assert results[0].value == pytest.approx(np.sqrt(2), abs=1e-12)
+
+
+def test_enumeration_identical_for_any_threads():
+    # dichotomic n = 12 and random d = 4 take closed forms in lhs_bound (and
+    # so in the CLI thread-determinism tests); their full enumerations, and
+    # lhs_bound on copies off their structure, still run through the pool
+    dichotomic = dichotomic_functional(build_clifford_family(12))
+    table = random_functional(4, 1).coefficients.copy()
+    table[0, 0, 1, 0] = 1e-3
+    radius = SteeringFunctional.from_table(table, kind="random")
+    for functional in (dichotomic, random_functional(4, 1)):
+        assert np.array_equal(strategy_norms(functional), strategy_norms(functional, threads=8))
+    for functional, method in (
+        (off_anticommuting(dichotomic_functional(build_clifford_family(10))), "complement-half"),
+        (radius, "enumeration"),
+    ):
+        single = lhs_bound(functional)
+        assert single.method == method
+        assert lhs_bound(functional, threads=8) == single
+
+
+# ---------------------------------------------------------------------------
+# structure shortcuts of lhs_bound
+
+
+def shortcut_cases():
+    """(id, functional, expected method, expected strategies evaluated)."""
+    for n in range(1, 13):
+        family = build_clifford_family(n)
+        yield f"clifford-{n}", clifford_functional(family), "anticommuting", 0
+        yield f"dichotomic-{n}", dichotomic_functional(family), "anticommuting", 0
+    for n in range(1, 9):
+        family = build_clifford_family(n, full_dimension=True)
+        yield f"clifford-{n}-full", clifford_functional(family), "anticommuting", 0
+        yield f"dichotomic-{n}-full", dichotomic_functional(family), "anticommuting", 0
+    for d in (2, 3, 5, 7):
+        for n in range(2, d + 2):
+            if d**n <= 10**6:
+                functional = mub_functional(build_mub_family(d, n))
+                yield f"mub-{d}-{n}", functional, "weyl-orbit", d ** (n - 2)
+    for d in (2, 3, 4):
+        for seed in range(3):
+            yield f"random-{d}-{seed}", random_functional(d, seed), "rank-one", d**d
+    # rank-one and complement-symmetric: the halving still applies
+    rng = np.random.default_rng(5)
+    table = np.zeros((4, 2, 3, 3), dtype=complex)
+    table[:, 0, 1] = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    table[:, 1] = -table[:, 0]
+    yield "rank-one-plus-minus", SteeringFunctional.from_table(table), "rank-one", 2**3
+
+
+@pytest.mark.parametrize("name, functional, method, evaluated", list(shortcut_cases()))
+def test_lhs_shortcut_matches_full_enumeration(name, functional, method, evaluated):
+    norms = strategy_norms(functional)
+    result = lhs_bound(functional)
+    assert result.method == method
+    assert result.strategies_evaluated == evaluated
+    assert result.strategy_count == functional.m**functional.n
+    assert abs(result.value - norms.max()) <= 1e-12
+    witness = int(np.ravel_multi_index(result.witness, (functional.m,) * functional.n))
+    assert abs(norms[witness] - norms.max()) <= 1e-12
+    assert lhs_bound(functional, threads=8) == result
+
+
+def test_reduced_strategies_keep_their_full_enumeration_values():
+    # the representatives are the first m^(n-k) strategies, each computed
+    # exactly as in the full enumeration
+    functional = mub_functional(build_mub_family(5, 5))
+    norms = strategy_norms(functional)
+    result = lhs_bound(functional)
+    best = int(np.argmax(norms[: result.strategies_evaluated]))
+    assert result.value == norms[best]
+    assert result.witness == tuple(int(a) for a in np.unravel_index(best, (5,) * 5))
+
+
+@pytest.fixture
+def radius_matrices(monkeypatch):
+    """Counts the matrices passed to the enumeration's numerical radius."""
+    import steerbound.bounds as bounds_module
+
+    counted = []
+    original = bounds_module.numerical_radius
+
+    def counting(ms, *args, **kwargs):
+        counted.append(int(np.prod(np.shape(ms)[:-2])))
+        return original(ms, *args, **kwargs)
+
+    monkeypatch.setattr(bounds_module, "numerical_radius", counting)
+    return counted
+
+
+def test_table_one_ulp_off_anticommuting_is_enumerated(eigvalsh_matrices):
+    functional = off_anticommuting(dichotomic_functional(build_clifford_family(5)))
+    square = functional.coefficients[0, 0] @ functional.coefficients[0, 0]
+    assert np.array_equal(square, np.eye(4))
+    eigvalsh_matrices.clear()
+    result = lhs_bound(functional)
+    assert result.method == "complement-half"
+    assert sum(eigvalsh_matrices) == result.strategies_evaluated == 2**4
+    assert abs(result.value - full_enumeration_norms(functional).max()) <= 1e-12
+
+
+def test_table_one_ulp_off_a_square_is_enumerated(eigvalsh_matrices):
+    table = dichotomic_functional(build_clifford_family(6)).coefficients.copy()
+    i, j = 0, int(np.flatnonzero(table[2, 0, 0])[0])
+    table[2, 0, i, j] = np.nextafter(table[2, 0, i, j].real, 2.0)
+    table[2, 0, j, i] = np.conj(table[2, 0, i, j])
+    table[2, 1] = -table[2, 0]
+    functional = SteeringFunctional.from_table(table, kind="clifford-dichotomic")
+    eigvalsh_matrices.clear()
+    result = lhs_bound(functional)
+    assert result.method == "complement-half"
+    assert sum(eigvalsh_matrices) == 2**5
+    assert abs(result.value - full_enumeration_norms(functional).max()) <= 1e-12
+
+
+def test_single_setting_with_a_non_scalar_square_is_enumerated():
+    # no pair to anticommute: only the square check keeps B = diag(1, 1 + ulp)
+    # from the closed form sqrt(B^2[0, 0]) = 1
+    b = np.diag([1.0, np.nextafter(1.0, 2.0)]).astype(complex)
+    functional = SteeringFunctional.from_table(np.stack([b, -b])[None])
+    result = lhs_bound(functional)
+    assert result.method == "complement-half"
+    assert result.value == np.nextafter(1.0, 2.0)
+
+
+def test_anticommuting_table_hermitian_only_within_tolerance_is_enumerated():
+    # B = sigma_x + i eps sigma_y squares to (1 - eps^2) I, which rounds to
+    # I, but is not exactly Hermitian; the eigensolver reads its lower
+    # triangle, whose norm is 1 - eps, not 1
+    eps = 1e-11
+    b = np.array([[0, 1 + eps], [1 - eps, 0]], dtype=complex)
+    assert np.array_equal(b @ b, np.eye(2))
+    table = np.stack([b, -b])[None]
+    functional = SteeringFunctional.from_table(table, kind="clifford-dichotomic")
+    assert functional.hermitian
+    result = lhs_bound(functional)
+    assert result.method == "complement-half"
+    assert abs(result.value - strategy_norms(functional).max()) <= 1e-12
+
+
+def test_mub_cell_off_by_more_than_the_match_tolerance_is_enumerated(eigvalsh_matrices):
+    table = mub_functional(build_mub_family(3, 4)).coefficients.copy()
+    table[1, 2, 0, 1] += 1e-9
+    table[1, 2, 1, 0] += 1e-9
+    functional = SteeringFunctional.from_table(table, kind="mub")
+    eigvalsh_matrices.clear()
+    result = lhs_bound(functional)
+    assert result.method == "enumeration"
+    assert sum(eigvalsh_matrices) == result.strategies_evaluated == 81
+    assert abs(result.value - full_enumeration_norms(functional).max()) <= 1e-12
+
+
+def test_random_table_with_an_entry_outside_row_zero_is_enumerated(radius_matrices):
+    table = random_functional(3, 0).coefficients.copy()
+    table[1, 2, 2, 1] = 1e-3
+    functional = SteeringFunctional.from_table(table, kind="random")
+    result = lhs_bound(functional)
+    assert result.method == "enumeration"
+    assert sum(radius_matrices) == result.strategies_evaluated == 27
+    assert result.value == strategy_norms(functional).max()
+
+
+def test_rank_one_table_makes_no_numerical_radius_call(radius_matrices):
+    result = lhs_bound(random_functional(4, 0))
+    assert result.method == "rank-one"
+    assert radius_matrices == []
+
+
+def test_closed_form_makes_no_eigensolve(eigvalsh_matrices):
+    functional = dichotomic_functional(build_clifford_family(12))
+    eigvalsh_matrices.clear()
+    result = lhs_bound(functional)
+    assert (result.method, result.strategies_evaluated) == ("anticommuting", 0)
+    assert result.value == np.sqrt(12.0)
+    assert eigvalsh_matrices == []
+
+
+def test_weyl_orbit_needs_a_transitive_action():
+    # two copies of the computational basis: shift and clock permute the
+    # outcomes, but only along the diagonal a_0 = a_1
+    family = MubFamily(bases=np.stack([np.eye(3, dtype=complex)] * 2))
+    result = lhs_bound(mub_functional(family))
+    assert result.method == "enumeration"
+    assert result.value == 2.0 and result.strategies_evaluated == 9
+
+
+def test_weyl_orbit_tolerance_follows_the_table_scale():
+    # scaled up, the clock's rounding residue grows with the entries; the
+    # reduction still applies, and stays within the scaled tolerance
+    table = mub_functional(build_mub_family(3, 4)).coefficients * 1e10
+    functional = SteeringFunctional.from_table(table, kind="custom")
+    result = lhs_bound(functional)
+    assert result.method == "weyl-orbit"
+    scale = 1e10 * 4
+    assert abs(result.value - strategy_norms(functional).max()) <= 1e-12 * scale
+
+
+def test_weyl_orbit_needs_a_bijection_per_setting():
+    # a third setting whose cells are all I/3: every cell is nearest to the
+    # first one, so shift and clock give no outcome permutation there
+    table = mub_functional(build_mub_family(3, 2)).coefficients
+    flat = np.broadcast_to(np.eye(3) / 3, (1, 3, 3, 3))
+    functional = SteeringFunctional.from_table(np.concatenate([table, flat]), kind="mub")
+    result = lhs_bound(functional)
+    assert (result.method, result.strategies_evaluated) == ("enumeration", 27)
+    assert result.value == strategy_norms(functional).max()
+
+
+def test_weyl_orbit_residue_is_charged_per_orbit_step():
+    # one mub (3,4) cell moved by 1e-12 leaves a matching residue of 1.4e-12,
+    # under 1e-12 times the table scale 4; but strategies lie up to four
+    # shift/clock steps from a representative, and the residues add up
+    table = mub_functional(build_mub_family(3, 4)).coefficients
+    for delta, method in ((1e-15, "weyl-orbit"), (1e-12, "enumeration")):
+        moved = table.copy()
+        moved[1, 2, 0, 1] += delta
+        moved[1, 2, 1, 0] += delta
+        functional = SteeringFunctional.from_table(moved, kind="mub")
+        result = lhs_bound(functional)
+        assert result.method == method
+        assert abs(result.value - strategy_norms(functional).max()) <= 1e-12
+
+
+def test_lhs_cap_applies_before_any_shortcut():
+    functional = dichotomic_functional(build_clifford_family(4))
+    with pytest.raises(EnumerationCapExceeded, match="16"):
+        lhs_bound(functional, cap=15)
+
+
+def test_report_names_the_lhs_path():
+    cases = (
+        (dichotomic_functional(build_clifford_family(4)), "anticommuting", 0),
+        (mub_functional(build_mub_family(3, 4)), "weyl-orbit", 9),
+        (random_functional(2, 1), "rank-one", 4),
+        (plus_minus_functional(np.random.default_rng(3), 3, 2), "complement-half", 4),
+        (random_hermitian_functional(np.random.default_rng(3), 2, 3, 2), "enumeration", 9),
+    )
+    for functional, method, evaluated in cases:
+        reports = [
+            violation(functional, threads=threads, seesaw_restarts=2, seesaw_max_iters=20)
+            for threads in (1, 8)
+        ]
+        for report in reports:
+            report.diagnostics.pop("timings")
+        assert reports[0] == reports[1]
+        assert reports[0].diagnostics["lhs_method"] == method
+        assert reports[0].diagnostics["strategies_evaluated"] == evaluated
 
 
 # ---------------------------------------------------------------------------

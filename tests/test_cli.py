@@ -192,6 +192,19 @@ def test_bounds_overflowing_table_is_a_precondition_failure(tmp_path, capsys):
     assert not report.exists()
 
 
+def test_bounds_large_table_seesaw_is_monotone_up_to_its_scale(tmp_path, capsys):
+    from steerbound import SteeringFunctional, build_mub_family, mub_functional
+    from steerbound.serialize import functional_to_json
+
+    # rounding of a 3e10 objective exceeds an absolute 1e-12, not one
+    # scaled by the table's envelope
+    table = mub_functional(build_mub_family(2, 3)).coefficients * 1e10
+    path = tmp_path / "large.json"
+    path.write_text(functional_to_json(SteeringFunctional.from_table(table, kind="custom")))
+    assert run(["bounds", str(path)]) == EXIT_OK
+    assert "method=seesaw-lower" in capsys.readouterr().out
+
+
 def test_negative_seed_and_bad_tolerance_are_precondition_failures(tmp_path, capsys):
     table = tmp_path / "rand.json"
     mub = tmp_path / "mub.json"
