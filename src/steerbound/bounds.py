@@ -27,7 +27,9 @@ selector with the flattened table. Chunks have fixed, shape-only bounds;
 the `threads` pool workers are the only parallelism, because the
 enumeration holds OpenBLAS at one thread. The maximum is the first one
 in lexicographic order, so reports are identical for any `threads` and
-any OPENBLAS_NUM_THREADS.
+any OPENBLAS_NUM_THREADS. These pins serve library callers; the command
+line holds OpenBLAS at one thread for its whole command, so that load,
+table_structure and the certificates run single-threaded too.
 
 Tables without an analytic quantum value get a see-saw lower bound
 instead. quantum_bound_seesaw advances its restarts together, batched

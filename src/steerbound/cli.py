@@ -5,6 +5,10 @@ full exact/analytic report for one file, sweep tabulates violations over
 a parameter range as CSV, verify runs the self-check suite. Files are the
 source of truth; stdout tables are a convenience.
 
+Each command runs with numpy's OpenBLAS held at one thread, so that
+--threads is its only parallelism; the caller's count is restored on
+every exit. An --out path is checked before any work.
+
 Exit codes: 0 success, 2 usage error, 3 unparseable or schema-violating
 input file, 4 precondition failure, 5 enumeration cap exceeded, 6 a
 mathematical check or suite check failed.
@@ -36,6 +40,7 @@ from .functionals import (
     mub_functional,
     random_functional,
 )
+from .linalg import blas_threads
 from .mub import build_mub_family
 from .serialize import canonical_dumps, format_float, functional_to_json, load_functional
 from .verify import run_suite
@@ -81,6 +86,16 @@ def _threads(args) -> int:
 
 def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
+
+
+def _check_out(out: str) -> None:
+    """Raise unless `out` can be written as a file: its parent directory
+    exists and it is not itself a directory."""
+    path = Path(out)
+    if path.is_dir():
+        raise PreconditionError(f"--out {out!r} is a directory")
+    if not path.parent.is_dir():
+        raise PreconditionError(f"--out {out!r}: no directory {str(path.parent)!r}")
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -192,9 +207,10 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _parse_values(raw: str | None) -> list[int]:
+def _parse_values(flag: str, raw: str | None) -> list[int]:
+    """The comma-separated integers given to `flag`, at least one."""
     if raw is None or raw.strip() == "":
-        return []
+        raise PreconditionError(f"sweep requires at least one value in {flag}")
     try:
         return [int(part) for part in raw.split(",")]
     except ValueError as exc:
@@ -210,7 +226,8 @@ def cmd_sweep(args) -> int:
             "--full-dim": (args.full_dim, ("clifford", "dichotomic")),
         },
     )
-    values = _parse_values(args.d if args.kind == "mub" else args.n)
+    flag, raw = ("--d", args.d) if args.kind == "mub" else ("--n", args.n)
+    values = _parse_values(flag, raw)
     threads = _threads(args)
 
     buffer = io.StringIO()
@@ -248,10 +265,9 @@ def cmd_sweep(args) -> int:
             ]
         )
         violations.append(report.violation)
+    increasing = all(b > a for a, b in zip(violations, violations[1:]))
     text = buffer.getvalue()
-    if violations:
-        increasing = all(b > a for a, b in zip(violations, violations[1:]))
-        text += f"# violation_strictly_increasing={'true' if increasing else 'false'}\n"
+    text += f"# violation_strictly_increasing={'true' if increasing else 'false'}\n"
     _write_output(text, args.out)
     return EXIT_OK
 
@@ -339,7 +355,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        if args.out:
+            _check_out(args.out)
+        with blas_threads(1):
+            return args.func(args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

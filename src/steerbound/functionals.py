@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,14 +41,15 @@ class SteeringFunctional:
     """Coefficient table of a linear functional on assemblages.
 
     coefficients[x, a] is the d x d operator weighting sigma_x^a. The
-    hermitian and psd flags are computed from the table, never trusted
-    from callers or files.
+    hermitian and psd flags are derived from the table, never trusted
+    from callers or files: hermitian when the table is built, psd on its
+    first read, since it costs eigensolves and only the quantum bound's
+    envelope check reads it.
     """
 
     kind: str
     coefficients: np.ndarray  # (n, m, d, d)
     hermitian: bool
-    psd: bool
     seed: int | None = None
 
     @property
@@ -62,19 +64,28 @@ class SteeringFunctional:
     def d(self) -> int:
         return self.coefficients.shape[2]
 
+    @cached_property
+    def psd(self) -> bool:
+        """A Hermitian table none of whose cells has an eigenvalue below
+        -TOLERANCES.hermiticity.
+
+        Cells are eigensolved one at a time, stopping at the first that
+        fails, so a +- table pays for one cell rather than n * m.
+        """
+        return self.hermitian and all(
+            float(np.linalg.eigvalsh(cell)[0]) >= -TOLERANCES.hermiticity
+            for cell in self.coefficients.reshape(-1, self.d, self.d)
+        )
+
     @classmethod
     def from_table(cls, table, kind: str = "custom", seed: int | None = None):
         if kind not in KINDS:
             raise PreconditionError(f"unknown functional kind {kind!r}")
         table = _table(table)
         hermitian = _table_hermiticity_defect(table) <= TOLERANCES.hermiticity
-        psd = False
-        if hermitian:
-            flat = table.reshape(-1, table.shape[2], table.shape[3])
-            psd = float(np.linalg.eigvalsh(flat).min()) >= -TOLERANCES.hermiticity
         table = table.copy()
         table.setflags(write=False)
-        return cls(kind=kind, coefficients=table, hermitian=hermitian, psd=psd, seed=seed)
+        return cls(kind=kind, coefficients=table, hermitian=hermitian, seed=seed)
 
 
 @dataclass(frozen=True)

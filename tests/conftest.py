@@ -1,0 +1,36 @@
+"""Fixtures shared by the test modules."""
+
+import numpy as np
+import pytest
+
+from steerbound.linalg import _openblas
+
+
+@pytest.fixture(autouse=True)
+def blas_count_unchanged():
+    """Fail a test that returns with numpy's OpenBLAS at another thread
+    count than it started with: the count is process-wide, so a leak would
+    change every later test. No check where numpy bundles no OpenBLAS."""
+    calls = _openblas()
+    if not calls:
+        yield
+        return
+    get = calls[0]
+    before = get()
+    yield
+    after = get()
+    assert after == before, f"OpenBLAS thread count leaked: {before} -> {after}"
+
+
+@pytest.fixture
+def eigvalsh_matrices(monkeypatch):
+    """Counts the matrices passed to numpy's eigvalsh, one entry per call."""
+    counted = []
+    original = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        counted.append(int(np.prod(np.shape(a)[:-2])))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return counted

@@ -170,20 +170,6 @@ def complement_symmetric_cases():
         yield f"plus-minus-{n}-{d}", plus_minus_functional(rng, n, d)
 
 
-@pytest.fixture
-def eigvalsh_matrices(monkeypatch):
-    """Counts the matrices passed to numpy's batched eigvalsh."""
-    counted = []
-    original = np.linalg.eigvalsh
-
-    def counting(a, *args, **kwargs):
-        counted.append(int(np.prod(np.shape(a)[:-2])))
-        return original(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    return counted
-
-
 def test_complement_halving_matches_full_enumeration(eigvalsh_matrices):
     for name, functional in complement_symmetric_cases():
         reference = full_enumeration_norms(functional)

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import json
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import steerbound
-from steerbound import PreconditionError
+from steerbound import PreconditionError, SteeringFunctional
 from steerbound.cli import (
     EXIT_CAP,
     EXIT_CHECK,
@@ -19,6 +20,7 @@ from steerbound.cli import (
     EXIT_USAGE,
     main,
 )
+from steerbound.linalg import _openblas
 
 VOLATILE_META = ("timestamp",)
 
@@ -310,12 +312,24 @@ def test_sweep_clifford_exact_violation(tmp_path):
         assert float(row["s_q"]) == pytest.approx(n / 2, abs=1e-12)
 
 
-def test_sweep_empty_range(tmp_path):
+def test_sweep_empty_range(tmp_path, capsys):
+    # nothing to sweep, from an empty list or no list at all: no CSV at
+    # all rather than a header without its trailer
     out = tmp_path / "empty.csv"
-    assert run(["sweep", "--kind", "mub", "--d", "", "--out", str(out)]) == EXIT_OK
-    assert out.read_text().splitlines() == [
-        "parameter,s_lhs_exact,s_lhs_analytic,s_q,violation,violation_lower_bound,runtime_ms"
+    cases = [
+        ("mub", "--d", ["--d", ""]),
+        ("clifford", "--n", ["--n", ""]),
+        ("dichotomic", "--n", ["--n", " "]),
+        ("mub", "--d", []),
+        ("clifford", "--n", []),
+        ("dichotomic", "--n", []),
     ]
+    for kind, flag, values in cases:
+        assert run(["sweep", "--kind", kind, *values, "--out", str(out)]) == EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert f"at least one value in {flag}" in captured.err, (kind, values)
+        assert captured.out == ""
+        assert not out.exists()
 
 
 def test_sweep_rejects_bad_values():
@@ -415,3 +429,109 @@ def test_check_failure_exit_code(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli_module, "violation", broken_violation)
     assert run(["bounds", str(functional)]) == EXIT_CHECK
+
+
+@pytest.mark.parametrize("fault", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", ["generate", "bounds", "sweep", "verify"])
+def test_bad_out_is_rejected_before_any_work(tmp_path, capsys, monkeypatch, command, fault):
+    import steerbound.cli as cli_module
+
+    table = tmp_path / "m23.json"
+    run(["generate", "--kind", "mub", "--d", "2", "--n", "3", "--out", str(table)])
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    for step in ("_build_functional", "load_functional", "violation", "run_suite"):
+        monkeypatch.setattr(cli_module, step, no_work)
+    argv = {
+        "generate": ["generate", "--kind", "mub", "--d", "3"],
+        "bounds": ["bounds", str(table)],
+        "sweep": ["sweep", "--kind", "mub", "--d", "2"],
+        "verify": ["verify"],
+    }[command]
+    out = tmp_path / "missing" / "out.txt" if fault == "missing-directory" else tmp_path
+    capsys.readouterr()
+    assert run([*argv, "--out", str(out)]) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--out" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m23.json"]
+
+
+@contextlib.contextmanager
+def ambient_blas(count):
+    """Set numpy's OpenBLAS count directly, as OPENBLAS_NUM_THREADS would,
+    outside any blas_threads body; the previous count comes back after."""
+    calls = _openblas()
+    if not calls:
+        pytest.skip("numpy does not bundle OpenBLAS here")
+    get, put = calls
+    before = get()
+    put(count)
+    try:
+        yield get
+    finally:
+        put(before)
+
+
+@pytest.mark.parametrize("command", ["generate", "bounds", "sweep", "verify"])
+def test_every_command_holds_blas_at_one_thread(tmp_path, capsys, monkeypatch, command):
+    import steerbound.cli as cli_module
+
+    table = tmp_path / "m34.json"
+    run(["generate", "--kind", "mub", "--d", "3", "--n", "4", "--out", str(table)])
+    argv = {
+        "generate": ["generate", "--kind", "clifford", "--n", "4"],
+        "bounds": ["bounds", str(table)],
+        "sweep": ["sweep", "--kind", "clifford", "--n", "2,3"],
+        "verify": ["verify", "--filter", "quantum-canonical-attainment"],
+    }[command]
+    seen = []
+    load, from_table = cli_module.load_functional, SteeringFunctional.from_table.__func__
+    with ambient_blas(2) as get:
+
+        def recording_load(*args, **kwargs):
+            seen.append(get())
+            return load(*args, **kwargs)
+
+        def recording_from_table(cls, *args, **kwargs):
+            seen.append(get())
+            return from_table(cls, *args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "load_functional", recording_load)
+        monkeypatch.setattr(SteeringFunctional, "from_table", classmethod(recording_from_table))
+        assert run(argv) == EXIT_OK
+        assert get() == 2
+    assert seen
+    assert set(seen) == {1}
+
+
+@pytest.mark.parametrize("code", [EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION])
+def test_main_restores_the_ambient_blas_count(tmp_path, capsys, code):
+    argv = {
+        EXIT_OK: ["generate", "--kind", "mub", "--d", "2"],
+        EXIT_PARSE: ["bounds", str(tmp_path / "missing.json")],
+        EXIT_PRECONDITION: ["generate", "--kind", "mub"],
+    }[code]
+    with ambient_blas(2) as get:
+        assert run(argv) == code
+        assert get() == 2
+
+
+def test_bounds_report_independent_of_ambient_blas_count(tmp_path):
+    cases = {
+        "mub-3-4": ["--kind", "mub", "--d", "3", "--n", "4"],
+        "clifford-5-full": ["--kind", "clifford", "--n", "5", "--full-dim"],
+        "random-3": ["--kind", "random", "--d", "3"],
+    }
+    for name, flags in cases.items():
+        table = tmp_path / f"{name}.json"
+        assert run(["generate", *flags, "--out", str(table)]) == EXIT_OK
+        reports = []
+        for count in (1, 2):
+            out = tmp_path / f"{name}.{count}.report.json"
+            with ambient_blas(count):
+                assert run(["bounds", str(table), "--out", str(out)]) == EXIT_OK
+            reports.append(json.dumps(load_report(out), sort_keys=True))
+        assert reports[0] == reports[1], name

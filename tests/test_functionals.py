@@ -15,6 +15,7 @@ from steerbound import (
     mub_functional,
     random_functional,
 )
+from steerbound.tolerances import TOLERANCES
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -219,3 +220,58 @@ def test_functional_flags_recomputed_not_trusted():
     functional = SteeringFunctional.from_table(table, kind="custom")
     assert functional.hermitian
     assert not functional.psd
+
+
+def eager_psd(table) -> bool:
+    """psd as from_table once computed it: Hermitian, and one batched
+    eigensolve of every cell with no eigenvalue below the tolerance."""
+    table = np.asarray(table)
+    if np.abs(table - table.conj().transpose(0, 1, 3, 2)).max() > TOLERANCES.hermiticity:
+        return False
+    flat = table.reshape(-1, table.shape[2], table.shape[3])
+    return float(np.linalg.eigvalsh(flat).min()) >= -TOLERANCES.hermiticity
+
+
+def psd_cases():
+    projector = np.array([[1, 0], [0, 0]], dtype=complex)
+    custom = np.stack([np.stack([projector, np.eye(2) - projector])] * 2)
+    return {
+        "mub": mub_functional(build_mub_family(3, 4)).coefficients,
+        "clifford": clifford_functional(build_clifford_family(4)).coefficients,
+        "dichotomic": dichotomic_functional(build_clifford_family(5)).coefficients,
+        "random": random_functional(3, 0).coefficients,
+        "custom-psd": custom,
+        "custom-psd-within-tolerance": custom - 5e-11 * np.eye(2),
+        "custom-below-tolerance": custom - 5e-10 * np.eye(2),
+    }
+
+
+def test_from_table_makes_no_eigensolve(eigvalsh_matrices):
+    tables = psd_cases()
+    eigvalsh_matrices.clear()
+    for table in tables.values():
+        SteeringFunctional.from_table(table)
+    assert eigvalsh_matrices == []
+
+
+def test_psd_matches_the_eager_definition():
+    expected = {
+        "mub": True,
+        "clifford": False,
+        "dichotomic": False,
+        "random": False,
+        "custom-psd": True,
+        "custom-psd-within-tolerance": True,
+        "custom-below-tolerance": False,
+    }
+    for name, table in psd_cases().items():
+        assert SteeringFunctional.from_table(table).psd is eager_psd(table) is expected[name], name
+
+
+def test_psd_of_a_plus_minus_table_eigensolves_one_cell_once(eigvalsh_matrices):
+    functional = dichotomic_functional(build_clifford_family(7, full_dimension=True))
+    eigvalsh_matrices.clear()
+    assert not functional.psd
+    assert eigvalsh_matrices == [1]
+    assert not functional.psd
+    assert eigvalsh_matrices == [1]
