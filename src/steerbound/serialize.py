@@ -5,17 +5,26 @@ kind and its sizes, and `matrices` is a stack of complex d x d matrices
 written as nested lists of [re, im] pairs, row-major - universally
 parseable, no binary formats. One codec serves all four kinds: `_dump`
 writes a complex stack through the emitter's float-array branch, the only
-code that writes matrix data, and `_load` parses it back with every schema
-check in one place. Keys are emitted sorted and floats with 17 significant
-digits, so loading a file and re-serializing it reproduces identical
-bytes. Loaders validate strictly: unknown keys, wrong shapes, unknown
-kinds, values that are not numbers and non-finite values (NaN, Infinity)
-are all rejected with SchemaError.
+code that writes matrix data, and `_load` parses it back. Keys are emitted
+sorted and floats with 17 significant digits, so loading a file and
+re-serializing it reproduces identical bytes.
+
+`_load` first tries `_load_flat`, which never builds the nested lists:
+it parses the document with the matrix block cut out, checks the block's
+bracket/comma skeleton against the shape the meta gives, and parses the
+numbers as one flat JSON list. Every file this module writes takes it, and
+so does any whitespace layout of one. Anything it cannot vouch for (an
+escaped key, a duplicated key, a malformed block) goes to `_load_tree`,
+the plain json.loads walk, which accepts the same documents, returns the
+same bits, and raises every SchemaError. Loaders validate strictly:
+unknown keys, wrong shapes, unknown kinds, values that are not numbers and
+non-finite values (NaN, Infinity) are all rejected with SchemaError.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -109,13 +118,9 @@ def _dump(kind: str, stack: np.ndarray, n: int, m: int, seed) -> str:
     return canonical_dumps({"meta": meta, "matrices": matrices})
 
 
-def _load(text: str, kind: str) -> tuple[dict, np.ndarray]:
-    """Parse a document of `kind` ("functional" accepts every functional
-    kind) into its meta and its complex (n * m, d, d) matrix stack."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc}") from exc
+def _check_header(doc, kind: str) -> tuple[dict, int, int]:
+    """Validate the top-level keys and the meta record of a parsed document
+    of `kind`; returns the meta, the matrix count n * m and d."""
     if not isinstance(doc, dict) or set(doc) != {"meta", "matrices"}:
         raise SchemaError('document must have exactly the keys "meta" and "matrices"')
     meta = doc["meta"]
@@ -133,7 +138,19 @@ def _load(text: str, kind: str) -> tuple[dict, np.ndarray]:
         raise SchemaError("meta.seed must be an integer or null")
     if not isinstance(meta["version"], str):
         raise SchemaError("meta.version must be a string")
-    count, d = meta["n"] * meta["m"], meta["d"]
+    return meta, meta["n"] * meta["m"], meta["d"]
+
+
+def _load_tree(text: str, kind: str) -> tuple[dict, np.ndarray]:
+    """Parse a document of `kind` ("functional" accepts every functional
+    kind) into its meta and its complex (n * m, d, d) matrix stack, through
+    the nested lists json builds. Accepts every valid document, and is the
+    one source of SchemaError messages."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also too many digits, too deep
+        raise SchemaError(f"invalid JSON: {exc}") from exc
+    meta, count, d = _check_header(doc, kind)
     matrices = doc["matrices"]
     if not isinstance(matrices, list) or len(matrices) != count:
         found = len(matrices) if isinstance(matrices, list) else type(matrices).__name__
@@ -150,6 +167,64 @@ def _load(text: str, kind: str) -> tuple[dict, np.ndarray]:
     if not np.isfinite(values).all():
         raise SchemaError("matrix entries must be finite")
     return meta, values.view(complex).reshape(count, d, d)
+
+
+_BLOCK_KEY = re.compile(r'"matrices"[ \t\n\r]*:[ \t\n\r]*(?=\[)')
+_NUMBER_CHARS = b"0123456789+-.eE"
+_AS_ZERO = bytes.maketrans(_NUMBER_CHARS, b"0" * len(_NUMBER_CHARS))
+
+
+def _load_flat(text: str, kind: str) -> tuple[dict, np.ndarray] | None:
+    """What `_load_tree` returns for `text`, parsed without a Python list
+    per matrix row and [re, im] pair, or None when the document is not one
+    this path can vouch for.
+
+    The `matrices` value is cut out, and the rest is parsed and checked as
+    usual. The block must then have the bracket/comma skeleton of shape
+    (n * m, d, d, 2) and hold no number beside a bracket on the wrong side
+    (`5[`, `] 5`), so each leaf slot holds exactly one token: deleting
+    the brackets leaves a flat JSON list of the same tokens in C order."""
+    if "\\" in text or text.count('"matrices"') != 1:
+        return None  # so the key that matches below is the top-level one
+    key = _BLOCK_KEY.search(text)
+    if key is None:
+        return None
+    start = key.end()
+    quote = text.find('"', start)  # the block holds none
+    end = text.rfind("]", start, len(text) if quote < 0 else quote) + 1
+    if end <= start:
+        return None
+    try:
+        doc = json.loads(text[:start] + "null" + text[end:])
+        meta, count, d = _check_header(doc, kind)
+    except (ValueError, RecursionError):
+        return None
+    block = text[start:end].encode()
+    skeleton_size = 0
+    for size in (2, d, d, count):
+        skeleton_size = size * skeleton_size + size + 1
+    if len(block) < skeleton_size + 2 * count * d * d:
+        return None  # too short to hold the shape: build nothing from meta
+    skeleton = b""
+    for size in (2, d, d, count):
+        skeleton = b"[" + b",".join([skeleton] * size) + b"]"
+    classes = block.translate(_AS_ZERO, b" \t\n\r")
+    if b"0[" in classes or b"]0" in classes or classes.translate(None, b"0") != skeleton:
+        return None
+    try:
+        values = np.array(json.loads(b"[" + block.translate(None, b"[]") + b"]"), np.float64)
+    except (ValueError, OverflowError):
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return meta, values.view(complex).reshape(count, d, d)
+
+
+def _load(text: str, kind: str) -> tuple[dict, np.ndarray]:
+    """Parse a document of `kind` ("functional" accepts every functional
+    kind) into its meta and its complex (n * m, d, d) matrix stack."""
+    loaded = _load_flat(text, kind)
+    return _load_tree(text, kind) if loaded is None else loaded
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +245,11 @@ def functional_from_json(text: str) -> SteeringFunctional:
 
 
 def load_functional(path) -> SteeringFunctional:
-    return functional_from_json(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path} is not UTF-8 text: {exc}") from exc
+    return functional_from_json(text)
 
 
 def assemblage_to_json(assemblage: Assemblage) -> str:

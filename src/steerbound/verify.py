@@ -35,6 +35,18 @@ from .functionals import (
     require_seed,
 )
 from .mub import build_mub_family, verify_unbiasedness
+from .serialize import (
+    _load_flat,
+    _load_tree,
+    assemblage_from_json,
+    assemblage_to_json,
+    clifford_family_from_json,
+    clifford_family_to_json,
+    functional_from_json,
+    functional_to_json,
+    mub_family_from_json,
+    mub_family_to_json,
+)
 from .tolerances import TOLERANCES
 
 
@@ -213,6 +225,38 @@ def _check_fine_grained() -> tuple[bool, str]:
     return True, "all outcome strings below the bound; tight at (2, 3)"
 
 
+def _check_serialize_round_trip() -> tuple[bool, str]:
+    """One file per kind: re-dumping what was loaded gives the same bytes,
+    and the flat parse runs and equals the tree walk bit for bit."""
+    functional = mub_functional(build_mub_family(3, 4))
+    codecs = (
+        ("functional", functional, functional_to_json, functional_from_json),
+        (
+            "assemblage",
+            canonical_quantum_assemblage(functional),
+            assemblage_to_json,
+            assemblage_from_json,
+        ),
+        ("mub-family", build_mub_family(5, 6), mub_family_to_json, mub_family_from_json),
+        (
+            "clifford-family",
+            build_clifford_family(4, full_dimension=True),
+            clifford_family_to_json,
+            clifford_family_from_json,
+        ),
+    )
+    for kind, obj, dump, load in codecs:
+        text = dump(obj)
+        if dump(load(text)) != text:
+            return False, f"{kind}: re-dumped bytes differ"
+        flat = _load_flat(text, kind)
+        if flat is None:
+            return False, f"{kind}: the flat parse fell back to the tree walk"
+        if flat[1].tobytes() != _load_tree(text, kind)[1].tobytes():
+            return False, f"{kind}: the flat parse differs from the tree walk"
+    return True, f"{len(codecs)} kinds byte-identical, flat parse equal to the tree walk"
+
+
 def run_suite(
     name_filter: str | None = None,
     seed: int = 7,
@@ -237,6 +281,7 @@ def run_suite(
             lambda: _check_seesaw_attainment(seesaw_restarts, seesaw_max_iters, seed),
         ),
         ("fine-grained-uncertainty", lambda: _check_fine_grained()),
+        ("serialize-round-trip", lambda: _check_serialize_round_trip()),
     ]
     results = []
     for name, runner in checks:

@@ -20,6 +20,7 @@ from steerbound.cli import (
     EXIT_USAGE,
     main,
 )
+from steerbound import verify as verify_module
 from steerbound.linalg import _openblas
 
 VOLATILE_META = ("timestamp",)
@@ -270,6 +271,20 @@ def test_bounds_missing_file(tmp_path):
     assert run(["bounds", str(tmp_path / "nope.json")]) == EXIT_PARSE
 
 
+@pytest.mark.parametrize("fault", ["not-utf8", "directory", "deep-nesting"])
+def test_bounds_unreadable_input_is_a_one_line_parse_error(tmp_path, capsys, fault):
+    path = tmp_path / "input.json"
+    if fault == "not-utf8":
+        path.write_bytes(b'{"meta": "\xff\xfe"}')
+    elif fault == "directory":
+        path.mkdir()
+    else:
+        path.write_text("[" * 100000)
+    assert run(["bounds", str(path)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_bounds_cap_exceeded(tmp_path):
     functional = tmp_path / "m34.json"
     run(["generate", "--kind", "mub", "--d", "3", "--n", "4", "--out", str(functional)])
@@ -352,6 +367,12 @@ def test_verify_filter(tmp_path, capsys):
     summary = json.loads(out.read_text())
     assert summary["all_passed"] is True
     assert [c["name"] for c in summary["checks"]] == ["gram-identity"]
+
+
+def test_verify_round_trip_check_catches_a_silent_fallback(capsys, monkeypatch):
+    monkeypatch.setattr(verify_module, "_load_flat", lambda text, kind: None)
+    assert run(["verify", "--filter", "serialize-round-trip"]) == EXIT_CHECK
+    assert "fell back to the tree walk" in capsys.readouterr().out
 
 
 def test_verify_unknown_filter():

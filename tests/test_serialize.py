@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from steerbound import (
     SteeringFunctional,
     build_clifford_family,
     build_mub_family,
+    serialize,
 )
+from steerbound.cli import main as cli_main
 from steerbound.functionals import (
     canonical_quantum_assemblage,
     clifford_functional,
@@ -27,6 +30,7 @@ from steerbound.serialize import (
     clifford_family_to_json,
     functional_from_json,
     functional_to_json,
+    load_functional,
     mub_family_from_json,
     mub_family_to_json,
 )
@@ -238,3 +242,200 @@ def test_seventeen_digit_floats_survive_reload():
     text = functional_to_json(functional)
     reloaded = functional_from_json(text)
     assert np.array_equal(reloaded.coefficients, functional.coefficients)
+
+
+# ---------------------------------------------------------------------------
+# the flat parse against the tree walk
+
+
+def _outcome(load, text, kind):
+    """Accept with the meta and the stack bits, or reject with the
+    exception type and message."""
+    try:
+        meta, stack = load(text, kind)
+    except Exception as exc:  # the comparison covers every exception type
+        return ("reject", type(exc).__name__, str(exc))
+    return ("accept", meta, stack.shape, stack.tobytes())
+
+
+def _assert_flat_matches_tree(text, kind):
+    """`_load` (flat parse, tree walk when it cannot vouch) gives what the
+    tree walk alone gives; returns that outcome."""
+    expected = _outcome(serialize._load_tree, text, kind)
+    assert _outcome(serialize._load, text, kind) == expected
+    return expected
+
+
+def _documents():
+    """(kind, canonical text) for every file kind, including a table of
+    edge values: signed zeros, subnormals, 17-digit and integral floats."""
+    edge = np.array([-0.0, 5e-324, -2.2250738585072014e-308, 0.1 + 0.2, 1e300, -7.0, 2.0**53 + 2])
+    table = (np.resize(edge, 16) + 1j * np.resize(edge[::-1], 16)).reshape(2, 2, 2, 2)
+    mub = mub_functional(build_mub_family(2, 3))
+    return [
+        ("functional", functional_to_json(mub)),
+        ("functional", functional_to_json(dichotomic_functional(build_clifford_family(3)))),
+        (
+            "functional",
+            functional_to_json(clifford_functional(build_clifford_family(2, full_dimension=True))),
+        ),
+        ("functional", functional_to_json(random_functional(2, 1))),
+        ("functional", functional_to_json(SteeringFunctional.from_table(table, seed=5))),
+        ("assemblage", assemblage_to_json(canonical_quantum_assemblage(mub))),
+        ("mub-family", mub_family_to_json(build_mub_family(3, 4))),
+        ("clifford-family", clifford_family_to_json(build_clifford_family(3))),
+    ]
+
+
+def _layouts(text):
+    """The canonical text, as json.dumps(indent=2) writes it, and with meta
+    written before the matrices, compact and indented."""
+    doc = json.loads(text)
+    meta_first = {"meta": doc["meta"], "matrices": doc["matrices"]}
+    return [
+        text,
+        json.dumps(doc, indent=2),
+        json.dumps(meta_first),
+        json.dumps(meta_first, indent=2),
+    ]
+
+
+def test_flat_parse_matches_the_tree_walk_on_every_kind_and_layout():
+    for kind, text in _documents():
+        for layout in _layouts(text):
+            assert serialize._load_flat(layout, kind) is not None
+            assert _assert_flat_matches_tree(layout, kind)[0] == "accept"
+
+
+def test_flat_parse_matches_the_tree_walk_under_mutation():
+    rng = np.random.default_rng(2024)
+    alphabet = '[],:{}" \n\t0123456789-+.eEaNIntul\\é'
+    bases = [(kind, layout) for kind, text in _documents() for layout in _layouts(text)[:3:2]]
+    accepted = flat_taken = 0
+    for case in range(4000):
+        kind, text = bases[case % len(bases)]
+        for _ in range(1 + rng.integers(3)):
+            i = int(rng.integers(len(text)))
+            op = rng.integers(5)
+            char = alphabet[rng.integers(len(alphabet))]
+            if op == 0:
+                text = text[:i] + text[i + 1 :]
+            elif op == 1:
+                text = text[:i] + char + text[i:]
+            elif op == 2:
+                text = text[:i] + char + text[i + 1 :]
+            elif op == 3:  # swap two neighbours, such as a number and a bracket
+                text = text[:i] + text[i + 1 : i + 2] + text[i] + text[i + 2 :]
+            else:
+                j = i + int(rng.integers(1, 12))
+                text = text[:j] + text[i:j] + text[j:]
+        accepted += _assert_flat_matches_tree(text, kind)[0] == "accept"
+        flat_taken += serialize._load_flat(text, kind) is not None
+    # both sides of the comparison are exercised
+    assert 200 < accepted < 3800
+    assert flat_taken > 100
+
+
+def _named_cases():
+    table = np.full((1, 2, 2, 2), 12.5 + 0j)
+    base = functional_to_json(SteeringFunctional.from_table(table))
+    block = base[len('{"matrices":') : base.index(',"meta"')]
+    other = functional_to_json(SteeringFunctional.from_table(2 * table))
+    other_block = other[len('{"matrices":') : other.index(',"meta"')]
+    first = base.index("12.5")
+    cases = {
+        "canonical": (base, True),
+        "glued after a bracket": (base.replace("],[", "]5,[", 1), False),
+        "glued before a bracket": (base.replace("],[", "],5[", 1), False),
+        "number moved before its bracket": (base.replace("[[[[12.5,", "[[[12.5[,", 1), False),
+        "number moved before its bracket with space": (
+            base.replace("[[[[12.5,", "[[[12.5 [,", 1),
+            False,
+        ),
+        "whitespace inside a number": (base[:first] + "12 .5" + base[first + 4 :], False),
+        "whitespace between the digits": (base[:first] + "1 2.5" + base[first + 4 :], False),
+        "trailing comma in a pair": (base.replace("12.5,0]", "12.5,0,]", 1), False),
+        "trailing comma in the block": (base.replace(']]]],"meta"', ']]],],"meta"'), False),
+        "whitespace around every token": (
+            base.replace(",", " ,\n").replace("[", "[ \t").replace("]", "\r\n]"),
+            True,
+        ),
+        "duplicated matrices key": ('{"matrices":' + other_block + "," + base[1:], True),
+        "duplicated matrices key, last wins": (
+            base.replace(',"meta"', ',"matrices":' + other_block + ',"meta"'),
+            True,
+        ),
+        "duplicated matrices key, last null": (
+            base.replace(',"meta"', ',"matrices":null,"meta"'),
+            False,
+        ),
+        "matrices as a key inside meta": (
+            base.replace('"meta":{', '"meta":{"matrices":' + block + ","),
+            False,
+        ),
+        "escaped key": (base.replace('"matrices"', '"\\u006datrices"'), True),
+        "escaped key and a null duplicate": (
+            base.replace(',"meta"', ',"\\u006datrices":null,"meta"'),
+            False,
+        ),
+        "string value inside the block": (base.replace("12.5", '"12.5"', 1), False),
+        "NaN": (base.replace("12.5", "NaN", 1), False),
+        "1e400": (base.replace("12.5", "1e400", 1), False),
+        "401-digit integer": (base.replace("12.5", "1" + "0" * 400, 1), False),
+        "5000-digit integer": (base.replace("12.5", "1" * 5000, 1), False),
+        "leading zero": (base.replace("12.5", "012.5", 1), False),
+        "extra closing bracket": (base.replace(']]]],"meta"', ']]]]],"meta"'), False),
+        "missing closing bracket": (base.replace(']]]],"meta"', ']]],"meta"'), False),
+        "matrices as null": (base.replace(block, "null"), False),
+        "trailing document": (base + "{}", False),
+        "non-ASCII whitespace": (base.replace("[[[[", "[ [[[", 1), False),
+    }
+    return [pytest.param(text, accepted, id=name) for name, (text, accepted) in cases.items()]
+
+
+@pytest.mark.parametrize(("text", "accepted"), _named_cases())
+def test_flat_parse_named_cases(text, accepted):
+    assert (_assert_flat_matches_tree(text, "functional")[0] == "accept") == accepted
+
+
+def test_huge_claimed_dimension_allocates_nothing():
+    text = functional_to_json(SteeringFunctional.from_table(np.ones((1, 1, 2, 2), complex)))
+    text = text.replace('"d":2', '"d":1000000')
+    tracemalloc.start()
+    try:
+        with pytest.raises(SchemaError, match="1000000 rows"):
+            serialize._load(text, "functional")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    _assert_flat_matches_tree(text, "functional")
+
+
+def test_every_written_file_takes_the_flat_path(tmp_path, monkeypatch):
+    """A file the program writes never falls back to the tree walk."""
+    generated = {
+        "mub": ["--kind", "mub", "--d", "3"],
+        "clifford": ["--kind", "clifford", "--n", "5"],
+        "clifford-full": ["--kind", "clifford", "--n", "4", "--full-dim"],
+        "dichotomic": ["--kind", "dichotomic", "--n", "6"],
+        "dichotomic-full": ["--kind", "dichotomic", "--n", "4", "--full-dim"],
+        "random": ["--kind", "random", "--d", "3", "--seed", "2"],
+    }
+    for name, flags in generated.items():
+        assert cli_main(["generate", *flags, "--out", str(tmp_path / f"{name}.json")]) == 0
+    mub = mub_functional(build_mub_family(3, 4))
+    dumps = [
+        (assemblage_from_json, assemblage_to_json(canonical_quantum_assemblage(mub))),
+        (mub_family_from_json, mub_family_to_json(build_mub_family(5, 6))),
+        (clifford_family_from_json, clifford_family_to_json(build_clifford_family(4))),
+    ]
+
+    def no_tree_walk(text, kind):
+        raise AssertionError(f"a {kind} file fell back to the tree walk")
+
+    monkeypatch.setattr(serialize, "_load_tree", no_tree_walk)
+    for name in generated:
+        assert load_functional(tmp_path / f"{name}.json").n >= 1
+    for load, text in dumps:
+        load(text)
