@@ -12,19 +12,16 @@ from .bounds import (
     BoundsReport,
     Certificate,
     GramIdentityReport,
-    GramMatrix,
     LhsExactResult,
+    PaperValues,
     QuantumBoundResult,
     SeesawResult,
-    applicable_lhs_analytic,
-    applicable_violation_lower_bounds,
     fine_grained_bound,
     fine_grained_xi,
     gram_matrix,
     gram_norm_identity_check,
     lhs_bound,
-    lhs_bound_clifford_analytic,
-    lhs_bound_mub_analytic,
+    paper_values,
     quantum_bound,
     quantum_bound_seesaw,
     strategy_norms,
@@ -91,20 +88,17 @@ __all__ = [
     "canonical_quantum_assemblage",
     "BoundsReport",
     "Certificate",
-    "GramMatrix",
     "GramIdentityReport",
     "LhsExactResult",
+    "PaperValues",
     "QuantumBoundResult",
     "SeesawResult",
     "lhs_bound",
-    "lhs_bound_mub_analytic",
-    "lhs_bound_clifford_analytic",
     "strategy_norms",
     "quantum_bound",
     "quantum_bound_seesaw",
     "violation",
-    "applicable_lhs_analytic",
-    "applicable_violation_lower_bounds",
+    "paper_values",
     "gram_matrix",
     "gram_norm_identity_check",
     "fine_grained_xi",

@@ -31,8 +31,11 @@ any OPENBLAS_NUM_THREADS. These pins serve library callers; the command
 line holds OpenBLAS at one thread for its whole command, so that load,
 table_structure and the certificates run single-threaded too.
 
-Tables without an analytic quantum value get a see-saw lower bound
-instead. quantum_bound_seesaw advances its restarts together, batched
+paper_values, the one reader of `kind`, holds what the paper proves for
+the kind a table claims; quantum_bound checks that claim on the table,
+and violation reads nothing else for its analytic values. Tables
+without paper values get a see-saw lower bound instead.
+quantum_bound_seesaw advances its restarts together, batched
 over restarts and settings, in groups whose assembled operators stay
 within 8 MiB, also with OpenBLAS at one thread.
 
@@ -47,6 +50,7 @@ sums could overflow.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -86,8 +90,7 @@ class LhsExactResult:
 @dataclass(frozen=True)
 class QuantumBoundResult:
     value: float
-    method: str  # "analytic" | "canonical"
-    canonical_value: float
+    canonical_value: float  # what the canonical assemblage attains
 
 
 @dataclass(frozen=True)
@@ -129,29 +132,7 @@ class BoundsReport:
         return all(c.satisfied for c in self.certificates)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "m": self.m,
-            "d": self.d,
-            "s_lhs_exact": self.s_lhs_exact,
-            "s_lhs_witness": list(self.s_lhs_witness),
-            "s_lhs_analytic": dict(self.s_lhs_analytic),
-            "s_q": self.s_q,
-            "s_q_method": self.s_q_method,
-            "violation": self.violation,
-            "violation_lower_bounds": dict(self.violation_lower_bounds),
-            "certificates": [
-                {
-                    "name": c.name,
-                    "satisfied": c.satisfied,
-                    "value": c.value,
-                    "bound": c.bound,
-                }
-                for c in self.certificates
-            ],
-            "diagnostics": dict(self.diagnostics),
-        }
+        return dataclasses.asdict(self) | {"s_lhs_witness": list(self.s_lhs_witness)}
 
 
 # ---------------------------------------------------------------------------
@@ -326,107 +307,96 @@ def lhs_bound(
 
 
 # ---------------------------------------------------------------------------
-# analytic bounds
+# the paper's values and the quantum bound
 
 
-def lhs_bound_mub_analytic(d: int, n: int, variant: str) -> float:
-    """Proven LHS upper bounds for unbiased-basis functionals.
+@dataclass(frozen=True)
+class PaperValues:
+    """The quantum value and, per formula tag, an LHS upper bound and the
+    violation lower bound s_q / lhs_upper (up to the last bit)."""
 
-    "gram": 1 + (n+1)/sqrt(d), from the norm estimate of the scaled Gram
-    matrix of the strategy-weighted basis vectors.
-    "uncertainty": (n/d)(1 + (d-1)/sqrt(n)), from the fine-grained
-    uncertainty bound on unbiased-basis success probabilities.
+    s_q: float
+    lhs_upper: dict[str, float]
+    violation_lower: dict[str, float]
+
+
+def paper_values(f: SteeringFunctional) -> PaperValues | None:
+    """What the paper proves for the kind `f` claims; None for random and
+    custom tables.
+
+    Unbiased bases: S_Q = n, S_LHS <= 1 + (n+1)/sqrt(d) from the scaled
+    Gram matrix ("mub-gram") and (n/d)(1 + (d-1)/sqrt(n)) from
+    fine-grained uncertainty ("mub-uncertainty"). Anticommuting
+    observables: S_Q = n/2 and S_LHS <= sqrt(n/2) for the +-A_x/2 table,
+    S_Q = n and S_LHS <= sqrt(2n) for the dichotomic form.
     """
-    if d < 2 or n < 1:
-        raise PreconditionError(f"invalid scenario d={d}, n={n}")
-    if variant == "gram":
-        return 1.0 + (n + 1) / np.sqrt(d)
-    if variant == "uncertainty":
-        return (n / d) * (1.0 + (d - 1) / np.sqrt(n))
-    raise PreconditionError(f"unknown variant {variant!r}; use 'gram' or 'uncertainty'")
-
-
-def lhs_bound_clifford_analytic(n: int, dichotomic: bool = False) -> float:
-    """Proven LHS upper bounds for anticommuting-observable functionals:
-    sqrt(n/2) for the +-A_x/2 table, sqrt(2n) for the dichotomic form."""
-    if n < 1:
-        raise PreconditionError(f"invalid setting count n={n}")
-    return float(np.sqrt(2.0 * n)) if dichotomic else float(np.sqrt(n / 2.0))
-
-
-def fine_grained_bound(d: int, n: int) -> float:
-    """Upper bound (1/d)(1 + (d-1)/sqrt(n)) on the average success
-    probability of any fixed outcome string across n unbiased bases."""
-    return (1.0 + (d - 1) / np.sqrt(n)) / d
-
-
-def applicable_lhs_analytic(f: SteeringFunctional) -> dict[str, float]:
-    if f.kind == "mub":
-        return {
-            "mub-gram": lhs_bound_mub_analytic(f.d, f.n, "gram"),
-            "mub-uncertainty": lhs_bound_mub_analytic(f.d, f.n, "uncertainty"),
-        }
-    if f.kind == "clifford":
-        return {"clifford": lhs_bound_clifford_analytic(f.n)}
-    if f.kind == "clifford-dichotomic":
-        return {"dichotomic": lhs_bound_clifford_analytic(f.n, dichotomic=True)}
-    return {}
-
-
-def applicable_violation_lower_bounds(f: SteeringFunctional) -> dict[str, float]:
     n, d = f.n, f.d
     if f.kind == "mub":
-        return {
-            "mub-gram": n * np.sqrt(d) / (n + 1 + np.sqrt(d)),
-            "mub-uncertainty": d * np.sqrt(n) / (np.sqrt(n) + d - 1),
-        }
+        if d < 2:
+            raise PreconditionError(f"invalid scenario d={d}, n={n}")
+        return PaperValues(
+            s_q=float(n),
+            lhs_upper={
+                "mub-gram": 1.0 + (n + 1) / np.sqrt(d),
+                "mub-uncertainty": (n / d) * (1.0 + (d - 1) / np.sqrt(n)),
+            },
+            violation_lower={
+                "mub-gram": n * np.sqrt(d) / (n + 1 + np.sqrt(d)),
+                "mub-uncertainty": d * np.sqrt(n) / (np.sqrt(n) + d - 1),
+            },
+        )
+    rate = float(np.sqrt(n / 2.0))
     if f.kind == "clifford":
-        return {"clifford": float(np.sqrt(n / 2.0))}
+        return PaperValues(
+            s_q=n / 2.0, lhs_upper={"clifford": rate}, violation_lower={"clifford": rate}
+        )
     if f.kind == "clifford-dichotomic":
-        return {"dichotomic": float(np.sqrt(n / 2.0))}
-    return {}
+        return PaperValues(
+            s_q=float(n),
+            lhs_upper={"dichotomic": float(np.sqrt(2.0 * n))},
+            violation_lower={"dichotomic": rate},
+        )
+    return None
 
 
-# ---------------------------------------------------------------------------
-# quantum bounds
-
-
-def quantum_bound(f: SteeringFunctional, method: str = "analytic") -> QuantumBoundResult:
-    """Quantum bound of a structured functional.
-
-    Known values: n for unbiased-basis tables, n/2 for the +-A_x/2 table,
-    n for the dichotomic form. Each is cross-checked by evaluating the
-    canonical assemblage; attainment gives the lower half, and the upper
-    half follows from sum_a Tr(sigma_x^a) = 1 per setting (unbiased bases:
+def quantum_bound(f: SteeringFunctional) -> QuantumBoundResult:
+    """The quantum value paper_values gives the table's kind, checked on
+    the table: the kind's canonical assemblage must be valid (a kind the
+    table lacks fails positivity, no-signalling or normalisation) and
+    attain the value. Attainment gives the lower half; the upper half follows
+    from sum_a Tr(sigma_x^a) = 1 per setting (unbiased bases:
     Tr(F sigma) <= ||F|| Tr(sigma) termwise; anticommuting kinds:
     |Tr(A_x (sigma_x^1 - sigma_x^2))| <= ||sigma_x^1 - sigma_x^2||_1 <= 1).
     For positive-semidefinite tables the envelope sum_x max_a ||F_x^a||
-    is asserted as a consistency upper bound.
+    is asserted as a consistency upper bound. Each failed check raises
+    BoundCheckError; random and custom tables raise PreconditionError.
     """
-    targets = {"mub": float(f.n), "clifford": f.n / 2.0, "clifford-dichotomic": float(f.n)}
-    if f.kind not in targets:
+    values = paper_values(f)
+    if values is None:
         raise PreconditionError(
             f"no analytic quantum bound for kind {f.kind!r}; use quantum_bound_seesaw"
         )
-    if method not in ("analytic", "canonical"):
-        raise PreconditionError(f"unknown method {method!r}")
-    target = targets[f.kind]
-    attained = float(evaluate(f, canonical_quantum_assemblage(f)))
-    if abs(attained - target) > TOLERANCES.bound_slack:
+    try:
+        assemblage = canonical_quantum_assemblage(f)
+    except PreconditionError as exc:
         raise BoundCheckError(
-            f"canonical assemblage attains {attained!r}, expected {target!r}"
+            f"kind {f.kind!r} does not fit the table: its canonical {exc}"
+        ) from None
+    attained = float(evaluate(f, assemblage))
+    if abs(attained - values.s_q) > TOLERANCES.bound_slack:
+        raise BoundCheckError(
+            f"canonical assemblage attains {attained!r}, expected {values.s_q!r}"
         )
     if f.psd:
         envelope = sum(
             max(operator_norm(f.coefficients[x, a]) for a in range(f.m))
             for x in range(f.n)
         )
-        if target > envelope + TOLERANCES.bound_slack:
+        if values.s_q > envelope + TOLERANCES.bound_slack:
             raise BoundCheckError(
-                f"quantum bound {target} exceeds the PSD envelope {envelope}"
+                f"quantum bound {values.s_q} exceeds the PSD envelope {envelope}"
             )
-    value = target if method == "analytic" else attained
-    return QuantumBoundResult(value=value, method=method, canonical_value=attained)
+    return QuantumBoundResult(value=values.s_q, canonical_value=attained)
 
 
 _SEESAW_GROUP_BYTES = 1 << 23  # assembled stack of one restart group
@@ -612,8 +582,10 @@ def violation(
     """Full report: exact LHS bound, quantum bound, their ratio, and one
     certificate per proven bound the values must respect.
 
-    Structured kinds get analytic quantum values; random/custom tables
-    fall back to the see-saw lower bound (tagged as such). A table whose
+    Kinds with paper values (paper_values) get the analytic quantum value,
+    a canonical-attainment certificate and one certificate per LHS upper
+    bound and per violation lower bound; random/custom tables fall back to
+    the see-saw lower bound (tagged as such). A table whose
     LHS bound is 0 has no ratio and is rejected. The see-saw parameters
     are checked first, for every table. With strict enabled, a failed
     certificate raises instead of being reported.
@@ -631,13 +603,11 @@ def violation(
         "lhs_method": lhs.method,
         "strategies_evaluated": lhs.strategies_evaluated,
     }
-    analytic = applicable_lhs_analytic(f)
-    lower_bounds = applicable_violation_lower_bounds(f)
-
+    paper = paper_values(f)
     certificates: list[Certificate] = []
-    if f.kind in ("mub", "clifford", "clifford-dichotomic"):
+    if paper is not None:
         qb = quantum_bound(f)
-        s_q, method = qb.value, qb.method
+        s_q, method = qb.value, "analytic"
         certificates.append(
             Certificate(
                 name="canonical_attainment",
@@ -660,6 +630,8 @@ def violation(
     t2 = time.perf_counter()
 
     value = s_q / lhs.value
+    analytic = paper.lhs_upper if paper else {}
+    lower_bounds = paper.violation_lower if paper else {}
     for tag, bound in analytic.items():
         certificates.append(
             Certificate(
@@ -709,16 +681,6 @@ def violation(
 
 
 @dataclass(frozen=True)
-class GramMatrix:
-    """Gram matrix of response-weighted basis vectors sqrt(p(a|x)) |phi_x^a>,
-    indexed by the composite (x, a) in row-major order."""
-
-    matrix: np.ndarray  # (n*d, n*d)
-    settings: int
-    dimension: int
-
-
-@dataclass(frozen=True)
 class GramIdentityReport:
     frame_norm: float
     gram_norm: float
@@ -752,14 +714,16 @@ def _weighted_vectors(family: MubFamily, p) -> np.ndarray:
     return (weights[:, :, None] * family.bases).reshape(n * d, d)
 
 
-def gram_matrix(family: MubFamily, p) -> GramMatrix:
-    """Gram matrix G[(x,a),(y,b)] = sqrt(p(a|x) p(b|y)) <phi_x^a|phi_y^b>."""
+def gram_matrix(family: MubFamily, p) -> np.ndarray:
+    """Gram matrix G[(x,a),(y,b)] = sqrt(p(a|x) p(b|y)) <phi_x^a|phi_y^b> of
+    the response-weighted basis vectors, (n*d, n*d) with the composite
+    (x, a) in row-major order."""
     psi = _weighted_vectors(family, p)
     g = psi.conj() @ psi.T
     min_eig = float(np.linalg.eigvalsh(hermitian_part(g)).min())
     if min_eig < -TOLERANCES.gram_psd:
         raise BoundCheckError(f"Gram matrix has eigenvalue {min_eig}, expected PSD")
-    return GramMatrix(matrix=g, settings=family.count, dimension=family.dimension)
+    return g
 
 
 def gram_norm_identity_check(family: MubFamily, p) -> GramIdentityReport:
@@ -772,7 +736,7 @@ def gram_norm_identity_check(family: MubFamily, p) -> GramIdentityReport:
     gram = gram_matrix(family, p)
     frame = psi.T @ psi.conj()
     frame_norm = operator_norm(frame)
-    gram_norm = operator_norm(gram.matrix)
+    gram_norm = operator_norm(gram)
     scaled_norm = float(np.sqrt(d) * gram_norm)
     p = np.asarray(p, dtype=float)
     return GramIdentityReport(
@@ -784,6 +748,12 @@ def gram_norm_identity_check(family: MubFamily, p) -> GramIdentityReport:
         scaled_bound_sharp=float(np.sqrt(d) * p.max() + n + 1),
         tolerance=TOLERANCES.gram_identity,
     )
+
+
+def fine_grained_bound(d: int, n: int) -> float:
+    """Upper bound (1/d)(1 + (d-1)/sqrt(n)) on the average success
+    probability of any fixed outcome string across n unbiased bases."""
+    return (1.0 + (d - 1) / np.sqrt(n)) / d
 
 
 def fine_grained_xi(family: MubFamily, strategy) -> float:

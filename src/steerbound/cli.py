@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import os
 import sys
@@ -286,7 +287,7 @@ def cmd_verify(args) -> int:
         print(f"{r.name:<{width}}  {status}  {r.runtime_ms:9.1f} ms  {r.detail}")
     all_passed = all(r.passed for r in results) and bool(results)
     if args.out:
-        summary = {"all_passed": all_passed, "checks": [r.to_dict() for r in results]}
+        summary = {"all_passed": all_passed, "checks": [dataclasses.asdict(r) for r in results]}
         Path(args.out).write_text(canonical_dumps(summary))
     if not results:
         print(f"no checks match filter {args.filter!r}", file=sys.stderr)

@@ -93,9 +93,7 @@ def build_clifford_family(n: int, full_dimension: bool = False) -> CliffordFamil
     return CliffordFamily(qubits=m, observables=obs)
 
 
-def verify_anticommutation(
-    family: CliffordFamily, tol: float = TOLERANCES.anticommutation
-) -> AnticommutationReport:
+def verify_anticommutation(family: CliffordFamily) -> AnticommutationReport:
     obs = family.observables
     n, dim, _ = obs.shape
     eye2 = 2 * np.eye(dim)
@@ -106,4 +104,4 @@ def verify_anticommutation(
             if x == y:
                 anti = anti - eye2
             dev = max(dev, float(np.abs(anti).max()))
-    return AnticommutationReport(max_deviation=dev, tolerance=tol)
+    return AnticommutationReport(max_deviation=dev, tolerance=TOLERANCES.anticommutation)

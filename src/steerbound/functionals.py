@@ -96,12 +96,18 @@ class AssemblageReport:
     tolerance: float
 
     @property
-    def passed(self) -> bool:
-        return (
-            self.min_eigenvalue >= -self.tolerance
-            and self.no_signaling_deviation <= self.tolerance
-            and self.normalization_deviation <= self.tolerance
+    def failed(self) -> tuple[str, ...]:
+        """Names of the properties outside tolerance."""
+        checks = (
+            ("positivity", self.min_eigenvalue >= -self.tolerance),
+            ("no-signalling", self.no_signaling_deviation <= self.tolerance),
+            ("normalisation", self.normalization_deviation <= self.tolerance),
         )
+        return tuple(name for name, holds in checks if not holds)
+
+    @property
+    def passed(self) -> bool:
+        return not self.failed
 
 
 @dataclass(frozen=True)
@@ -127,7 +133,7 @@ class Assemblage:
     def d(self) -> int:
         return self.members.shape[2]
 
-    def validate(self, tol: float = TOLERANCES.assemblage) -> AssemblageReport:
+    def validate(self) -> AssemblageReport:
         members = _table(self.members)
         flat = members.reshape(-1, members.shape[2], members.shape[3])
         herm = (flat + flat.conj().transpose(0, 2, 1)) / 2
@@ -142,13 +148,13 @@ class Assemblage:
             min_eigenvalue=min_eig,
             no_signaling_deviation=nosig,
             normalization_deviation=norm_dev,
-            tolerance=tol,
+            tolerance=TOLERANCES.assemblage,
         )
 
-    def require_valid(self, tol: float = TOLERANCES.assemblage) -> "Assemblage":
-        report = self.validate(tol)
-        if not report.passed:
-            raise PreconditionError(f"invalid assemblage: {report}")
+    def require_valid(self) -> "Assemblage":
+        failed = self.validate().failed
+        if failed:
+            raise PreconditionError(f"assemblage fails {', '.join(failed)}")
         return self
 
 
@@ -244,7 +250,8 @@ def canonical_quantum_assemblage(functional: SteeringFunctional) -> Assemblage:
     mub: sigma_x^a = F_x^a / d (steering a maximally entangled pair with
     the unbiased-basis measurements). clifford kinds: sigma_x^a = P_x^a / d
     with the spectral projectors of A_x. Random and custom tables have no
-    canonical optimizer.
+    canonical optimizer. A table without its kind's structure gives an
+    invalid assemblage: PreconditionError names the failed properties.
     """
     kind = functional.kind
     d = functional.d

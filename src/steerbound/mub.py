@@ -78,13 +78,13 @@ class UnbiasednessReport:
         )
 
 
-def canonicalize_phases(bases: np.ndarray, zero_tol: float = 1e-12) -> np.ndarray:
-    """Rotate each vector's global phase so its first nonzero entry is
-    real-positive."""
+def canonicalize_phases(bases: np.ndarray) -> np.ndarray:
+    """Rotate each vector's global phase so its first entry of modulus
+    above 1e-12 is real-positive."""
     out = np.array(bases, dtype=complex)
     flat = out.reshape(-1, out.shape[-1])
     for v in flat:
-        idx = np.flatnonzero(np.abs(v) > zero_tol)
+        idx = np.flatnonzero(np.abs(v) > 1e-12)
         if idx.size:
             lead = v[idx[0]]
             v *= lead.conjugate() / abs(lead)
@@ -121,9 +121,7 @@ def build_mub_family(d: int, n: int) -> MubFamily:
     return MubFamily(bases=stack)
 
 
-def verify_unbiasedness(
-    family: MubFamily, tol: float = TOLERANCES.unbiasedness
-) -> UnbiasednessReport:
+def verify_unbiasedness(family: MubFamily) -> UnbiasednessReport:
     """Exhaustively check orthonormality within each basis and the 1/sqrt(d)
     overlap modulus across every pair of distinct bases."""
     bases = family.bases
@@ -139,5 +137,5 @@ def verify_unbiasedness(
             cross = bases[x].conj() @ bases[y].T
             unb = max(unb, float(np.abs(np.abs(cross) - target).max()))
     return UnbiasednessReport(
-        orthonormality_deviation=orth, unbiasedness_deviation=unb, tolerance=tol
+        orthonormality_deviation=orth, unbiasedness_deviation=unb, tolerance=TOLERANCES.unbiasedness
     )

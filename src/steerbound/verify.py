@@ -13,12 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import (
-    applicable_lhs_analytic,
     fine_grained_bound,
     fine_grained_xi,
     gram_norm_identity_check,
     lhs_bound,
-    lhs_bound_clifford_analytic,
+    paper_values,
     quantum_bound,
     quantum_bound_seesaw,
     strategy_norms,
@@ -56,14 +55,6 @@ class CheckResult:
     passed: bool
     detail: str
     runtime_ms: float
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "detail": self.detail,
-            "runtime_ms": self.runtime_ms,
-        }
 
 
 def _random_probability_table(rng, n: int, d: int) -> np.ndarray:
@@ -127,25 +118,21 @@ def _check_gram_identity(rng) -> tuple[bool, str]:
 
 def _check_lhs_dominance(threads: int) -> tuple[bool, str]:
     slack = TOLERANCES.bound_slack
-    for d, n in ((2, 3), (3, 4), (5, 6)):
-        functional = mub_functional(build_mub_family(d, n))
-        exact = lhs_bound(functional, threads=threads).value
-        for tag, bound in applicable_lhs_analytic(functional).items():
-            if exact > bound + slack:
-                return False, f"mub d={d} n={n}: exact {exact} > {tag} bound {bound}"
+    tables = [mub_functional(build_mub_family(d, n)) for d, n in ((2, 3), (3, 4), (5, 6))]
     for n in range(1, 9):
         family = build_clifford_family(n)
-        norms = strategy_norms(clifford_functional(family), threads=threads)
+        tables += [clifford_functional(family), dichotomic_functional(family)]
+        norms = strategy_norms(tables[-2], threads=threads)
         if np.abs(norms - np.sqrt(n) / 2).max() > 1e-10:
             return False, f"clifford n={n}: strategy norms not sqrt(n)/2"
-        if norms.max() > lhs_bound_clifford_analytic(n) + slack:
-            return False, f"clifford n={n}: exact above analytic bound"
-        dicho = dichotomic_functional(family)
-        exact = lhs_bound(dicho, threads=threads).value
-        if abs(exact - np.sqrt(n)) > slack or exact > lhs_bound_clifford_analytic(
-            n, dichotomic=True
-        ) + slack:
-            return False, f"dichotomic n={n}: exact {exact} off sqrt(n) or above bound"
+        exact = lhs_bound(tables[-1], threads=threads).value
+        if abs(exact - np.sqrt(n)) > slack:
+            return False, f"dichotomic n={n}: exact {exact} off sqrt(n)"
+    for f in tables:
+        exact = lhs_bound(f, threads=threads).value
+        for tag, bound in paper_values(f).lhs_upper.items():
+            if exact > bound + slack:
+                return False, f"{f.kind} n={f.n} d={f.d}: exact {exact} > {tag} bound {bound}"
     return True, "exact values below every analytic bound"
 
 

@@ -24,9 +24,9 @@ from steerbound import (
     fine_grained_xi,
     gram_norm_identity_check,
     lhs_bound,
-    lhs_bound_mub_analytic,
     mub_functional,
     numerical_radius,
+    paper_values,
     quantum_bound,
     quantum_bound_seesaw,
     random_functional,
@@ -66,7 +66,8 @@ def test_criterion_2_exact_lhs_qubit_triple():
         functional = mub_functional(build_mub_family(2, 3))
         exact = lhs_bound(functional).value
         assert exact == pytest.approx((3 + np.sqrt(3)) / 2, abs=1e-9)
-        assert exact == pytest.approx(lhs_bound_mub_analytic(2, 3, "uncertainty"), abs=1e-9)
+        uncertainty = paper_values(functional).lhs_upper["mub-uncertainty"]
+        assert exact == pytest.approx(uncertainty, abs=1e-9)
         report = violation(functional)
         assert report.violation == pytest.approx(6 / (3 + np.sqrt(3)), abs=1e-6)
 
@@ -78,8 +79,8 @@ def test_criterion_3_analytic_dominance():
             start = time.perf_counter()
             functional = mub_functional(build_mub_family(d, n))
             exact = lhs_bound(functional).value
-            gram = lhs_bound_mub_analytic(d, n, "gram")
-            uncertainty = lhs_bound_mub_analytic(d, n, "uncertainty")
+            gram = paper_values(functional).lhs_upper["mub-gram"]
+            uncertainty = paper_values(functional).lhs_upper["mub-uncertainty"]
             assert exact <= min(gram, uncertainty) + 1e-9
             v_exact = quantum_bound(functional).value / exact
             assert v_exact >= n * np.sqrt(d) / (n + 1 + np.sqrt(d)) - 1e-9

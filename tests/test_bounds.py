@@ -9,6 +9,7 @@ from steerbound import (
     BoundCheckError,
     EnumerationCapExceeded,
     MubFamily,
+    PaperValues,
     PreconditionError,
     SteeringFunctional,
     build_clifford_family,
@@ -22,10 +23,9 @@ from steerbound import (
     gram_matrix,
     gram_norm_identity_check,
     lhs_bound,
-    lhs_bound_clifford_analytic,
-    lhs_bound_mub_analytic,
     mub_functional,
     numerical_radius,
+    paper_values,
     quantum_bound,
     quantum_bound_seesaw,
     random_functional,
@@ -492,28 +492,68 @@ def test_report_names_the_lhs_path():
 # analytic bounds
 
 
+def mub_lhs_upper(d, n):
+    return paper_values(mub_functional(build_mub_family(d, n))).lhs_upper
+
+
 def test_mub_analytic_values():
-    assert lhs_bound_mub_analytic(2, 3, "uncertainty") == pytest.approx(LHS_23, abs=1e-12)
-    assert lhs_bound_mub_analytic(5, 6, "gram") == pytest.approx(1 + 7 / np.sqrt(5), abs=1e-12)
-    assert lhs_bound_mub_analytic(3, 4, "uncertainty") == pytest.approx(8 / 3, abs=1e-12)
-    with pytest.raises(PreconditionError):
-        lhs_bound_mub_analytic(3, 4, "bogus")
+    assert mub_lhs_upper(2, 3)["mub-uncertainty"] == pytest.approx(LHS_23, abs=1e-12)
+    assert mub_lhs_upper(5, 6)["mub-gram"] == pytest.approx(1 + 7 / np.sqrt(5), abs=1e-12)
+    assert mub_lhs_upper(3, 4)["mub-uncertainty"] == pytest.approx(8 / 3, abs=1e-12)
 
 
 def test_clifford_analytic_values():
-    assert lhs_bound_clifford_analytic(8) == pytest.approx(2.0, abs=1e-12)
-    assert lhs_bound_clifford_analytic(2, dichotomic=True) == pytest.approx(2.0, abs=1e-12)
-    exact = lhs_bound(clifford_functional(build_clifford_family(1))).value
+    eight = paper_values(clifford_functional(build_clifford_family(8)))
+    assert eight.lhs_upper["clifford"] == pytest.approx(2.0, abs=1e-12)
+    two = paper_values(dichotomic_functional(build_clifford_family(2)))
+    assert two.lhs_upper["dichotomic"] == pytest.approx(2.0, abs=1e-12)
+    one = clifford_functional(build_clifford_family(1))
+    exact = lhs_bound(one).value
     assert exact == pytest.approx(0.5, abs=1e-12)
-    assert exact <= lhs_bound_clifford_analytic(1)
+    assert exact <= paper_values(one).lhs_upper["clifford"]
 
 
 @pytest.mark.parametrize("d,n", [(2, 3), (3, 4), (5, 6)])
 def test_exact_below_both_mub_bounds(d, n):
     functional = mub_functional(build_mub_family(d, n))
     exact = lhs_bound(functional).value
-    assert exact <= lhs_bound_mub_analytic(d, n, "gram") + 1e-9
-    assert exact <= lhs_bound_mub_analytic(d, n, "uncertainty") + 1e-9
+    assert exact <= mub_lhs_upper(d, n)["mub-gram"] + 1e-9
+    assert exact <= mub_lhs_upper(d, n)["mub-uncertainty"] + 1e-9
+
+
+def paper_tables():
+    """Every structured table the paper's values are stated for, within
+    mub d in {2, 3, 5, 7}, 2 <= n <= d+1, and anticommuting n = 1..12."""
+    for d in (2, 3, 5, 7):
+        for n in range(2, d + 2):
+            yield mub_functional(build_mub_family(d, n))
+    for n in range(1, 13):
+        family = build_clifford_family(n)
+        yield clifford_functional(family)
+        yield dichotomic_functional(family)
+
+
+def test_paper_values_violation_lower_is_s_q_over_lhs_upper():
+    tables = list(paper_tables())
+    assert len(tables) == 2 + 3 + 5 + 7 + 2 * 12
+    for f in tables:
+        values = paper_values(f)
+        assert isinstance(values, PaperValues)
+        assert values.lhs_upper.keys() == values.violation_lower.keys(), f.kind
+        assert values.lhs_upper, f.kind
+        for tag, upper in values.lhs_upper.items():
+            quotient = values.s_q / upper
+            assert abs(values.violation_lower[tag] - quotient) <= 1e-14 * quotient, (
+                f.kind, f.n, f.d, tag
+            )
+
+
+def test_paper_values_none_for_random_and_custom():
+    assert paper_values(random_functional(3, 0)) is None
+    custom = SteeringFunctional.from_table(
+        mub_functional(build_mub_family(3, 4)).coefficients, kind="custom"
+    )
+    assert paper_values(custom) is None
 
 
 # ---------------------------------------------------------------------------
@@ -527,10 +567,16 @@ def test_quantum_bound_values():
     assert quantum_bound(dicho).value == 5.0
 
 
+def test_paper_values_reject_a_one_dimensional_mub_table():
+    table = SteeringFunctional.from_table(np.ones((2, 1, 1, 1)), kind="mub")
+    with pytest.raises(PreconditionError, match="invalid scenario d=1"):
+        paper_values(table)
+
+
 def test_quantum_bound_canonical_method():
     functional = mub_functional(build_mub_family(2, 3))
-    result = quantum_bound(functional, method="canonical")
-    assert result.method == "canonical"
+    result = quantum_bound(functional)
+    assert result.canonical_value == pytest.approx(3.0, abs=1e-9)
     assert result.value == pytest.approx(3.0, abs=1e-9)
 
 
@@ -749,7 +795,7 @@ def test_gram_deterministic_table_one_entry_per_block():
     gram = gram_matrix(family, p)
     for x in range(n):
         for y in range(n):
-            block = gram.matrix[x * d : (x + 1) * d, y * d : (y + 1) * d]
+            block = gram[x * d : (x + 1) * d, y * d : (y + 1) * d]
             assert np.count_nonzero(np.abs(block) > 1e-12) == 1
             assert abs(block[1, 1]) > 1e-12
 
@@ -760,7 +806,7 @@ def test_gram_uniform_table_structure():
     p = np.full((n, d), 1 / d)
     gram = gram_matrix(family, p)
     for x in range(n):
-        block = gram.matrix[x * d : (x + 1) * d, x * d : (x + 1) * d]
+        block = gram[x * d : (x + 1) * d, x * d : (x + 1) * d]
         assert np.abs(block - np.eye(d) / d).max() <= 1e-12
 
 
@@ -774,7 +820,7 @@ def test_gram_entry_moduli_formula():
     for x, a, y, b in itertools.product(range(n), range(d), range(n), range(d)):
         base = 1.0 if (x == y and a == b) else (0.0 if x == y else 1 / np.sqrt(d))
         expected = base * np.sqrt(p[x, a] * p[y, b])
-        assert abs(gram.matrix[x * d + a, y * d + b]) == pytest.approx(expected, abs=1e-12)
+        assert abs(gram[x * d + a, y * d + b]) == pytest.approx(expected, abs=1e-12)
 
 
 def test_gram_rejects_malformed_table():
@@ -876,8 +922,8 @@ def test_strict_violation_raises_on_forced_failure(monkeypatch):
     functional = mub_functional(build_mub_family(2, 3))
     monkeypatch.setattr(
         bounds_module,
-        "applicable_violation_lower_bounds",
-        lambda f: {"impossible": 100.0},
+        "paper_values",
+        lambda f: PaperValues(s_q=3.0, lhs_upper={}, violation_lower={"impossible": 100.0}),
     )
     with pytest.raises(BoundCheckError, match="impossible"):
         bounds_module.violation(functional, strict=True)

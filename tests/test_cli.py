@@ -285,6 +285,36 @@ def test_bounds_unreadable_input_is_a_one_line_parse_error(tmp_path, capsys, fau
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "generate,edit,kind,failed",
+    [
+        (["mub", "--d", "3", "--n", "4"], "move-entry", "mub", "no-signalling"),
+        (["dichotomic", "--n", "12"], "clifford", "clifford", "positivity"),
+        (["clifford", "--n", "8"], "mub", "mub", "positivity"),
+    ],
+)
+def test_bounds_mislabelled_kind_is_a_one_line_check_failure(
+    tmp_path, capsys, generate, edit, kind, failed
+):
+    functional = tmp_path / "table.json"
+    run(["generate", "--kind", *generate, "--out", str(functional)])
+    doc = json.loads(functional.read_text())
+    if edit == "move-entry":
+        doc["matrices"][1][0][0][0] += 1e-3
+    else:
+        doc["meta"]["kind"] = edit
+    bad = tmp_path / "mislabelled.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    capsys.readouterr()
+    assert run(["bounds", str(bad), "--out", str(out)]) == EXIT_CHECK
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: kind {kind!r} ") and err.count("\n") == 1
+    assert f"fails {failed}" in err or f", {failed}" in err
+    assert "AssemblageReport" not in err
+    assert not out.exists()
+
+
 def test_bounds_cap_exceeded(tmp_path):
     functional = tmp_path / "m34.json"
     run(["generate", "--kind", "mub", "--d", "3", "--n", "4", "--out", str(functional)])
