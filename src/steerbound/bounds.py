@@ -359,34 +359,19 @@ def paper_values(f: SteeringFunctional) -> PaperValues | None:
     return None
 
 
-def quantum_bound(f: SteeringFunctional) -> QuantumBoundResult:
-    """The quantum value paper_values gives the table's kind, checked on
-    the table: the kind's canonical assemblage must be valid (a kind the
-    table lacks fails positivity, no-signalling or normalisation) and
-    attain the value. Attainment gives the lower half; the upper half follows
-    from sum_a Tr(sigma_x^a) = 1 per setting (unbiased bases:
-    Tr(F sigma) <= ||F|| Tr(sigma) termwise; anticommuting kinds:
-    |Tr(A_x (sigma_x^1 - sigma_x^2))| <= ||sigma_x^1 - sigma_x^2||_1 <= 1).
-    For positive-semidefinite tables the envelope sum_x max_a ||F_x^a||
-    is asserted as a consistency upper bound. Each failed check raises
-    BoundCheckError; random and custom tables raise PreconditionError.
-    """
-    values = paper_values(f)
-    if values is None:
-        raise PreconditionError(
-            f"no analytic quantum bound for kind {f.kind!r}; use quantum_bound_seesaw"
-        )
+def _canonical_value(f: SteeringFunctional, values: PaperValues) -> float:
+    """What the kind's canonical assemblage attains on the table, after
+    the checks that do not depend on it: the assemblage must be valid (a
+    kind the table lacks fails positivity, no-signalling or normalisation)
+    and, for positive-semidefinite tables, values.s_q must stay within the
+    envelope sum_x max_a ||F_x^a||. Each failed check raises
+    BoundCheckError; attainment is left to the caller."""
     try:
         assemblage = canonical_quantum_assemblage(f)
     except PreconditionError as exc:
         raise BoundCheckError(
             f"kind {f.kind!r} does not fit the table: its canonical {exc}"
         ) from None
-    attained = float(evaluate(f, assemblage))
-    if abs(attained - values.s_q) > TOLERANCES.bound_slack:
-        raise BoundCheckError(
-            f"canonical assemblage attains {attained!r}, expected {values.s_q!r}"
-        )
     if f.psd:
         envelope = sum(
             max(operator_norm(f.coefficients[x, a]) for a in range(f.m))
@@ -396,6 +381,34 @@ def quantum_bound(f: SteeringFunctional) -> QuantumBoundResult:
             raise BoundCheckError(
                 f"quantum bound {values.s_q} exceeds the PSD envelope {envelope}"
             )
+    return float(evaluate(f, assemblage))
+
+
+def _attains(attained: float, values: PaperValues) -> bool:
+    return abs(attained - values.s_q) <= TOLERANCES.bound_slack
+
+
+def quantum_bound(f: SteeringFunctional) -> QuantumBoundResult:
+    """The quantum value paper_values gives the table's kind, checked on
+    the table: the kind's canonical assemblage must be valid and attain
+    the value, and for positive-semidefinite tables the value must stay
+    within the PSD envelope (see _canonical_value). Attainment gives the
+    lower half; the upper half follows from sum_a Tr(sigma_x^a) = 1 per
+    setting (unbiased bases: Tr(F sigma) <= ||F|| Tr(sigma) termwise;
+    anticommuting kinds: |Tr(A_x (sigma_x^1 - sigma_x^2))| <=
+    ||sigma_x^1 - sigma_x^2||_1 <= 1). Each failed check raises
+    BoundCheckError; random and custom tables raise PreconditionError.
+    """
+    values = paper_values(f)
+    if values is None:
+        raise PreconditionError(
+            f"no analytic quantum bound for kind {f.kind!r}; use quantum_bound_seesaw"
+        )
+    attained = _canonical_value(f, values)
+    if not _attains(attained, values):
+        raise BoundCheckError(
+            f"canonical assemblage attains {attained!r}, expected {values.s_q!r}"
+        )
     return QuantumBoundResult(value=values.s_q, canonical_value=attained)
 
 
@@ -413,31 +426,43 @@ def _positive_projectors(h: np.ndarray) -> np.ndarray:
     return (vecs * (vals > 0)[..., None, :]) @ _dagger(vecs)
 
 
-def _povm_update(rotated: np.ndarray, povms: np.ndarray) -> np.ndarray:
-    """Exact coordinate step for every (..., setting) POVM at once.
+def _povm_update(rotated: np.ndarray, factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact coordinate step for every (..., setting) POVM at once, from
+    square factors G with E^a = G^a G^a^dagger: (new POVMs, their factors).
 
-    Two outcomes take the positive-eigenspace projector of R^1 - R^2.
-    More outcomes take one sweep of exact two-outcome splits over all
-    outcome pairs: rewriting E_a = Q^(1/2) X Q^(1/2) with Q = E_a + E_b
-    turns each pair subproblem into Tr(X Q^(1/2)(R_a - R_b)Q^(1/2)) over
-    0 <= X <= 1, solved by the same projector. The objective never
-    decreases.
+    Two outcomes take the positive-eigenspace projector P of R^1 - R^2,
+    which is its own factor, and I - P. More outcomes take one sweep of
+    exact two-outcome splits over all outcome pairs, in lexicographic
+    order. For a pair (a, b), one QR of the stacked [G_a^dagger; G_b^dagger]
+    gives R with Q = E_a + E_b = R^dagger R, so every split of Q is
+    E_a = R^dagger X R with 0 <= X <= 1, and the pair subproblem
+    Tr(X R (R_a - R_b) R^dagger) is solved by the projector U_+ U_+^dagger
+    onto its positive eigenspace: G_a = R^dagger U_+ and G_b = R^dagger U_-,
+    the eigenvectors U split by sign (the other columns zeroed). Any square
+    factor F = Q^(1/2) V of Q gives the same F P_+(F^dagger D F) F^dagger,
+    so this is the maximizer of the root form E_a = Q^(1/2) X Q^(1/2),
+    with one QR and one eigensolve per pair in place of two eigensolves
+    and a square root, and both elements are positive semidefinite by
+    construction. The objective never decreases.
     """
-    m = povms.shape[-3]
+    *batch, m, d, _ = factors.shape
     if m == 2:
-        proj = _positive_projectors(hermitian_part(rotated[..., 0, :, :] - rotated[..., 1, :, :]))
-        return np.stack([proj, np.eye(proj.shape[-1]) - proj], axis=-3)
-    povms = povms.copy()
+        proj = _positive_projectors(rotated[..., 0, :, :] - rotated[..., 1, :, :])
+        povms = np.stack([proj, np.eye(d) - proj], axis=-3)
+        return povms, povms
+    factors = factors.copy()
     for a in range(m):
         for b in range(a + 1, m):
-            q = hermitian_part(povms[..., a, :, :] + povms[..., b, :, :])
-            vals, vecs = np.linalg.eigh(q)
-            root = (vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]) @ _dagger(vecs)
-            split = hermitian_part(root @ (rotated[..., a, :, :] - rotated[..., b, :, :]) @ root)
-            e_a = hermitian_part(root @ _positive_projectors(split) @ root)
-            povms[..., a, :, :] = e_a
-            povms[..., b, :, :] = q - e_a
-    return povms
+            # R^dagger R = G_a G_a^dagger + G_b G_b^dagger
+            stacked = _dagger(factors[..., (a, b), :, :]).reshape(*batch, 2 * d, d)
+            r = np.linalg.qr(stacked, mode="r")
+            diff = rotated[..., a, :, :] - rotated[..., b, :, :]
+            vals, vecs = np.linalg.eigh(hermitian_part(r @ diff @ _dagger(r)))
+            lifted = _dagger(r) @ vecs
+            positive = (vals > 0)[..., None, :]
+            factors[..., a, :, :] = lifted * positive
+            factors[..., b, :, :] = lifted * ~positive
+    return factors @ _dagger(factors), factors
 
 
 def _phases(povms: np.ndarray, conditioned: np.ndarray) -> np.ndarray:
@@ -448,15 +473,19 @@ def _phases(povms: np.ndarray, conditioned: np.ndarray) -> np.ndarray:
 
 def _seesaw_group(
     f: SteeringFunctional, state: np.ndarray, max_iters: int, tol: float, slack: float
-) -> tuple[np.ndarray, np.ndarray, list[list[float]], int]:
-    """Run the restarts starting from the (k, dim_a, d) states together
-    until each converges or takes max_iters steps: (final values,
-    converged flags, traces, steps taken by all of them). A step that
-    falls by more than `slack` raises."""
-    k, dim_a, d = state.shape
+) -> tuple[np.ndarray, np.ndarray, list[list[float]], int, np.ndarray]:
+    """Run the restarts starting from the (k, d, d) states together until
+    each converges or takes max_iters steps: (final values, converged
+    flags, traces, steps taken by all of them, final (k, n, m, d, d)
+    POVMs). A step that falls by more than `slack` raises."""
+    k, d, _ = state.shape
     n, m = f.n, f.m
     coeffs_t = f.coefficients.transpose(0, 1, 3, 2)  # (n, m, d, d), F^T per cell
-    povms = np.broadcast_to(np.eye(dim_a, dtype=complex) / m, (k, n, m, dim_a, dim_a)).copy()
+    table = f.coefficients.reshape(n * m, d * d)
+    eye = np.eye(d, dtype=complex)
+    povms = np.broadcast_to(eye / m, (k, n, m, d, d)).copy()
+    factors = np.broadcast_to(eye / np.sqrt(m), (k, n, m, d, d)).copy()
+    measurements = np.empty_like(povms)
     finals = np.zeros(k)
     converged = np.zeros(k, dtype=bool)
     traces: list[list[float]] = [[] for _ in range(k)]
@@ -467,12 +496,14 @@ def _seesaw_group(
         # R_x^a = Psi F_x^a^T Psi^dagger, per restart
         conditioned = state[:, None, None] @ coeffs_t @ _dagger(state)[:, None, None]
         phase = _phases(povms, conditioned)[:, None, None, None, None]
-        povms = _povm_update(hermitian_part(phase * conditioned), povms)
+        povms, factors = _povm_update(hermitian_part(phase * conditioned), factors)
         phase = _phases(povms, conditioned)[:, None, None]
-        assembled = np.einsum("rxaij,xakl->rikjl", povms, f.coefficients, optimize=True)
-        assembled = assembled.reshape(-1, dim_a * d, dim_a * d)
+        # sum_xa E_x^a (x) F_x^a as one GEMM: (r, (i, j), xa) @ (xa, (k, l))
+        rows = povms.transpose(0, 3, 4, 1, 2).reshape(-1, d * d, n * m)
+        assembled = (rows @ table).reshape(-1, d, d, d, d).transpose(0, 1, 3, 2, 4)
+        assembled = assembled.reshape(-1, d * d, d * d)
         vals, vecs = np.linalg.eigh(hermitian_part(phase * assembled))
-        state = vecs[..., -1].reshape(-1, dim_a, d)
+        state = vecs[..., -1].reshape(-1, d, d)
         objective = vals[:, -1]
         previous = finals[active]
         fell = objective < previous - slack
@@ -486,10 +517,29 @@ def _seesaw_group(
         finals[active] = objective
         done = (objective - previous <= tol) & (step > 0)
         converged[active[done]] = True
-        active, state, povms = active[~done], state[~done], povms[~done]
+        measurements[active[done]] = povms[done]
+        active, state, povms, factors = active[~done], state[~done], povms[~done], factors[~done]
         if not active.size:
             break
-    return finals, converged, traces, steps
+    measurements[active] = povms
+    return finals, converged, traces, steps, measurements
+
+
+def _require_measurements(povms: np.ndarray, first: int) -> None:
+    """Raise BoundCheckError unless every (restart, setting) POVM of the
+    (k, n, m, d, d) stack sums to the identity and has no eigenvalue below
+    zero, both within TOLERANCES.assemblage; restarts count from `first`."""
+    tol = TOLERANCES.assemblage
+    defect = np.abs(povms.sum(axis=2) - np.eye(povms.shape[-1])).max(axis=(-2, -1))
+    lowest = np.linalg.eigvalsh(hermitian_part(povms)).min(axis=(-2, -1))
+    bad = ~((defect <= tol) & (lowest >= -tol))
+    if bad.any():
+        r, x = (int(i) for i in np.argwhere(bad)[0])
+        raise BoundCheckError(
+            f"see-saw restart {first + r}, setting {x}: measurement sums to the "
+            f"identity within {float(defect[r, x]):.3g} and has lowest "
+            f"eigenvalue {float(lowest[r, x]):.3g}, outside {tol:.0e}"
+        )
 
 
 def _check_seesaw_parameters(restarts: int, max_iters: int, tol: float, seed: int) -> None:
@@ -504,7 +554,6 @@ def _check_seesaw_parameters(restarts: int, max_iters: int, tol: float, seed: in
 
 def quantum_bound_seesaw(
     f: SteeringFunctional,
-    dim_a: int | None = None,
     restarts: int = 20,
     max_iters: int = 500,
     tol: float = 1e-10,
@@ -512,44 +561,48 @@ def quantum_bound_seesaw(
 ) -> SeesawResult:
     """Monotone alternating lower bound on the quantum value.
 
-    Parametrizes an explicit realization - a pure bipartite state and one
-    POVM per setting - and alternates exact coordinate maximizations: with
-    the state fixed, each setting's measurement is rebuilt from the
-    eigendecomposition of its conditioned operators (positive-eigenspace
-    projector for two outcomes, pairwise splits otherwise); with the
-    measurements fixed, the state moves to the top eigenvector of the
-    assembled operator sum_xa E_x^a (x) F_x^a. Non-Hermitian tables are
-    handled through |<F, sigma>| by rotating with the phase of the current
-    value, which preserves monotonicity of the modulus. The result is a
-    lower bound on the quantum value up to solver tolerance; restarts draw
-    fresh random initial states, in restart order from one generator.
+    Parametrizes an explicit realization - a pure state on two
+    d-dimensional systems and one POVM per setting - and alternates exact
+    coordinate maximizations: with the state fixed, each setting's
+    measurement is rebuilt from its conditioned operators (the
+    positive-eigenspace projector for two outcomes; otherwise one sweep of
+    pairwise splits on square factors E_x^a = G G^dagger, starting from
+    G = I/sqrt(m), each pair one QR and one eigensolve, see _povm_update);
+    with the measurements fixed, the state moves to the top eigenvector of
+    the assembled operator sum_xa E_x^a (x) F_x^a, built as one GEMM of the
+    POVMs with the table. Non-Hermitian tables are handled through
+    |<F, sigma>| by rotating with the phase of the current value, which
+    preserves monotonicity of the modulus. The result is a lower bound on
+    the quantum value up to solver tolerance; restarts draw fresh random
+    initial states, in restart order from one generator.
 
-    Restarts advance together, in groups whose assembled
-    (group, dim_a*d, dim_a*d) stack stays within 8 MiB (at least one
+    Restarts advance together, in groups whose assembled (group, d*d, d*d)
+    stack, 16 d^4 bytes per restart, stays within 8 MiB (at least one
     restart per group), with OpenBLAS held at one thread; every step is
     batched over the group's restarts and settings, and a restart leaves
     the group once a step gains at most `tol`. `iterations` counts the
     steps of all restarts; the result is the first restart with the
     largest final value, with its trace. A step that falls by more than
     TOLERANCES.seesaw_monotone * table_scale(f), a slack that grows with
-    the table's scale as its rounding does, raises BoundCheckError.
+    the table's scale as its rounding does, raises BoundCheckError; so
+    does, once per group, a restart whose final POVM for some setting
+    misses sum_a E_x^a = I or E_x^a >= 0 by more than
+    TOLERANCES.assemblage.
     """
     d = f.d
-    dim_a = d if dim_a is None else dim_a
-    if dim_a < 1:
-        raise PreconditionError(f"dim_a must be positive, got {dim_a}")
     _check_seesaw_parameters(restarts, max_iters, tol, seed)
     _require_bounded_table(f)
     rng = np.random.default_rng(seed)
-    group = max(1, _SEESAW_GROUP_BYTES // (16 * (dim_a * d) ** 2))
+    group = max(1, _SEESAW_GROUP_BYTES // (16 * d**4))
     slack = TOLERANCES.seesaw_monotone * table_scale(f)
     finals, converged, traces, iterations = [], [], [], 0
     with blas_threads(1):
         for first in range(0, restarts, group):
-            raw = rng.normal(size=(min(group, restarts - first), 2, dim_a * d))
+            raw = rng.normal(size=(min(group, restarts - first), 2, d * d))
             raw = raw[:, 0] + 1j * raw[:, 1]
-            state = (raw / np.linalg.norm(raw, axis=1, keepdims=True)).reshape(-1, dim_a, d)
-            values, flags, paths, steps = _seesaw_group(f, state, max_iters, tol, slack)
+            state = (raw / np.linalg.norm(raw, axis=1, keepdims=True)).reshape(-1, d, d)
+            values, flags, paths, steps, povms = _seesaw_group(f, state, max_iters, tol, slack)
+            _require_measurements(povms, first)
             finals.append(values)
             converged.append(flags)
             traces += paths
@@ -584,9 +637,11 @@ def violation(
 
     Kinds with paper values (paper_values) get the analytic quantum value,
     a canonical-attainment certificate and one certificate per LHS upper
-    bound and per violation lower bound; random/custom tables fall back to
-    the see-saw lower bound (tagged as such). A table whose
-    LHS bound is 0 has no ratio and is rejected. The see-saw parameters
+    bound and per violation lower bound; an invalid canonical assemblage
+    or a value above the PSD envelope raises as in quantum_bound, but a
+    missed attainment is a failed certificate. Random/custom tables fall
+    back to the see-saw lower bound (tagged as such). A table whose LHS
+    bound is 0 has no ratio and is rejected. The see-saw parameters
     are checked first, for every table. With strict enabled, a failed
     certificate raises instead of being reported.
     """
@@ -606,14 +661,14 @@ def violation(
     paper = paper_values(f)
     certificates: list[Certificate] = []
     if paper is not None:
-        qb = quantum_bound(f)
-        s_q, method = qb.value, "analytic"
+        attained = _canonical_value(f, paper)
+        s_q, method = paper.s_q, "analytic"
         certificates.append(
             Certificate(
                 name="canonical_attainment",
-                satisfied=bool(abs(qb.canonical_value - qb.value) <= TOLERANCES.bound_slack),
-                value=qb.canonical_value,
-                bound=qb.value,
+                satisfied=_attains(attained, paper),
+                value=attained,
+                bound=s_q,
             )
         )
     else:

@@ -34,3 +34,18 @@ def eigvalsh_matrices(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     return counted
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Counts calls to numpy's eigh and qr, by name."""
+    counted = {"eigh": 0, "qr": 0}
+    for name in counted:
+        original = getattr(np.linalg, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counted[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return counted

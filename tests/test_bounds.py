@@ -32,6 +32,7 @@ from steerbound import (
     strategy_norms,
     violation,
 )
+import steerbound.bounds as bounds_module
 from steerbound.linalg import blas_threads
 
 LHS_23 = (3 + np.sqrt(3)) / 2
@@ -316,8 +317,6 @@ def test_reduced_strategies_keep_their_full_enumeration_values():
 @pytest.fixture
 def radius_matrices(monkeypatch):
     """Counts the matrices passed to the enumeration's numerical radius."""
-    import steerbound.bounds as bounds_module
-
     counted = []
     original = bounds_module.numerical_radius
 
@@ -614,8 +613,6 @@ def test_seesaw_monotone_trace():
 
 
 def test_seesaw_raises_on_a_decreasing_step(monkeypatch):
-    import steerbound.bounds as bounds_module
-
     # a negative tolerance turns every step that does not rise by at least
     # 1.0 into a violation, so the per-step check must fire
     monkeypatch.setattr(
@@ -711,6 +708,114 @@ def test_batched_seesaw_matches_sequential_reference(functional, max_iters):
     gains = np.diff(result.trace)
     assert (gains[:-1] > 1e-10).all()
     assert (gains[-1] <= 1e-10) == result.converged
+
+
+def root_form_sweep(rotated, povms):
+    """The pairwise sweep on POVM elements themselves: each pair split
+    through Q^(1/2) with Q = E_a + E_b, the form the factored step must
+    reproduce. Eigenvalues of Q below 1e-12 count as 0: the root of a
+    rounding-level eigenvalue (about 1e-8) would put errors near 1e-11
+    into the reference itself when Q is rank-deficient."""
+
+    def herm(x):
+        return (x + x.conj().swapaxes(-1, -2)) / 2
+
+    def dagger(x):
+        return x.conj().swapaxes(-1, -2)
+
+    povms = povms.copy()
+    m = povms.shape[-3]
+    for a in range(m):
+        for b in range(a + 1, m):
+            q = herm(povms[..., a, :, :] + povms[..., b, :, :])
+            vals, vecs = np.linalg.eigh(q)
+            root = (vecs * np.sqrt(np.where(vals > 1e-12, vals, 0.0))[..., None, :]) @ dagger(vecs)
+            split = herm(root @ (rotated[..., a, :, :] - rotated[..., b, :, :]) @ root)
+            vals, vecs = np.linalg.eigh(split)
+            proj = (vecs * (vals > 0)[..., None, :]) @ dagger(vecs)
+            povms[..., a, :, :] = herm(root @ proj @ root)
+            povms[..., b, :, :] = q - povms[..., a, :, :]
+    return povms
+
+
+def random_factors(rng, shape, m, d):
+    """Square factors of random full-rank POVMs, (*shape, m, d, d)."""
+    raw = rng.normal(size=(*shape, m, d, d)) + 1j * rng.normal(size=(*shape, m, d, d))
+    total = np.einsum("...aij,...akj->...ik", raw, raw.conj())
+    vals, vecs = np.linalg.eigh(total)
+    inverse_root = (vecs / np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    return inverse_root[..., None, :, :] @ raw
+
+
+def projective_factors(shape, m, d, zero=None):
+    """Factors of a projective POVM: outcome a < m - 1 projects onto basis
+    vector a, the last outcome onto the rest; `zero` names an outcome
+    whose element is 0, its projector moved to the last outcome."""
+    factors = np.zeros((*shape, m, d, d), dtype=complex)
+    eye = np.eye(d)
+    for a in range(m - 1):
+        factors[..., a, a, a] = 1.0
+    factors[..., m - 1, :, :] = eye - factors[..., : m - 1, :, :].sum(axis=-3)
+    if zero is not None:
+        factors[..., m - 1, :, :] += factors[..., zero, :, :]
+        factors[..., zero, :, :] = 0.0
+    return factors
+
+
+@pytest.mark.parametrize(
+    "m, d, kind",
+    [(3, 3, "random"), (4, 4, "random"), (3, 4, "projective"), (4, 4, "projective"),
+     (4, 4, "zero-element"), (3, 2, "zero-element")],
+)
+def test_factored_pair_step_matches_root_form(m, d, kind):
+    rng = np.random.default_rng(m * 10 + d)
+    shape = (3, 2)
+    if kind == "random":
+        factors = random_factors(rng, shape, m, d)
+    else:
+        factors = projective_factors(shape, m, d, zero=1 if kind == "zero-element" else None)
+    raw = rng.normal(size=(*shape, m, d, d)) + 1j * rng.normal(size=(*shape, m, d, d))
+    rotated = (raw + raw.conj().swapaxes(-1, -2)) / 2
+    povms = factors @ factors.conj().swapaxes(-1, -2)
+    new_povms, new_factors = bounds_module._povm_update(rotated, factors)
+    assert np.abs(new_povms - root_form_sweep(rotated, povms)).max() <= 1e-12
+    assert np.abs(new_povms - new_factors @ new_factors.conj().swapaxes(-1, -2)).max() <= 1e-12
+    # the sweep keeps every POVM normalised
+    assert np.abs(new_povms.sum(axis=-3) - np.eye(d)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_seesaw_step_makes_one_qr_and_one_eigh_per_outcome_pair(linalg_calls, d):
+    # random tables have m = d outcomes; one step, then the stop at max_iters
+    quantum_bound_seesaw(random_functional(d, 0), restarts=1, max_iters=1)
+    pairs = d * (d - 1) // 2
+    assert linalg_calls == {"eigh": pairs + 1, "qr": pairs}
+
+
+def test_seesaw_measurement_check_names_restart_and_setting():
+    eye = np.eye(2, dtype=complex)
+    povms = np.broadcast_to(eye / 2, (3, 2, 2, 2, 2)).copy()
+    bounds_module._require_measurements(povms, first=5)
+    povms[1, 1, 0] = np.diag([1.0, -1e-6])
+    povms[1, 1, 1] = eye - povms[1, 1, 0]
+    with pytest.raises(BoundCheckError, match="restart 6, setting 1"):
+        bounds_module._require_measurements(povms, first=5)
+    povms = np.broadcast_to(eye / 2, (3, 2, 2, 2, 2)).copy()
+    povms[2, 0, 1] *= 1 + 1e-6
+    with pytest.raises(BoundCheckError, match="restart 7, setting 0"):
+        bounds_module._require_measurements(povms, first=5)
+
+
+def test_seesaw_rejects_measurements_that_drift(monkeypatch):
+    update = bounds_module._povm_update
+
+    def drifting(rotated, factors):
+        povms, factors = update(rotated, factors)
+        return povms * (1 + 1e-6), factors
+
+    monkeypatch.setattr(bounds_module, "_povm_update", drifting)
+    with pytest.raises(BoundCheckError, match="see-saw restart 0, setting 0"):
+        quantum_bound_seesaw(random_functional(3, 0), restarts=2, max_iters=3)
 
 
 def test_seesaw_never_exceeds_quantum_value():
@@ -916,9 +1021,27 @@ def test_report_to_dict_round_trips_fields():
     assert "timings" in doc["diagnostics"]
 
 
-def test_strict_violation_raises_on_forced_failure(monkeypatch):
-    import steerbound.bounds as bounds_module
+def half_scale_clifford(n):
+    """A clifford table with cells +-A_x/4: its canonical assemblage is
+    valid but attains n/8, not the kind's n/2."""
+    table = clifford_functional(build_clifford_family(n)).coefficients / 2
+    return SteeringFunctional.from_table(table, kind="clifford")
 
+
+def test_missed_attainment_is_a_failed_certificate():
+    functional = half_scale_clifford(4)
+    with pytest.raises(BoundCheckError, match="canonical assemblage attains 0.5"):
+        quantum_bound(functional)
+    with pytest.raises(BoundCheckError, match="certificates failed: canonical_attainment$"):
+        violation(functional, strict=True)
+    report = violation(functional, strict=False)
+    failed = [c for c in report.certificates if not c.satisfied]
+    assert [(c.name, c.value, c.bound) for c in failed] == [
+        ("canonical_attainment", pytest.approx(0.5, abs=1e-12), 2.0)
+    ]
+
+
+def test_strict_violation_raises_on_forced_failure(monkeypatch):
     functional = mub_functional(build_mub_family(2, 3))
     monkeypatch.setattr(
         bounds_module,

@@ -195,6 +195,26 @@ def test_bounds_overflowing_table_is_a_precondition_failure(tmp_path, capsys):
     assert not report.exists()
 
 
+def test_bounds_reports_a_missed_canonical_attainment(tmp_path, capsys):
+    from steerbound import build_clifford_family, clifford_functional
+    from steerbound.serialize import functional_to_json
+
+    # cells +-A_x/4: a valid canonical assemblage that attains n/8, not n/2
+    n = 4
+    table = clifford_functional(build_clifford_family(n)).coefficients / 2
+    path = tmp_path / "half.json"
+    path.write_text(functional_to_json(SteeringFunctional.from_table(table, kind="clifford")))
+    report = tmp_path / "report.json"
+    assert run(["bounds", str(path), "--out", str(report)]) == EXIT_CHECK
+    assert "failed certificates: canonical_attainment" in capsys.readouterr().err
+    certificates = {c["name"]: c for c in load_report(report)["report"]["certificates"]}
+    attainment = certificates.pop("canonical_attainment")
+    assert not attainment["satisfied"]
+    assert attainment["value"] == pytest.approx(n / 8, abs=1e-12)
+    assert attainment["bound"] == n / 2
+    assert all(c["satisfied"] for c in certificates.values())
+
+
 def test_bounds_large_table_seesaw_is_monotone_up_to_its_scale(tmp_path, capsys):
     from steerbound import SteeringFunctional, build_mub_family, mub_functional
     from steerbound.serialize import functional_to_json
