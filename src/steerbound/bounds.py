@@ -66,7 +66,13 @@ from .functionals import (
 )
 from .linalg import blas_threads, hermitian_part, numerical_radius, operator_norm
 from .mub import MubFamily
-from .structure import complement_symmetric, table_scale, table_structure
+from .structure import (
+    TableStructure,
+    anticommuting_squares,
+    complement_symmetric,
+    table_scale,
+    table_structure,
+)
 from .tolerances import TOLERANCES
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -83,8 +89,12 @@ class LhsExactResult:
     value: float
     witness: tuple[int, ...]  # outcome index per setting, 0-based
     strategy_count: int  # m^n, whatever the path
-    method: str  # the table_structure path that ran
+    structure: TableStructure  # what table_structure found; its method ran
     strategies_evaluated: int  # strategies whose norm was computed
+
+    @property
+    def method(self) -> str:
+        return self.structure.method
 
 
 @dataclass(frozen=True)
@@ -289,7 +299,7 @@ def lhs_bound(
             value=structure.value,
             witness=(0,) * f.n,
             strategy_count=total,
-            method=structure.method,
+            structure=structure,
             strategies_evaluated=0,
         )
     values = _strategy_values(
@@ -301,7 +311,7 @@ def lhs_bound(
         value=float(values[best]),
         witness=witness,
         strategy_count=total,
-        method=structure.method,
+        structure=structure,
         strategies_evaluated=values.size,
     )
 
@@ -359,15 +369,21 @@ def paper_values(f: SteeringFunctional) -> PaperValues | None:
     return None
 
 
-def _canonical_value(f: SteeringFunctional, values: PaperValues) -> float:
+def _canonical_value(
+    f: SteeringFunctional, values: PaperValues, squares: tuple[float, ...] | None
+) -> float:
     """What the kind's canonical assemblage attains on the table, after
     the checks that do not depend on it: the assemblage must be valid (a
     kind the table lacks fails positivity, no-signalling or normalisation)
     and, for positive-semidefinite tables, values.s_q must stay within the
-    envelope sum_x max_a ||F_x^a||. Each failed check raises
+    envelope sum_x max_a ||F_x^a||. `squares` are the c_x^2 of an
+    anticommuting +- table (structure.anticommuting_squares), whose
+    positivity then needs no eigensolve, or empty or None for any other
+    table. Each failed check raises
     BoundCheckError; attainment is left to the caller."""
+    scale = float(np.sqrt(max(squares))) if squares else None
     try:
-        assemblage = canonical_quantum_assemblage(f)
+        assemblage = canonical_quantum_assemblage(f, scale)
     except PreconditionError as exc:
         raise BoundCheckError(
             f"kind {f.kind!r} does not fit the table: its canonical {exc}"
@@ -404,7 +420,7 @@ def quantum_bound(f: SteeringFunctional) -> QuantumBoundResult:
         raise PreconditionError(
             f"no analytic quantum bound for kind {f.kind!r}; use quantum_bound_seesaw"
         )
-    attained = _canonical_value(f, values)
+    attained = _canonical_value(f, values, anticommuting_squares(f))
     if not _attains(attained, values):
         raise BoundCheckError(
             f"canonical assemblage attains {attained!r}, expected {values.s_q!r}"
@@ -639,7 +655,10 @@ def violation(
     a canonical-attainment certificate and one certificate per LHS upper
     bound and per violation lower bound; an invalid canonical assemblage
     or a value above the PSD envelope raises as in quantum_bound, but a
-    missed attainment is a failed certificate. Random/custom tables fall
+    missed attainment is a failed certificate, and s_q is then the value
+    the valid canonical assemblage attains, a lower bound tagged
+    "canonical-lower". The canonical assemblage reuses the structure
+    lhs_bound found, so table_structure runs once. Random/custom tables fall
     back to the see-saw lower bound (tagged as such). A table whose LHS
     bound is 0 has no ratio and is rejected. The see-saw parameters
     are checked first, for every table. With strict enabled, a failed
@@ -661,14 +680,17 @@ def violation(
     paper = paper_values(f)
     certificates: list[Certificate] = []
     if paper is not None:
-        attained = _canonical_value(f, paper)
-        s_q, method = paper.s_q, "analytic"
+        attained = _canonical_value(f, paper, lhs.structure.squares)
+        if _attains(attained, paper):
+            s_q, method = paper.s_q, "analytic"
+        else:
+            s_q, method = attained, "canonical-lower"
         certificates.append(
             Certificate(
                 name="canonical_attainment",
-                satisfied=_attains(attained, paper),
+                satisfied=method == "analytic",
                 value=attained,
-                bound=s_q,
+                bound=paper.s_q,
             )
         )
     else:

@@ -33,7 +33,10 @@ def _table(arr) -> np.ndarray:
 
 
 def _table_hermiticity_defect(table: np.ndarray) -> float:
-    return float(np.abs(table - table.conj().transpose(0, 1, 3, 2)).max(initial=0.0))
+    """max |F - F^dagger| over the table's entries, one setting at a time,
+    so the temporaries stay the size of one setting's cells."""
+    defects = [np.abs(cells - cells.conj().swapaxes(1, 2)).max(initial=0.0) for cells in table]
+    return float(np.max(defects, initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -133,11 +136,15 @@ class Assemblage:
     def d(self) -> int:
         return self.members.shape[2]
 
-    def validate(self) -> AssemblageReport:
+    def validate(self, min_eigenvalue: float | None = None) -> AssemblageReport:
+        """Positivity, no-signalling and normalisation. Positivity reads
+        the members' smallest eigenvalue, eigensolved unless the caller
+        knows it in closed form and passes it as min_eigenvalue."""
         members = _table(self.members)
-        flat = members.reshape(-1, members.shape[2], members.shape[3])
-        herm = (flat + flat.conj().transpose(0, 2, 1)) / 2
-        min_eig = float(np.linalg.eigvalsh(herm).min())
+        if min_eigenvalue is None:
+            flat = members.reshape(-1, members.shape[2], members.shape[3])
+            herm = (flat + flat.conj().transpose(0, 2, 1)) / 2
+            min_eigenvalue = float(np.linalg.eigvalsh(herm).min())
         reduced = members.sum(axis=1)
         nosig = max(
             (operator_norm(reduced[x] - reduced[0]) for x in range(members.shape[0])),
@@ -145,14 +152,14 @@ class Assemblage:
         )
         norm_dev = abs(float(np.trace(reduced[0]).real) - 1.0)
         return AssemblageReport(
-            min_eigenvalue=min_eig,
+            min_eigenvalue=min_eigenvalue,
             no_signaling_deviation=nosig,
             normalization_deviation=norm_dev,
             tolerance=TOLERANCES.assemblage,
         )
 
-    def require_valid(self) -> "Assemblage":
-        failed = self.validate().failed
+    def require_valid(self, min_eigenvalue: float | None = None) -> "Assemblage":
+        failed = self.validate(min_eigenvalue).failed
         if failed:
             raise PreconditionError(f"assemblage fails {', '.join(failed)}")
         return self
@@ -244,7 +251,9 @@ def evaluate(functional: SteeringFunctional, assemblage) -> float | complex:
     return value
 
 
-def canonical_quantum_assemblage(functional: SteeringFunctional) -> Assemblage:
+def canonical_quantum_assemblage(
+    functional: SteeringFunctional, scale: float | None = None
+) -> Assemblage:
     """The assemblage attaining the known quantum value of a structured kind.
 
     mub: sigma_x^a = F_x^a / d (steering a maximally entangled pair with
@@ -252,16 +261,28 @@ def canonical_quantum_assemblage(functional: SteeringFunctional) -> Assemblage:
     with the spectral projectors of A_x. Random and custom tables have no
     canonical optimizer. A table without its kind's structure gives an
     invalid assemblage: PreconditionError names the failed properties.
+
+    `scale` is max_x c_x for a table proven to hold cells +-B_x with B_x
+    exactly Hermitian and B_x^2 = c_x^2 I (structure.anticommuting_squares).
+    The spectrum of each +-B_x pair is then {c_x, -c_x}, so the members'
+    smallest eigenvalue is (1/2 - scale)/d for `clifford` and
+    (1 - scale)/(2d) for `clifford-dichotomic`, and no cell is eigensolved;
+    `mub` tables are eigensolved whatever the scale.
     """
     kind = functional.kind
     d = functional.d
     eye = np.eye(d, dtype=complex)
+    lowest = None
     if kind == "mub":
         members = functional.coefficients / d
     elif kind == "clifford":
         members = (functional.coefficients + eye / 2) / d
+        if scale is not None:
+            lowest = (0.5 - scale) / d
     elif kind == "clifford-dichotomic":
         members = (functional.coefficients / 2 + eye / 2) / d
+        if scale is not None:
+            lowest = (1.0 - scale) / (2 * d)
     else:
         raise PreconditionError(f"no canonical quantum assemblage for kind {kind!r}")
-    return Assemblage(members=members).require_valid()
+    return Assemblage(members=members).require_valid(lowest)

@@ -6,8 +6,17 @@ written as nested lists of [re, im] pairs, row-major - universally
 parseable, no binary formats. One codec serves all four kinds: `_dump`
 writes a complex stack through the emitter's float-array branch, the only
 code that writes matrix data, and `_load` parses it back. Keys are emitted
-sorted and floats with 17 significant digits, so loading a file and
-re-serializing it reproduces identical bytes.
+sorted and floats with 17 significant digits, zeros as `0`, so loading a
+file and re-serializing it reproduces identical bytes.
+
+Both directions cost what a mostly-zero stack holds, such as the
+full-dimensional Pauli tables with one nonzero entry per row. When at
+most a quarter of the leaves are nonzero, the writer formats only those,
+into the all-`0` skeleton; when the number text averages at most 4
+bytes a leaf, the reader sets each token that is exactly `0` to +0.0,
+as json.loads would, and parses only the others. Denser stacks take one
+template and one list of every leaf, which their per-leaf bookkeeping
+would only slow down.
 
 `_load` first tries `_load_flat`, which never builds the nested lists:
 it parses the document with the matrix block cut out, checks the block's
@@ -42,15 +51,40 @@ META_KEYS = ("kind", "d", "n", "m", "seed", "version")
 # canonical emitter
 
 
+def _nested(leaf: str, shape: tuple[int, ...]) -> str:
+    """Nested JSON arrays of `shape` with every leaf written as `leaf`."""
+    for size in reversed(shape):
+        leaf = "[" + ",".join([leaf] * size) + "]"
+    return leaf
+
+
 def _format_floats(values: np.ndarray) -> str:
     """Nested JSON arrays of `values`, each written with 17 significant
-    digits; -0.0 is written as 0 and non-finite values are rejected."""
+    digits; zeros (-0.0 too) are written as 0 and non-finite values are
+    rejected.
+
+    When at most a quarter of the leaves are nonzero, the template is the
+    all-`0` skeleton with "%.17g" spliced in at the nonzero leaves' offsets,
+    so only those are formatted; otherwise every leaf is."""
     if not np.isfinite(values).all():
         raise SchemaError("non-finite values cannot be serialized")
-    template = "%.17g"
-    for size in reversed(values.shape):
-        template = "[" + ",".join([template] * size) + "]"
-    return template % tuple(np.where(values == 0.0, 0.0, values).ravel().tolist())
+    flat = values.ravel()
+    if 4 * np.count_nonzero(flat) > flat.size or values.ndim == 0:
+        template = _nested("%.17g", values.shape)
+        return template % tuple(np.where(flat == 0.0, 0.0, flat).tolist())
+    skeleton = _nested("0", values.shape)
+    nonzero = np.flatnonzero(flat)
+    # a leaf's offset: one "[" per level, and on each level the blocks
+    # (with their commas) before it; `block` is the length of one block
+    index = np.unravel_index(nonzero, values.shape)
+    offsets = np.full(nonzero.size, values.ndim)
+    block = 1
+    for axis in reversed(range(values.ndim)):
+        offsets += index[axis] * (block + 1)
+        block = values.shape[axis] * (block + 1) + 1
+    cuts = offsets.tolist()
+    pieces = [skeleton[a:b] for a, b in zip([0, *(c + 1 for c in cuts)], [*cuts, len(skeleton)])]
+    return "%.17g".join(pieces) % tuple(flat[nonzero].tolist())
 
 
 def format_float(x: float) -> str:
@@ -174,6 +208,33 @@ _NUMBER_CHARS = b"0123456789+-.eE"
 _AS_ZERO = bytes.maketrans(_NUMBER_CHARS, b"0" * len(_NUMBER_CHARS))
 
 
+def _parse_leaves(flat: bytes, size: int) -> np.ndarray:
+    """The `size` comma-separated JSON numbers of `flat` as float64, with
+    the errors json.loads and np.array raise on them.
+
+    When the text averages at most 4 bytes a leaf, so most leaves are the
+    token `0`, each token that is exactly `0` is set to +0.0, as json.loads
+    gives it, and only the others are parsed, as one flat list; otherwise
+    every token is. The masks are per byte, so no index array per leaf is
+    built."""
+    if len(flat) > 4 * size:
+        return np.array(json.loads(b"[" + flat + b"]"), np.float64)
+    text = np.frombuffer(b"," + flat + b",", np.uint8)
+    comma = text == ord(",")
+    other = text[1:-1] == ord("0")
+    other &= comma[:-2]
+    other &= comma[2:]
+    np.logical_not(other, out=other)  # False where byte i is the comma before a `0` token
+    keep = np.ones(text.size, bool)  # drops each zero token and the comma before it
+    keep[:-2] &= other
+    keep[1:-1] &= other
+    keep[-1] = False
+    other = other[comma[:-2]]  # per token
+    values = np.zeros(other.size)
+    values[other] = np.array(json.loads(b"[" + text[keep].tobytes()[1:] + b"]"), np.float64)
+    return values
+
+
 def _load_flat(text: str, kind: str) -> tuple[dict, np.ndarray] | None:
     """What `_load_tree` returns for `text`, parsed without a Python list
     per matrix row and [re, im] pair, or None when the document is not one
@@ -211,8 +272,10 @@ def _load_flat(text: str, kind: str) -> tuple[dict, np.ndarray] | None:
     classes = block.translate(_AS_ZERO, b" \t\n\r")
     if b"0[" in classes or b"]0" in classes or classes.translate(None, b"0") != skeleton:
         return None
+    flat = block.translate(None, b"[]")
+    del block, classes, skeleton  # copies near the text's size, else alive through the parse
     try:
-        values = np.array(json.loads(b"[" + block.translate(None, b"[]") + b"]"), np.float64)
+        values = _parse_leaves(flat, count * d * d * 2)
     except (ValueError, OverflowError):
         return None
     if not np.isfinite(values).all():

@@ -8,7 +8,13 @@ cases, in the order they are tried:
 - anticommuting: two outcomes with F_x^2 = -F_x^1, and B_x = F_x^1
   Hermitian with B_x B_y + B_y B_x = 0 (x != y) and B_x^2 = c_x^2 I, all
   exactly. Then (sum_x s_x B_x)^2 = (sum_x c_x^2) I for every sign string,
-  so every strategy has the norm sqrt(sum_x c_x^2), a closed form.
+  so every strategy has the norm sqrt(sum_x c_x^2), a closed form. When
+  every B_x is monomial (one nonzero per row and per column, as Pauli
+  strings are), it is kept as (column, value) arrays and the products
+  are O(d) gathers, so the check costs O(n d^2) to read the table and
+  O(n^2 d) to decide; other tables take dense d x d products, O(n^2 d^3).
+  The c_x^2 are kept, since they also give the canonical assemblage's
+  positivity in closed form (functionals.canonical_quantum_assemblage).
 - rank-one: a non-Hermitian table whose cells are all zero outside one
   common row r, exactly. Strategy operators are then e_r w^T, whose
   numerical radius is exactly (|w_r| + |w|)/2.
@@ -52,6 +58,7 @@ class TableStructure:
     prefix: int = 0  # leading settings whose outcome is fixed to 0
     value: float | None = None  # closed-form LHS bound (anticommuting)
     row: int | None = None  # the one nonzero row of every cell (rank-one)
+    squares: tuple[float, ...] = ()  # c_x^2 per setting (anticommuting)
 
 
 def complement_symmetric(f: SteeringFunctional) -> bool:
@@ -61,28 +68,75 @@ def complement_symmetric(f: SteeringFunctional) -> bool:
     return c.shape[1] == 2 and bool(np.array_equal(c[:, 1], -c[:, 0]))
 
 
-def _anticommuting_value(f: SteeringFunctional) -> float | None:
-    """sqrt(sum_x c_x^2) when the table is an anticommuting +- table, else
-    None; checked pair by pair, with O(d^2) memory per pair."""
-    if not complement_symmetric(f):
+def _monomial(b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(columns, values) of the one nonzero in each row of the Hermitian
+    `b`, when it has exactly one (and so, being Hermitian, one per column
+    too); else None."""
+    rows, columns = np.nonzero(b)
+    if not np.array_equal(rows, np.arange(b.shape[0])):
         return None
-    ops = f.coefficients[:, 0]
-    if not all(np.array_equal(b, b.conj().T) for b in ops):
-        return None
-    eye = np.eye(f.d)
-    total = 0.0
+    return columns, b[rows, columns]
+
+
+def _monomial_squares(cells: list[tuple[np.ndarray, np.ndarray]]) -> tuple[float, ...] | None:
+    """_dense_squares for Hermitian monomial B_x = (c_x, v_x), from O(d)
+    gathers. Hermiticity makes c_x an involution with v_x[c_x] = conj(v_x),
+    so B_x^2 is the diagonal v_x * v_x[c_x]. P = B_x B_y holds p = v_x *
+    v_y[c_x] in row i at column pi(i), pi = c_y[c_x], and P^dagger holds
+    conj(p[pi]) there exactly where pi(pi(i)) = i. Every entry of a dense
+    product is one such product plus exact zeros, so the decision is the
+    dense check's."""
+    rows = np.arange(cells[0][0].size)
+    squares: list[float] = []
+    for x, (cx, vx) in enumerate(cells):
+        square = vx * vx[cx]
+        c2 = square[0]
+        if c2.imag != 0 or not (square == c2).all():
+            return None
+        squares.append(c2.real)
+        for cy, vy in cells[:x]:
+            pi, p = cy[cx], vx * vy[cx]
+            if np.where(pi[pi] == rows, p + p[pi].conj(), p).any():
+                return None
+    return tuple(squares)
+
+
+def _dense_squares(ops: np.ndarray) -> tuple[float, ...] | None:
+    """c_x^2 per setting when the Hermitian B_x satisfy B_x^2 = c_x^2 I and
+    B_x B_y + B_y B_x = 0 exactly, else None; checked pair by pair, with
+    O(d^2) memory per pair."""
+    eye = np.eye(ops.shape[-1])
+    squares: list[float] = []
     for x, b in enumerate(ops):
         square = b @ b
         c2 = square[0, 0]
         if c2.imag != 0 or not np.array_equal(square, c2 * eye):
             return None
-        total += c2.real
+        squares.append(c2.real)
         for y in range(x):
             # B_y B_x = (B_x B_y)^dagger for Hermitian B
             p = b @ ops[y]
             if (p + p.conj().T).any():
                 return None
-    return float(np.sqrt(total))
+    return tuple(squares)
+
+
+def anticommuting_squares(f: SteeringFunctional) -> tuple[float, ...] | None:
+    """c_x^2 per setting when the table is an anticommuting +- table (the
+    first case of the module docstring), else None. Monomial cells take
+    _monomial_squares, any other table dense products at one OpenBLAS
+    thread, so the exact checks cannot depend on the caller's thread
+    count."""
+    if not complement_symmetric(f):
+        return None
+    ops = f.coefficients[:, 0]
+    if not all(np.array_equal(b, b.conj().T) for b in ops):
+        return None
+    cells = [_monomial(b) for b in ops]
+    if all(cell is not None for cell in cells):
+        return _monomial_squares(cells)
+    with blas_threads(1):
+        return _dense_squares(ops)
 
 
 def _rank_one_row(f: SteeringFunctional) -> int | None:
@@ -139,13 +193,13 @@ def _weyl_transitive(f: SteeringFunctional) -> bool:
 
 
 def table_structure(f: SteeringFunctional) -> TableStructure:
-    """The first case of the module docstring that the table satisfies.
-    Products run with OpenBLAS at one thread, so the exact checks cannot
-    depend on the caller's thread count."""
-    with blas_threads(1):
-        value = _anticommuting_value(f)
-    if value is not None:
-        return TableStructure("anticommuting", value=value)
+    """The first case of the module docstring that the table satisfies."""
+    squares = anticommuting_squares(f)
+    if squares is not None:
+        total = 0.0
+        for c2 in squares:  # in setting order, whatever sum() would do
+            total += c2
+        return TableStructure("anticommuting", value=float(np.sqrt(total)), squares=squares)
     row = None if f.hermitian else _rank_one_row(f)
     prefix = 2 if _weyl_transitive(f) else int(complement_symmetric(f))
     if row is not None:

@@ -33,6 +33,7 @@ from steerbound import (
     violation,
 )
 import steerbound.bounds as bounds_module
+import steerbound.structure as structure_module
 from steerbound.linalg import blas_threads
 
 LHS_23 = (3 + np.sqrt(3)) / 2
@@ -301,6 +302,117 @@ def test_lhs_shortcut_matches_full_enumeration(name, functional, method, evaluat
     witness = int(np.ravel_multi_index(result.witness, (functional.m,) * functional.n))
     assert abs(norms[witness] - norms.max()) <= 1e-12
     assert lhs_bound(functional, threads=8) == result
+
+
+def dense_anticommuting_value(functional):
+    """The anticommuting check by dense d x d products, as it was before
+    the monomial path: sqrt(sum_x c_x^2), or None."""
+    c = functional.coefficients
+    if c.shape[1] != 2 or not np.array_equal(c[:, 1], -c[:, 0]):
+        return None
+    ops = c[:, 0]
+    if not all(np.array_equal(b, b.conj().T) for b in ops):
+        return None
+    total = 0.0
+    with blas_threads(1):
+        for x, b in enumerate(ops):
+            square = b @ b
+            c2 = square[0, 0]
+            if c2.imag != 0 or not np.array_equal(square, c2 * np.eye(functional.d)):
+                return None
+            total += c2.real
+            for y in range(x):
+                p = b @ ops[y]
+                if (p + p.conj().T).any():
+                    return None
+    return float(np.sqrt(total))
+
+
+def structure_matches_dense_reference(functional):
+    """table_structure's anticommuting decision and value are the dense
+    reference's; returns the structure."""
+    structure = structure_module.table_structure(functional)
+    reference = dense_anticommuting_value(functional)
+    assert (structure.method == "anticommuting") == (reference is not None)
+    assert structure.value == reference
+    return structure
+
+
+@pytest.mark.parametrize("name, functional, method, evaluated", list(shortcut_cases()))
+def test_monomial_check_matches_dense_products(name, functional, method, evaluated):
+    assert structure_matches_dense_reference(functional).method == method
+
+
+@pytest.fixture
+def dense_checks(monkeypatch):
+    """Counts the calls of the dense anticommutation check."""
+    counted = []
+    original = structure_module._dense_squares
+
+    def counting(ops):
+        counted.append(len(ops))
+        return original(ops)
+
+    monkeypatch.setattr(structure_module, "_dense_squares", counting)
+    return counted
+
+
+def test_pauli_tables_take_the_monomial_check(dense_checks):
+    for functional in (
+        clifford_functional(build_clifford_family(7, full_dimension=True)),
+        dichotomic_functional(build_clifford_family(12)),
+    ):
+        assert structure_matches_dense_reference(functional).method == "anticommuting"
+    assert dense_checks == []
+
+
+def test_rotated_clifford_table_takes_the_dense_check(dense_checks):
+    # a random unitary with entries i^k / 2: a permutation, a diagonal of
+    # powers of i and the 4-point Fourier matrix, so every product stays
+    # exact while the cells stop having one nonzero per row
+    rng = np.random.default_rng(11)
+    k = np.arange(4)
+    fourier = 1j ** np.outer(k, k) / 2
+    unitary = np.eye(4)[rng.permutation(4)] @ np.diag(1j ** rng.integers(0, 4, 4)) @ fourier
+    table = clifford_functional(build_clifford_family(4)).coefficients
+    rotated = unitary @ table @ unitary.conj().T
+    functional = SteeringFunctional.from_table(rotated, kind="clifford")
+    assert any(structure_module._monomial(cell) is None for cell in rotated[:, 0])
+    structure = structure_matches_dense_reference(functional)
+    assert (structure.method, structure.value) == ("anticommuting", 1.0)
+    assert dense_checks == [4]
+
+
+def _monomial_variants():
+    """Monomial tables one exact relation away from anticommuting."""
+    negated = dichotomic_functional(build_clifford_family(6)).coefficients.copy()
+    i, j = 1, int(np.flatnonzero(negated[2, 0, 1])[0])
+    negated[2, 0, i, j] *= -1
+    negated[2, 0, j, i] *= -1  # one phase pair negated, still Hermitian
+    negated[2, 1] = -negated[2, 0]
+    # Hermitian involutions on the permutations (2 3) and (0 2)(1 3), which
+    # do not commute, with values v_x = (1, 1, -1, -1) and v_y = 1 that
+    # satisfy v_x v_y[c_x] + v_y v_x[c_y] = 0 in every row
+    swaps = np.zeros((2, 2, 4, 4), dtype=complex)
+    swaps[0, 0] = np.diag([1, 1, -1, -1])[[0, 1, 3, 2]]
+    swaps[1, 0] = np.eye(4)[[2, 3, 0, 1]]
+    swaps[:, 1] = -swaps[:, 0]
+    # B^2 = diag(|v|^2, |v|^2, 1, 1), and |v|^2 rounds to one ulp above 1
+    v = np.exp(0.08j)
+    assert (v * np.conj(v)).real == 1 + np.spacing(1.0)
+    ulp = np.zeros((1, 2, 4, 4), dtype=complex)
+    ulp[0, 0, 0, 1], ulp[0, 0, 1, 0], ulp[0, 0, 2, 3], ulp[0, 0, 3, 2] = v, np.conj(v), 1, 1
+    ulp[0, 1] = -ulp[0, 0]
+    return {"negated-phase": negated, "non-commuting-maps": swaps, "square-one-ulp-off": ulp}
+
+
+@pytest.mark.parametrize("name", list(_monomial_variants()))
+def test_monomial_table_off_anticommuting_is_rejected_as_dense(name, dense_checks):
+    table = _monomial_variants()[name]
+    assert all(structure_module._monomial(cell) is not None for cell in table[:, 0])
+    functional = SteeringFunctional.from_table(table, kind="clifford-dichotomic")
+    assert structure_matches_dense_reference(functional).method == "complement-half"
+    assert dense_checks == []
 
 
 def test_reduced_strategies_keep_their_full_enumeration_values():
@@ -1032,13 +1144,36 @@ def test_missed_attainment_is_a_failed_certificate():
     functional = half_scale_clifford(4)
     with pytest.raises(BoundCheckError, match="canonical assemblage attains 0.5"):
         quantum_bound(functional)
-    with pytest.raises(BoundCheckError, match="certificates failed: canonical_attainment$"):
+    with pytest.raises(
+        BoundCheckError,
+        match="certificates failed: canonical_attainment, violation_ge_clifford$",
+    ):
         violation(functional, strict=True)
     report = violation(functional, strict=False)
+    # the report carries what the table's canonical assemblage attains,
+    # not the kind's n/2, and the violation computed from it
+    assert (report.s_q, report.s_q_method) == (pytest.approx(0.5, abs=1e-12), "canonical-lower")
+    assert report.s_lhs_exact == 0.5
+    assert report.violation == report.s_q / report.s_lhs_exact
     failed = [c for c in report.certificates if not c.satisfied]
     assert [(c.name, c.value, c.bound) for c in failed] == [
-        ("canonical_attainment", pytest.approx(0.5, abs=1e-12), 2.0)
+        ("canonical_attainment", report.s_q, 2.0),
+        ("violation_ge_clifford", report.violation, np.sqrt(2.0)),
     ]
+
+
+def test_proven_tables_eigensolve_only_the_psd_probe(eigvalsh_matrices):
+    # the closed-form LHS value and canonical positivity need no eigensolve;
+    # what remains is the one-cell psd probe of the envelope check
+    for functional in (
+        clifford_functional(build_clifford_family(7, full_dimension=True)),
+        dichotomic_functional(build_clifford_family(12)),
+        half_scale_clifford(4),
+    ):
+        eigvalsh_matrices.clear()
+        report = violation(functional, strict=False)
+        assert report.diagnostics["lhs_method"] == "anticommuting"
+        assert eigvalsh_matrices == [1]
 
 
 def test_strict_violation_raises_on_forced_failure(monkeypatch):

@@ -206,12 +206,18 @@ def test_bounds_reports_a_missed_canonical_attainment(tmp_path, capsys):
     path.write_text(functional_to_json(SteeringFunctional.from_table(table, kind="clifford")))
     report = tmp_path / "report.json"
     assert run(["bounds", str(path), "--out", str(report)]) == EXIT_CHECK
-    assert "failed certificates: canonical_attainment" in capsys.readouterr().err
-    certificates = {c["name"]: c for c in load_report(report)["report"]["certificates"]}
+    err = capsys.readouterr().err
+    assert "failed certificates: canonical_attainment, violation_ge_clifford" in err
+    written = load_report(report)["report"]
+    assert written["s_q"] == pytest.approx(n / 8, abs=1e-12)
+    assert written["s_q_method"] == "canonical-lower"
+    assert written["violation"] == written["s_q"] / written["s_lhs_exact"]
+    certificates = {c["name"]: c for c in written["certificates"]}
     attainment = certificates.pop("canonical_attainment")
     assert not attainment["satisfied"]
-    assert attainment["value"] == pytest.approx(n / 8, abs=1e-12)
+    assert attainment["value"] == written["s_q"]
     assert attainment["bound"] == n / 2
+    assert not certificates.pop("violation_ge_clifford")["satisfied"]
     assert all(c["satisfied"] for c in certificates.values())
 
 
@@ -333,6 +339,31 @@ def test_bounds_mislabelled_kind_is_a_one_line_check_failure(
     assert f"fails {failed}" in err or f", {failed}" in err
     assert "AssemblageReport" not in err
     assert not out.exists()
+
+
+def test_bounds_clifford_label_without_the_structure_eigensolves_every_cell(
+    tmp_path, capsys, eigvalsh_matrices
+):
+    from steerbound import build_clifford_family, dichotomic_functional
+    from steerbound.serialize import functional_to_json
+
+    # dichotomic n = 5 with one entry of B_0 one ulp off anticommuting: no
+    # closed form for the LHS bound or for the canonical cells' positivity
+    table = dichotomic_functional(build_clifford_family(5)).coefficients.copy()
+    j = int(np.flatnonzero(table[0, 0, 0])[0])
+    table[0, 0, 0, j] += 1j * np.spacing(abs(table[0, 0, 0, j]))
+    table[0, 0, j, 0] = np.conj(table[0, 0, 0, j])
+    table[0, 1] = -table[0, 0]
+    path = tmp_path / "table.json"
+    path.write_text(functional_to_json(SteeringFunctional.from_table(table, kind="clifford")))
+    eigvalsh_matrices.clear()
+    assert run(["bounds", str(path)]) == EXIT_CHECK
+    assert capsys.readouterr().err == (
+        "error: kind 'clifford' does not fit the table: "
+        "its canonical assemblage fails positivity\n"
+    )
+    # the a_0 = 0 half of the strategies, then all 10 canonical cells at once
+    assert eigvalsh_matrices == [2**4, 10]
 
 
 def test_bounds_cap_exceeded(tmp_path):

@@ -103,12 +103,16 @@ def test_functional_json_matches_the_per_entry_emitter():
     table = (edge + 1j * edge[::-1]).reshape(2, 2, 2, 2)
     rng = np.random.default_rng(3)
     noise = rng.standard_normal((3, 2, 3, 3)) * 10.0 ** rng.integers(-30, 30, (3, 2, 3, 3))
+    # sparse tables take the skeleton template, dense ones the full one
     for functional in (
         SteeringFunctional.from_table(table),
         SteeringFunctional.from_table(noise + 1j * noise[::-1], seed=4),
         mub_functional(build_mub_family(5, 6)),
         dichotomic_functional(build_clifford_family(7)),
         random_functional(3, 1),
+        clifford_functional(build_clifford_family(5, full_dimension=True)),
+        SteeringFunctional.from_table(noise),  # real: every other leaf is zero
+        SteeringFunctional.from_table(np.zeros((2, 2, 3, 3))),
     ):
         assert functional_to_json(functional) == _reference_functional_json(functional)
     text = functional_to_json(SteeringFunctional.from_table(table))
@@ -272,6 +276,7 @@ def _documents():
     edge = np.array([-0.0, 5e-324, -2.2250738585072014e-308, 0.1 + 0.2, 1e300, -7.0, 2.0**53 + 2])
     table = (np.resize(edge, 16) + 1j * np.resize(edge[::-1], 16)).reshape(2, 2, 2, 2)
     mub = mub_functional(build_mub_family(2, 3))
+    pauli = dichotomic_functional(build_clifford_family(4, full_dimension=True))  # mostly zeros
     return [
         ("functional", functional_to_json(mub)),
         ("functional", functional_to_json(dichotomic_functional(build_clifford_family(3)))),
@@ -280,6 +285,7 @@ def _documents():
             functional_to_json(clifford_functional(build_clifford_family(2, full_dimension=True))),
         ),
         ("functional", functional_to_json(random_functional(2, 1))),
+        ("functional", functional_to_json(pauli)),
         ("functional", functional_to_json(SteeringFunctional.from_table(table, seed=5))),
         ("assemblage", assemblage_to_json(canonical_quantum_assemblage(mub))),
         ("mub-family", mub_family_to_json(build_mub_family(3, 4))),
@@ -396,6 +402,41 @@ def _named_cases():
 @pytest.mark.parametrize(("text", "accepted"), _named_cases())
 def test_flat_parse_named_cases(text, accepted):
     assert (_assert_flat_matches_tree(text, "functional")[0] == "accept") == accepted
+
+
+def _zero_token_cases():
+    """A table of one nonzero leaf, whose flat text averages under 4 bytes
+    a leaf, so its zero tokens are skipped; each case rewrites one of them."""
+    table = np.zeros((1, 2, 2, 2), dtype=complex)
+    table[0, 0, 0, 0] = 12.5
+    base = functional_to_json(SteeringFunctional.from_table(table))
+    cases = {"-0": True, "00": False, "0.0": True, "0e0": True, " 0 ": True, "-0.0": True}
+    return [
+        pytest.param(base.replace("12.5,0]", f"12.5,{token}]", 1), accepted, id=repr(token))
+        for token, accepted in cases.items()
+    ] + [pytest.param(base, True, id="canonical")]
+
+
+@pytest.mark.parametrize(("text", "accepted"), _zero_token_cases())
+def test_flat_parse_of_tokens_near_zero(text, accepted):
+    outcome = _assert_flat_matches_tree(text, "functional")
+    assert (outcome[0] == "accept") == accepted
+    if accepted:
+        assert serialize._load_flat(text, "functional") is not None
+
+
+@pytest.mark.parametrize("token", ["0", "-0", "-0.0", "0.0", "0e0", " 0 ", "0 ", "7", "00", ""])
+def test_zero_token_skipping_parses_as_json(token):
+    leaves = ["0"] * 7 + [token] + ["0"] * 7 + ["2.5"]
+    flat = ",".join(leaves).encode()
+    assert len(flat) <= 4 * len(leaves)  # the branch that skips zero tokens
+    try:
+        expected = np.array(json.loads(b"[" + flat + b"]"), np.float64).tobytes()
+    except ValueError:
+        with pytest.raises(ValueError):
+            serialize._parse_leaves(flat, len(leaves))
+        return
+    assert serialize._parse_leaves(flat, len(leaves)).tobytes() == expected
 
 
 def test_huge_claimed_dimension_allocates_nothing():
