@@ -16,6 +16,7 @@ from .bounds import (
     PaperValues,
     QuantumBoundResult,
     SeesawResult,
+    canonical_quantum_assemblage,
     fine_grained_bound,
     fine_grained_xi,
     gram_matrix,
@@ -44,7 +45,6 @@ from .functionals import (
     Assemblage,
     AssemblageReport,
     SteeringFunctional,
-    canonical_quantum_assemblage,
     clifford_functional,
     clifford_projectors,
     dichotomic_functional,

@@ -32,9 +32,12 @@ line holds OpenBLAS at one thread for its whole command, so that load,
 table_structure and the certificates run single-threaded too.
 
 paper_values, the one reader of `kind`, holds what the paper proves for
-the kind a table claims; quantum_bound checks that claim on the table,
-and violation reads nothing else for its analytic values. Tables
-without paper values get a see-saw lower bound instead.
+the kind a table claims, including the scale and shift of the canonical
+assemblage (scale F_x^a + shift I)/d that attains its quantum value;
+quantum_bound and violation check that claim on the table with one
+attainment certificate, and violation reads nothing else for its
+analytic values. Tables without paper values get a see-saw lower bound
+instead.
 quantum_bound_seesaw advances its restarts together, batched
 over restarts and settings, in groups whose assembled operators stay
 within 8 MiB, also with OpenBLAS at one thread.
@@ -58,12 +61,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BoundCheckError, EnumerationCapExceeded, PreconditionError
-from .functionals import (
-    SteeringFunctional,
-    canonical_quantum_assemblage,
-    evaluate,
-    require_seed,
-)
+from .functionals import Assemblage, SteeringFunctional, evaluate, require_seed
 from .linalg import blas_threads, hermitian_part, numerical_radius, operator_norm
 from .mub import MubFamily
 from .structure import (
@@ -138,8 +136,13 @@ class BoundsReport:
     diagnostics: dict = field(default_factory=dict)
 
     @property
+    def failed(self) -> tuple[str, ...]:
+        """Names of the certificates not satisfied."""
+        return tuple(c.name for c in self.certificates if not c.satisfied)
+
+    @property
     def all_certificates_pass(self) -> bool:
-        return all(c.satisfied for c in self.certificates)
+        return not self.failed
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self) | {"s_lhs_witness": list(self.s_lhs_witness)}
@@ -322,10 +325,14 @@ def lhs_bound(
 
 @dataclass(frozen=True)
 class PaperValues:
-    """The quantum value and, per formula tag, an LHS upper bound and the
-    violation lower bound s_q / lhs_upper (up to the last bit)."""
+    """The quantum value, the canonical assemblage attaining it,
+    sigma_x^a = (scale F_x^a + shift I)/d, and, per formula tag, an LHS
+    upper bound and the violation lower bound s_q / lhs_upper (up to the
+    last bit)."""
 
     s_q: float
+    scale: float
+    shift: float
     lhs_upper: dict[str, float]
     violation_lower: dict[str, float]
 
@@ -334,11 +341,13 @@ def paper_values(f: SteeringFunctional) -> PaperValues | None:
     """What the paper proves for the kind `f` claims; None for random and
     custom tables.
 
-    Unbiased bases: S_Q = n, S_LHS <= 1 + (n+1)/sqrt(d) from the scaled
-    Gram matrix ("mub-gram") and (n/d)(1 + (d-1)/sqrt(n)) from
+    Unbiased bases: S_Q = n, attained by F_x^a/d (a maximally entangled
+    pair measured in the bases); S_LHS <= 1 + (n+1)/sqrt(d) from the
+    scaled Gram matrix ("mub-gram") and (n/d)(1 + (d-1)/sqrt(n)) from
     fine-grained uncertainty ("mub-uncertainty"). Anticommuting
-    observables: S_Q = n/2 and S_LHS <= sqrt(n/2) for the +-A_x/2 table,
-    S_Q = n and S_LHS <= sqrt(2n) for the dichotomic form.
+    observables: the spectral projectors (1 +- A_x)/(2d) attain S_Q = n/2
+    for the +-A_x/2 table, with S_LHS <= sqrt(n/2), and S_Q = n for the
+    dichotomic form, with S_LHS <= sqrt(2n).
     """
     n, d = f.n, f.d
     if f.kind == "mub":
@@ -346,6 +355,8 @@ def paper_values(f: SteeringFunctional) -> PaperValues | None:
             raise PreconditionError(f"invalid scenario d={d}, n={n}")
         return PaperValues(
             s_q=float(n),
+            scale=1.0,
+            shift=0.0,
             lhs_upper={
                 "mub-gram": 1.0 + (n + 1) / np.sqrt(d),
                 "mub-uncertainty": (n / d) * (1.0 + (d - 1) / np.sqrt(n)),
@@ -358,74 +369,103 @@ def paper_values(f: SteeringFunctional) -> PaperValues | None:
     rate = float(np.sqrt(n / 2.0))
     if f.kind == "clifford":
         return PaperValues(
-            s_q=n / 2.0, lhs_upper={"clifford": rate}, violation_lower={"clifford": rate}
+            s_q=n / 2.0,
+            scale=1.0,
+            shift=0.5,
+            lhs_upper={"clifford": rate},
+            violation_lower={"clifford": rate},
         )
     if f.kind == "clifford-dichotomic":
         return PaperValues(
             s_q=float(n),
+            scale=0.5,
+            shift=0.5,
             lhs_upper={"dichotomic": float(np.sqrt(2.0 * n))},
             violation_lower={"dichotomic": rate},
         )
     return None
 
 
-def _canonical_value(
-    f: SteeringFunctional, values: PaperValues, squares: tuple[float, ...] | None
-) -> float:
-    """What the kind's canonical assemblage attains on the table, after
-    the checks that do not depend on it: the assemblage must be valid (a
-    kind the table lacks fails positivity, no-signalling or normalisation)
-    and, for positive-semidefinite tables, values.s_q must stay within the
-    envelope sum_x max_a ||F_x^a||. `squares` are the c_x^2 of an
-    anticommuting +- table (structure.anticommuting_squares), whose
-    positivity then needs no eigensolve, or empty or None for any other
-    table. Each failed check raises
-    BoundCheckError; attainment is left to the caller."""
-    scale = float(np.sqrt(max(squares))) if squares else None
+def canonical_quantum_assemblage(
+    f: SteeringFunctional, squares: tuple[float, ...] | None = None
+) -> Assemblage:
+    """The assemblage (scale F_x^a + shift I)/d that paper_values gives the
+    table's kind; random and custom tables have none (PreconditionError).
+    A table without its kind's structure gives an invalid assemblage:
+    PreconditionError names the failed properties.
+
+    `squares` are the c_x^2 of a table proven to hold cells +-B_x with
+    B_x exactly Hermitian and B_x^2 = c_x^2 I
+    (structure.anticommuting_squares). Each member then has the spectrum
+    (shift +- scale c_x)/d, so the smallest eigenvalue is
+    (shift - scale max_x c_x)/d and no cell is eigensolved; without them
+    the members are eigensolved.
+    """
+    paper = paper_values(f)
+    if paper is None:
+        raise PreconditionError(f"no canonical quantum assemblage for kind {f.kind!r}")
+    members = f.coefficients * paper.scale  # in place after this: one table-sized array
+    members += paper.shift * np.eye(f.d, dtype=complex)
+    members /= f.d
+    lowest = (paper.shift - paper.scale * float(np.sqrt(max(squares)))) / f.d if squares else None
+    return Assemblage(members=members).require_valid(lowest)
+
+
+def _canonical_attainment(
+    f: SteeringFunctional, paper: PaperValues, squares: tuple[float, ...] | None
+) -> Certificate:
+    """Whether the kind's canonical assemblage attains paper.s_q on the
+    table, after checks that raise BoundCheckError: the assemblage must be
+    valid (a kind the table lacks fails positivity, no-signalling or
+    normalisation), and for a positive-semidefinite table s_q must stay
+    within the envelope sum_x max_a ||F_x^a||. A table with `squares` (as
+    in canonical_quantum_assemblage) is not probed: its cells B and -B
+    are both positive semidefinite only when B = 0, which fails
+    attainment anyway."""
     try:
-        assemblage = canonical_quantum_assemblage(f, scale)
+        assemblage = canonical_quantum_assemblage(f, squares)
     except PreconditionError as exc:
         raise BoundCheckError(
             f"kind {f.kind!r} does not fit the table: its canonical {exc}"
         ) from None
-    if f.psd:
+    if not squares and f.psd:
         envelope = sum(
             max(operator_norm(f.coefficients[x, a]) for a in range(f.m))
             for x in range(f.n)
         )
-        if values.s_q > envelope + TOLERANCES.bound_slack:
+        if paper.s_q > envelope + TOLERANCES.bound_slack:
             raise BoundCheckError(
-                f"quantum bound {values.s_q} exceeds the PSD envelope {envelope}"
+                f"quantum bound {paper.s_q} exceeds the PSD envelope {envelope}"
             )
-    return float(evaluate(f, assemblage))
-
-
-def _attains(attained: float, values: PaperValues) -> bool:
-    return abs(attained - values.s_q) <= TOLERANCES.bound_slack
+    attained = float(evaluate(f, assemblage))
+    return Certificate(
+        name="canonical_attainment",
+        satisfied=abs(attained - paper.s_q) <= TOLERANCES.bound_slack,
+        value=attained,
+        bound=paper.s_q,
+    )
 
 
 def quantum_bound(f: SteeringFunctional) -> QuantumBoundResult:
     """The quantum value paper_values gives the table's kind, checked on
-    the table: the kind's canonical assemblage must be valid and attain
-    the value, and for positive-semidefinite tables the value must stay
-    within the PSD envelope (see _canonical_value). Attainment gives the
-    lower half; the upper half follows from sum_a Tr(sigma_x^a) = 1 per
-    setting (unbiased bases: Tr(F sigma) <= ||F|| Tr(sigma) termwise;
+    the table by _canonical_attainment. Attainment gives the lower half;
+    the upper half follows from sum_a Tr(sigma_x^a) = 1 per setting
+    (unbiased bases: Tr(F sigma) <= ||F|| Tr(sigma) termwise;
     anticommuting kinds: |Tr(A_x (sigma_x^1 - sigma_x^2))| <=
     ||sigma_x^1 - sigma_x^2||_1 <= 1). Each failed check raises
     BoundCheckError; random and custom tables raise PreconditionError.
     """
-    values = paper_values(f)
-    if values is None:
+    paper = paper_values(f)
+    if paper is None:
         raise PreconditionError(
             f"no analytic quantum bound for kind {f.kind!r}; use quantum_bound_seesaw"
         )
-    attained = _canonical_value(f, values, anticommuting_squares(f))
-    if not _attains(attained, values):
+    attainment = _canonical_attainment(f, paper, anticommuting_squares(f))
+    if not attainment.satisfied:
         raise BoundCheckError(
-            f"canonical assemblage attains {attained!r}, expected {values.s_q!r}"
+            f"canonical assemblage attains {attainment.value!r}, expected {paper.s_q!r}"
         )
-    return QuantumBoundResult(value=values.s_q, canonical_value=attained)
+    return QuantumBoundResult(value=paper.s_q, canonical_value=attainment.value)
 
 
 _SEESAW_GROUP_BYTES = 1 << 23  # assembled stack of one restart group
@@ -680,19 +720,12 @@ def violation(
     paper = paper_values(f)
     certificates: list[Certificate] = []
     if paper is not None:
-        attained = _canonical_value(f, paper, lhs.structure.squares)
-        if _attains(attained, paper):
+        attainment = _canonical_attainment(f, paper, lhs.structure.squares)
+        certificates.append(attainment)
+        if attainment.satisfied:
             s_q, method = paper.s_q, "analytic"
         else:
-            s_q, method = attained, "canonical-lower"
-        certificates.append(
-            Certificate(
-                name="canonical_attainment",
-                satisfied=method == "analytic",
-                value=attained,
-                bound=paper.s_q,
-            )
-        )
+            s_q, method = attainment.value, "canonical-lower"
     else:
         seesaw = quantum_bound_seesaw(
             f,
@@ -747,9 +780,8 @@ def violation(
         certificates=tuple(certificates),
         diagnostics=diagnostics,
     )
-    if strict and not report.all_certificates_pass:
-        failed = [c.name for c in report.certificates if not c.satisfied]
-        raise BoundCheckError(f"certificates failed: {', '.join(failed)}")
+    if strict and report.failed:
+        raise BoundCheckError(f"certificates failed: {', '.join(report.failed)}")
     return report
 
 

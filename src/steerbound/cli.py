@@ -34,6 +34,7 @@ from .errors import (
     EnumerationCapExceeded,
     PreconditionError,
     SchemaError,
+    SteerboundError,
 )
 from .functionals import (
     clifford_functional,
@@ -52,6 +53,15 @@ EXIT_PARSE = 3
 EXIT_PRECONDITION = 4
 EXIT_CAP = 5
 EXIT_CHECK = 6
+
+# The first entry whose classes match an error gives its exit code, so a
+# subclass comes before its base.
+_EXIT_CODES = (
+    ((SchemaError, FileNotFoundError, IsADirectoryError), EXIT_PARSE),
+    (EnumerationCapExceeded, EXIT_CAP),
+    (PreconditionError, EXIT_PRECONDITION),
+    (BoundCheckError, EXIT_CHECK),
+)
 
 SWEEP_COLUMNS = (
     "parameter",
@@ -201,9 +211,8 @@ def cmd_bounds(args) -> int:
             "report": report.to_dict(),
         }
         Path(args.out).write_text(canonical_dumps(document))
-    if not report.all_certificates_pass:
-        failed = [c.name for c in report.certificates if not c.satisfied]
-        print(f"failed certificates: {', '.join(failed)}", file=sys.stderr)
+    if report.failed:
+        print(f"failed certificates: {', '.join(report.failed)}", file=sys.stderr)
         return EXIT_CHECK
     return EXIT_OK
 
@@ -360,21 +369,9 @@ def main(argv=None) -> int:
             _check_out(args.out)
         with blas_threads(1):
             return args.func(args)
-    except SchemaError as exc:
+    except (SteerboundError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (FileNotFoundError, IsADirectoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except EnumerationCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except BoundCheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK
+        return next(code for classes, code in _EXIT_CODES if isinstance(exc, classes))
 
 
 if __name__ == "__main__":

@@ -4,6 +4,11 @@ A steering functional is an n x m table of d x d coefficient operators
 F_x^a; an assemblage is an n x m table of steered states sigma_x^a with a
 setting-independent sum. The pairing <F, sigma> = Tr(sum_xa F_x^a
 sigma_x^a) is the number every bound in this toolkit is about.
+
+A functional's `kind` names the structure its table claims; this module
+only checks it against KINDS. What the paper proves for each kind, and
+the canonical assemblage attaining its quantum value, live in
+bounds.paper_values.
 """
 
 from __future__ import annotations
@@ -250,39 +255,3 @@ def evaluate(functional: SteeringFunctional, assemblage) -> float | complex:
     )
     return value
 
-
-def canonical_quantum_assemblage(
-    functional: SteeringFunctional, scale: float | None = None
-) -> Assemblage:
-    """The assemblage attaining the known quantum value of a structured kind.
-
-    mub: sigma_x^a = F_x^a / d (steering a maximally entangled pair with
-    the unbiased-basis measurements). clifford kinds: sigma_x^a = P_x^a / d
-    with the spectral projectors of A_x. Random and custom tables have no
-    canonical optimizer. A table without its kind's structure gives an
-    invalid assemblage: PreconditionError names the failed properties.
-
-    `scale` is max_x c_x for a table proven to hold cells +-B_x with B_x
-    exactly Hermitian and B_x^2 = c_x^2 I (structure.anticommuting_squares).
-    The spectrum of each +-B_x pair is then {c_x, -c_x}, so the members'
-    smallest eigenvalue is (1/2 - scale)/d for `clifford` and
-    (1 - scale)/(2d) for `clifford-dichotomic`, and no cell is eigensolved;
-    `mub` tables are eigensolved whatever the scale.
-    """
-    kind = functional.kind
-    d = functional.d
-    eye = np.eye(d, dtype=complex)
-    lowest = None
-    if kind == "mub":
-        members = functional.coefficients / d
-    elif kind == "clifford":
-        members = (functional.coefficients + eye / 2) / d
-        if scale is not None:
-            lowest = (0.5 - scale) / d
-    elif kind == "clifford-dichotomic":
-        members = (functional.coefficients / 2 + eye / 2) / d
-        if scale is not None:
-            lowest = (1.0 - scale) / (2 * d)
-    else:
-        raise PreconditionError(f"no canonical quantum assemblage for kind {kind!r}")
-    return Assemblage(members=members).require_valid(lowest)

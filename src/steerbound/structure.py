@@ -14,7 +14,7 @@ cases, in the order they are tried:
   are O(d) gathers, so the check costs O(n d^2) to read the table and
   O(n^2 d) to decide; other tables take dense d x d products, O(n^2 d^3).
   The c_x^2 are kept, since they also give the canonical assemblage's
-  positivity in closed form (functionals.canonical_quantum_assemblage).
+  positivity in closed form (bounds.canonical_quantum_assemblage).
 - rank-one: a non-Hermitian table whose cells are all zero outside one
   common row r, exactly. Strategy operators are then e_r w^T, whose
   numerical radius is exactly (|w_r| + |w|)/2.

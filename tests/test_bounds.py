@@ -6,6 +6,7 @@ import pytest
 
 from steerbound import (
     TOLERANCES,
+    Assemblage,
     BoundCheckError,
     EnumerationCapExceeded,
     MubFamily,
@@ -1162,9 +1163,10 @@ def test_missed_attainment_is_a_failed_certificate():
     ]
 
 
-def test_proven_tables_eigensolve_only_the_psd_probe(eigvalsh_matrices):
-    # the closed-form LHS value and canonical positivity need no eigensolve;
-    # what remains is the one-cell psd probe of the envelope check
+def test_proven_tables_make_no_eigensolve(eigvalsh_matrices):
+    # the closed-form LHS value and canonical positivity need no eigensolve,
+    # and a +- table skips the psd probe: its cells B and -B are both
+    # positive semidefinite only when B = 0
     for functional in (
         clifford_functional(build_clifford_family(7, full_dimension=True)),
         dichotomic_functional(build_clifford_family(12)),
@@ -1173,7 +1175,56 @@ def test_proven_tables_eigensolve_only_the_psd_probe(eigvalsh_matrices):
         eigvalsh_matrices.clear()
         report = violation(functional, strict=False)
         assert report.diagnostics["lhs_method"] == "anticommuting"
-        assert eigvalsh_matrices == [1]
+        assert eigvalsh_matrices == []
+
+
+def test_canonical_positivity_formula_matches_an_eigensolve(monkeypatch):
+    # (shift - scale max_x c_x)/d from the squares, against an eigensolve of
+    # the same members, for every kind; the last three tables fail positivity
+    reports = []
+    validate = Assemblage.validate
+
+    def recording(self, min_eigenvalue=None):
+        reports.append(validate(self, min_eigenvalue))
+        return reports[-1]
+
+    monkeypatch.setattr(Assemblage, "validate", recording)
+    dichotomic = dichotomic_functional(build_clifford_family(6)).coefficients
+    tables = (
+        clifford_functional(build_clifford_family(5)),
+        clifford_functional(build_clifford_family(4, full_dimension=True)),
+        dichotomic_functional(build_clifford_family(6)),
+        half_scale_clifford(4),
+        SteeringFunctional.from_table(dichotomic * 3, kind="clifford-dichotomic"),
+        SteeringFunctional.from_table(dichotomic, kind="mub"),
+        SteeringFunctional.from_table(dichotomic / 2, kind="mub"),
+    )
+    for i, functional in enumerate(tables):
+        squares = structure_module.anticommuting_squares(functional)
+        assert squares
+        failed = []
+        for given in (squares, None):
+            try:
+                canonical_quantum_assemblage(functional, given)
+            except PreconditionError as exc:
+                failed.append(str(exc))
+            else:
+                failed.append(None)
+        closed_form, eigensolved = reports[-2:]
+        assert closed_form.min_eigenvalue == pytest.approx(eigensolved.min_eigenvalue, abs=1e-14)
+        assert closed_form.failed == eigensolved.failed
+        assert failed[0] == failed[1]
+        assert ("positivity" in closed_form.failed) == (i >= len(tables) - 3)
+
+
+def test_mub_label_on_a_plus_minus_table_does_not_fit(eigvalsh_matrices):
+    table = dichotomic_functional(build_clifford_family(6)).coefficients
+    with pytest.raises(
+        BoundCheckError,
+        match="kind 'mub' does not fit the table: its canonical assemblage fails positivity",
+    ):
+        quantum_bound(SteeringFunctional.from_table(table, kind="mub"))
+    assert eigvalsh_matrices == []
 
 
 def test_strict_violation_raises_on_forced_failure(monkeypatch):
@@ -1181,9 +1232,12 @@ def test_strict_violation_raises_on_forced_failure(monkeypatch):
     monkeypatch.setattr(
         bounds_module,
         "paper_values",
-        lambda f: PaperValues(s_q=3.0, lhs_upper={}, violation_lower={"impossible": 100.0}),
+        lambda f: PaperValues(
+            s_q=3.0, scale=1.0, shift=0.0, lhs_upper={}, violation_lower={"impossible": 100.0}
+        ),
     )
     with pytest.raises(BoundCheckError, match="impossible"):
         bounds_module.violation(functional, strict=True)
     report = bounds_module.violation(functional, strict=False)
     assert not report.all_certificates_pass
+    assert report.failed == ("violation_ge_impossible",)

@@ -14,9 +14,9 @@ from steerbound import (
     build_mub_family,
     serialize,
 )
+from steerbound.bounds import canonical_quantum_assemblage
 from steerbound.cli import main as cli_main
 from steerbound.functionals import (
-    canonical_quantum_assemblage,
     clifford_functional,
     dichotomic_functional,
     mub_functional,
