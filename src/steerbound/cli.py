@@ -330,8 +330,12 @@ def _build_parser() -> argparse.ArgumentParser:
     bnd.add_argument("--threads", type=int, help=THREADS_HELP)
     bnd.add_argument("--angular-res", type=int, default=720)
     bnd.add_argument("--restarts", type=int, default=20, help="see-saw restarts")
-    bnd.add_argument("--max-iters", type=int, default=500, help="see-saw iteration cap")
-    bnd.add_argument("--tol", type=float, default=1e-10, help="see-saw convergence tolerance")
+    bnd.add_argument(
+        "--max-iters", type=int, default=500, help="see-saw updates per restart, kept or discarded"
+    )
+    bnd.add_argument(
+        "--tol", type=float, default=1e-10, help="see-saw stop: largest gain of a kept update"
+    )
     bnd.add_argument("--seed", type=int, default=0, help="see-saw restart seed")
     bnd.add_argument("--out", help="write the JSON report here")
     bnd.set_defaults(func=cmd_bounds)
@@ -350,7 +354,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--filter", help="substring filter on check names")
     ver.add_argument("--seed", type=int, default=7)
     ver.add_argument("--restarts", type=int, default=8, help="see-saw restarts in the suite")
-    ver.add_argument("--max-iters", type=int, default=300)
+    ver.add_argument(
+        "--max-iters", type=int, default=300, help="see-saw update cap per restart in the suite"
+    )
     ver.add_argument("--threads", type=int, help=THREADS_HELP)
     ver.add_argument("--out", help="write the machine-readable summary here")
     ver.set_defaults(func=cmd_verify)

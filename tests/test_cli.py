@@ -165,6 +165,19 @@ def test_bounds_random_kind_uses_seesaw(tmp_path):
     assert "seesaw_iterations" in doc["report"]["diagnostics"]
 
 
+def test_bounds_random_kind_reports_seesaw_extrapolations(tmp_path):
+    functional = tmp_path / "rand.json"
+    report = tmp_path / "r.json"
+    run(["generate", "--kind", "random", "--d", "3", "--seed", "3", "--out", str(functional)])
+    assert run(["bounds", str(functional), "--restarts", "3", "--out", str(report)]) == EXIT_OK
+    diagnostics = json.loads(report.read_text())["report"]["diagnostics"]
+    counts = diagnostics["seesaw_extrapolations"]
+    assert set(counts) == {"kept", "tried"}
+    assert 0 <= counts["kept"] <= counts["tried"]
+    assert counts["tried"] > 0
+    assert "seesaw_extrapolations" not in diagnostics["timings"]
+
+
 def test_bounds_zero_table_is_a_precondition_failure(tmp_path, capsys):
     from steerbound import SteeringFunctional
     from steerbound.serialize import functional_to_json
