@@ -36,8 +36,9 @@ the kind a table claims, including the scale and shift of the canonical
 assemblage (scale F_x^a + shift I)/d that attains its quantum value;
 quantum_bound and violation check that claim on the table with one
 attainment certificate, and violation reads nothing else for its
-analytic values. Tables without paper values get a see-saw lower bound
-instead.
+analytic values. The certificate pairs the table with that assemblage
+through sums over the table (_canonical_check), without building it.
+Tables without paper values get a see-saw lower bound instead.
 quantum_bound_seesaw advances its restarts together, batched
 over restarts and settings, in groups whose assembled operators stay
 within 8 MiB, also with OpenBLAS at one thread. Every third update
@@ -50,10 +51,13 @@ Memory is bounded by shape alone: 8 MiB of strategy operators per chunk,
 256 KiB of rotated matrices per numerical-radius grid block (see
 linalg.numerical_radius), 8 MiB of assembled operators per see-saw
 group, beside two earlier states and one spare POVM/factor table per
-restart in it; table_structure adds one setting's cells, a d x d product
-and a boolean mask of the table at a time. A table whose absolute entry sum
-reaches 1e300 is rejected before any of them runs, since its strategy
-sums could overflow.
+restart in it; table_structure adds one setting's cells, a d x d product,
+a boolean mask of the table and the (n, d) gathers of one setting's
+anticommutation pairs at a time. The canonical attainment
+adds one setting's outcome sum, and the cells' Hermitian parts only when
+it must eigensolve them (tables without the +- structure). A table whose
+absolute entry sum reaches 1e300 is rejected before any of them runs,
+since its strategy sums could overflow.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BoundCheckError, EnumerationCapExceeded, PreconditionError
-from .functionals import Assemblage, SteeringFunctional, evaluate, require_seed
+from .functionals import Assemblage, AssemblageReport, SteeringFunctional, require_seed
 from .linalg import blas_threads, hermitian_part, numerical_radius, operator_norm
 from .mub import MubFamily
 from .structure import (
@@ -393,44 +397,81 @@ def paper_values(f: SteeringFunctional) -> PaperValues | None:
     return None
 
 
-def canonical_quantum_assemblage(
-    f: SteeringFunctional, squares: tuple[float, ...] | None = None
-) -> Assemblage:
+def _canonical_check(
+    f: SteeringFunctional, paper: PaperValues, squares: tuple[float, ...] | None
+) -> tuple[AssemblageReport, complex]:
+    """Validity of the canonical assemblage sigma_x^a = (scale F_x^a +
+    shift I)/d and its pairing with the table, from sums over the table
+    instead of the members, so no table-sized array is built:
+
+    - value: (scale sum_xa Tr(F_x^a F_x^a) + shift sum_xa Tr F_x^a)/d, a
+      pairing of the table that never reads `squares`, so an attained
+      value still cross-checks the structure proof;
+    - no-signalling: sum_a sigma_x^a = (scale R_x + m shift I)/d with
+      R_x = sum_a F_x^a, which deviates from setting 0 by
+      scale ||R_x - R_0|| / d;
+    - normalisation: Tr sum_a sigma_0^a = (scale Tr R_0 + m d shift)/d;
+    - positivity: `squares` are the c_x^2 of a table proven to hold cells
+      +-B_x with B_x exactly Hermitian and B_x^2 = c_x^2 I
+      (structure.anticommuting_squares). Each member then has the
+      spectrum (shift +- scale c_x)/d, so the smallest eigenvalue is
+      (shift - scale max_x c_x)/d and no cell is eigensolved; without
+      them the cells' Hermitian parts are eigensolved in one batch.
+    """
+    table, m, d = f.coefficients, f.m, f.d
+    scale, shift = paper.scale, paper.shift
+    if squares:
+        lowest = (shift - scale * float(np.sqrt(max(squares)))) / d
+    else:
+        eigs = np.linalg.eigvalsh(hermitian_part(table.reshape(-1, d, d)))
+        lowest = float(((scale * eigs + shift) / d).min())
+    first = table[0].sum(axis=0)
+    nosig = max(
+        (operator_norm(scale * (cells.sum(axis=0) - first) / d) for cells in table[1:]),
+        default=0.0,
+    )
+    trace = (scale * float(np.trace(first).real) + m * d * shift) / d
+    report = AssemblageReport(
+        min_eigenvalue=lowest,
+        no_signaling_deviation=nosig,
+        normalization_deviation=abs(trace - 1.0),
+        tolerance=TOLERANCES.assemblage,
+    )
+    pairing = np.einsum("xaij,xaji->", table, table)
+    value = (scale * pairing + shift * np.einsum("xaii->", table)) / d
+    return report, complex(value)
+
+
+def canonical_quantum_assemblage(f: SteeringFunctional) -> Assemblage:
     """The assemblage (scale F_x^a + shift I)/d that paper_values gives the
     table's kind; random and custom tables have none (PreconditionError).
     A table without its kind's structure gives an invalid assemblage:
-    PreconditionError names the failed properties.
-
-    `squares` are the c_x^2 of a table proven to hold cells +-B_x with
-    B_x exactly Hermitian and B_x^2 = c_x^2 I
-    (structure.anticommuting_squares). Each member then has the spectrum
-    (shift +- scale c_x)/d, so the smallest eigenvalue is
-    (shift - scale max_x c_x)/d and no cell is eigensolved; without them
-    the members are eigensolved.
-    """
+    PreconditionError names the failed properties, as _canonical_check
+    finds them with the cells eigensolved."""
     paper = paper_values(f)
     if paper is None:
         raise PreconditionError(f"no canonical quantum assemblage for kind {f.kind!r}")
+    _canonical_check(f, paper, None)[0].require()
     members = f.coefficients * paper.scale  # in place after this: one table-sized array
     members += paper.shift * np.eye(f.d, dtype=complex)
     members /= f.d
-    lowest = (paper.shift - paper.scale * float(np.sqrt(max(squares)))) / f.d if squares else None
-    return Assemblage(members=members).require_valid(lowest)
+    return Assemblage(members=members)
 
 
 def _canonical_attainment(
     f: SteeringFunctional, paper: PaperValues, squares: tuple[float, ...] | None
 ) -> Certificate:
     """Whether the kind's canonical assemblage attains paper.s_q on the
-    table, after checks that raise BoundCheckError: the assemblage must be
-    valid (a kind the table lacks fails positivity, no-signalling or
-    normalisation), and for a positive-semidefinite table s_q must stay
-    within the envelope sum_x max_a ||F_x^a||. A table with `squares` (as
-    in canonical_quantum_assemblage) is not probed: its cells B and -B
-    are both positive semidefinite only when B = 0, which fails
-    attainment anyway."""
+    table (_canonical_check), after checks that raise BoundCheckError: the
+    assemblage must be valid (a kind the table lacks fails positivity,
+    no-signalling or normalisation), and for a positive-semidefinite table
+    s_q must stay within the envelope sum_x max_a ||F_x^a||. A table with
+    `squares` is not probed: its cells B and -B are both positive
+    semidefinite only when B = 0, which fails attainment anyway. A pairing
+    with an imaginary part misses s_q by it."""
+    report, attained = _canonical_check(f, paper, squares)
     try:
-        assemblage = canonical_quantum_assemblage(f, squares)
+        report.require()
     except PreconditionError as exc:
         raise BoundCheckError(
             f"kind {f.kind!r} does not fit the table: its canonical {exc}"
@@ -444,11 +485,10 @@ def _canonical_attainment(
             raise BoundCheckError(
                 f"quantum bound {paper.s_q} exceeds the PSD envelope {envelope}"
             )
-    attained = float(evaluate(f, assemblage))
     return Certificate(
         name="canonical_attainment",
         satisfied=abs(attained - paper.s_q) <= TOLERANCES.bound_slack,
-        value=attained,
+        value=attained.real,
         bound=paper.s_q,
     )
 

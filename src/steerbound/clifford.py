@@ -1,6 +1,7 @@
 """Pairwise anticommuting Hermitian involutions from Pauli tensor chains.
 
-The chain on m qubits places sigma_x or sigma_y behind a sigma_z prefix,
+The chain on m qubits is the Jordan-Wigner one (Jordan and Wigner,
+Z. Phys. 47, 631, 1928): sigma_x or sigma_y behind a sigma_z prefix,
 
     A_(2k-1) = sz^(x(k-1)) (x) sx (x) 1^(x(m-k)),
     A_(2k)   = sz^(x(k-1)) (x) sy (x) 1^(x(m-k)),   k = 1..m,
@@ -9,22 +10,24 @@ with A_(2m+1) = sz^(x m) as one extra element, so m qubits carry up to
 2m+1 observables. Any two distinct elements anticommute and each squares
 to the identity, hence (sum_x c_x A_x)^2 = (sum_x c_x^2) 1 for real
 coefficients - the identity every norm bound in this toolkit leans on.
+
+Each string has one nonzero per column, so the chain is built by index
+arithmetic rather than Kronecker products, with qubit k the k-th most
+significant bit of a basis index j: sx and sy on qubit k send column j to
+row j XOR bit_k, the sz prefix multiplies by (-1)^(number of set bits of
+j above bit_k), and sy adds i (-1)^(bit_k of j). The entries are those of
+the Kronecker definition exactly (linalg.tensor), up to the sign of
+zeros, and only the requested observables are built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .errors import PreconditionError
-from .linalg import tensor
 from .tolerances import TOLERANCES
-
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 DIMENSION_CAP = 4096
 
@@ -59,14 +62,26 @@ class AnticommutationReport:
 
 
 def _chain(m: int, count: int) -> np.ndarray:
-    eye = np.eye(2, dtype=complex)
-    ops = []
-    for k in range(1, m + 1):
-        for pauli in (SIGMA_X, SIGMA_Y):
-            factors = [SIGMA_Z] * (k - 1) + [pauli] + [eye] * (m - k)
-            ops.append(reduce(tensor, factors))
-    ops.append(reduce(tensor, [SIGMA_Z] * m))
-    return np.stack(ops[:count])
+    """The first `count` observables of the m-qubit chain, in chain order."""
+    d = 2**m
+    columns = np.arange(d)
+    ops = np.zeros((count, d, d), dtype=complex)
+    parity = np.zeros(d, dtype=int)  # of the bits of j above qubit k
+    for x in range(count):
+        k, is_y = divmod(x, 2)
+        signs = 1 - 2 * parity
+        if k == m:  # A_(2m+1) = sz^(x m)
+            ops[x, columns, columns] = signs
+            continue
+        shift = m - 1 - k
+        bit = (columns >> shift) & 1
+        rows = columns ^ (1 << shift)
+        if is_y:
+            ops[x, rows, columns] = 1j * signs * (1 - 2 * bit)
+            parity ^= bit
+        else:
+            ops[x, rows, columns] = signs
+    return ops
 
 
 def build_clifford_family(n: int, full_dimension: bool = False) -> CliffordFamily:

@@ -117,13 +117,18 @@ class AssemblageReport:
     def passed(self) -> bool:
         return not self.failed
 
+    def require(self) -> None:
+        """Raise PreconditionError naming the failed properties, if any."""
+        if self.failed:
+            raise PreconditionError(f"assemblage fails {', '.join(self.failed)}")
+
 
 @dataclass(frozen=True)
 class Assemblage:
     """Table of steered states sigma_x^a.
 
     Validity (positivity, a setting-independent reduced state, unit trace)
-    is checked by validate()/require_valid() rather than at construction,
+    is checked by validate() rather than at construction,
     so deliberately broken tables remain constructible in tests.
     """
 
@@ -141,15 +146,13 @@ class Assemblage:
     def d(self) -> int:
         return self.members.shape[2]
 
-    def validate(self, min_eigenvalue: float | None = None) -> AssemblageReport:
-        """Positivity, no-signalling and normalisation. Positivity reads
-        the members' smallest eigenvalue, eigensolved unless the caller
-        knows it in closed form and passes it as min_eigenvalue."""
+    def validate(self) -> AssemblageReport:
+        """Positivity (the members' smallest eigenvalue), no-signalling and
+        normalisation."""
         members = _table(self.members)
-        if min_eigenvalue is None:
-            flat = members.reshape(-1, members.shape[2], members.shape[3])
-            herm = (flat + flat.conj().transpose(0, 2, 1)) / 2
-            min_eigenvalue = float(np.linalg.eigvalsh(herm).min())
+        flat = members.reshape(-1, members.shape[2], members.shape[3])
+        herm = (flat + flat.conj().transpose(0, 2, 1)) / 2
+        min_eigenvalue = float(np.linalg.eigvalsh(herm).min())
         reduced = members.sum(axis=1)
         nosig = max(
             (operator_norm(reduced[x] - reduced[0]) for x in range(members.shape[0])),
@@ -162,12 +165,6 @@ class Assemblage:
             normalization_deviation=norm_dev,
             tolerance=TOLERANCES.assemblage,
         )
-
-    def require_valid(self, min_eigenvalue: float | None = None) -> "Assemblage":
-        failed = self.validate(min_eigenvalue).failed
-        if failed:
-            raise PreconditionError(f"assemblage fails {', '.join(failed)}")
-        return self
 
 
 def mub_functional(family: MubFamily) -> SteeringFunctional:
@@ -187,7 +184,9 @@ def clifford_projectors(family: CliffordFamily) -> np.ndarray:
 def clifford_functional(family: CliffordFamily) -> SteeringFunctional:
     """Two-outcome table F_x^1 = A_x/2, F_x^2 = -A_x/2 (the projector table
     shifted by -1/2)."""
-    table = np.stack([np.stack([a / 2, -a / 2]) for a in family.observables])
+    obs = np.asarray(family.observables, dtype=complex)
+    table = np.stack((obs, -obs), axis=1)
+    table /= 2
     return SteeringFunctional.from_table(table, kind="clifford")
 
 
@@ -196,7 +195,8 @@ def dichotomic_functional(family: CliffordFamily) -> SteeringFunctional:
     A_x = P_x^1 - P_x^2. Its steering pairing with an assemblage is
     Tr(sum_x A_x (sigma_x^1 - sigma_x^2)), the dichotomic inequality on the
     difference assemblages."""
-    table = np.stack([np.stack([a, -a]) for a in family.observables])
+    obs = family.observables
+    table = np.stack((obs, -obs), axis=1)
     return SteeringFunctional.from_table(table, kind="clifford-dichotomic")
 
 

@@ -11,10 +11,12 @@ cases, in the order they are tried:
   so every strategy has the norm sqrt(sum_x c_x^2), a closed form. When
   every B_x is monomial (one nonzero per row and per column, as Pauli
   strings are), it is kept as (column, value) arrays and the products
-  are O(d) gathers, so the check costs O(n d^2) to read the table and
-  O(n^2 d) to decide; other tables take dense d x d products, O(n^2 d^3).
+  are O(d) gathers, each B_x against all earlier B_y at once, so the
+  check costs O(n d^2) to read the table and O(n^2 d) to decide in O(n d)
+  memory; other tables take dense d x d products pair by pair,
+  O(n^2 d^3).
   The c_x^2 are kept, since they also give the canonical assemblage's
-  positivity in closed form (bounds.canonical_quantum_assemblage).
+  positivity in closed form (bounds._canonical_check).
 - rank-one: a non-Hermitian table whose cells are all zero outside one
   common row r, exactly. Strategy operators are then e_r w^T, whose
   numerical radius is exactly (|w_r| + |w|)/2.
@@ -78,27 +80,28 @@ def _monomial(b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return columns, b[rows, columns]
 
 
-def _monomial_squares(cells: list[tuple[np.ndarray, np.ndarray]]) -> tuple[float, ...] | None:
-    """_dense_squares for Hermitian monomial B_x = (c_x, v_x), from O(d)
-    gathers. Hermiticity makes c_x an involution with v_x[c_x] = conj(v_x),
-    so B_x^2 is the diagonal v_x * v_x[c_x]. P = B_x B_y holds p = v_x *
-    v_y[c_x] in row i at column pi(i), pi = c_y[c_x], and P^dagger holds
-    conj(p[pi]) there exactly where pi(pi(i)) = i. Every entry of a dense
-    product is one such product plus exact zeros, so the decision is the
-    dense check's."""
-    rows = np.arange(cells[0][0].size)
-    squares: list[float] = []
-    for x, (cx, vx) in enumerate(cells):
-        square = vx * vx[cx]
-        c2 = square[0]
-        if c2.imag != 0 or not (square == c2).all():
+def _monomial_squares(columns: np.ndarray, values: np.ndarray) -> tuple[float, ...] | None:
+    """_dense_squares for Hermitian monomial B_x, row i holding values[x, i]
+    at column columns[x, i], from O(d) gathers. Hermiticity makes c_x an
+    involution with v_x[c_x] = conj(v_x), so B_x^2 is the diagonal
+    v_x * v_x[c_x]. P = B_x B_y holds p = v_x * v_y[c_x] in row i at
+    column pi(i), pi = c_y[c_x], and P^dagger holds conj(p[pi]) there
+    exactly where pi(pi(i)) = i. Every entry of a dense product is one such
+    product plus exact zeros, so the decision is the dense check's. Each
+    B_x is checked against all B_y, y < x, at once, so the extra memory is
+    at most the (n, d) input's and the first failing x ends the check."""
+    squares = values * np.take_along_axis(values, columns, axis=1)
+    c2 = squares[:, :1]
+    if (c2.imag != 0).any() or not (squares == c2).all():
+        return None
+    rows = np.arange(columns.shape[1])
+    for x in range(1, columns.shape[0]):
+        cx = columns[x]
+        pi, p = columns[:x, cx], values[x] * values[:x, cx]
+        paired = np.take_along_axis(pi, pi, axis=1) == rows
+        if np.where(paired, p + np.take_along_axis(p, pi, axis=1).conj(), p).any():
             return None
-        squares.append(c2.real)
-        for cy, vy in cells[:x]:
-            pi, p = cy[cx], vx * vy[cx]
-            if np.where(pi[pi] == rows, p + p[pi].conj(), p).any():
-                return None
-    return tuple(squares)
+    return tuple(c2[:, 0].real)
 
 
 def _dense_squares(ops: np.ndarray) -> tuple[float, ...] | None:
@@ -134,7 +137,8 @@ def anticommuting_squares(f: SteeringFunctional) -> tuple[float, ...] | None:
         return None
     cells = [_monomial(b) for b in ops]
     if all(cell is not None for cell in cells):
-        return _monomial_squares(cells)
+        columns, values = zip(*cells)
+        return _monomial_squares(np.stack(columns), np.stack(values))
     with blas_threads(1):
         return _dense_squares(ops)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from steerbound import (
 import steerbound.bounds as bounds_module
 import steerbound.structure as structure_module
 from steerbound.linalg import blas_threads
+from steerbound.structure import table_scale
 
 LHS_23 = (3 + np.sqrt(3)) / 2
 
@@ -414,6 +416,84 @@ def test_monomial_table_off_anticommuting_is_rejected_as_dense(name, dense_check
     functional = SteeringFunctional.from_table(table, kind="clifford-dichotomic")
     assert structure_matches_dense_reference(functional).method == "complement-half"
     assert dense_checks == []
+
+
+PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _pauli_string(letters):
+    """The Kronecker product of I, X, Y, Z (0..3) over the qubits."""
+    out = np.ones((1, 1), dtype=complex)
+    for letter in letters:
+        out = np.kron(out, PAULIS[letter])
+    return out
+
+
+def _anticommute(a, b):
+    # X, Y and Z anticommute with each other and commute with I and themselves
+    return sum(p != q and p != 0 and q != 0 for p, q in zip(a, b)) % 2 == 1
+
+
+def _random_pauli_table(rng, qubits, case):
+    """Hermitian monomial cells +-c_x B_x from random Pauli strings, in one
+    of the cases the anticommutation check must decide like dense
+    products: all pairs anticommuting, one commuting pair, one phase
+    pair negated, or one square an ulp off c_x^2 I."""
+    strings = [tuple(rng.integers(0, 4, qubits)) for _ in range(200)]
+    chosen = []
+    for letters in strings:
+        if any(letters) and all(_anticommute(letters, other) for other in chosen):
+            chosen.append(letters)
+    if case == "commuting-pair":  # a string commutes with itself
+        chosen.append(chosen[int(rng.integers(len(chosen)))])
+    scales = rng.choice([0.5, 1.0, 2.0, 3.0], len(chosen)) * rng.choice([-1, 1], len(chosen))
+    ops = np.stack([c * _pauli_string(letters) for c, letters in zip(scales, chosen)])
+    if case in ("negated-phase", "square-one-ulp-off"):
+        # a string with an X or Y is off the diagonal; |exp(0.08i)|^2 rounds
+        # to one ulp above 1
+        x = next(x for x, letters in enumerate(chosen) if any(p in (1, 2) for p in letters))
+        ops[x] /= abs(scales[x])
+        i = int(rng.integers(ops.shape[1]))
+        j = int(np.flatnonzero(ops[x, i])[0])
+        phase = -1 if case == "negated-phase" else np.exp(0.08j)
+        ops[x, i, j] *= phase
+        ops[x, j, i] *= np.conj(phase)
+    return ops
+
+
+@pytest.mark.parametrize(
+    "case", ["anticommuting", "commuting-pair", "negated-phase", "square-one-ulp-off"]
+)
+@pytest.mark.parametrize("qubits", [2, 3, 4, 5])
+def test_pair_gathers_decide_random_pauli_tables_like_dense_products(qubits, case):
+    rng = np.random.default_rng(100 * qubits + len(case))
+    for _ in range(5):
+        ops = _random_pauli_table(rng, qubits, case)
+        columns, values = zip(*map(structure_module._monomial, ops))
+        with blas_threads(1):
+            dense = structure_module._dense_squares(ops)
+        assert structure_module._monomial_squares(np.stack(columns), np.stack(values)) == dense
+        if case == "anticommuting":
+            assert dense == tuple(np.abs(ops[:, 0]).max(axis=1) ** 2)
+        elif case in ("commuting-pair", "square-one-ulp-off"):
+            assert dense is None
+
+
+def test_pair_gathers_reject_many_settings_within_the_table_memory():
+    # 3000 settings of d = 2 hold 4.5 million pairs; sigma_z commutes with
+    # the sigma_z before it, so the check ends at the third setting. The
+    # per-cell (column, value) arrays take about five times the table;
+    # pair index arrays would take over two hundred times it
+    ops = np.tile(np.diag([1, -1]).astype(complex), (3000, 1, 1))
+    ops[0] = [[0, 1], [1, 0]]
+    functional = SteeringFunctional.from_table(np.stack((ops, -ops), axis=1), kind="custom")
+    tracemalloc.start()
+    try:
+        assert structure_module.anticommuting_squares(functional) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * functional.coefficients.nbytes
 
 
 def test_reduced_strategies_keep_their_full_enumeration_values():
@@ -1285,19 +1365,11 @@ def test_proven_tables_make_no_eigensolve(eigvalsh_matrices):
         assert eigvalsh_matrices == []
 
 
-def test_canonical_positivity_formula_matches_an_eigensolve(monkeypatch):
-    # (shift - scale max_x c_x)/d from the squares, against an eigensolve of
-    # the same members, for every kind; the last three tables fail positivity
-    reports = []
-    validate = Assemblage.validate
-
-    def recording(self, min_eigenvalue=None):
-        reports.append(validate(self, min_eigenvalue))
-        return reports[-1]
-
-    monkeypatch.setattr(Assemblage, "validate", recording)
+def positivity_tables():
+    """Anticommuting +- tables under every kind; the last three fail the
+    canonical assemblage's positivity."""
     dichotomic = dichotomic_functional(build_clifford_family(6)).coefficients
-    tables = (
+    return (
         clifford_functional(build_clifford_family(5)),
         clifford_functional(build_clifford_family(4, full_dimension=True)),
         dichotomic_functional(build_clifford_family(6)),
@@ -1306,22 +1378,99 @@ def test_canonical_positivity_formula_matches_an_eigensolve(monkeypatch):
         SteeringFunctional.from_table(dichotomic, kind="mub"),
         SteeringFunctional.from_table(dichotomic / 2, kind="mub"),
     )
+
+
+def test_canonical_positivity_formula_matches_an_eigensolve():
+    # (shift - scale max_x c_x)/d from the squares, against an eigensolve of
+    # the same cells, for every kind; the last three tables fail positivity
+    tables = positivity_tables()
     for i, functional in enumerate(tables):
+        paper = paper_values(functional)
         squares = structure_module.anticommuting_squares(functional)
         assert squares
-        failed = []
-        for given in (squares, None):
-            try:
-                canonical_quantum_assemblage(functional, given)
-            except PreconditionError as exc:
-                failed.append(str(exc))
-            else:
-                failed.append(None)
-        closed_form, eigensolved = reports[-2:]
+        closed_form = bounds_module._canonical_check(functional, paper, squares)[0]
+        eigensolved = bounds_module._canonical_check(functional, paper, None)[0]
         assert closed_form.min_eigenvalue == pytest.approx(eigensolved.min_eigenvalue, abs=1e-14)
         assert closed_form.failed == eigensolved.failed
-        assert failed[0] == failed[1]
+        assert failure_message(closed_form.require) == failure_message(eigensolved.require)
+        assert failure_message(lambda: canonical_quantum_assemblage(functional)) == (
+            failure_message(eigensolved.require)
+        )
         assert ("positivity" in closed_form.failed) == (i >= len(tables) - 3)
+
+
+def canonical_members(functional):
+    """(scale F_x^a + shift I)/d, built member by member."""
+    paper = paper_values(functional)
+    eye = np.eye(functional.d)
+    return np.array(
+        [
+            [(paper.scale * cell + paper.shift * eye) / functional.d for cell in cells]
+            for cells in functional.coefficients
+        ]
+    )
+
+
+def attainment_tables():
+    for d in (2, 3, 5, 7):
+        yield mub_functional(build_mub_family(d, d + 1))
+    for n in range(2, 10):
+        yield clifford_functional(build_clifford_family(n))
+        yield dichotomic_functional(build_clifford_family(n))
+    for n in range(1, 7):
+        yield clifford_functional(build_clifford_family(n, full_dimension=True))
+        yield dichotomic_functional(build_clifford_family(n, full_dimension=True))
+    # labels the tables lack: traces the shift reaches, and outcome sums
+    # that depend on the setting
+    mub23 = mub_functional(build_mub_family(2, 3)).coefficients
+    yield SteeringFunctional.from_table(mub23, kind="clifford")
+    yield SteeringFunctional.from_table(mub23, kind="clifford-dichotomic")
+    mub34 = mub_functional(build_mub_family(3, 4)).coefficients.copy()
+    mub34[1] *= 2
+    yield SteeringFunctional.from_table(mub34, kind="mub")
+
+
+def test_canonical_check_is_the_members_pairing_and_validation():
+    # the value and the validity come from table sums; they must be what
+    # the members themselves give
+    failures = []
+    for functional in attainment_tables():
+        paper = paper_values(functional)
+        squares = structure_module.anticommuting_squares(functional)
+        members = canonical_members(functional)
+        expected = Assemblage(members=members).validate()
+        for given in (squares, None):
+            report, value = bounds_module._canonical_check(functional, paper, given)
+            assert abs(value - evaluate(functional, members)) <= 1e-12 * table_scale(functional)
+            assert report.failed == expected.failed
+            assert report.min_eigenvalue == pytest.approx(expected.min_eigenvalue, abs=1e-14)
+            for name in ("no_signaling_deviation", "normalization_deviation"):
+                assert getattr(report, name) == pytest.approx(getattr(expected, name), abs=1e-14)
+        if expected.failed:
+            failures.append(expected.failed)
+        else:
+            assert np.array_equal(canonical_quantum_assemblage(functional).members, members)
+    assert failures == [("normalisation",), ("normalisation",), ("no-signalling",)]
+    for functional in positivity_tables():
+        paper = paper_values(functional)
+        expected = Assemblage(members=canonical_members(functional)).validate()
+        squares = structure_module.anticommuting_squares(functional)
+        for given in (squares, None):
+            report = bounds_module._canonical_check(functional, paper, given)[0]
+            assert report.failed == expected.failed
+            assert failure_message(report.require) == failure_message(expected.require)
+        assert failure_message(lambda: canonical_quantum_assemblage(functional)) == (
+            failure_message(expected.require)
+        )
+
+
+def failure_message(call):
+    """The PreconditionError message `call` raises, or None."""
+    try:
+        call()
+    except PreconditionError as exc:
+        return str(exc)
+    return None
 
 
 def test_mub_label_on_a_plus_minus_table_does_not_fit(eigvalsh_matrices):

@@ -490,6 +490,19 @@ def test_console_entry_point(tmp_path):
     assert doc["meta"]["seed"] == 0
 
 
+def test_package_runs_as_module():
+    src = str(Path(steerbound.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "steerbound", "generate", "--kind", "mub", "--d", "2"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert result.returncode == 0
+    assert json.loads(result.stdout)["meta"]["kind"] == "mub"
+
+
 def test_threads_env_override(tmp_path, capsys, monkeypatch):
     from steerbound.cli import _default_threads
 

@@ -1,3 +1,6 @@
+import hashlib
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -5,8 +8,11 @@ from steerbound import (
     CliffordFamily,
     PreconditionError,
     build_clifford_family,
+    tensor,
     verify_anticommutation,
 )
+from steerbound.cli import main
+from steerbound.clifford import _chain
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -95,3 +101,48 @@ def test_compact_dimension_rule():
     expected = {1: 2, 2: 2, 3: 2, 4: 4, 5: 4, 6: 8, 7: 8, 8: 16, 12: 64}
     for n, dim in expected.items():
         assert build_clifford_family(n).dimension == dim
+
+
+def kronecker_chain(m):
+    """All 2m+1 chain observables on m qubits, as Kronecker products."""
+    eye = np.eye(2, dtype=complex)
+    ops = [
+        reduce(tensor, [SIGMA_Z] * (k - 1) + [pauli] + [eye] * (m - k))
+        for k in range(1, m + 1)
+        for pauli in (SIGMA_X, SIGMA_Y)
+    ]
+    return np.stack(ops + [reduce(tensor, [SIGMA_Z] * m)])
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_index_arithmetic_chain_is_the_kronecker_chain(m):
+    reference = kronecker_chain(m)
+    for count in range(1, 2 * m + 2):
+        assert np.array_equal(_chain(m, count), reference[:count])
+    for n in range(1, 2 * m + 2):
+        if max(1, n // 2) == m:
+            assert np.array_equal(build_clifford_family(n).observables, reference[:n])
+    assert np.array_equal(
+        build_clifford_family(m, full_dimension=True).observables, reference[:m]
+    )
+
+
+# sha256 of the files written by the Kronecker-product construction
+GENERATE_DIGESTS = {
+    ("clifford", "8"): "d99592a48fe4692e6378d1f0eb8dfc0b6b95dcb8645af2f9a5f312fce10e6877",
+    ("dichotomic", "12"): "78cd05e77217d93e70cc7de42748e7a9162ccabf82b170e7a9671c5443ec99a2",
+    ("clifford", "7", "--full-dim"): (
+        "8cea7157772b43981ecf59fdb2c1f5e93c89edd3764af801da6e7018530c03b9"
+    ),
+    ("dichotomic", "6", "--full-dim"): (
+        "c33b34c1a557a66f73c8132a3b46629fa4978f4f4cb69868d3c94ad4f0c271ca"
+    ),
+}
+
+
+@pytest.mark.parametrize("args", list(GENERATE_DIGESTS))
+def test_generated_files_keep_their_bytes(tmp_path, args):
+    out = tmp_path / "table.json"
+    kind, n, *flags = args
+    assert main(["generate", "--kind", kind, "--n", n, *flags, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GENERATE_DIGESTS[args]

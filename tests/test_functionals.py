@@ -3,6 +3,7 @@ import pytest
 
 from steerbound import (
     Assemblage,
+    CliffordFamily,
     PreconditionError,
     SteeringFunctional,
     build_clifford_family,
@@ -67,6 +68,17 @@ def test_clifford_functional_is_shifted_projector_table():
             p = projectors[x, a]
             assert np.abs(p @ p - p).max() <= 1e-12
         assert np.abs(projectors[x].sum(axis=0) - eye).max() <= 1e-15
+
+
+def test_functionals_of_a_family_with_integer_observables():
+    # sigma_x and sigma_z as integer arrays
+    observables = np.array([[[0, 1], [1, 0]], [[1, 0], [0, -1]]])
+    family = CliffordFamily(qubits=1, observables=observables)
+    table = np.stack((observables, -observables), axis=1).astype(complex)
+    for make, expected in ((clifford_functional, table / 2), (dichotomic_functional, table)):
+        functional = make(family)
+        assert functional.coefficients.dtype == complex
+        assert np.array_equal(functional.coefficients, expected)
 
 
 def test_dichotomic_functional_observables():
