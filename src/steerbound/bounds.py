@@ -195,9 +195,13 @@ def _require_bounded_table(f: SteeringFunctional) -> None:
     Each of their entries is at most the table's absolute entry sum
     (|Re| + |Im| over all entries) times a few sqrt(d); a sum below
     _MAX_TABLE_MASS keeps all of them, and their Hermitian parts, finite.
+    The sum is taken one setting at a time, so the temporaries are one
+    setting's.
     """
+    mass = 0.0
     with np.errstate(over="ignore"):
-        mass = np.abs(f.coefficients.real).sum() + np.abs(f.coefficients.imag).sum()
+        for cells in f.coefficients:
+            mass += np.abs(cells.real).sum() + np.abs(cells.imag).sum()
     if not mass < _MAX_TABLE_MASS:
         raise PreconditionError(
             f"table entries sum to {mass:.3g} in absolute value; above "

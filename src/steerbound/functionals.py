@@ -39,9 +39,17 @@ def _table(arr) -> np.ndarray:
 
 def _table_hermiticity_defect(table: np.ndarray) -> float:
     """max |F - F^dagger| over the table's entries, one setting at a time,
-    so the temporaries stay the size of one setting's cells."""
-    defects = [np.abs(cells - cells.conj().swapaxes(1, 2)).max(initial=0.0) for cells in table]
-    return float(np.max(defects, initial=0.0))
+    so the temporaries stay the size of one setting's cells. It is 0
+    exactly when every finite cell equals its adjoint entry for entry, and
+    then no modulus is taken."""
+    defect = 0.0
+    for cells in table:
+        difference = cells.conj()  # minus the conjugate of F - F^dagger: same moduli
+        np.subtract(difference, cells.swapaxes(1, 2), out=difference)
+        if difference.any():
+            defect = np.maximum(defect, np.abs(difference).max())  # NaN stays NaN
+        del difference  # before the next setting's is made
+    return float(defect)
 
 
 @dataclass(frozen=True)
@@ -50,14 +58,21 @@ class SteeringFunctional:
 
     coefficients[x, a] is the d x d operator weighting sigma_x^a. The
     hermitian and psd flags are derived from the table, never trusted
-    from callers or files: hermitian when the table is built, psd on its
-    first read, since it costs eigensolves and only the quantum bound's
-    envelope check reads it.
+    from callers or files: hermitian (within TOLERANCES.hermiticity) and
+    exactly_hermitian (F = F^dagger entry for entry) from one pass when
+    the table is built, psd on its first read, since it costs eigensolves
+    and only the quantum bound's envelope check reads it.
+
+    from_table copies the caller's array. The loaders and the builders of
+    this package hand over the array they just made, which becomes the
+    coefficients without a copy (_adopt). Either way the coefficients are
+    read-only.
     """
 
     kind: str
     coefficients: np.ndarray  # (n, m, d, d)
     hermitian: bool
+    exactly_hermitian: bool
     seed: int | None = None
 
     @property
@@ -87,13 +102,26 @@ class SteeringFunctional:
 
     @classmethod
     def from_table(cls, table, kind: str = "custom", seed: int | None = None):
+        """The functional of a copy of `table`, so the caller's array stays
+        its own."""
+        return cls._adopt(np.array(table, dtype=complex, order="C"), kind, seed)
+
+    @classmethod
+    def _adopt(cls, table: np.ndarray, kind: str, seed: int | None = None):
+        """The functional whose coefficients are `table` itself, made
+        read-only: for a complex array that nothing else holds or writes."""
         if kind not in KINDS:
             raise PreconditionError(f"unknown functional kind {kind!r}")
         table = _table(table)
-        hermitian = _table_hermiticity_defect(table) <= TOLERANCES.hermiticity
-        table = table.copy()
+        defect = _table_hermiticity_defect(table)
         table.setflags(write=False)
-        return cls(kind=kind, coefficients=table, hermitian=hermitian, seed=seed)
+        return cls(
+            kind=kind,
+            coefficients=table,
+            hermitian=defect <= TOLERANCES.hermiticity,
+            exactly_hermitian=defect == 0.0,
+            seed=seed,
+        )
 
 
 @dataclass(frozen=True)
@@ -170,7 +198,7 @@ class Assemblage:
 def mub_functional(family: MubFamily) -> SteeringFunctional:
     """Rank-1 projector table F_x^a = |phi_x^a><phi_x^a| (m = d outcomes)."""
     table = np.einsum("xai,xaj->xaij", family.bases, family.bases.conj())
-    return SteeringFunctional.from_table(table, kind="mub")
+    return SteeringFunctional._adopt(table, kind="mub")
 
 
 def clifford_projectors(family: CliffordFamily) -> np.ndarray:
@@ -187,7 +215,7 @@ def clifford_functional(family: CliffordFamily) -> SteeringFunctional:
     obs = np.asarray(family.observables, dtype=complex)
     table = np.stack((obs, -obs), axis=1)
     table /= 2
-    return SteeringFunctional.from_table(table, kind="clifford")
+    return SteeringFunctional._adopt(table, kind="clifford")
 
 
 def dichotomic_functional(family: CliffordFamily) -> SteeringFunctional:
@@ -197,7 +225,7 @@ def dichotomic_functional(family: CliffordFamily) -> SteeringFunctional:
     difference assemblages."""
     obs = family.observables
     table = np.stack((obs, -obs), axis=1)
-    return SteeringFunctional.from_table(table, kind="clifford-dichotomic")
+    return SteeringFunctional._adopt(table, kind="clifford-dichotomic")
 
 
 def require_seed(seed: int) -> None:
@@ -222,7 +250,7 @@ def random_functional(d: int, seed: int) -> SteeringFunctional:
     eps = 2 * rng.integers(0, 2, size=(d, d, d)) - 1
     table = np.zeros((d, d, d, d), dtype=complex)
     table[:, :, 0, :] = eps / d
-    return SteeringFunctional.from_table(table, kind="random", seed=seed)
+    return SteeringFunctional._adopt(table, kind="random", seed=seed)
 
 
 def evaluate(functional: SteeringFunctional, assemblage) -> float | complex:

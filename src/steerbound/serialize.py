@@ -19,15 +19,25 @@ template and one list of every leaf, which their per-leaf bookkeeping
 would only slow down.
 
 `_load` first tries `_load_flat`, which never builds the nested lists:
-it parses the document with the matrix block cut out, checks the block's
-bracket/comma skeleton against the shape the meta gives, and parses the
-numbers as one flat JSON list. Every file this module writes takes it, and
-so does any whitespace layout of one. Anything it cannot vouch for (an
-escaped key, a duplicated key, a malformed block) goes to `_load_tree`,
-the plain json.loads walk, which accepts the same documents, returns the
-same bits, and raises every SchemaError. Loaders validate strictly:
-unknown keys, wrong shapes, unknown kinds, values that are not numbers and
+it parses the document with the matrix block cut out, then reads the
+block in windows of 64 KiB (`_read_block`). Each window takes two
+translates and a few byte compares: its bracket/comma skeleton is checked
+against the shape the meta gives, a number glued to a bracket on the
+wrong side is looked for, and its brackets are deleted, leaving a flat
+JSON list whose numbers go into the window's stretch of the value array.
+The value array is the load's one table-sized allocation: the per-byte
+masks, the parsed numbers and the text's copies are one window's, and the
+skeleton it is checked against is one matrix's, tiled. Every file this
+module writes takes this path, and so does any whitespace layout of one.
+Anything it cannot vouch for (an escaped key, a duplicated key, a
+malformed block, a token longer than a window) goes to `_load_tree`, the
+plain json.loads walk, which accepts the same documents, returns the same
+bits, and raises every SchemaError. Loaders validate strictly: unknown
+keys, wrong shapes, unknown kinds, values that are not numbers and
 non-finite values (NaN, Infinity) are all rejected with SchemaError.
+
+`functional_from_json` hands its value array to the functional without
+a copy (SteeringFunctional._adopt).
 """
 
 from __future__ import annotations
@@ -205,7 +215,53 @@ def _load_tree(text: str, kind: str) -> tuple[dict, np.ndarray]:
 
 _BLOCK_KEY = re.compile(r'"matrices"[ \t\n\r]*:[ \t\n\r]*(?=\[)')
 _NUMBER_CHARS = b"0123456789+-.eE"
-_AS_ZERO = bytes.maketrans(_NUMBER_CHARS, b"0" * len(_NUMBER_CHARS))
+_WHITESPACE = b" \t\n\r"
+_COMMA, _ZERO, _OPEN, _CLOSE = b",0[]"
+# characters of the block checked and parsed at a time: on a full-dim n = 7
+# table (a 1.4 MB text) as fast as 256 KiB and faster than 1 MiB
+_WINDOW = 1 << 16
+
+
+def _read_dense(padded: bytes, values: np.ndarray) -> int:
+    """Parse every token of `padded`, a comma-separated list of JSON
+    numbers with a comma at each end, into the head of `values`; returns
+    the token count."""
+    parsed = np.array(json.loads(b"[" + memoryview(padded)[1:-1] + b"]"), np.float64)
+    if parsed.size > values.size:
+        raise ValueError(f"{parsed.size} numbers for {values.size} leaves")
+    values[: parsed.size] = parsed
+    return parsed.size
+
+
+def _read_sparse(padded: bytes, values: np.ndarray) -> int:
+    """What _read_dense does, into a zeroed `values`, parsing only the
+    tokens that are not exactly `0`.
+
+    A `0` token and its comma take exactly two bytes, so the other token
+    that starts after the comma at offset q is leaf (q - e) / 2, where e
+    sums the earlier other tokens' lengths beyond one byte. So no array
+    over all tokens is built: only per-byte masks of `padded` and the other
+    tokens' offsets."""
+    text = np.frombuffer(padded, np.uint8)
+    comma = text == _COMMA
+    other = comma[:-2] & comma[2:]
+    other &= text[1:-1] == _ZERO
+    np.logical_not(other, out=other)  # False at the comma before each `0` token
+    starts = comma[:-1].copy()
+    starts[:-1] &= other
+    ends = comma[1:]  # a view: comma is not read again
+    ends[1:] &= other
+    starts, ends = np.flatnonzero(starts), np.flatnonzero(ends) + 1
+    del text, comma, other
+    excess = np.cumsum(ends - starts - 2)  # lengths beyond one byte, through each token
+    count = (len(padded) - 1 - int(excess[-1] if excess.size else 0)) // 2
+    if count > values.size:
+        raise ValueError(f"{count} numbers for {values.size} leaves")
+    if starts.size:
+        tokens = b",".join([padded[a + 1 : b] for a, b in zip(starts.tolist(), ends.tolist())])
+        excess -= ends - starts - 2  # ... and before it
+        values[(starts - excess) // 2] = np.array(json.loads(b"[" + tokens + b"]"), np.float64)
+    return count
 
 
 def _parse_leaves(flat: bytes, size: int) -> np.ndarray:
@@ -213,26 +269,88 @@ def _parse_leaves(flat: bytes, size: int) -> np.ndarray:
     the errors json.loads and np.array raise on them.
 
     When the text averages at most 4 bytes a leaf, so most leaves are the
-    token `0`, each token that is exactly `0` is set to +0.0, as json.loads
-    gives it, and only the others are parsed, as one flat list; otherwise
-    every token is. The masks are per byte, so no index array per leaf is
-    built."""
-    if len(flat) > 4 * size:
-        return np.array(json.loads(b"[" + flat + b"]"), np.float64)
-    text = np.frombuffer(b"," + flat + b",", np.uint8)
-    comma = text == ord(",")
-    other = text[1:-1] == ord("0")
-    other &= comma[:-2]
-    other &= comma[2:]
-    np.logical_not(other, out=other)  # False where byte i is the comma before a `0` token
-    keep = np.ones(text.size, bool)  # drops each zero token and the comma before it
-    keep[:-2] &= other
-    keep[1:-1] &= other
-    keep[-1] = False
-    other = other[comma[:-2]]  # per token
-    values = np.zeros(other.size)
-    values[other] = np.array(json.loads(b"[" + text[keep].tobytes()[1:] + b"]"), np.float64)
+    token `0`, _read_sparse takes it: byte compares mark the commas and
+    each token that is exactly `0`, which stays +0.0 as json.loads gives
+    it, and the other tokens are found by their offsets, joined and parsed
+    as one list. Otherwise _read_dense parses every token. Held beside the
+    result: a padded copy of the text, three per-byte masks and the parsed
+    numbers, which in _read_block, reading one window at a time, are one
+    window's."""
+    values = np.zeros(size)
+    read = _read_dense if len(flat) > 4 * size else _read_sparse
+    if read(b"," + flat + b",", values) != size:
+        raise ValueError(f"expected {size} numbers")
     return values
+
+
+def _glued(window: bytes) -> bool:
+    """Whether a number touches a bracket on its wrong side (`5[`, `] 5`)
+    in a window whose bracket/comma skeleton checked out, so that besides
+    whitespace it holds only brackets, commas and number characters: a
+    byte other than `,` or `]` after a `]`, or other than `,` or `[`
+    before a `[`, with whitespace dropped."""
+    if any(space in window for space in (b" ", b"\n", b"\r", b"\t")):
+        window = window.translate(None, _WHITESPACE)
+    text = np.frombuffer(window, np.uint8)
+    before, after = text[:-1], text[1:]
+    for bracket, side, other in ((_CLOSE, before, after), (_OPEN, after, before)):
+        mark = side == bracket
+        mark &= other != _COMMA
+        mark &= other != bracket
+        if mark.any():
+            return True
+    return False
+
+
+def _read_block(text: str, start: int, stop: int, count: int, d: int) -> np.ndarray | None:
+    """The leaves, in C order, of the matrix block text[start : stop + 1]
+    of shape (count, d, d, 2), whose closing bracket is text[stop]; None
+    when the block does not have that bracket/comma skeleton, holds a
+    number beside a bracket on the wrong side (`5[`, `] 5`) or holds a
+    token that is not a finite JSON number.
+
+    The block before its closing bracket is read in windows of at most
+    _WINDOW characters, each ending before a comma, so no token is split.
+    Each window is checked against its stretch of the skeleton (one
+    translate deletes every number and whitespace byte, and the stretch is
+    a slice of one matrix's skeleton, tiled), checked for a glued number
+    by byte compares (_glued), stripped of its brackets and parsed into its
+    stretch of the value array. The value array is the only allocation the
+    size of the table; the rest is one window's, and the tile, at most a
+    window and two matrices' skeletons."""
+    size = count * d * d * 2
+    unit = 4 * d * d + 2 * d + 2  # one matrix's skeleton and the comma after it
+    if stop + 1 - start < count * unit + 1 + size:
+        return None  # too short to hold the shape: build nothing from meta
+    brackets = 2 * (1 + count * (1 + d * (1 + d)))
+    read = _read_dense if stop + 1 - start - brackets > 4 * size else _read_sparse
+    reps = min(_WINDOW, stop - start) // unit + 2  # so a window's stretch fits from any offset
+    tile = b"[" + (_nested("", (d, d, 2)) + ",").encode() * reps
+    values = np.zeros(size)
+    at = done = 0  # the skeleton's bytes checked and the leaves read so far
+    lead = b","  # the first window starts at a token, the others at a comma
+    while start < stop:
+        cut = stop if stop - start <= _WINDOW else text.rfind(",", start + 1, start + _WINDOW)
+        if cut < 0:
+            return None  # a token longer than a window
+        window = text[start:cut].encode(errors="surrogatepass")  # a lone surrogate fails below
+        skeleton = window.translate(None, _NUMBER_CHARS + _WHITESPACE)
+        if at + len(skeleton) > count * unit:
+            return None
+        if not tile.startswith(skeleton, at and 1 + (at - 1) % unit) or _glued(window):
+            return None
+        at += len(skeleton)
+        flat = window.translate(None, b"[]")
+        del window, skeleton
+        try:
+            read_now = read(lead + flat + b",", values[done:])
+        except (ValueError, OverflowError):
+            return None
+        if not np.isfinite(values[done : done + read_now]).all():
+            return None
+        done += read_now
+        start, lead = cut, b""
+    return values if at == count * unit and done == size else None
 
 
 def _load_flat(text: str, kind: str) -> tuple[dict, np.ndarray] | None:
@@ -242,45 +360,24 @@ def _load_flat(text: str, kind: str) -> tuple[dict, np.ndarray] | None:
 
     The `matrices` value is cut out, and the rest is parsed and checked as
     usual. The block must then have the bracket/comma skeleton of shape
-    (n * m, d, d, 2) and hold no number beside a bracket on the wrong side
-    (`5[`, `] 5`), so each leaf slot holds exactly one token: deleting
-    the brackets leaves a flat JSON list of the same tokens in C order."""
-    if "\\" in text or text.count('"matrices"') != 1:
-        return None  # so the key that matches below is the top-level one
-    key = _BLOCK_KEY.search(text)
-    if key is None:
+    (n * m, d, d, 2) and hold no number beside a bracket on the wrong side,
+    so each leaf slot holds exactly one token: deleting the brackets
+    leaves a flat JSON list of the same tokens in C order (_read_block)."""
+    key = None if "\\" in text else _BLOCK_KEY.search(text)
+    if key is None or text.find('"matrices"') != key.start():
         return None
     start = key.end()
     quote = text.find('"', start)  # the block holds none
     end = text.rfind("]", start, len(text) if quote < 0 else quote) + 1
-    if end <= start:
-        return None
+    if end <= start or text.find('"matrices"', end) >= 0:
+        return None  # the key is not the only one, so maybe not the top-level one
     try:
         doc = json.loads(text[:start] + "null" + text[end:])
         meta, count, d = _check_header(doc, kind)
     except (ValueError, RecursionError):
         return None
-    block = text[start:end].encode()
-    skeleton_size = 0
-    for size in (2, d, d, count):
-        skeleton_size = size * skeleton_size + size + 1
-    if len(block) < skeleton_size + 2 * count * d * d:
-        return None  # too short to hold the shape: build nothing from meta
-    skeleton = b""
-    for size in (2, d, d, count):
-        skeleton = b"[" + b",".join([skeleton] * size) + b"]"
-    classes = block.translate(_AS_ZERO, b" \t\n\r")
-    if b"0[" in classes or b"]0" in classes or classes.translate(None, b"0") != skeleton:
-        return None
-    flat = block.translate(None, b"[]")
-    del block, classes, skeleton  # copies near the text's size, else alive through the parse
-    try:
-        values = _parse_leaves(flat, count * d * d * 2)
-    except (ValueError, OverflowError):
-        return None
-    if not np.isfinite(values).all():
-        return None
-    return meta, values.view(complex).reshape(count, d, d)
+    values = _read_block(text, start, end - 1, count, d)
+    return None if values is None else (meta, values.view(complex).reshape(count, d, d))
 
 
 def _load(text: str, kind: str) -> tuple[dict, np.ndarray]:
@@ -304,7 +401,7 @@ def functional_to_json(functional: SteeringFunctional) -> str:
 def functional_from_json(text: str) -> SteeringFunctional:
     meta, stack = _load(text, "functional")
     table = stack.reshape(meta["n"], meta["m"], meta["d"], meta["d"])
-    return SteeringFunctional.from_table(table, kind=meta["kind"], seed=meta["seed"])
+    return SteeringFunctional._adopt(table, kind=meta["kind"], seed=meta["seed"])
 
 
 def load_functional(path) -> SteeringFunctional:

@@ -65,9 +65,9 @@ class TableStructure:
 
 def complement_symmetric(f: SteeringFunctional) -> bool:
     """Two outcomes with F_x^2 = -F_x^1 exactly: a strategy and its
-    complement then sum to negated operators of equal value."""
-    c = f.coefficients
-    return c.shape[1] == 2 and bool(np.array_equal(c[:, 1], -c[:, 0]))
+    complement then sum to negated operators of equal value. Checked one
+    setting at a time, so the temporaries are one cell's."""
+    return f.m == 2 and all(np.array_equal(cells[1], -cells[0]) for cells in f.coefficients)
 
 
 def _monomial(b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -130,11 +130,9 @@ def anticommuting_squares(f: SteeringFunctional) -> tuple[float, ...] | None:
     _monomial_squares, any other table dense products at one OpenBLAS
     thread, so the exact checks cannot depend on the caller's thread
     count."""
-    if not complement_symmetric(f):
+    if not complement_symmetric(f) or not f.exactly_hermitian:
         return None
     ops = f.coefficients[:, 0]
-    if not all(np.array_equal(b, b.conj().T) for b in ops):
-        return None
     cells = [_monomial(b) for b in ops]
     if all(cell is not None for cell in cells):
         columns, values = zip(*cells)

@@ -307,6 +307,53 @@ def test_lhs_shortcut_matches_full_enumeration(name, functional, method, evaluat
     assert lhs_bound(functional, threads=8) == result
 
 
+def edge_tables():
+    """(id, table) with NaN, +-inf, -0.0 and absolute sums at and past the
+    mass limit and the float range, in +- and other tables."""
+    plus_minus = dichotomic_functional(build_clifford_family(3)).coefficients.copy()
+    zeros = np.zeros((3, 2, 2, 2), dtype=complex)
+
+    def put(table, *entries):
+        table = table.copy()
+        for index, value in entries:
+            table[index] = value
+        return table
+
+    yield "plus-minus", plus_minus
+    yield "signed zeros", put(zeros, ((0, 1), -0.0), ((2, 0, 1, 0), complex(0.0, -0.0)))
+    yield "-0.0 against 0.0", put(plus_minus, ((1, 0, 0, 0), 0.0), ((1, 1, 0, 0), -0.0))
+    yield "NaN", put(plus_minus, ((2, 0, 1, 1), np.nan))
+    yield "NaN in both outcomes", put(plus_minus, ((2, 0, 1, 1), np.nan), ((2, 1, 1, 1), np.nan))
+    yield "imaginary NaN", put(zeros, ((1, 1, 0, 1), complex(0.0, np.nan)))
+    yield "+inf and -inf", put(zeros, ((0, 0, 0, 0), np.inf), ((0, 1, 0, 0), -np.inf))
+    yield "+inf twice", put(zeros, ((0, 0, 0, 0), np.inf), ((0, 1, 0, 0), np.inf))
+    yield "imaginary -inf", put(zeros, ((2, 1, 1, 0), complex(0.0, -np.inf)))
+    yield "mass just under the limit", put(zeros, ((0, 0, 0, 0), 2.0**996))
+    yield "mass over the limit", put(zeros, ((0, 0, 0, 0), 2.0**996), ((2, 1, 1, 1), 2.0**996j))
+    yield "mass overflows", np.full((3, 2, 2, 2), 1e308 + 1e308j)
+    yield "three outcomes", np.zeros((2, 3, 2, 2), dtype=complex)
+
+
+@pytest.mark.parametrize("name, table", list(edge_tables()))
+def test_per_setting_checks_decide_as_the_whole_table_ones(name, table):
+    """_require_bounded_table and complement_symmetric take one setting at
+    a time; they decide as the whole-table formulas they replace."""
+    with np.errstate(invalid="ignore", over="ignore"):  # F - F^dagger of infinities
+        functional = SteeringFunctional.from_table(table)
+    c = functional.coefficients
+    with np.errstate(over="ignore"):
+        mass = np.abs(c.real).sum() + np.abs(c.imag).sum()
+    bounded = bool(mass < bounds_module._MAX_TABLE_MASS)
+    try:
+        bounds_module._require_bounded_table(functional)
+    except PreconditionError:
+        assert not bounded, name
+    else:
+        assert bounded, name
+    symmetric = c.shape[1] == 2 and bool(np.array_equal(c[:, 1], -c[:, 0]))
+    assert structure_module.complement_symmetric(functional) is symmetric, name
+
+
 def dense_anticommuting_value(functional):
     """The anticommuting check by dense d x d products, as it was before
     the monomial path: sqrt(sum_x c_x^2), or None."""

@@ -616,19 +616,21 @@ def test_every_command_holds_blas_at_one_thread(tmp_path, capsys, monkeypatch, c
         "verify": ["verify", "--filter", "quantum-canonical-attainment"],
     }[command]
     seen = []
-    load, from_table = cli_module.load_functional, SteeringFunctional.from_table.__func__
+    # every table, copied by from_table or adopted from a loader or a
+    # builder, passes through _adopt
+    load, adopt = cli_module.load_functional, SteeringFunctional._adopt.__func__
     with ambient_blas(2) as get:
 
         def recording_load(*args, **kwargs):
             seen.append(get())
             return load(*args, **kwargs)
 
-        def recording_from_table(cls, *args, **kwargs):
+        def recording_adopt(cls, *args, **kwargs):
             seen.append(get())
-            return from_table(cls, *args, **kwargs)
+            return adopt(cls, *args, **kwargs)
 
         monkeypatch.setattr(cli_module, "load_functional", recording_load)
-        monkeypatch.setattr(SteeringFunctional, "from_table", classmethod(recording_from_table))
+        monkeypatch.setattr(SteeringFunctional, "_adopt", classmethod(recording_adopt))
         assert run(argv) == EXIT_OK
         assert get() == 2
     assert seen

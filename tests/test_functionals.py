@@ -16,6 +16,8 @@ from steerbound import (
     mub_functional,
     random_functional,
 )
+from steerbound import serialize
+from steerbound.serialize import functional_from_json, functional_to_json
 from steerbound.tolerances import TOLERANCES
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -287,3 +289,76 @@ def test_psd_of_a_plus_minus_table_eigensolves_one_cell_once(eigvalsh_matrices):
     assert eigvalsh_matrices == [1]
     assert not functional.psd
     assert eigvalsh_matrices == [1]
+
+
+def test_from_table_copies_and_the_package_adopts(monkeypatch):
+    """from_table copies the caller's array; the loader and the builders
+    hand theirs over, so each functional shares memory with the array it
+    was built from. Every functional's coefficients are read-only."""
+    table = np.arange(16, dtype=complex).reshape(2, 2, 2, 2)
+    copied = SteeringFunctional.from_table(table)
+    table[0, 0, 0, 0] = 99.0
+    assert table.flags.writeable
+    assert copied.coefficients[0, 0, 0, 0] == 0.0
+    assert not np.shares_memory(table, copied.coefficients)
+    assert not copied.coefficients.flags.writeable
+
+    text = functional_to_json(random_functional(3, 2))
+    built = {
+        "mub": lambda: mub_functional(build_mub_family(3, 4)),
+        "clifford": lambda: clifford_functional(build_clifford_family(4, full_dimension=True)),
+        "dichotomic": lambda: dichotomic_functional(build_clifford_family(5)),
+        "random": lambda: random_functional(3, 1),
+        "loader": lambda: functional_from_json(text),
+    }
+    handed, loaded = [], []
+    adopt, load = SteeringFunctional._adopt.__func__, serialize._load
+
+    def recording_adopt(cls, table, *args, **kwargs):
+        handed.append(table)
+        return adopt(cls, table, *args, **kwargs)
+
+    def recording_load(text, kind):
+        meta, stack = load(text, kind)
+        loaded.append(stack)
+        return meta, stack
+
+    def no_copy(*args, **kwargs):
+        raise AssertionError("the table was copied by from_table")
+
+    monkeypatch.setattr(SteeringFunctional, "_adopt", classmethod(recording_adopt))
+    monkeypatch.setattr(SteeringFunctional, "from_table", classmethod(no_copy))
+    monkeypatch.setattr(serialize, "_load", recording_load)
+    for name, build in built.items():
+        handed.clear()
+        functional = build()
+        assert len(handed) == 1, name
+        assert np.shares_memory(handed[0], functional.coefficients), name
+        assert not functional.coefficients.flags.writeable, name
+    assert np.shares_memory(loaded[-1], functional.coefficients)
+
+
+def test_exactly_hermitian_is_the_entrywise_comparison():
+    """exactly_hermitian, read from the defect pass, decides as comparing
+    every cell with its adjoint, on finite tables with signed zeros,
+    subnormals and defects far below the tolerance."""
+    rng = np.random.default_rng(11)
+    raw = rng.normal(size=(3, 2, 4, 4)) + 1j * rng.normal(size=(3, 2, 4, 4))
+    hermitian = raw + raw.conj().swapaxes(2, 3)
+    signed_zero = np.zeros((1, 2, 2, 2), complex)
+    signed_zero[0, 0, 0, 1] = complex(-0.0, 0.0)
+    signed_zero[0, 1, 1, 1] = complex(0.0, -0.0)
+    cases = {
+        "hermitian": hermitian,
+        "off by a subnormal": hermitian + np.eye(4) * 5e-324j,
+        "off by 1e-14": hermitian + 1e-14 * np.triu(np.ones((4, 4)), 1),
+        "signed zeros": signed_zero,
+        "complex diagonal": np.eye(2)[None, None] * (1 + 1e-300j),
+        "random": random_functional(3, 0).coefficients,
+    }
+    for name, table in cases.items():
+        functional = SteeringFunctional.from_table(table)
+        cells = functional.coefficients.reshape(-1, functional.d, functional.d)
+        expected = all(np.array_equal(cell, cell.conj().T) for cell in cells)
+        assert functional.exactly_hermitian is expected, name
+        assert not expected or functional.hermitian, name

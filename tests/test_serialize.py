@@ -439,6 +439,52 @@ def test_zero_token_skipping_parses_as_json(token):
     assert serialize._parse_leaves(flat, len(leaves)).tobytes() == expected
 
 
+def test_flat_parse_over_many_windows_matches_the_tree_walk(monkeypatch):
+    """The flat-versus-tree comparisons again with windows of a few tokens,
+    so every document is checked and parsed over many windows: 61
+    characters, the fewest that hold the widest gap between two commas of
+    the layouts, and 256 for the mutations, which take longer."""
+    monkeypatch.setattr(serialize, "_WINDOW", 61)
+    test_flat_parse_matches_the_tree_walk_on_every_kind_and_layout()
+    for case in _named_cases() + _zero_token_cases():
+        text, accepted = case.values
+        assert (_assert_flat_matches_tree(text, "functional")[0] == "accept") == accepted, case.id
+    long_token = _named_cases()[0].values[0].replace("12.5", "0." + "1" * 61, 1)
+    assert serialize._load_flat(long_token, "functional") is None
+    assert _assert_flat_matches_tree(long_token, "functional")[0] == "accept"
+    monkeypatch.setattr(serialize, "_WINDOW", 256)
+    test_flat_parse_matches_the_tree_walk_under_mutation()
+
+
+def test_lone_surrogate_in_the_block_is_a_schema_error():
+    """A str that no UTF-8 file decodes to, with a lone surrogate among the
+    numbers, is rejected as the tree walk rejects it."""
+    text = functional_to_json(SteeringFunctional.from_table(np.ones((1, 1, 2, 2))))
+    text = text.replace("[[[1,0]", "[[[1,\ud800]", 1)
+    assert serialize._load_flat(text, "functional") is None
+    assert _assert_flat_matches_tree(text, "functional")[:2] == ("reject", "SchemaError")
+
+
+def test_load_holds_the_table_and_a_fraction_of_the_text():
+    """The value array is the load's one table-sized allocation.
+
+    A full-dim dichotomic n = 7 text (1.38 MB, a 3.67 MB table) was
+    measured to peak at the table plus 0.42 MB while it is parsed in 64 KiB
+    windows, and at the table plus 0.52 MB in the Hermiticity pass, which
+    holds one setting's cells: both under the table plus half the text. A
+    copy of the table, or one mask over the whole text, adds more."""
+    text = functional_to_json(dichotomic_functional(build_clifford_family(7, full_dimension=True)))
+    table_bytes = 14 * 128 * 128 * 16
+    tracemalloc.start()
+    try:
+        functional = functional_from_json(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert functional.coefficients.nbytes == table_bytes
+    assert peak <= table_bytes + len(text) / 2
+
+
 def test_huge_claimed_dimension_allocates_nothing():
     text = functional_to_json(SteeringFunctional.from_table(np.ones((1, 1, 2, 2), complex)))
     text = text.replace('"d":2', '"d":1000000')
