@@ -46,7 +46,6 @@ from .functionals import (
     AssemblageReport,
     SteeringFunctional,
     clifford_functional,
-    clifford_projectors,
     dichotomic_functional,
     evaluate,
     mub_functional,
@@ -81,7 +80,6 @@ __all__ = [
     "AssemblageReport",
     "mub_functional",
     "clifford_functional",
-    "clifford_projectors",
     "dichotomic_functional",
     "random_functional",
     "evaluate",

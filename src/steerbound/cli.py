@@ -7,7 +7,9 @@ source of truth; stdout tables are a convenience.
 
 Each command runs with numpy's OpenBLAS held at one thread, so that
 --threads is its only parallelism; the caller's count is restored on
-every exit. An --out path is checked before any work.
+every exit. An --out path is checked before any work, and is written
+whole or not at all: every command writes it through one helper
+(_output), which renames a finished file over it.
 
 Exit codes: 0 success, 2 usage error, 3 unparseable or schema-violating
 input file, 4 precondition failure, 5 enumeration cap exceeded, 6 a
@@ -23,6 +25,7 @@ import io
 import os
 import sys
 import time
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -44,7 +47,7 @@ from .functionals import (
 )
 from .linalg import blas_threads
 from .mub import build_mub_family
-from .serialize import canonical_dumps, format_float, functional_to_json, load_functional
+from .serialize import format_float, load_functional, write_canonical, write_functional
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -109,11 +112,34 @@ def _check_out(out: str) -> None:
         raise PreconditionError(f"--out {out!r}: no directory {str(path.parent)!r}")
 
 
-def _write_output(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+@contextmanager
+def _output(out: str | None):
+    """The `write` of a command's output: stdout's, or, for --out, that of
+    a new file beside the file --out names, which replaces it only once
+    the command has written everything, and is removed if it raises. A
+    device or a pipe (/dev/null, /dev/stdout) is written in place."""
+    if not out:
+        yield sys.stdout.write
+        return
+    path = Path(out).resolve()  # a symlink keeps pointing at the file written
+    if path.exists() and not path.is_file():
+        with open(path, "w", encoding="utf-8") as file:
+            yield file.write
+        return
+    while True:
+        temporary = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+        try:
+            fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+    try:
+        with open(fd, "w", encoding="utf-8") as file:
+            yield file.write
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 def _reject_unread_flags(kind: str, flags: dict[str, tuple[bool, tuple[str, ...]]]) -> None:
@@ -156,8 +182,8 @@ def cmd_generate(args) -> int:
         },
     )
     functional = _build_functional(args.kind, args.d, args.n, args.seed, args.full_dim)
-    text = functional_to_json(functional)
-    _write_output(text, args.out)
+    with _output(args.out) as write:
+        write_functional(functional, write)
     destination = args.out or "stdout"
     print(
         f"[{_timestamp()}] wrote {functional.kind} functional "
@@ -210,7 +236,8 @@ def cmd_bounds(args) -> int:
             },
             "report": report.to_dict(),
         }
-        Path(args.out).write_text(canonical_dumps(document))
+        with _output(args.out) as write:
+            write_canonical(document, write)
     if report.failed:
         print(f"failed certificates: {', '.join(report.failed)}", file=sys.stderr)
         return EXIT_CHECK
@@ -278,7 +305,8 @@ def cmd_sweep(args) -> int:
     increasing = all(b > a for a, b in zip(violations, violations[1:]))
     text = buffer.getvalue()
     text += f"# violation_strictly_increasing={'true' if increasing else 'false'}\n"
-    _write_output(text, args.out)
+    with _output(args.out) as write:
+        write(text)
     return EXIT_OK
 
 
@@ -297,7 +325,8 @@ def cmd_verify(args) -> int:
     all_passed = all(r.passed for r in results) and bool(results)
     if args.out:
         summary = {"all_passed": all_passed, "checks": [dataclasses.asdict(r) for r in results]}
-        Path(args.out).write_text(canonical_dumps(summary))
+        with _output(args.out) as write:
+            write_canonical(summary, write)
     if not results:
         print(f"no checks match filter {args.filter!r}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -201,21 +201,20 @@ def mub_functional(family: MubFamily) -> SteeringFunctional:
     return SteeringFunctional._adopt(table, kind="mub")
 
 
-def clifford_projectors(family: CliffordFamily) -> np.ndarray:
-    """Spectral projectors P_x^1 = (1 + A_x)/2, P_x^2 = (1 - A_x)/2."""
-    eye = np.eye(family.dimension, dtype=complex)
-    return np.stack(
-        [np.stack([(eye + a) / 2, (eye - a) / 2]) for a in family.observables]
-    )
+def _signed_table(observables: np.ndarray, scale: float) -> np.ndarray:
+    """The two-outcome table F_x^1 = scale A_x, F_x^2 = -F_x^1, filled in
+    place: the table is the only array this allocates."""
+    count, d, _ = np.shape(observables)
+    table = np.empty((count, 2, d, d), dtype=complex)
+    np.multiply(observables, scale, out=table[:, 0])
+    np.negative(table[:, 0], out=table[:, 1])
+    return table
 
 
 def clifford_functional(family: CliffordFamily) -> SteeringFunctional:
-    """Two-outcome table F_x^1 = A_x/2, F_x^2 = -A_x/2 (the projector table
-    shifted by -1/2)."""
-    obs = np.asarray(family.observables, dtype=complex)
-    table = np.stack((obs, -obs), axis=1)
-    table /= 2
-    return SteeringFunctional._adopt(table, kind="clifford")
+    """Two-outcome table F_x^1 = A_x/2, F_x^2 = -A_x/2: the table of the
+    spectral projectors (1 +- A_x)/2, shifted by -1/2."""
+    return SteeringFunctional._adopt(_signed_table(family.observables, 0.5), kind="clifford")
 
 
 def dichotomic_functional(family: CliffordFamily) -> SteeringFunctional:
@@ -223,8 +222,7 @@ def dichotomic_functional(family: CliffordFamily) -> SteeringFunctional:
     A_x = P_x^1 - P_x^2. Its steering pairing with an assemblage is
     Tr(sum_x A_x (sigma_x^1 - sigma_x^2)), the dichotomic inequality on the
     difference assemblages."""
-    obs = family.observables
-    table = np.stack((obs, -obs), axis=1)
+    table = _signed_table(family.observables, 1)
     return SteeringFunctional._adopt(table, kind="clifford-dichotomic")
 
 

@@ -3,17 +3,25 @@
 Every file kind is one document {"meta", "matrices"}: `meta` names the
 kind and its sizes, and `matrices` is a stack of complex d x d matrices
 written as nested lists of [re, im] pairs, row-major - universally
-parseable, no binary formats. One codec serves all four kinds: `_dump`
-writes a complex stack through the emitter's float-array branch, the only
-code that writes matrix data, and `_load` parses it back. Keys are emitted
-sorted and floats with 17 significant digits, zeros as `0`, so loading a
-file and re-serializing it reproduces identical bytes.
+parseable, no binary formats. One codec serves all four kinds:
+`_document` puts a complex stack under the emitter's float-array
+branch, the only code that writes matrix data, and `_load` parses it
+back. Keys are emitted sorted and floats with 17 significant digits,
+zeros as `0`, so loading a file and re-serializing it reproduces
+identical bytes.
+
+The emitter writes through a `write` callable, so one writer serves a
+file, stdout and the str API (canonical_dumps joins its pieces). The
+matrix block is formatted one write window at a time (`_write_floats`):
+runs of whole matrices, or of rows where one matrix holds more than
+_WINDOW // 4 leaves, so the writer holds about a window of text and
+never the whole document.
 
 Both directions cost what a mostly-zero stack holds, such as the
 full-dimensional Pauli tables with one nonzero entry per row. When at
-most a quarter of the leaves are nonzero, the writer formats only those,
-into the all-`0` skeleton; when the number text averages at most 4
-bytes a leaf, the reader sets each token that is exactly `0` to +0.0,
+most a quarter of a window's leaves are nonzero, the writer formats only
+those, into the all-`0` skeleton; when the number text averages at most
+4 bytes a leaf, the reader sets each token that is exactly `0` to +0.0,
 as json.loads would, and parses only the others. Denser stacks take one
 template and one list of every leaf, which their per-leaf bookkeeping
 would only slow down.
@@ -36,13 +44,18 @@ bits, and raises every SchemaError. Loaders validate strictly: unknown
 keys, wrong shapes, unknown kinds, values that are not numbers and
 non-finite values (NaN, Infinity) are all rejected with SchemaError.
 
-`functional_from_json` hands its value array to the functional without
-a copy (SteeringFunctional._adopt).
+`load_functional` does not read a file's text whole: `_load_file` finds
+the key in the file's first window and the meta in its last, and hands
+the block, read from the file in windows, to the same `_read_block`. A
+file it cannot vouch for that way is read as text and goes through
+`_load`. `functional_from_json` and `load_functional` hand their value
+array to the functional without a copy (SteeringFunctional._adopt).
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 from pathlib import Path
 
@@ -55,6 +68,10 @@ from .functionals import KINDS, Assemblage, SteeringFunctional
 from .mub import MubFamily, verify_unbiasedness
 
 META_KEYS = ("kind", "d", "n", "m", "seed", "version")
+# characters of the block checked and parsed at a time, and read from a
+# file at a time: on a full-dim n = 7 table (a 1.4 MB text) as fast as
+# 256 KiB and faster than 1 MiB; a quarter of it in leaves written at a time
+_WINDOW = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -97,57 +114,89 @@ def _format_floats(values: np.ndarray) -> str:
     return "%.17g".join(pieces) % tuple(flat[nonzero].tolist())
 
 
+def _write_floats(values: np.ndarray, write) -> None:
+    """Write what _format_floats returns for `values`, formatted one window
+    of at most _WINDOW // 4 leaves at a time (about a window of text for
+    the mostly-zero stacks): a run of whole sub-arrays along the first
+    axis, or, where one sub-array holds more leaves than that, each
+    sub-array in turn."""
+    budget = _WINDOW // 4
+    if values.ndim == 0 or values.size <= budget:
+        write(_format_floats(values))
+        return
+    write("[")
+    if values.size // len(values) > budget:
+        for i, part in enumerate(values):
+            if i:
+                write(",")
+            _write_floats(part, write)
+    else:
+        step = budget // (values.size // len(values))
+        for lo in range(0, len(values), step):
+            if lo:
+                write(",")
+            write(_format_floats(values[lo : lo + step])[1:-1])
+    write("]")
+
+
 def format_float(x: float) -> str:
     return _format_floats(np.asarray(x, dtype=np.float64))
 
 
-def _emit(obj, out: list) -> None:
+def _emit(obj, write) -> None:
     if isinstance(obj, dict):
-        out.append("{")
+        write("{")
         for i, key in enumerate(sorted(obj)):
             if not isinstance(key, str):
                 raise SchemaError(f"non-string key {key!r}")
             if i:
-                out.append(",")
-            out.append(json.dumps(key))
-            out.append(":")
-            _emit(obj[key], out)
-        out.append("}")
+                write(",")
+            write(json.dumps(key))
+            write(":")
+            _emit(obj[key], write)
+        write("}")
     elif isinstance(obj, (list, tuple)):
-        out.append("[")
+        write("[")
         for i, item in enumerate(obj):
             if i:
-                out.append(",")
-            _emit(item, out)
-        out.append("]")
+                write(",")
+            _emit(item, write)
+        write("]")
     elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
-        out.append(_format_floats(obj))
+        _write_floats(obj, write)
     elif isinstance(obj, (bool, np.bool_)) or obj is None:
-        out.append("null" if obj is None else "true" if obj else "false")
+        write("null" if obj is None else "true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
-        out.append(repr(int(obj)))
+        write(repr(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(float(obj)))
+        write(format_float(float(obj)))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        write(json.dumps(obj))
     else:
         raise SchemaError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def write_canonical(obj, write) -> None:
+    """Write canonical_dumps(obj) through `write`, piece by piece: a float
+    array a window at a time, so no text of it is held whole."""
+    _emit(obj, write)
+    write("\n")
 
 
 def canonical_dumps(obj) -> str:
     """Deterministic JSON: sorted keys, 17-significant-digit floats."""
     out: list = []
-    _emit(obj, out)
-    return "".join(out) + "\n"
+    write_canonical(obj, out.append)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
 # matrix-stack codec
 
 
-def _dump(kind: str, stack: np.ndarray, n: int, m: int, seed) -> str:
+def _document(kind: str, stack: np.ndarray, n: int, m: int, seed) -> dict:
     """Document of `kind` holding the complex d x d matrices of `stack` in
-    C order, written as the (count, d, d, 2) real view."""
+    C order, as the (count, d, d, 2) real view."""
     stack = np.ascontiguousarray(stack, dtype=complex)
     d = stack.shape[-1]
     meta = {
@@ -158,8 +207,11 @@ def _dump(kind: str, stack: np.ndarray, n: int, m: int, seed) -> str:
         "seed": None if seed is None else int(seed),
         "version": __version__,
     }
-    matrices = stack.view(np.float64).reshape(-1, d, d, 2)
-    return canonical_dumps({"meta": meta, "matrices": matrices})
+    return {"meta": meta, "matrices": stack.view(np.float64).reshape(-1, d, d, 2)}
+
+
+def _dump(kind: str, stack: np.ndarray, n: int, m: int, seed) -> str:
+    return canonical_dumps(_document(kind, stack, n, m, seed))
 
 
 def _check_header(doc, kind: str) -> tuple[dict, int, int]:
@@ -214,12 +266,10 @@ def _load_tree(text: str, kind: str) -> tuple[dict, np.ndarray]:
 
 
 _BLOCK_KEY = re.compile(r'"matrices"[ \t\n\r]*:[ \t\n\r]*(?=\[)')
+_BLOCK_KEY_BYTES = re.compile(_BLOCK_KEY.pattern.encode())
 _NUMBER_CHARS = b"0123456789+-.eE"
 _WHITESPACE = b" \t\n\r"
 _COMMA, _ZERO, _OPEN, _CLOSE = b",0[]"
-# characters of the block checked and parsed at a time: on a full-dim n = 7
-# table (a 1.4 MB text) as fast as 256 KiB and faster than 1 MiB
-_WINDOW = 1 << 16
 
 
 def _read_dense(padded: bytes, values: np.ndarray) -> int:
@@ -302,38 +352,47 @@ def _glued(window: bytes) -> bool:
     return False
 
 
-def _read_block(text: str, start: int, stop: int, count: int, d: int) -> np.ndarray | None:
-    """The leaves, in C order, of the matrix block text[start : stop + 1]
-    of shape (count, d, d, 2), whose closing bracket is text[stop]; None
-    when the block does not have that bracket/comma skeleton, holds a
-    number beside a bracket on the wrong side (`5[`, `] 5`) or holds a
-    token that is not a finite JSON number.
+def _read_block(read, length: int, count: int, d: int) -> np.ndarray | None:
+    """The leaves, in C order, of a matrix block of shape (count, d, d, 2)
+    whose `length` characters before its closing bracket `read(size)`
+    returns in turn, as bytes; None when the block does not have that
+    bracket/comma skeleton, holds a number beside a bracket on the wrong
+    side (`5[`, `] 5`) or holds a token that is not a finite JSON number.
 
-    The block before its closing bracket is read in windows of at most
-    _WINDOW characters, each ending before a comma, so no token is split.
-    Each window is checked against its stretch of the skeleton (one
-    translate deletes every number and whitespace byte, and the stretch is
-    a slice of one matrix's skeleton, tiled), checked for a glued number
-    by byte compares (_glued), stripped of its brackets and parsed into its
-    stretch of the value array. The value array is the only allocation the
-    size of the table; the rest is one window's, and the tile, at most a
-    window and two matrices' skeletons."""
+    The block is read in windows of at most _WINDOW bytes, each ending
+    before a comma, so no token is split. Each window is checked against
+    its stretch of the skeleton (one translate deletes every number and
+    whitespace byte, and the stretch is a slice of one matrix's skeleton,
+    tiled), checked for a glued number by byte compares (_glued), stripped
+    of its brackets and parsed into its stretch of the value array. The
+    value array is the only allocation the size of the table; the rest is
+    one window's, and the tile, at most a window and two matrices'
+    skeletons."""
     size = count * d * d * 2
     unit = 4 * d * d + 2 * d + 2  # one matrix's skeleton and the comma after it
-    if stop + 1 - start < count * unit + 1 + size:
+    if length + 1 < count * unit + 1 + size:
         return None  # too short to hold the shape: build nothing from meta
     brackets = 2 * (1 + count * (1 + d * (1 + d)))
-    read = _read_dense if stop + 1 - start - brackets > 4 * size else _read_sparse
-    reps = min(_WINDOW, stop - start) // unit + 2  # so a window's stretch fits from any offset
+    parse = _read_dense if length + 1 - brackets > 4 * size else _read_sparse
+    reps = min(_WINDOW, length) // unit + 2  # so a window's stretch fits from any offset
     tile = b"[" + (_nested("", (d, d, 2)) + ",").encode() * reps
     values = np.zeros(size)
     at = done = 0  # the skeleton's bytes checked and the leaves read so far
     lead = b","  # the first window starts at a token, the others at a comma
-    while start < stop:
-        cut = stop if stop - start <= _WINDOW else text.rfind(",", start + 1, start + _WINDOW)
-        if cut < 0:
-            return None  # a token longer than a window
-        window = text[start:cut].encode(errors="surrogatepass")  # a lone surrogate fails below
+    window, left = b"", length
+    while left > 0 or window:
+        if left > 0:
+            chunk = read(min(_WINDOW - len(window), left))
+            if not chunk:
+                return None  # the source ended early
+            window += chunk
+            left -= len(chunk)
+        rest = b""
+        if left > 0:  # end the window before its last comma
+            cut = window.rfind(b",", 1)
+            if cut < 1:
+                return None  # a token longer than a window
+            window, rest = window[:cut], window[cut:]
         skeleton = window.translate(None, _NUMBER_CHARS + _WHITESPACE)
         if at + len(skeleton) > count * unit:
             return None
@@ -343,14 +402,42 @@ def _read_block(text: str, start: int, stop: int, count: int, d: int) -> np.ndar
         flat = window.translate(None, b"[]")
         del window, skeleton
         try:
-            read_now = read(lead + flat + b",", values[done:])
+            read_now = parse(lead + flat + b",", values[done:])
         except (ValueError, OverflowError):
             return None
         if not np.isfinite(values[done : done + read_now]).all():
             return None
         done += read_now
-        start, lead = cut, b""
+        window, lead = rest, b""
     return values if at == count * unit and done == size else None
+
+
+def _text_reader(text: str, start: int):
+    """read(size) for _read_block: the next `size` characters of `text`
+    from `start` on, encoded (a lone surrogate too, which the block check
+    then rejects)."""
+    at = start
+
+    def read(size: int) -> bytes:
+        nonlocal at
+        at += size
+        return text[at - size : at].encode(errors="surrogatepass")
+
+    return read
+
+
+def _read_document(rest, kind: str, read, length: int) -> tuple[dict, np.ndarray] | None:
+    """The meta and the stack of a document whose text with its matrix
+    block replaced by `null` is `rest`, and whose block _read_block reads
+    through `read`; None when either is not one the flat parse vouches
+    for."""
+    try:
+        doc = json.loads(rest)
+        meta, count, d = _check_header(doc, kind)
+    except (ValueError, RecursionError):
+        return None
+    values = _read_block(read, length, count, d)
+    return None if values is None else (meta, values.view(complex).reshape(count, d, d))
 
 
 def _load_flat(text: str, kind: str) -> tuple[dict, np.ndarray] | None:
@@ -371,13 +458,41 @@ def _load_flat(text: str, kind: str) -> tuple[dict, np.ndarray] | None:
     end = text.rfind("]", start, len(text) if quote < 0 else quote) + 1
     if end <= start or text.find('"matrices"', end) >= 0:
         return None  # the key is not the only one, so maybe not the top-level one
-    try:
-        doc = json.loads(text[:start] + "null" + text[end:])
-        meta, count, d = _check_header(doc, kind)
-    except (ValueError, RecursionError):
-        return None
-    values = _read_block(text, start, end - 1, count, d)
-    return None if values is None else (meta, values.view(complex).reshape(count, d, d))
+    rest = text[:start] + "null" + text[end:]
+    return _read_document(rest, kind, _text_reader(text, start), end - 1 - start)
+
+
+def _load_file(path, kind: str) -> tuple[dict, np.ndarray] | None:
+    """What _load_flat returns for the text of the file at `path`, read
+    from the file a window at a time, or None when that cannot be vouched
+    for from the file's first and last window and its block.
+
+    The key must lie in the first window and the block's closing bracket
+    in the last: the block's end is the last `]` before the last window's
+    first quote, which is the first quote after the key because the block
+    check admits none. Every other condition _load_flat tests on the whole
+    text is tested on these windows or implied by the block check, so
+    where this accepts, _load_flat accepts the same cut."""
+    with open(path, "rb") as file:
+        head = file.read(_WINDOW)
+        key = None if b"\\" in head else _BLOCK_KEY_BYTES.search(head)
+        if key is None or head.find(b'"matrices"') != key.start():
+            return None
+        start = key.end()
+        tail_at = max(start, os.fstat(file.fileno()).st_size - _WINDOW)
+        file.seek(tail_at)
+        tail = file.read()
+        quote = tail.find(b'"')
+        end = tail.rfind(b"]", 0, len(tail) if quote < 0 else quote) + 1
+        if not end or b"\\" in tail or tail.find(b'"matrices"', end) >= 0:
+            return None
+        try:
+            rest = (head[:start] + b"null" + tail[end:]).decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+        del head, tail
+        file.seek(start)
+        return _read_document(rest, kind, file.read, tail_at + end - 1 - start)
 
 
 def _load(text: str, kind: str) -> tuple[dict, np.ndarray]:
@@ -392,24 +507,39 @@ def _load(text: str, kind: str) -> tuple[dict, np.ndarray]:
 # setting x = 0 first, outcomes within it in order)
 
 
+def write_functional(functional: SteeringFunctional, write) -> None:
+    """Write the functional's file through `write`, a window at a time."""
+    f = functional
+    write_canonical(_document(f.kind, f.coefficients, f.n, f.m, f.seed), write)
+
+
 def functional_to_json(functional: SteeringFunctional) -> str:
-    return _dump(
-        functional.kind, functional.coefficients, functional.n, functional.m, functional.seed
-    )
+    f = functional
+    return _dump(f.kind, f.coefficients, f.n, f.m, f.seed)
 
 
-def functional_from_json(text: str) -> SteeringFunctional:
-    meta, stack = _load(text, "functional")
+def _functional(meta: dict, stack: np.ndarray) -> SteeringFunctional:
     table = stack.reshape(meta["n"], meta["m"], meta["d"], meta["d"])
     return SteeringFunctional._adopt(table, kind=meta["kind"], seed=meta["seed"])
 
 
+def functional_from_json(text: str) -> SteeringFunctional:
+    return _functional(*_load(text, "functional"))
+
+
 def load_functional(path) -> SteeringFunctional:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path} is not UTF-8 text: {exc}") from exc
-    return functional_from_json(text)
+    """The functional of the file at `path`. A regular file's block is
+    read from the file a window at a time (_load_file); any other file,
+    and any file that path cannot vouch for, is read as text."""
+    loaded = _load_file(path, "functional") if Path(path).is_file() else None
+    if loaded is None:
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path} is not UTF-8 text: {exc}") from exc
+        loaded = _load(text, "functional")
+        del text
+    return _functional(*loaded)
 
 
 def assemblage_to_json(assemblage: Assemblage) -> str:

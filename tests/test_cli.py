@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -665,3 +666,80 @@ def test_bounds_report_independent_of_ambient_blas_count(tmp_path):
                 assert run(["bounds", str(table), "--out", str(out)]) == EXIT_OK
             reports.append(json.dumps(load_report(out), sort_keys=True))
         assert reports[0] == reports[1], name
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--kind", "dichotomic", "--n", "5", "--full-dim"],  # mostly zeros, many windows
+        ["--kind", "mub", "--d", "5"],  # dense
+    ],
+    ids=["full-dim-sparse", "dense"],
+)
+def test_generate_to_stdout_writes_the_out_file_bytes(tmp_path, capsysbinary, flags):
+    out = tmp_path / "table.json"
+    assert run(["generate", *flags, "--out", str(out)]) == EXIT_OK
+    capsysbinary.readouterr()
+    assert run(["generate", *flags]) == EXIT_OK
+    assert capsysbinary.readouterr().out == out.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["generate", "bounds", "sweep", "verify"])
+def test_out_is_written_whole_or_not_at_all(tmp_path, capsys, monkeypatch, command):
+    """Every command writes --out through a file beside it, renamed over
+    --out on success: a run leaves --out and nothing else, through a
+    symlink too, and a write that raises after its first window of
+    numbers leaves neither."""
+    from steerbound import SchemaError, serialize
+
+    table = tmp_path / "m23.json"
+    run(["generate", "--kind", "mub", "--d", "2", "--n", "3", "--out", str(table)])
+    argv = {
+        "generate": ["generate", "--kind", "clifford", "--n", "5", "--full-dim"],
+        "bounds": ["bounds", str(table)],
+        "sweep": ["sweep", "--kind", "clifford", "--n", "2,3"],
+        "verify": ["verify", "--filter", "fine-grained"],
+    }[command]
+    done = tmp_path / "done"
+    done.mkdir()
+    out = done / "out.txt"
+    out.write_text("stale")
+    assert run([*argv, "--out", str(out)]) == EXIT_OK
+    assert [p.name for p in done.iterdir()] == ["out.txt"]
+    written = out.read_text()
+    assert written != "stale"
+    link = tmp_path / "link.txt"
+    link.symlink_to(out)
+    out.write_text("stale")
+    assert run([*argv, "--out", str(link)]) == EXIT_OK
+    assert link.is_symlink()
+    assert [p.name for p in done.iterdir()] == ["out.txt"]
+    assert out.read_text() != "stale"
+    if command != "generate":
+        return
+    pipe, received = tmp_path / "pipe", []
+    os.mkfifo(pipe)
+    reader = threading.Thread(target=lambda: received.append(pipe.read_text()), daemon=True)
+    reader.start()
+    assert run([*argv, "--out", str(pipe)]) == EXIT_OK
+    reader.join(30)
+    assert not reader.is_alive()
+    assert pipe.is_fifo()  # a pipe is written in place, not replaced
+    assert received == [written]
+
+    format_floats, calls = serialize._format_floats, []
+
+    def fail_after_one_window(values):
+        if calls:
+            raise SchemaError("injected write failure")
+        calls.append(values.size)
+        return format_floats(values)
+
+    monkeypatch.setattr(serialize, "_format_floats", fail_after_one_window)
+    failed = tmp_path / "failed"
+    failed.mkdir()
+    capsys.readouterr()
+    assert run([*argv, "--out", str(failed / "out.json")]) == EXIT_PARSE
+    assert calls  # one window was written before the failure
+    assert "injected write failure" in capsys.readouterr().err
+    assert list(failed.iterdir()) == []

@@ -10,7 +10,6 @@ from steerbound import (
     build_mub_family,
     canonical_quantum_assemblage,
     clifford_functional,
-    clifford_projectors,
     dichotomic_functional,
     evaluate,
     mub_functional,
@@ -21,6 +20,12 @@ from steerbound.serialize import functional_from_json, functional_to_json
 from steerbound.tolerances import TOLERANCES
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def clifford_projectors(family: CliffordFamily) -> np.ndarray:
+    """Spectral projectors P_x^1 = (1 + A_x)/2, P_x^2 = (1 - A_x)/2."""
+    eye = np.eye(family.dimension, dtype=complex)
+    return np.stack([np.stack([(eye + a) / 2, (eye - a) / 2]) for a in family.observables])
 
 
 def test_mub_functional_shape_and_traces():

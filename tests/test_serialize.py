@@ -313,12 +313,14 @@ def test_flat_parse_matches_the_tree_walk_on_every_kind_and_layout():
             assert _assert_flat_matches_tree(layout, kind)[0] == "accept"
 
 
-def test_flat_parse_matches_the_tree_walk_under_mutation():
+def _mutated_documents(count):
+    """(kind, text) for `count` documents of _documents, each with one to
+    three random edits: deletions, insertions, replacements, swaps of
+    neighbours and repeated stretches."""
     rng = np.random.default_rng(2024)
     alphabet = '[],:{}" \n\t0123456789-+.eEaNIntul\\é'
     bases = [(kind, layout) for kind, text in _documents() for layout in _layouts(text)[:3:2]]
-    accepted = flat_taken = 0
-    for case in range(4000):
+    for case in range(count):
         kind, text = bases[case % len(bases)]
         for _ in range(1 + rng.integers(3)):
             i = int(rng.integers(len(text)))
@@ -335,6 +337,12 @@ def test_flat_parse_matches_the_tree_walk_under_mutation():
             else:
                 j = i + int(rng.integers(1, 12))
                 text = text[:j] + text[i:j] + text[j:]
+        yield kind, text
+
+
+def test_flat_parse_matches_the_tree_walk_under_mutation():
+    accepted = flat_taken = 0
+    for kind, text in _mutated_documents(4000):
         accepted += _assert_flat_matches_tree(text, kind)[0] == "accept"
         flat_taken += serialize._load_flat(text, kind) is not None
     # both sides of the comparison are exercised
@@ -465,6 +473,137 @@ def test_lone_surrogate_in_the_block_is_a_schema_error():
     assert _assert_flat_matches_tree(text, "functional")[:2] == ("reject", "SchemaError")
 
 
+def _assert_file_matches_text(path, text, kind):
+    """Write `text` to `path`; the windowed file read (_load_file) either
+    declines it or gives what the tree walk gives for the file's text, and
+    for a functional load_functional gives what the text gives. Returns
+    whether the windowed file read took it."""
+    path.write_text(text, encoding="utf-8")
+    text = path.read_text(encoding="utf-8")
+    loaded = serialize._load_file(path, kind)
+    if loaded is not None:
+        expected = _outcome(serialize._load_tree, text, kind)
+        assert expected == ("accept", loaded[0], loaded[1].shape, loaded[1].tobytes())
+    if kind == "functional":
+        assert _functional_outcome(load_functional, path) == _functional_outcome(
+            functional_from_json, text
+        )
+    return loaded is not None
+
+
+def _functional_outcome(load, source):
+    try:
+        functional = load(source)
+    except Exception as exc:  # the comparison covers every exception type
+        return ("reject", type(exc).__name__, str(exc))
+    return ("accept", functional.kind, functional.seed, functional.coefficients.tobytes())
+
+
+@pytest.mark.parametrize("window", [128, 256, 1 << 16])
+def test_file_read_matches_the_text_read(tmp_path, monkeypatch, window):
+    """Every kind and layout, the named cases and mutations, read from a
+    file, with windows so short that the head and the last window of a
+    file are separate and the block is read over many, but long enough for
+    the last window to hold the meta."""
+    monkeypatch.setattr(serialize, "_WINDOW", window)
+    path = tmp_path / "doc.json"
+    for kind, text in _documents():
+        assert _assert_file_matches_text(path, text, kind)  # the canonical layout
+        for layout in _layouts(text)[1:]:
+            _assert_file_matches_text(path, layout, kind)
+    for case in _named_cases() + _zero_token_cases():
+        _assert_file_matches_text(path, case.values[0], "functional")
+    taken = sum(
+        _assert_file_matches_text(path, text, kind) for kind, text in _mutated_documents(600)
+    )
+    assert 30 < taken < 570
+
+
+def test_file_read_falls_back_for_what_it_cannot_vouch_for(tmp_path):
+    """Files that are not UTF-8, whose key or block end lies outside the
+    first or last window, or that are not regular files, are read as
+    text, with the errors that read gives."""
+    path = tmp_path / "doc.json"
+    text = functional_to_json(mub_functional(build_mub_family(2, 3)))
+    path.write_bytes(text.replace('"mub"', '"m\xffb"').encode("latin-1"))
+    assert serialize._load_file(path, "functional") is None
+    with pytest.raises(SchemaError, match="not UTF-8"):
+        load_functional(path)
+    padded = text.replace('"matrices":', '"matrices":' + " " * (1 << 16))
+    padded = padded.replace(',"meta"', " " * (1 << 16) + ',"meta"')
+    for layout in (padded, json.dumps({"meta": json.loads(text)["meta"], "matrices": [[0]] * 6})):
+        assert not _assert_file_matches_text(path, layout, "functional")
+    with pytest.raises(IsADirectoryError):
+        load_functional(tmp_path)
+    with pytest.raises(FileNotFoundError):
+        load_functional(tmp_path / "missing.json")
+
+
+def _windowed(values):
+    out = []
+    serialize._write_floats(values, out.append)
+    return "".join(out)
+
+
+def test_windowed_writer_matches_the_whole_text(monkeypatch):
+    """The block written a window at a time is the text the whole-array
+    formatter gives, for every kind, compact and full-dim, and for custom
+    tables whose matrices, or rows, hold more leaves than a window."""
+    rng = np.random.default_rng(11)
+    noise = rng.standard_normal((3, 1, 9, 9)) * 10.0 ** rng.integers(-30, 30, (3, 1, 9, 9))
+    noise[rng.random(noise.shape) < 0.8] = 0.0  # mostly zeros, with some dense stretches
+    functionals = [
+        mub_functional(build_mub_family(5, 6)),
+        random_functional(4, 1),
+        clifford_functional(build_clifford_family(5)),
+        clifford_functional(build_clifford_family(5, full_dimension=True)),
+        dichotomic_functional(build_clifford_family(6)),
+        dichotomic_functional(build_clifford_family(4, full_dimension=True)),
+        SteeringFunctional.from_table(noise[:, :, :3, :3] + 1j * noise[::-1, :, :3, :3]),
+        SteeringFunctional.from_table(noise + 1j * noise[::-1]),
+        SteeringFunctional.from_table(np.zeros((2, 2, 3, 3))),
+    ]
+    format_floats, shapes = serialize._format_floats, []
+
+    def recording(values):
+        shapes.append(values.shape)
+        return format_floats(values)
+
+    monkeypatch.setattr(serialize, "_format_floats", recording)
+    for window in (64, 1 << 16):
+        monkeypatch.setattr(serialize, "_WINDOW", window)
+        for functional in functionals:
+            d = functional.d
+            leaves = functional.coefficients.view(np.float64).reshape(-1, d, d, 2)
+            shapes.clear()
+            windowed = _windowed(leaves)
+            assert windowed == format_floats(leaves)
+            assert functional_to_json(functional) == _reference_functional_json(functional)
+            if window == 64 and d == 3:
+                assert (2, 3, 2) in shapes  # a window of two rows, inside a matrix
+            if window == 64 and d == 9:
+                assert (8, 2) in shapes  # a window of eight pairs, inside a row
+    leaves = dichotomic_functional(build_clifford_family(7, full_dimension=True)).coefficients
+    leaves = leaves.view(np.float64).reshape(-1, 128, 128, 2)
+    shapes.clear()
+    assert _windowed(leaves) == format_floats(leaves)
+    assert set(shapes) == {(64, 128, 2)}  # half a 128 x 128 matrix a window
+
+
+def _traced_peak(action):
+    """What `action` returns, and the peak of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        result = action()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+FULL_DIM_7_TABLE_BYTES = 14 * 128 * 128 * 16  # 3.67 MB
+
+
 def test_load_holds_the_table_and_a_fraction_of_the_text():
     """The value array is the load's one table-sized allocation.
 
@@ -474,15 +613,50 @@ def test_load_holds_the_table_and_a_fraction_of_the_text():
     holds one setting's cells: both under the table plus half the text. A
     copy of the table, or one mask over the whole text, adds more."""
     text = functional_to_json(dichotomic_functional(build_clifford_family(7, full_dimension=True)))
-    table_bytes = 14 * 128 * 128 * 16
-    tracemalloc.start()
-    try:
-        functional = functional_from_json(text)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert functional.coefficients.nbytes == table_bytes
-    assert peak <= table_bytes + len(text) / 2
+    functional, peak = _traced_peak(lambda: functional_from_json(text))
+    assert functional.coefficients.nbytes == FULL_DIM_7_TABLE_BYTES
+    assert peak <= FULL_DIM_7_TABLE_BYTES + len(text) / 2
+
+
+@pytest.mark.parametrize("make", [clifford_functional, dichotomic_functional])
+def test_building_a_signed_table_holds_the_table_and_no_copy(make):
+    """The +- table is filled in place: the build peaks at the table plus
+    the Hermiticity pass's one setting (0.52 MB), under the table plus the
+    family's observables (1.84 MB), which a stacked -obs temporary
+    exceeds."""
+    family = build_clifford_family(7, full_dimension=True)
+    functional, peak = _traced_peak(lambda: make(family))
+    assert functional.coefficients.nbytes == FULL_DIM_7_TABLE_BYTES
+    assert peak <= FULL_DIM_7_TABLE_BYTES + family.observables.nbytes
+
+
+def test_writing_a_file_holds_a_window_of_text(tmp_path):
+    """A full-dim n = 7 file (1.38 MB) is written a window at a time: the
+    write was measured to peak at 0.22 MB."""
+    functional = dichotomic_functional(build_clifford_family(7, full_dimension=True))
+    path = tmp_path / "table.json"
+
+    def write():
+        with open(path, "w") as file:
+            serialize.write_functional(functional, file.write)
+
+    _, peak = _traced_peak(write)
+    assert peak <= 0.5e6
+    assert path.read_text() == functional_to_json(functional)
+
+
+def test_loading_a_file_holds_the_table_and_a_window(tmp_path):
+    """load_functional reads the block from the file a window at a time,
+    so no text of it is held whole: a full-dim n = 7 file (1.38 MB) was
+    measured to peak at the table plus 0.66 MB, of which the Hermiticity
+    pass holds 0.52 MB."""
+    path = tmp_path / "table.json"
+    path.write_text(
+        functional_to_json(dichotomic_functional(build_clifford_family(7, full_dimension=True)))
+    )
+    functional, peak = _traced_peak(lambda: load_functional(path))
+    assert functional.coefficients.nbytes == FULL_DIM_7_TABLE_BYTES
+    assert peak <= FULL_DIM_7_TABLE_BYTES + 0.75e6
 
 
 def test_huge_claimed_dimension_allocates_nothing():
@@ -500,7 +674,8 @@ def test_huge_claimed_dimension_allocates_nothing():
 
 
 def test_every_written_file_takes_the_flat_path(tmp_path, monkeypatch):
-    """A file the program writes never falls back to the tree walk."""
+    """A file the program writes never falls back to the tree walk, and a
+    functional file is read from the file a window at a time."""
     generated = {
         "mub": ["--kind", "mub", "--d", "3"],
         "clifford": ["--kind", "clifford", "--n", "5"],
@@ -521,8 +696,13 @@ def test_every_written_file_takes_the_flat_path(tmp_path, monkeypatch):
     def no_tree_walk(text, kind):
         raise AssertionError(f"a {kind} file fell back to the tree walk")
 
+    def no_text_read(text, kind):
+        raise AssertionError(f"a {kind} file was read whole")
+
     monkeypatch.setattr(serialize, "_load_tree", no_tree_walk)
-    for name in generated:
-        assert load_functional(tmp_path / f"{name}.json").n >= 1
+    with monkeypatch.context() as patch:
+        patch.setattr(serialize, "_load", no_text_read)
+        for name in generated:
+            assert load_functional(tmp_path / f"{name}.json").n >= 1
     for load, text in dumps:
         load(text)
