@@ -51,7 +51,7 @@ from .functionals import (
     mub_functional,
     random_functional,
 )
-from .linalg import numerical_radius, operator_norm, tensor
+from .linalg import numerical_radius, operator_norm
 from .mub import MubFamily, UnbiasednessReport, build_mub_family, verify_unbiasedness
 from .tolerances import TOLERANCES, Tolerances
 
@@ -66,7 +66,6 @@ __all__ = [
     "BoundCheckError",
     "operator_norm",
     "numerical_radius",
-    "tensor",
     "MubFamily",
     "UnbiasednessReport",
     "build_mub_family",

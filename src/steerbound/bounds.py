@@ -17,14 +17,18 @@ witness), or the first m^(n-k) strategies in lexicographic order, those
 with a_0..a_{k-1} = 0, for a prefix k of 2 (Weyl-covariant tables), 1
 (complement-symmetric tables) or 0 (everything else); rank-one tables
 swap the per-strategy norm for their exact closed-form radius. Every
-evaluated strategy has the value it has in strategy_norms, the full
+solved strategy has the value it has in strategy_norms, the full
 enumeration, which stays the reference: the top |eigenvalue| when the
 table is Hermitian, the numerical radius otherwise, taken over each
 chunk's whole stack of strategy operators in one call, and for
 two-outcome tables with F_x^2 = -F_x^1 only the a_0 = 0 half, mirrored.
 Both build each chunk of strategy operators as one GEMM of a one-hot
-selector with the flattened table. Chunks have fixed, shape-only bounds;
-the `threads` pool workers are the only parallelism, because the
+selector with the flattened table. lhs_bound then solves, per chunk,
+only the strategies a certified upper bound leaves in reach of the
+chunk's maximum: (Tr H^4)^(1/4) for Hermitian tables, 16 support lines
+of the numerical range otherwise (linalg), measured against the value
+of the strategy with the largest bound. Chunks have fixed, shape-only
+bounds; the `threads` pool workers are the only parallelism, because the
 enumeration holds OpenBLAS at one thread. The maximum is the first one
 in lexicographic order, so reports are identical for any `threads` and
 any OPENBLAS_NUM_THREADS. These pins serve library callers; the command
@@ -47,10 +51,11 @@ and Roland, Scand. J. Stat. 35, 335-353, 2008) and is kept only where
 it does not lower the objective, which about halves the updates a
 linearly converging restart takes.
 
-Memory is bounded by shape alone: 8 MiB of strategy operators per chunk,
-256 KiB of rotated matrices per numerical-radius grid block (see
-linalg.numerical_radius), 8 MiB of assembled operators per see-saw
-group, beside two earlier states and one spare POVM/factor table per
+Memory is bounded by shape alone: 1 MiB of strategy operators per chunk,
+beside the copy of those a pruned chunk still solves, 256 KiB of squared
+or rotated matrices per block of the upper bounds and of the
+numerical-radius grid (see linalg), 8 MiB of assembled operators per
+see-saw group, beside two earlier states and one spare POVM/factor table per
 restart in it; table_structure adds one setting's cells, a d x d product,
 a boolean mask of the table and the (n, d) gathers of one setting's
 anticommutation pairs at a time. The canonical attainment
@@ -71,7 +76,14 @@ import numpy as np
 
 from .errors import BoundCheckError, EnumerationCapExceeded, PreconditionError
 from .functionals import Assemblage, AssemblageReport, SteeringFunctional, require_seed
-from .linalg import blas_threads, hermitian_part, numerical_radius, operator_norm
+from .linalg import (
+    blas_threads,
+    hermitian_norm_upper_bounds,
+    hermitian_part,
+    numerical_radius,
+    numerical_radius_upper_bounds,
+    operator_norm,
+)
 from .mub import MubFamily
 from .structure import (
     TableStructure,
@@ -97,7 +109,8 @@ class LhsExactResult:
     witness: tuple[int, ...]  # outcome index per setting, 0-based
     strategy_count: int  # m^n, whatever the path
     structure: TableStructure  # what table_structure found; its method ran
-    strategies_evaluated: int  # strategies whose norm was computed
+    strategies_evaluated: int  # strategies the maximum covers, solved or certified below it
+    strategies_solved: int  # strategies whose norm was computed
 
     @property
     def method(self) -> str:
@@ -173,9 +186,9 @@ def _strategy_total(n: int, m: int, cap: int) -> int:
 
 
 def _chunk_size(d: int) -> int:
-    # keeps a chunk's (chunk, d, d) operator stack at or below 8 MiB; depends
+    # keeps a chunk's (chunk, d, d) operator stack at or below 1 MiB; depends
     # only on the problem shape so results cannot vary with the worker count
-    return max(1, min(8192, (1 << 19) // (d * d)))
+    return max(1, min(8192, (1 << 16) // (d * d)))
 
 
 def _chunk_sums(cells: np.ndarray, n: int, m: int, start: int, stop: int) -> np.ndarray:
@@ -214,6 +227,30 @@ def _top_abs_eigenvalues(ops: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(eigs[:, 0]), np.abs(eigs[:, -1]))
 
 
+def _pruned_values(ops: np.ndarray, norms, upper_bounds) -> np.ndarray:
+    """norms(ops) where a strategy can reach the stack's maximum, -inf
+    where its certified upper bound shows it cannot.
+
+    The strategy with the largest bound is solved first; every other one
+    whose bound is not below that value, less the relative
+    TOLERANCES.strategy_pruning, is solved in one further call. A skipped
+    strategy's norm is below the solved one's, so it can neither be the
+    maximum nor tie with it. A bound that is not a number counts as
+    infinite."""
+    if ops.shape[0] == 1:
+        return norms(ops)
+    bounds = upper_bounds(ops)
+    top = int(np.argmax(bounds))
+    values = np.full(ops.shape[0], -np.inf)
+    values[top] = norms(ops[top : top + 1])[0]
+    near = ~(bounds < values[top] * (1.0 - TOLERANCES.strategy_pruning))
+    near[top] = False
+    near = np.flatnonzero(near)
+    if near.size:
+        values[near] = norms(ops[near])
+    return values
+
+
 def _checked_total(
     f: SteeringFunctional, cap: int, threads: int, angular_resolution: int
 ) -> int:
@@ -234,26 +271,37 @@ def _strategy_values(
     threads: int,
     angular_resolution: int,
     row: int | None = None,
+    prune: bool = False,
 ) -> np.ndarray:
     """Values of the first `count` strategies in lexicographic order, over
     fixed, shape-only chunks on `threads` pool workers with OpenBLAS held
     at one thread: the top |eigenvalue| of each strategy operator for
     Hermitian tables, its numerical radius otherwise (one call per chunk),
     or, when every cell is zero outside `row`, the exact rank-one radius
-    (|w_row| + |w|)/2 of that row w of the operator."""
+    (|w_row| + |w|)/2 of that row w of the operator. With `prune`, a
+    chunk of operators solves only the strategies that can reach its
+    maximum (_pruned_values, bounded by hermitian_norm_upper_bounds or
+    numerical_radius_upper_bounds) and gives the others -inf; every
+    solved value is the one the unpruned chunk gives."""
     n, m, d = f.n, f.m, f.d
     chunk = _chunk_size(d)
     spans = [(s, min(s + chunk, count)) for s in range(0, count, chunk)]
     cells = f.coefficients if row is None else f.coefficients[:, :, row : row + 1]
     cells = np.ascontiguousarray(cells).reshape(n * m, -1).view(np.float64)
+    if f.hermitian:
+        norms, upper_bounds = _top_abs_eigenvalues, hermitian_norm_upper_bounds
+    else:
+        upper_bounds = numerical_radius_upper_bounds
+
+        def norms(ops):
+            return numerical_radius(ops, angular_resolution)
 
     def values_of(span):
         sums = _chunk_sums(cells, n, m, *span)
         if row is not None:
             return (np.abs(sums[:, row]) + np.linalg.norm(sums, axis=1)) / 2
-        if f.hermitian:
-            return _top_abs_eigenvalues(sums.reshape(-1, d, d))
-        return numerical_radius(sums.reshape(-1, d, d), angular_resolution)
+        ops = sums.reshape(-1, d, d)
+        return _pruned_values(ops, norms, upper_bounds) if prune else norms(ops)
 
     with blas_threads(1):
         if threads > 1 and len(spans) > 1:
@@ -305,10 +353,16 @@ def lhs_bound(
     A closed form (anticommuting) returns its value with the all-zeros
     witness and evaluates no strategy. Otherwise the first m^(n-k)
     strategies are evaluated, those with a_0..a_{k-1} = 0 for the prefix k
-    of the structure (0 for a full enumeration), each with the same value
-    it has in strategy_norms (or, for rank-one tables, the exact radius),
-    and ties break toward the lexicographically first. The cap applies to
-    m^n whatever the path, and strategy_count is always m^n.
+    of the structure (0 for a full enumeration), and ties break toward the
+    lexicographically first. Rank-one tables solve each with its exact
+    radius. Other tables solve, per chunk, only the strategies whose
+    certified upper bound reaches the chunk's best solved value less the
+    relative TOLERANCES.strategy_pruning (_pruned_values), each with the
+    value it has in strategy_norms; the others are certified below the
+    maximum. strategies_evaluated counts the strategies the maximum
+    covers, strategies_solved those whose norm was computed; both depend
+    on the shape alone, not on `threads`. The cap applies to m^n whatever
+    the path, and strategy_count is always m^n.
     """
     total = _checked_total(f, cap, threads, angular_resolution)
     structure = table_structure(f)
@@ -319,9 +373,15 @@ def lhs_bound(
             strategy_count=total,
             structure=structure,
             strategies_evaluated=0,
+            strategies_solved=0,
         )
     values = _strategy_values(
-        f, f.m ** (f.n - structure.prefix), threads, angular_resolution, structure.row
+        f,
+        f.m ** (f.n - structure.prefix),
+        threads,
+        angular_resolution,
+        structure.row,
+        prune=True,
     )
     best = int(np.argmax(values))
     witness = tuple(int(a) for a in np.unravel_index(best, (f.m,) * f.n))
@@ -331,6 +391,7 @@ def lhs_bound(
         strategy_count=total,
         structure=structure,
         strategies_evaluated=values.size,
+        strategies_solved=int(np.count_nonzero(values != -np.inf)),
     )
 
 
@@ -826,6 +887,7 @@ def violation(
         "enumeration_cap": cap,
         "lhs_method": lhs.method,
         "strategies_evaluated": lhs.strategies_evaluated,
+        "strategies_solved": lhs.strategies_solved,
     }
     paper = paper_values(f)
     certificates: list[Certificate] = []

@@ -16,7 +16,7 @@ arithmetic rather than Kronecker products, with qubit k the k-th most
 significant bit of a basis index j: sx and sy on qubit k send column j to
 row j XOR bit_k, the sz prefix multiplies by (-1)^(number of set bits of
 j above bit_k), and sy adds i (-1)^(bit_k of j). The entries are those of
-the Kronecker definition exactly (linalg.tensor), up to the sign of
+the Kronecker definition exactly (numpy.kron), up to the sign of
 zeros, and only the requested observables are built.
 """
 

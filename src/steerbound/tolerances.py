@@ -27,6 +27,10 @@ class Tolerances:
         table's scale, that the Weyl-orbit reduction may carry: orbit depth
         times the norm change one shift or clock step makes to a strategy
         operator.
+    strategy_pruning: relative margin by which a strategy's certified upper
+        bound must fall below the best value its chunk computed before the
+        LHS enumeration skips the strategy's eigensolve; far above the
+        rounding of either the bound or the eigensolve (about d * 2.2e-16).
     """
 
     hermiticity: float = 1e-10
@@ -39,6 +43,7 @@ class Tolerances:
     bound_slack: float = 1e-9
     seesaw_monotone: float = 1e-12
     outcome_symmetry: float = 1e-12
+    strategy_pruning: float = 1e-9
 
 
 TOLERANCES = Tolerances()

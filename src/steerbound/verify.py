@@ -142,12 +142,14 @@ def _check_lhs_structure_shortcuts(rng, threads: int) -> tuple[bool, str]:
     plus_minus = plus_minus + plus_minus.conj().transpose(0, 2, 1)
     perturbed = mub_functional(build_mub_family(3, 3)).coefficients.copy()
     perturbed[1, 1, 0, 0] += 1e-9
+    general = rng.normal(size=(3, 3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3, 3))
     cases = (
         ("anticommuting", dichotomic_functional(build_clifford_family(5))),
         ("rank-one", random_functional(3, 0)),
         ("weyl-orbit", mub_functional(build_mub_family(5, 4))),
         ("complement-half", SteeringFunctional.from_table(np.stack([plus_minus, -plus_minus], 1))),
         ("enumeration", SteeringFunctional.from_table(perturbed, kind="mub")),
+        ("enumeration", SteeringFunctional.from_table(general)),  # numerical radii
     )
     worst = 0.0
     for method, functional in cases:

@@ -625,8 +625,8 @@ def test_mub_cell_off_by_more_than_the_match_tolerance_is_enumerated(eigvalsh_ma
     functional = SteeringFunctional.from_table(table, kind="mub")
     eigvalsh_matrices.clear()
     result = lhs_bound(functional)
-    assert result.method == "enumeration"
-    assert sum(eigvalsh_matrices) == result.strategies_evaluated == 81
+    assert (result.method, result.strategies_evaluated) == ("enumeration", 81)
+    assert sum(eigvalsh_matrices) == result.strategies_solved
     assert abs(result.value - full_enumeration_norms(functional).max()) <= 1e-12
 
 
@@ -635,8 +635,61 @@ def test_random_table_with_an_entry_outside_row_zero_is_enumerated(radius_matric
     table[1, 2, 2, 1] = 1e-3
     functional = SteeringFunctional.from_table(table, kind="random")
     result = lhs_bound(functional)
+    assert (result.method, result.strategies_evaluated) == ("enumeration", 27)
+    assert sum(radius_matrices) == result.strategies_solved
+    assert result.value == strategy_norms(functional).max()
+
+
+def pruning_cases():
+    """(id, custom table whose lhs_bound takes the pruned enumeration,
+    whether it solves fewer than half of its strategies)."""
+    rng = np.random.default_rng(31)
+
+    def complex_normal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    yield "hermitian-3-3-3", random_hermitian_functional(rng, 3, 3, 3), True
+    yield "hermitian-4-5-4", random_hermitian_functional(rng, 5, 4, 4), True
+    # 81 strategies in chunks of 64: two chunks, each pruned on its own;
+    # d = 32 spectra are flat enough that every strategy is solved
+    yield "hermitian-32-4-3", random_hermitian_functional(rng, 4, 3, 32), False
+    yield "general-3-3-3", SteeringFunctional.from_table(complex_normal(3, 3, 3, 3)), True
+    yield "general-5-4-3", SteeringFunctional.from_table(complex_normal(4, 3, 5, 5)), True
+    # every outcome of setting 1 has the same cell: each value is taken by
+    # three strategies, and the witness is the first of them (a_1 = 0)
+    tied = random_hermitian_functional(rng, 3, 3, 3).coefficients.copy()
+    tied[1] = tied[1, 0]
+    yield "tied", SteeringFunctional.from_table(tied), True
+
+
+@pytest.mark.parametrize("name, functional, prunes", list(pruning_cases()))
+def test_pruned_enumeration_matches_the_full_one(name, functional, prunes):
+    norms = strategy_norms(functional)
+    first = np.unravel_index(int(np.argmax(norms)), (functional.m,) * functional.n)
+    results = [lhs_bound(functional, threads=threads) for threads in (1, 3)]
+    assert results[0] == results[1]
+    result = results[0]
     assert result.method == "enumeration"
-    assert sum(radius_matrices) == result.strategies_evaluated == 27
+    assert result.value == norms.max()
+    assert result.witness == tuple(int(a) for a in first)
+    assert result.strategies_evaluated == norms.size
+    assert 1 <= result.strategies_solved <= norms.size
+    assert (result.strategies_solved < norms.size / 2) == prunes
+    if name == "tied":
+        assert result.witness[1] == 0
+        assert np.count_nonzero(norms == norms.max()) >= 3
+
+
+def test_pruning_bounds_the_matrix_eigvalsh_reads():
+    # F^0 is Hermitian within tolerance but nilpotent: its square is 0,
+    # while eigvalsh reads its lower triangle, of norm 1e-10. A bound on F^0
+    # itself would rank it below F^1 and skip the maximum.
+    low = np.array([[0, 0], [1e-10, 0]], dtype=complex)
+    functional = SteeringFunctional.from_table(np.stack([low, np.diag([6e-11, 0])])[None])
+    assert functional.hermitian and not functional.exactly_hermitian
+    result = lhs_bound(functional)
+    assert result.method == "enumeration"
+    assert (result.value, result.witness) == (1e-10, (0,))
     assert result.value == strategy_norms(functional).max()
 
 
@@ -725,6 +778,7 @@ def test_report_names_the_lhs_path():
         assert reports[0] == reports[1]
         assert reports[0].diagnostics["lhs_method"] == method
         assert reports[0].diagnostics["strategies_evaluated"] == evaluated
+        assert 0 <= reports[0].diagnostics["strategies_solved"] <= evaluated
 
 
 # ---------------------------------------------------------------------------

@@ -358,7 +358,7 @@ def test_bounds_mislabelled_kind_is_a_one_line_check_failure(
 def test_bounds_clifford_label_without_the_structure_eigensolves_every_cell(
     tmp_path, capsys, eigvalsh_matrices
 ):
-    from steerbound import build_clifford_family, dichotomic_functional
+    from steerbound import build_clifford_family, dichotomic_functional, lhs_bound
     from steerbound.serialize import functional_to_json
 
     # dichotomic n = 5 with one entry of B_0 one ulp off anticommuting: no
@@ -376,8 +376,12 @@ def test_bounds_clifford_label_without_the_structure_eigensolves_every_cell(
         "error: kind 'clifford' does not fit the table: "
         "its canonical assemblage fails positivity\n"
     )
-    # the a_0 = 0 half of the strategies, then all 10 canonical cells at once
-    assert eigvalsh_matrices == [2**4, 10]
+    # the solved strategies of the a_0 = 0 half, then all 10 canonical cells at once
+    counted = list(eigvalsh_matrices)
+    lhs = lhs_bound(SteeringFunctional.from_table(table, kind="clifford"))
+    assert lhs.strategies_evaluated == 2**4
+    assert sum(counted[:-1]) == lhs.strategies_solved
+    assert counted[-1] == 10
 
 
 def test_bounds_cap_exceeded(tmp_path):

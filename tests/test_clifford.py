@@ -8,7 +8,6 @@ from steerbound import (
     CliffordFamily,
     PreconditionError,
     build_clifford_family,
-    tensor,
     verify_anticommutation,
 )
 from steerbound.cli import main
@@ -107,11 +106,11 @@ def kronecker_chain(m):
     """All 2m+1 chain observables on m qubits, as Kronecker products."""
     eye = np.eye(2, dtype=complex)
     ops = [
-        reduce(tensor, [SIGMA_Z] * (k - 1) + [pauli] + [eye] * (m - k))
+        reduce(np.kron, [SIGMA_Z] * (k - 1) + [pauli] + [eye] * (m - k))
         for k in range(1, m + 1)
         for pauli in (SIGMA_X, SIGMA_Y)
     ]
-    return np.stack(ops + [reduce(tensor, [SIGMA_Z] * m)])
+    return np.stack(ops + [reduce(np.kron, [SIGMA_Z] * m)])
 
 
 @pytest.mark.parametrize("m", range(1, 9))

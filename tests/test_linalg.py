@@ -10,13 +10,17 @@ from steerbound import (
     build_mub_family,
     numerical_radius,
     operator_norm,
-    tensor,
 )
-from steerbound import linalg
+from steerbound import TOLERANCES, linalg
 from steerbound.linalg import _openblas, blas_threads
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def tensor(a, b) -> np.ndarray:
+    """Kronecker product. Satisfies (a(x)b)(c(x)d) = ac (x) bd."""
+    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def random_hermitian(rng, d):
@@ -145,6 +149,55 @@ def test_numerical_radius_sandwich_bounds():
 def test_numerical_radius_resolution_validated():
     with pytest.raises(PreconditionError, match="at least 8"):
         numerical_radius(np.eye(2), angular_resolution=4)
+
+
+def bound_stacks():
+    """(id, (k, d, d) stack) for the certified upper bounds."""
+    rng = np.random.default_rng(20)
+
+    def complex_normal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    raw = complex_normal(40, 5, 5)
+    hermitian = raw + raw.conj().swapaxes(1, 2)
+    yield "random Hermitian", hermitian
+    # eigvalsh reads the lower triangle, 1e-11 away from the upper one
+    yield "nearly Hermitian", hermitian + 1e-11 * np.tril(complex_normal(40, 5, 5), -1)
+    # a nilpotent lower triangle squares to 0, but eigvalsh reads 1e-11
+    yield "lower triangle only", 1e-11 * np.tril(complex_normal(40, 5, 5), -1)
+    yield "non-Hermitian", complex_normal(40, 5, 5)
+    yield "zero", np.zeros((3, 4, 4), dtype=complex)
+    u, v = complex_normal(40, 6, 2), complex_normal(40, 6, 2)
+    yield "rank two", u @ v.conj().swapaxes(1, 2)
+    yield "rank two, Hermitian", u @ u.conj().swapaxes(1, 2)
+    yield "rank one, Hermitian", u[..., :1] @ u[..., :1].conj().swapaxes(1, 2)
+
+
+@pytest.mark.parametrize("name, stack", list(bound_stacks()))
+def test_upper_bounds_cover_the_computed_values(name, stack):
+    eigs = np.linalg.eigvalsh(stack)
+    top = np.maximum(np.abs(eigs[:, 0]), np.abs(eigs[:, -1]))
+    hermitian_bound = linalg.hermitian_norm_upper_bounds(stack)
+    # (Tr H^4)^(1/4) is the norm itself on rank-one Hermitian matrices, so
+    # there rounding may put either an ulp above the other: the pruning
+    # slack absorbs exactly this
+    tight = name == "rank one, Hermitian"
+    floor = top * (1 - TOLERANCES.strategy_pruning) if tight else top
+    assert (hermitian_bound >= floor).all(), name
+    assert (hermitian_bound <= top * stack.shape[-1] ** 0.25 * (1 + 1e-12)).all(), name
+    radius = numerical_radius(stack)
+    radius_bound = linalg.numerical_radius_upper_bounds(stack)
+    assert (radius_bound >= radius).all(), name
+    assert (radius_bound <= radius / np.cos(np.pi / 16) * (1 + 1e-7)).all(), name
+
+
+def test_upper_bounds_of_a_stack_are_those_of_its_matrices():
+    # blocks of the stack: 256 KiB / (16 bytes * 16 directions * 8 * 8) = 16 matrices
+    rng = np.random.default_rng(21)
+    stack = rng.normal(size=(37, 8, 8)) + 1j * rng.normal(size=(37, 8, 8))
+    for bounds in (linalg.hermitian_norm_upper_bounds, linalg.numerical_radius_upper_bounds):
+        whole = bounds(stack)
+        assert np.array_equal(whole, np.concatenate([bounds(m[None]) for m in stack]))
 
 
 def test_blas_threads_sets_and_restores_count():
