@@ -251,6 +251,38 @@ def _pruned_values(ops: np.ndarray, norms, upper_bounds) -> np.ndarray:
     return values
 
 
+def _near_anticommuting(f: SteeringFunctional) -> bool:
+    """Whether all strategy norms are within half of
+    TOLERANCES.strategy_pruning of one another, so that no upper bound can
+    skip any of them: the near misses of the anticommuting closed form,
+    whose enumeration would otherwise pay for every bound and solve every
+    strategy all the same.
+
+    That holds for a +- table of exactly Hermitian B_x = F_x^1 whose
+    defect D = sum_x ||B_x^2 - c_x^2 I||_F + sum_{x<y} ||B_x B_y + B_y B_x||_F,
+    with c_x^2 = ||B_x||_F^2 / d, is at most C strategy_pruning / 2 for
+    C = sum_x c_x^2: every strategy operator S has S^2 = C I + E with
+    ||E|| <= D, so ||S||^2 lies in [C - D, C + D]. Dense products at one
+    OpenBLAS thread, so the decision cannot depend on the caller's thread
+    count; the first setting that takes D past its limit ends the check."""
+    if not complement_symmetric(f) or not f.exactly_hermitian:
+        return False
+    ops = f.coefficients[:, 0]
+    eye = np.eye(f.d)
+    with blas_threads(1), np.errstate(over="ignore", invalid="ignore"):
+        squares = [np.vdot(b, b).real / f.d for b in ops]
+        limit = TOLERANCES.strategy_pruning / 2 * sum(squares)
+        defect = 0.0
+        for x, b in enumerate(ops):
+            defect += np.linalg.norm(b @ b - squares[x] * eye)
+            for y in range(x):
+                p = b @ ops[y]
+                defect += np.linalg.norm(p + p.conj().T)
+            if not defect <= limit:
+                return False
+    return True
+
+
 def _checked_total(
     f: SteeringFunctional, cap: int, threads: int, angular_resolution: int
 ) -> int:
@@ -359,10 +391,12 @@ def lhs_bound(
     certified upper bound reaches the chunk's best solved value less the
     relative TOLERANCES.strategy_pruning (_pruned_values), each with the
     value it has in strategy_norms; the others are certified below the
-    maximum. strategies_evaluated counts the strategies the maximum
-    covers, strategies_solved those whose norm was computed; both depend
-    on the shape alone, not on `threads`. The cap applies to m^n whatever
-    the path, and strategy_count is always m^n.
+    maximum. A near miss of the closed form (_near_anticommuting), where
+    no bound can skip a strategy, solves every one without bounding it.
+    strategies_evaluated counts the strategies the maximum covers,
+    strategies_solved those whose norm was computed; neither depends on
+    `threads`. The cap applies to m^n whatever the path, and
+    strategy_count is always m^n.
     """
     total = _checked_total(f, cap, threads, angular_resolution)
     structure = table_structure(f)
@@ -381,7 +415,7 @@ def lhs_bound(
         threads,
         angular_resolution,
         structure.row,
-        prune=True,
+        prune=not _near_anticommuting(f),
     )
     best = int(np.argmax(values))
     witness = tuple(int(a) for a in np.unravel_index(best, (f.m,) * f.n))

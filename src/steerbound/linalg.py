@@ -99,6 +99,7 @@ def operator_norm(m) -> float:
 
 _GRID_BLOCK_BYTES = 1 << 18  # temporaries of one block, see _blocks
 _SUPPORT_LINES = 16  # directions of numerical_radius_upper_bounds
+_BOUND_FLOOR = 2.0**-225  # smaller upper bounds are inf, see hermitian_norm_upper_bounds
 
 
 def _rotated_top_eigenvalues(ms: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -128,7 +129,10 @@ def hermitian_norm_upper_bounds(ms) -> np.ndarray:
     256 KiB. The bound exceeds the largest |eigenvalue| by at most
     d^(1/4); on rank-one matrices the two are equal, and either may come
     out an ulp above the other. It is inf or NaN, without a warning,
-    where H^2 overflows."""
+    where H^2 overflows, and inf where it is below 2^-225 (about 2e-68):
+    there Tr H^4 is below 2^-900, near enough to underflow that any
+    number of its bits may be gone. Above that floor, what underflow can
+    drop is at most about d^2 2^-1022, far below the rounding."""
     ms = np.asarray(ms, dtype=complex)
     d = ms.shape[-1]
     # L + L^dagger = H exactly for L the strict lower triangle and half the diagonal
@@ -141,7 +145,7 @@ def hermitian_norm_upper_bounds(ms) -> np.ndarray:
             del lower
             square = (h @ h).reshape(h.shape[0], -1).view(np.float64)
             bounds[part] = np.sqrt(np.sqrt(np.einsum("ki,ki->k", square, square)))
-    return bounds
+    return np.where(bounds < _BOUND_FLOOR, np.inf, bounds)
 
 
 def numerical_radius_upper_bounds(ms) -> np.ndarray:
@@ -151,13 +155,17 @@ def numerical_radius_upper_bounds(ms) -> np.ndarray:
     <= lambda_max(H(e^{i theta} m)) at theta = 2 pi j / 16, inside the
     regular 16-gon of inradius h, the largest of those eigenvalues, so
     w(m) <= h / cos(pi/16), at most 2% above it. Runs in blocks whose
-    rotated stacks stay within 256 KiB, like numerical_radius's grid."""
+    rotated stacks stay within 256 KiB, like numerical_radius's grid.
+    Below 2^-225 the bound is inf, as hermitian_norm_upper_bounds is, so
+    that no bound is trusted near the subnormal range, where the
+    rotations (numerical_radius's too) round absolutely, not relatively."""
     ms = np.asarray(ms, dtype=complex)
     thetas = np.linspace(0.0, 2.0 * np.pi, _SUPPORT_LINES, endpoint=False)
     bounds = np.zeros(ms.shape[0])
     for part in _blocks(ms, _SUPPORT_LINES):
         bounds[part] = _rotated_top_eigenvalues(ms[part, None], thetas).max(axis=1)
-    return bounds / np.cos(np.pi / _SUPPORT_LINES)
+    bounds /= np.cos(np.pi / _SUPPORT_LINES)
+    return np.where(bounds < _BOUND_FLOOR, np.inf, bounds)
 
 
 def numerical_radius(m, angular_resolution: int = 720) -> float | np.ndarray:

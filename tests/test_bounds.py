@@ -626,7 +626,10 @@ def test_mub_cell_off_by_more_than_the_match_tolerance_is_enumerated(eigvalsh_ma
     eigvalsh_matrices.clear()
     result = lhs_bound(functional)
     assert (result.method, result.strategies_evaluated) == ("enumeration", 81)
-    assert sum(eigvalsh_matrices) == result.strategies_solved
+    # one chunk: the strategy with the largest bound, then the 71 others
+    # whose bounds reach its value
+    assert result.strategies_solved == 72
+    assert eigvalsh_matrices == [1, 71]
     assert abs(result.value - full_enumeration_norms(functional).max()) <= 1e-12
 
 
@@ -636,7 +639,8 @@ def test_random_table_with_an_entry_outside_row_zero_is_enumerated(radius_matric
     functional = SteeringFunctional.from_table(table, kind="random")
     result = lhs_bound(functional)
     assert (result.method, result.strategies_evaluated) == ("enumeration", 27)
-    assert sum(radius_matrices) == result.strategies_solved
+    assert result.strategies_solved == 6
+    assert radius_matrices == [1, 5]
     assert result.value == strategy_norms(functional).max()
 
 
@@ -660,6 +664,9 @@ def pruning_cases():
     tied = random_hermitian_functional(rng, 3, 3, 3).coefficients.copy()
     tied[1] = tied[1, 0]
     yield "tied", SteeringFunctional.from_table(tied), True
+    # every bound of this table is below the 2^-225 floor, so none is trusted
+    tiny = 1e-90 * random_hermitian_functional(rng, 3, 3, 3).coefficients
+    yield "hermitian-3-3-3-tiny", SteeringFunctional.from_table(tiny), False
 
 
 @pytest.mark.parametrize("name, functional, prunes", list(pruning_cases()))
@@ -691,6 +698,46 @@ def test_pruning_bounds_the_matrix_eigvalsh_reads():
     assert result.method == "enumeration"
     assert (result.value, result.witness) == (1e-10, (0,))
     assert result.value == strategy_norms(functional).max()
+
+
+def signed_table(observables):
+    """The +- table F_x^1 = B_x, F_x^2 = -B_x of a stack of Hermitian B_x."""
+    observables = np.asarray(observables, dtype=complex)
+    return SteeringFunctional.from_table(np.stack([observables, -observables], axis=1))
+
+
+def test_near_miss_of_the_closed_form_skips_the_bounds(monkeypatch):
+    bounded = []
+    original = bounds_module.hermitian_norm_upper_bounds
+
+    def counting(ms):
+        bounded.append(len(ms))
+        return original(ms)
+
+    monkeypatch.setattr(bounds_module, "hermitian_norm_upper_bounds", counting)
+    # dichotomic n = 6 (d = 8) with B_0 one ulp off anticommuting with the rest
+    observables = dichotomic_functional(build_clifford_family(6)).coefficients[:, 0].copy()
+    j = int(np.flatnonzero(observables[0, 0])[0])
+    observables[0, 0, j] += 1j * np.spacing(abs(observables[0, 0, j]))
+    observables[0, j, 0] = np.conj(observables[0, 0, j])
+    near_miss = signed_table(observables)
+    assert bounds_module._near_anticommuting(near_miss)
+    result = lhs_bound(near_miss)
+    assert (result.method, result.strategies_evaluated, result.strategies_solved) == (
+        "complement-half", 32, 32)
+    assert bounded == []
+    assert result.value == strategy_norms(near_miss).max()
+    # pruning it anyway finds nothing to skip: every value is within the slack
+    values = bounds_module._strategy_values(near_miss, 32, 1, 720, prune=True)
+    assert bounded and (values > -np.inf).all()
+    # commuting +- observables are not a near miss, and prune
+    bounded.clear()
+    signs = np.random.default_rng(4).choice([-1.0, 1.0], size=(6, 8))
+    commuting = signed_table([np.diag(s) for s in signs])
+    assert not bounds_module._near_anticommuting(commuting)
+    result = lhs_bound(commuting)
+    assert bounded and result.strategies_solved < result.strategies_evaluated == 32
+    assert result.value == strategy_norms(commuting).max()
 
 
 def test_rank_one_table_makes_no_numerical_radius_call(radius_matrices):

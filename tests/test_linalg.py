@@ -161,6 +161,10 @@ def bound_stacks():
     raw = complex_normal(40, 5, 5)
     hermitian = raw + raw.conj().swapaxes(1, 2)
     yield "random Hermitian", hermitian
+    # Tr H^4 near 1e-240, still far above underflow
+    yield "small Hermitian", 1e-60 * hermitian
+    # below the 2^-225 floor: Tr H^4 would underflow, so both bounds are inf
+    yield "tiny Hermitian", 1e-90 * hermitian
     # eigvalsh reads the lower triangle, 1e-11 away from the upper one
     yield "nearly Hermitian", hermitian + 1e-11 * np.tril(complex_normal(40, 5, 5), -1)
     # a nilpotent lower triangle squares to 0, but eigvalsh reads 1e-11
@@ -175,9 +179,13 @@ def bound_stacks():
 
 @pytest.mark.parametrize("name, stack", list(bound_stacks()))
 def test_upper_bounds_cover_the_computed_values(name, stack):
+    hermitian_bound = linalg.hermitian_norm_upper_bounds(stack)
+    radius_bound = linalg.numerical_radius_upper_bounds(stack)
+    if name in ("zero", "tiny Hermitian"):
+        assert (hermitian_bound == np.inf).all() and (radius_bound == np.inf).all()
+        return
     eigs = np.linalg.eigvalsh(stack)
     top = np.maximum(np.abs(eigs[:, 0]), np.abs(eigs[:, -1]))
-    hermitian_bound = linalg.hermitian_norm_upper_bounds(stack)
     # (Tr H^4)^(1/4) is the norm itself on rank-one Hermitian matrices, so
     # there rounding may put either an ulp above the other: the pruning
     # slack absorbs exactly this
@@ -186,7 +194,6 @@ def test_upper_bounds_cover_the_computed_values(name, stack):
     assert (hermitian_bound >= floor).all(), name
     assert (hermitian_bound <= top * stack.shape[-1] ** 0.25 * (1 + 1e-12)).all(), name
     radius = numerical_radius(stack)
-    radius_bound = linalg.numerical_radius_upper_bounds(stack)
     assert (radius_bound >= radius).all(), name
     assert (radius_bound <= radius / np.cos(np.pi / 16) * (1 + 1e-7)).all(), name
 
