@@ -83,6 +83,7 @@ from .linalg import (
     numerical_radius,
     numerical_radius_upper_bounds,
     operator_norm,
+    square_safe,
 )
 from .mub import MubFamily
 from .structure import (
@@ -318,7 +319,9 @@ def _strategy_values(
     n, m, d = f.n, f.m, f.d
     chunk = _chunk_size(d)
     spans = [(s, min(s + chunk, count)) for s in range(0, count, chunk)]
-    cells = f.coefficients if row is None else f.coefficients[:, :, row : row + 1]
+    cells, scale = f.coefficients, 1.0
+    if row is not None:  # scaled so that the radius's squares cannot overflow
+        cells, scale = square_safe(cells[:, :, row : row + 1])
     cells = np.ascontiguousarray(cells).reshape(n * m, -1).view(np.float64)
     if f.hermitian:
         norms, upper_bounds = _top_abs_eigenvalues, hermitian_norm_upper_bounds
@@ -331,7 +334,7 @@ def _strategy_values(
     def values_of(span):
         sums = _chunk_sums(cells, n, m, *span)
         if row is not None:
-            return (np.abs(sums[:, row]) + np.linalg.norm(sums, axis=1)) / 2
+            return (np.abs(sums[:, row]) + np.linalg.norm(sums, axis=1)) / (2 * scale)
         ops = sums.reshape(-1, d, d)
         return _pruned_values(ops, norms, upper_bounds) if prune else norms(ops)
 
@@ -576,10 +579,7 @@ def _canonical_attainment(
             f"kind {f.kind!r} does not fit the table: its canonical {exc}"
         ) from None
     if not squares and f.psd:
-        envelope = sum(
-            max(operator_norm(f.coefficients[x, a]) for a in range(f.m))
-            for x in range(f.n)
-        )
+        envelope = float(np.linalg.norm(f.coefficients, 2, axis=(2, 3)).max(axis=1).sum())
         if paper.s_q > envelope + TOLERANCES.bound_slack:
             raise BoundCheckError(
                 f"quantum bound {paper.s_q} exceeds the PSD envelope {envelope}"

@@ -97,6 +97,20 @@ def operator_norm(m) -> float:
     return float(np.linalg.norm(m, 2))
 
 
+def square_safe(stack: np.ndarray) -> tuple[np.ndarray, float]:
+    """(s * stack, s), s a power of two after which squares of entries, and
+    of sums of up to 2^100 entries, cannot overflow: 1 (and the stack
+    itself) while every modulus is below 2^400, else 2^-e, e the np.frexp
+    exponent of the largest. A norm of the scaled stack, divided by s, is
+    the unscaled one bit for bit wherever that is finite: the scaling is
+    exact down to 2^-1022 of the largest modulus, below a norm's last bit."""
+    _, e = np.frexp(np.abs(stack).max(initial=0.0))
+    if e <= 400:
+        return stack, 1.0
+    scale = float(np.ldexp(1.0, -int(e)))
+    return stack * scale, scale
+
+
 _GRID_BLOCK_BYTES = 1 << 18  # temporaries of one block, see _blocks
 _SUPPORT_LINES = 16  # directions of numerical_radius_upper_bounds
 _BOUND_FLOOR = 2.0**-225  # smaller upper bounds are inf, see hermitian_norm_upper_bounds

@@ -43,8 +43,9 @@ class MubFamily:
     """A set of pairwise mutually unbiased orthonormal bases.
 
     bases[x, a] is vector a of basis x. Vectors are canonicalized so their
-    first nonzero component is real and positive, which makes serialized
-    families byte-comparable.
+    first nonzero component is real and positive: the projectors of a mub
+    table do not depend on a vector's phase, but their rounding, and so
+    the bytes of a generated table, does.
     """
 
     bases: np.ndarray  # (count, dimension, dimension)

@@ -1,14 +1,13 @@
-"""Canonical JSON encoding for functionals, assemblages and families.
+"""Canonical JSON encoding for steering functionals.
 
-Every file kind is one document {"meta", "matrices"}: `meta` names the
-kind and its sizes, and `matrices` is a stack of complex d x d matrices
-written as nested lists of [re, im] pairs, row-major - universally
-parseable, no binary formats. One codec serves all four kinds:
-`_document` puts a complex stack under the emitter's float-array
-branch, the only code that writes matrix data, and `_load` parses it
-back. Keys are emitted sorted and floats with 17 significant digits,
-zeros as `0`, so loading a file and re-serializing it reproduces
-identical bytes.
+A functional file is one document {"meta", "matrices"}: `meta` names the
+functional's kind and its sizes, and `matrices` is its stack of complex
+d x d cells written as nested lists of [re, im] pairs, row-major -
+universally parseable, no binary formats. `_document` puts the cells
+under the emitter's float-array branch, the only code that writes matrix
+data, and `_load` parses them back. Keys are emitted sorted and floats
+with 17 significant digits, zeros as `0`, so loading a file and
+re-serializing it reproduces identical bytes.
 
 The emitter writes through a `write` callable, so one writer serves a
 file, stdout and the str API (canonical_dumps joins its pieces). The
@@ -62,10 +61,8 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .clifford import CliffordFamily, verify_anticommutation
 from .errors import SchemaError
-from .functionals import KINDS, Assemblage, SteeringFunctional
-from .mub import MubFamily, verify_unbiasedness
+from .functionals import KINDS, SteeringFunctional
 
 META_KEYS = ("kind", "d", "n", "m", "seed", "version")
 # characters of the block checked and parsed at a time, and read from a
@@ -194,37 +191,31 @@ def canonical_dumps(obj) -> str:
 # matrix-stack codec
 
 
-def _document(kind: str, stack: np.ndarray, n: int, m: int, seed) -> dict:
-    """Document of `kind` holding the complex d x d matrices of `stack` in
-    C order, as the (count, d, d, 2) real view."""
-    stack = np.ascontiguousarray(stack, dtype=complex)
-    d = stack.shape[-1]
+def _document(f: SteeringFunctional) -> dict:
+    """The functional's document: its cells in C order, as the
+    (n * m, d, d, 2) real view."""
     meta = {
-        "kind": kind,
-        "d": int(d),
-        "n": int(n),
-        "m": int(m),
-        "seed": None if seed is None else int(seed),
+        "kind": f.kind,
+        "d": f.d,
+        "n": f.n,
+        "m": f.m,
+        "seed": None if f.seed is None else int(f.seed),
         "version": __version__,
     }
-    return {"meta": meta, "matrices": stack.view(np.float64).reshape(-1, d, d, 2)}
+    stack = np.ascontiguousarray(f.coefficients).view(np.float64)
+    return {"meta": meta, "matrices": stack.reshape(-1, f.d, f.d, 2)}
 
 
-def _dump(kind: str, stack: np.ndarray, n: int, m: int, seed) -> str:
-    return canonical_dumps(_document(kind, stack, n, m, seed))
-
-
-def _check_header(doc, kind: str) -> tuple[dict, int, int]:
-    """Validate the top-level keys and the meta record of a parsed document
-    of `kind`; returns the meta, the matrix count n * m and d."""
+def _check_header(doc) -> tuple[dict, int, int]:
+    """Validate the top-level keys and the meta record of a parsed
+    document; returns the meta, the matrix count n * m and d."""
     if not isinstance(doc, dict) or set(doc) != {"meta", "matrices"}:
         raise SchemaError('document must have exactly the keys "meta" and "matrices"')
     meta = doc["meta"]
     if not isinstance(meta, dict) or set(meta) != set(META_KEYS):
         raise SchemaError(f"meta must have exactly the keys {sorted(META_KEYS)}")
-    kinds = KINDS if kind == "functional" else (kind,)
-    if meta["kind"] not in kinds:
-        raise SchemaError(f"unknown {kind} kind {meta['kind']!r}, expected one of {kinds}")
+    if meta["kind"] not in KINDS:
+        raise SchemaError(f"unknown functional kind {meta['kind']!r}, expected one of {KINDS}")
     for key in ("d", "n", "m"):
         if not isinstance(meta[key], int) or isinstance(meta[key], bool) or meta[key] < 1:
             raise SchemaError(f"meta.{key} must be a positive integer")
@@ -237,16 +228,15 @@ def _check_header(doc, kind: str) -> tuple[dict, int, int]:
     return meta, meta["n"] * meta["m"], meta["d"]
 
 
-def _load_tree(text: str, kind: str) -> tuple[dict, np.ndarray]:
-    """Parse a document of `kind` ("functional" accepts every functional
-    kind) into its meta and its complex (n * m, d, d) matrix stack, through
-    the nested lists json builds. Accepts every valid document, and is the
-    one source of SchemaError messages."""
+def _load_tree(text: str) -> tuple[dict, np.ndarray]:
+    """Parse a document into its meta and its complex (n * m, d, d) matrix
+    stack, through the nested lists json builds. Accepts every valid
+    document, and is the one source of SchemaError messages."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also too many digits, too deep
         raise SchemaError(f"invalid JSON: {exc}") from exc
-    meta, count, d = _check_header(doc, kind)
+    meta, count, d = _check_header(doc)
     matrices = doc["matrices"]
     if not isinstance(matrices, list) or len(matrices) != count:
         found = len(matrices) if isinstance(matrices, list) else type(matrices).__name__
@@ -426,21 +416,21 @@ def _text_reader(text: str, start: int):
     return read
 
 
-def _read_document(rest, kind: str, read, length: int) -> tuple[dict, np.ndarray] | None:
+def _read_document(rest, read, length: int) -> tuple[dict, np.ndarray] | None:
     """The meta and the stack of a document whose text with its matrix
     block replaced by `null` is `rest`, and whose block _read_block reads
     through `read`; None when either is not one the flat parse vouches
     for."""
     try:
         doc = json.loads(rest)
-        meta, count, d = _check_header(doc, kind)
+        meta, count, d = _check_header(doc)
     except (ValueError, RecursionError):
         return None
     values = _read_block(read, length, count, d)
     return None if values is None else (meta, values.view(complex).reshape(count, d, d))
 
 
-def _load_flat(text: str, kind: str) -> tuple[dict, np.ndarray] | None:
+def _load_flat(text: str) -> tuple[dict, np.ndarray] | None:
     """What `_load_tree` returns for `text`, parsed without a Python list
     per matrix row and [re, im] pair, or None when the document is not one
     this path can vouch for.
@@ -459,10 +449,10 @@ def _load_flat(text: str, kind: str) -> tuple[dict, np.ndarray] | None:
     if end <= start or text.find('"matrices"', end) >= 0:
         return None  # the key is not the only one, so maybe not the top-level one
     rest = text[:start] + "null" + text[end:]
-    return _read_document(rest, kind, _text_reader(text, start), end - 1 - start)
+    return _read_document(rest, _text_reader(text, start), end - 1 - start)
 
 
-def _load_file(path, kind: str) -> tuple[dict, np.ndarray] | None:
+def _load_file(path) -> tuple[dict, np.ndarray] | None:
     """What _load_flat returns for the text of the file at `path`, read
     from the file a window at a time, or None when that cannot be vouched
     for from the file's first and last window and its block.
@@ -492,30 +482,27 @@ def _load_file(path, kind: str) -> tuple[dict, np.ndarray] | None:
             return None
         del head, tail
         file.seek(start)
-        return _read_document(rest, kind, file.read, tail_at + end - 1 - start)
+        return _read_document(rest, file.read, tail_at + end - 1 - start)
 
 
-def _load(text: str, kind: str) -> tuple[dict, np.ndarray]:
-    """Parse a document of `kind` ("functional" accepts every functional
-    kind) into its meta and its complex (n * m, d, d) matrix stack."""
-    loaded = _load_flat(text, kind)
-    return _load_tree(text, kind) if loaded is None else loaded
+def _load(text: str) -> tuple[dict, np.ndarray]:
+    """Parse a document into its meta and its complex (n * m, d, d) stack."""
+    loaded = _load_flat(text)
+    return _load_tree(text) if loaded is None else loaded
 
 
 # ---------------------------------------------------------------------------
-# steering functionals and assemblages (matrices listed setting-major:
-# setting x = 0 first, outcomes within it in order)
+# steering functionals (matrices listed setting-major: setting x = 0 first,
+# outcomes within it in order)
 
 
 def write_functional(functional: SteeringFunctional, write) -> None:
     """Write the functional's file through `write`, a window at a time."""
-    f = functional
-    write_canonical(_document(f.kind, f.coefficients, f.n, f.m, f.seed), write)
+    write_canonical(_document(functional), write)
 
 
 def functional_to_json(functional: SteeringFunctional) -> str:
-    f = functional
-    return _dump(f.kind, f.coefficients, f.n, f.m, f.seed)
+    return canonical_dumps(_document(functional))
 
 
 def _functional(meta: dict, stack: np.ndarray) -> SteeringFunctional:
@@ -524,68 +511,19 @@ def _functional(meta: dict, stack: np.ndarray) -> SteeringFunctional:
 
 
 def functional_from_json(text: str) -> SteeringFunctional:
-    return _functional(*_load(text, "functional"))
+    return _functional(*_load(text))
 
 
 def load_functional(path) -> SteeringFunctional:
     """The functional of the file at `path`. A regular file's block is
     read from the file a window at a time (_load_file); any other file,
     and any file that path cannot vouch for, is read as text."""
-    loaded = _load_file(path, "functional") if Path(path).is_file() else None
+    loaded = _load_file(path) if Path(path).is_file() else None
     if loaded is None:
         try:
             text = Path(path).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise SchemaError(f"{path} is not UTF-8 text: {exc}") from exc
-        loaded = _load(text, "functional")
+        loaded = _load(text)
         del text
     return _functional(*loaded)
-
-
-def assemblage_to_json(assemblage: Assemblage) -> str:
-    return _dump("assemblage", assemblage.members, assemblage.n, assemblage.m, None)
-
-
-def assemblage_from_json(text: str) -> Assemblage:
-    meta, stack = _load(text, "assemblage")
-    return Assemblage(members=stack.reshape(meta["n"], meta["m"], meta["d"], meta["d"]))
-
-
-# ---------------------------------------------------------------------------
-# basis and observable families (one matrix per family element, m = 1; for
-# a basis family the rows of each matrix are its vectors)
-
-
-def _load_family(text: str, kind: str) -> np.ndarray:
-    meta, stack = _load(text, kind)
-    if meta["m"] != 1:
-        raise SchemaError(f"a {kind} file has m = 1, found {meta['m']}")
-    stack.setflags(write=False)
-    return stack
-
-
-def mub_family_to_json(family: MubFamily) -> str:
-    return _dump("mub-family", family.bases, family.count, 1, None)
-
-
-def mub_family_from_json(text: str) -> MubFamily:
-    family = MubFamily(bases=_load_family(text, "mub-family"))
-    if not verify_unbiasedness(family).passed:
-        raise SchemaError("file does not contain a mutually unbiased family")
-    return family
-
-
-def clifford_family_to_json(family: CliffordFamily) -> str:
-    return _dump("clifford-family", family.observables, family.count, 1, None)
-
-
-def clifford_family_from_json(text: str) -> CliffordFamily:
-    observables = _load_family(text, "clifford-family")
-    d = observables.shape[1]
-    qubits = d.bit_length() - 1
-    if 2**qubits != d:
-        raise SchemaError(f"observable dimension must be a power of two, got {d}")
-    family = CliffordFamily(qubits=qubits, observables=observables)
-    if not verify_anticommutation(family).passed:
-        raise SchemaError("file does not contain an anticommuting family")
-    return family

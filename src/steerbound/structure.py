@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functionals import SteeringFunctional
-from .linalg import blas_threads
+from .linalg import blas_threads, square_safe
 from .tolerances import TOLERANCES
 
 
@@ -148,22 +148,27 @@ def _rank_one_row(f: SteeringFunctional) -> int | None:
 
 def table_scale(f: SteeringFunctional) -> float:
     """max(1, sum_x max_a ||F_x^a||_F): a bound on every strategy
-    operator's norm, and the unit of scale-relative tolerances."""
-    return max(1.0, float(np.linalg.norm(f.coefficients, axis=(2, 3)).max(axis=1).sum()))
+    operator's norm, and the unit of scale-relative tolerances. Taken one
+    setting at a time, scaled so that no square overflows (square_safe)."""
+    peaks = [np.linalg.norm(c, axis=(1, 2)).max() / s for c, s in map(square_safe, f.coefficients)]
+    return max(1.0, float(np.sum(peaks)))
 
 
 def _outcome_permutation(f: SteeringFunctional, conjugate) -> tuple[np.ndarray, float] | None:
     """(n, m) map a -> b, F_x^b the cell nearest conjugate(F_x^a) in
     Frobenius norm, and the residue sum_x max_a of those distances; None
-    unless the map is a bijection per setting."""
+    unless the map is a bijection per setting. Each setting's distances
+    are taken between its cells scaled so that no square overflows
+    (square_safe)."""
     perm = np.empty((f.n, f.m), dtype=int)
     residue = 0.0
     for x, cells in enumerate(f.coefficients):
+        cells, scale = square_safe(cells)
         dist = np.array([np.linalg.norm(cells - conjugate(cell), axis=(1, 2)) for cell in cells])
         perm[x] = dist.argmin(axis=1)
         if len(set(perm[x].tolist())) != f.m:
             return None
-        residue += dist[np.arange(f.m), perm[x]].max()
+        residue += dist[np.arange(f.m), perm[x]].max() / scale
     return perm, float(residue)
 
 

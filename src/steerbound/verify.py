@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import (
-    canonical_quantum_assemblage,
     fine_grained_bound,
     fine_grained_xi,
     gram_norm_identity_check,
@@ -34,18 +33,7 @@ from .functionals import (
     require_seed,
 )
 from .mub import build_mub_family, verify_unbiasedness
-from .serialize import (
-    _load_flat,
-    _load_tree,
-    assemblage_from_json,
-    assemblage_to_json,
-    clifford_family_from_json,
-    clifford_family_to_json,
-    functional_from_json,
-    functional_to_json,
-    mub_family_from_json,
-    mub_family_to_json,
-)
+from .serialize import _load_flat, _load_tree, functional_from_json, functional_to_json
 from .tolerances import TOLERANCES
 
 
@@ -213,35 +201,25 @@ def _check_fine_grained() -> tuple[bool, str]:
 
 
 def _check_serialize_round_trip() -> tuple[bool, str]:
-    """One file per kind: re-dumping what was loaded gives the same bytes,
-    and the flat parse runs and equals the tree walk bit for bit."""
-    functional = mub_functional(build_mub_family(3, 4))
-    codecs = (
-        ("functional", functional, functional_to_json, functional_from_json),
-        (
-            "assemblage",
-            canonical_quantum_assemblage(functional),
-            assemblage_to_json,
-            assemblage_from_json,
-        ),
-        ("mub-family", build_mub_family(5, 6), mub_family_to_json, mub_family_from_json),
-        (
-            "clifford-family",
-            build_clifford_family(4, full_dimension=True),
-            clifford_family_to_json,
-            clifford_family_from_json,
-        ),
+    """One functional of each builder, dense and mostly zero: re-dumping
+    what was loaded gives the same bytes, and the flat parse runs and
+    equals the tree walk bit for bit."""
+    functionals = (
+        mub_functional(build_mub_family(3, 4)),
+        clifford_functional(build_clifford_family(4, full_dimension=True)),
+        dichotomic_functional(build_clifford_family(5)),
+        random_functional(3, 1),
     )
-    for kind, obj, dump, load in codecs:
-        text = dump(obj)
-        if dump(load(text)) != text:
-            return False, f"{kind}: re-dumped bytes differ"
-        flat = _load_flat(text, kind)
+    for functional in functionals:
+        text = functional_to_json(functional)
+        if functional_to_json(functional_from_json(text)) != text:
+            return False, f"{functional.kind}: re-dumped bytes differ"
+        flat = _load_flat(text)
         if flat is None:
-            return False, f"{kind}: the flat parse fell back to the tree walk"
-        if flat[1].tobytes() != _load_tree(text, kind)[1].tobytes():
-            return False, f"{kind}: the flat parse differs from the tree walk"
-    return True, f"{len(codecs)} kinds byte-identical, flat parse equal to the tree walk"
+            return False, f"{functional.kind}: the flat parse fell back to the tree walk"
+        if flat[1].tobytes() != _load_tree(text)[1].tobytes():
+            return False, f"{functional.kind}: the flat parse differs from the tree walk"
+    return True, f"{len(functionals)} builders byte-identical, flat parse equal to the tree walk"
 
 
 def run_suite(

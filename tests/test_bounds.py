@@ -775,6 +775,37 @@ def test_weyl_orbit_tolerance_follows_the_table_scale():
     assert abs(result.value - strategy_norms(functional).max()) <= 1e-12 * scale
 
 
+def _uneven_mub_table(factor):
+    """mub (3,3) with cell (0, 1) stretched by 1.2, which breaks its Weyl
+    symmetry, times `factor`."""
+    table = mub_functional(build_mub_family(3, 3)).coefficients.copy()
+    table[0, 1] *= 1.2
+    return SteeringFunctional.from_table(table * factor, kind="custom")
+
+
+def test_large_entries_keep_the_weyl_check_and_table_scale_finite():
+    # entries near 1e154 square past the float range; the mass guard admits
+    # them, so the Frobenius norms scale before they square: the table scale
+    # stays finite and the broken symmetry is still found
+    functional = _uneven_mub_table(6e154)
+    assert table_scale(functional) == pytest.approx(6e154 * table_scale(_uneven_mub_table(1)))
+    result = lhs_bound(functional)
+    assert result.method == "enumeration"
+    assert result.value == strategy_norms(functional).max()
+    assert result.value == pytest.approx(2.2844212084666236 * 6e154, rel=1e-12)
+
+
+def test_large_entries_keep_the_rank_one_radius_finite():
+    functional = random_functional(3, 0)
+    large = SteeringFunctional.from_table(functional.coefficients * 1e155)
+    result = lhs_bound(large)
+    assert result.method == "rank-one"
+    assert result.value == pytest.approx(1.226483157256779e155, rel=1e-12)
+    # scaling by a power of two is exact, so the radius scales bit for bit
+    exact = SteeringFunctional.from_table(functional.coefficients * 2.0**520)
+    assert lhs_bound(exact).value == lhs_bound(functional).value * 2.0**520
+
+
 def test_weyl_orbit_needs_a_bijection_per_setting():
     # a third setting whose cells are all I/3: every cell is nearest to the
     # first one, so shift and clock give no outcome permutation there

@@ -209,6 +209,24 @@ def test_bounds_overflowing_table_is_a_precondition_failure(tmp_path, capsys):
     assert not report.exists()
 
 
+def test_bounds_large_entries_report_the_enumerated_maximum(tmp_path, capsys):
+    from steerbound import build_mub_family, mub_functional
+    from steerbound.serialize import functional_to_json
+
+    # squares of entries near 1e154 overflow: a Weyl tolerance taken from
+    # an infinite table scale would accept the broken symmetry below
+    table = mub_functional(build_mub_family(3, 3)).coefficients.copy()
+    table[0, 1] *= 1.2
+    path = tmp_path / "large.json"
+    path.write_text(functional_to_json(SteeringFunctional.from_table(table * 6e154)))
+    report = tmp_path / "report.json"
+    assert run(["bounds", str(path), "--out", str(report)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    written = load_report(report)["report"]
+    assert written["diagnostics"]["lhs_method"] == "enumeration"
+    assert written["s_lhs_exact"] == pytest.approx(2.2844212084666236 * 6e154, rel=1e-12)
+
+
 def test_bounds_reports_a_missed_canonical_attainment(tmp_path, capsys):
     from steerbound import build_clifford_family, clifford_functional
     from steerbound.serialize import functional_to_json
@@ -468,7 +486,7 @@ def test_verify_filter(tmp_path, capsys):
 
 
 def test_verify_round_trip_check_catches_a_silent_fallback(capsys, monkeypatch):
-    monkeypatch.setattr(verify_module, "_load_flat", lambda text, kind: None)
+    monkeypatch.setattr(verify_module, "_load_flat", lambda text: None)
     assert run(["verify", "--filter", "serialize-round-trip"]) == EXIT_CHECK
     assert "fell back to the tree walk" in capsys.readouterr().out
 

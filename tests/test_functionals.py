@@ -323,8 +323,8 @@ def test_from_table_copies_and_the_package_adopts(monkeypatch):
         handed.append(table)
         return adopt(cls, table, *args, **kwargs)
 
-    def recording_load(text, kind):
-        meta, stack = load(text, kind)
+    def recording_load(text):
+        meta, stack = load(text)
         loaded.append(stack)
         return meta, stack
 

@@ -23,16 +23,10 @@ from steerbound.functionals import (
     random_functional,
 )
 from steerbound.serialize import (
-    assemblage_from_json,
-    assemblage_to_json,
     canonical_dumps,
-    clifford_family_from_json,
-    clifford_family_to_json,
     functional_from_json,
     functional_to_json,
     load_functional,
-    mub_family_from_json,
-    mub_family_to_json,
 )
 
 
@@ -209,38 +203,6 @@ def test_functional_rejects_invalid_json():
         functional_from_json('{"meta": {')
 
 
-def test_assemblage_round_trip():
-    assemblage = canonical_quantum_assemblage(mub_functional(build_mub_family(3, 4)))
-    text = assemblage_to_json(assemblage)
-    reloaded = assemblage_from_json(text)
-    assert np.allclose(reloaded.members, assemblage.members, atol=1e-16)
-    assert assemblage_to_json(reloaded) == text
-
-
-def test_mub_family_round_trip_and_validation():
-    family = build_mub_family(5, 6)
-    text = mub_family_to_json(family)
-    reloaded = mub_family_from_json(text)
-    assert np.allclose(reloaded.bases, family.bases, atol=1e-16)
-    assert mub_family_to_json(reloaded) == text
-    doc = json.loads(text)
-    doc["matrices"][0][0] = doc["matrices"][0][1]  # break orthonormality
-    with pytest.raises(SchemaError, match="unbiased"):
-        mub_family_from_json(json.dumps(doc))
-
-
-def test_clifford_family_round_trip_and_validation():
-    family = build_clifford_family(5)
-    text = clifford_family_to_json(family)
-    reloaded = clifford_family_from_json(text)
-    assert np.array_equal(reloaded.observables, family.observables)
-    assert clifford_family_to_json(reloaded) == text
-    doc = json.loads(text)
-    doc["matrices"][1] = doc["matrices"][0]  # repeated observable
-    with pytest.raises(SchemaError, match="anticommuting"):
-        clifford_family_from_json(json.dumps(doc))
-
-
 def test_seventeen_digit_floats_survive_reload():
     functional = mub_functional(build_mub_family(7, 8))
     text = functional_to_json(functional)
@@ -252,45 +214,45 @@ def test_seventeen_digit_floats_survive_reload():
 # the flat parse against the tree walk
 
 
-def _outcome(load, text, kind):
+def _outcome(load, text):
     """Accept with the meta and the stack bits, or reject with the
     exception type and message."""
     try:
-        meta, stack = load(text, kind)
+        meta, stack = load(text)
     except Exception as exc:  # the comparison covers every exception type
         return ("reject", type(exc).__name__, str(exc))
     return ("accept", meta, stack.shape, stack.tobytes())
 
 
-def _assert_flat_matches_tree(text, kind):
+def _assert_flat_matches_tree(text):
     """`_load` (flat parse, tree walk when it cannot vouch) gives what the
     tree walk alone gives; returns that outcome."""
-    expected = _outcome(serialize._load_tree, text, kind)
-    assert _outcome(serialize._load, text, kind) == expected
+    expected = _outcome(serialize._load_tree, text)
+    assert _outcome(serialize._load, text) == expected
     return expected
 
 
 def _documents():
-    """(kind, canonical text) for every file kind, including a table of
-    edge values: signed zeros, subnormals, 17-digit and integral floats."""
+    """The canonical text of a table of every kind, including a table of
+    edge values (signed zeros, subnormals, 17-digit and integral floats)
+    and custom tables of an assemblage's members, of a basis family's
+    vectors (one outcome per setting) and of Pauli observables."""
     edge = np.array([-0.0, 5e-324, -2.2250738585072014e-308, 0.1 + 0.2, 1e300, -7.0, 2.0**53 + 2])
     table = (np.resize(edge, 16) + 1j * np.resize(edge[::-1], 16)).reshape(2, 2, 2, 2)
     mub = mub_functional(build_mub_family(2, 3))
     pauli = dichotomic_functional(build_clifford_family(4, full_dimension=True))  # mostly zeros
-    return [
-        ("functional", functional_to_json(mub)),
-        ("functional", functional_to_json(dichotomic_functional(build_clifford_family(3)))),
-        (
-            "functional",
-            functional_to_json(clifford_functional(build_clifford_family(2, full_dimension=True))),
-        ),
-        ("functional", functional_to_json(random_functional(2, 1))),
-        ("functional", functional_to_json(pauli)),
-        ("functional", functional_to_json(SteeringFunctional.from_table(table, seed=5))),
-        ("assemblage", assemblage_to_json(canonical_quantum_assemblage(mub))),
-        ("mub-family", mub_family_to_json(build_mub_family(3, 4))),
-        ("clifford-family", clifford_family_to_json(build_clifford_family(3))),
+    tables = [
+        mub,
+        dichotomic_functional(build_clifford_family(3)),
+        clifford_functional(build_clifford_family(2, full_dimension=True)),
+        random_functional(2, 1),
+        pauli,
+        SteeringFunctional.from_table(table, seed=5),
+        SteeringFunctional.from_table(canonical_quantum_assemblage(mub).members),
+        SteeringFunctional.from_table(build_mub_family(3, 4).bases[:, None]),
+        SteeringFunctional.from_table(build_clifford_family(3).observables[:, None]),
     ]
+    return [functional_to_json(f) for f in tables]
 
 
 def _layouts(text):
@@ -307,21 +269,21 @@ def _layouts(text):
 
 
 def test_flat_parse_matches_the_tree_walk_on_every_kind_and_layout():
-    for kind, text in _documents():
+    for text in _documents():
         for layout in _layouts(text):
-            assert serialize._load_flat(layout, kind) is not None
-            assert _assert_flat_matches_tree(layout, kind)[0] == "accept"
+            assert serialize._load_flat(layout) is not None
+            assert _assert_flat_matches_tree(layout)[0] == "accept"
 
 
 def _mutated_documents(count):
-    """(kind, text) for `count` documents of _documents, each with one to
+    """The texts of `count` documents of _documents, each with one to
     three random edits: deletions, insertions, replacements, swaps of
     neighbours and repeated stretches."""
     rng = np.random.default_rng(2024)
     alphabet = '[],:{}" \n\t0123456789-+.eEaNIntul\\é'
-    bases = [(kind, layout) for kind, text in _documents() for layout in _layouts(text)[:3:2]]
+    bases = [layout for text in _documents() for layout in _layouts(text)[:3:2]]
     for case in range(count):
-        kind, text = bases[case % len(bases)]
+        text = bases[case % len(bases)]
         for _ in range(1 + rng.integers(3)):
             i = int(rng.integers(len(text)))
             op = rng.integers(5)
@@ -337,14 +299,14 @@ def _mutated_documents(count):
             else:
                 j = i + int(rng.integers(1, 12))
                 text = text[:j] + text[i:j] + text[j:]
-        yield kind, text
+        yield text
 
 
 def test_flat_parse_matches_the_tree_walk_under_mutation():
     accepted = flat_taken = 0
-    for kind, text in _mutated_documents(4000):
-        accepted += _assert_flat_matches_tree(text, kind)[0] == "accept"
-        flat_taken += serialize._load_flat(text, kind) is not None
+    for text in _mutated_documents(4000):
+        accepted += _assert_flat_matches_tree(text)[0] == "accept"
+        flat_taken += serialize._load_flat(text) is not None
     # both sides of the comparison are exercised
     assert 200 < accepted < 3800
     assert flat_taken > 100
@@ -409,7 +371,7 @@ def _named_cases():
 
 @pytest.mark.parametrize(("text", "accepted"), _named_cases())
 def test_flat_parse_named_cases(text, accepted):
-    assert (_assert_flat_matches_tree(text, "functional")[0] == "accept") == accepted
+    assert (_assert_flat_matches_tree(text)[0] == "accept") == accepted
 
 
 def _zero_token_cases():
@@ -427,10 +389,10 @@ def _zero_token_cases():
 
 @pytest.mark.parametrize(("text", "accepted"), _zero_token_cases())
 def test_flat_parse_of_tokens_near_zero(text, accepted):
-    outcome = _assert_flat_matches_tree(text, "functional")
+    outcome = _assert_flat_matches_tree(text)
     assert (outcome[0] == "accept") == accepted
     if accepted:
-        assert serialize._load_flat(text, "functional") is not None
+        assert serialize._load_flat(text) is not None
 
 
 @pytest.mark.parametrize("token", ["0", "-0", "-0.0", "0.0", "0e0", " 0 ", "0 ", "7", "00", ""])
@@ -456,10 +418,10 @@ def test_flat_parse_over_many_windows_matches_the_tree_walk(monkeypatch):
     test_flat_parse_matches_the_tree_walk_on_every_kind_and_layout()
     for case in _named_cases() + _zero_token_cases():
         text, accepted = case.values
-        assert (_assert_flat_matches_tree(text, "functional")[0] == "accept") == accepted, case.id
+        assert (_assert_flat_matches_tree(text)[0] == "accept") == accepted, case.id
     long_token = _named_cases()[0].values[0].replace("12.5", "0." + "1" * 61, 1)
-    assert serialize._load_flat(long_token, "functional") is None
-    assert _assert_flat_matches_tree(long_token, "functional")[0] == "accept"
+    assert serialize._load_flat(long_token) is None
+    assert _assert_flat_matches_tree(long_token)[0] == "accept"
     monkeypatch.setattr(serialize, "_WINDOW", 256)
     test_flat_parse_matches_the_tree_walk_under_mutation()
 
@@ -469,25 +431,24 @@ def test_lone_surrogate_in_the_block_is_a_schema_error():
     numbers, is rejected as the tree walk rejects it."""
     text = functional_to_json(SteeringFunctional.from_table(np.ones((1, 1, 2, 2))))
     text = text.replace("[[[1,0]", "[[[1,\ud800]", 1)
-    assert serialize._load_flat(text, "functional") is None
-    assert _assert_flat_matches_tree(text, "functional")[:2] == ("reject", "SchemaError")
+    assert serialize._load_flat(text) is None
+    assert _assert_flat_matches_tree(text)[:2] == ("reject", "SchemaError")
 
 
-def _assert_file_matches_text(path, text, kind):
+def _assert_file_matches_text(path, text):
     """Write `text` to `path`; the windowed file read (_load_file) either
     declines it or gives what the tree walk gives for the file's text, and
-    for a functional load_functional gives what the text gives. Returns
-    whether the windowed file read took it."""
+    load_functional gives what the text gives. Returns whether the
+    windowed file read took it."""
     path.write_text(text, encoding="utf-8")
     text = path.read_text(encoding="utf-8")
-    loaded = serialize._load_file(path, kind)
+    loaded = serialize._load_file(path)
     if loaded is not None:
-        expected = _outcome(serialize._load_tree, text, kind)
+        expected = _outcome(serialize._load_tree, text)
         assert expected == ("accept", loaded[0], loaded[1].shape, loaded[1].tobytes())
-    if kind == "functional":
-        assert _functional_outcome(load_functional, path) == _functional_outcome(
-            functional_from_json, text
-        )
+    assert _functional_outcome(load_functional, path) == _functional_outcome(
+        functional_from_json, text
+    )
     return loaded is not None
 
 
@@ -507,15 +468,13 @@ def test_file_read_matches_the_text_read(tmp_path, monkeypatch, window):
     the last window to hold the meta."""
     monkeypatch.setattr(serialize, "_WINDOW", window)
     path = tmp_path / "doc.json"
-    for kind, text in _documents():
-        assert _assert_file_matches_text(path, text, kind)  # the canonical layout
+    for text in _documents():
+        assert _assert_file_matches_text(path, text)  # the canonical layout
         for layout in _layouts(text)[1:]:
-            _assert_file_matches_text(path, layout, kind)
+            _assert_file_matches_text(path, layout)
     for case in _named_cases() + _zero_token_cases():
-        _assert_file_matches_text(path, case.values[0], "functional")
-    taken = sum(
-        _assert_file_matches_text(path, text, kind) for kind, text in _mutated_documents(600)
-    )
+        _assert_file_matches_text(path, case.values[0])
+    taken = sum(_assert_file_matches_text(path, text) for text in _mutated_documents(600))
     assert 30 < taken < 570
 
 
@@ -526,13 +485,13 @@ def test_file_read_falls_back_for_what_it_cannot_vouch_for(tmp_path):
     path = tmp_path / "doc.json"
     text = functional_to_json(mub_functional(build_mub_family(2, 3)))
     path.write_bytes(text.replace('"mub"', '"m\xffb"').encode("latin-1"))
-    assert serialize._load_file(path, "functional") is None
+    assert serialize._load_file(path) is None
     with pytest.raises(SchemaError, match="not UTF-8"):
         load_functional(path)
     padded = text.replace('"matrices":', '"matrices":' + " " * (1 << 16))
     padded = padded.replace(',"meta"', " " * (1 << 16) + ',"meta"')
     for layout in (padded, json.dumps({"meta": json.loads(text)["meta"], "matrices": [[0]] * 6})):
-        assert not _assert_file_matches_text(path, layout, "functional")
+        assert not _assert_file_matches_text(path, layout)
     with pytest.raises(IsADirectoryError):
         load_functional(tmp_path)
     with pytest.raises(FileNotFoundError):
@@ -665,12 +624,12 @@ def test_huge_claimed_dimension_allocates_nothing():
     tracemalloc.start()
     try:
         with pytest.raises(SchemaError, match="1000000 rows"):
-            serialize._load(text, "functional")
+            serialize._load(text)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1e6
-    _assert_flat_matches_tree(text, "functional")
+    _assert_flat_matches_tree(text)
 
 
 def test_every_written_file_takes_the_flat_path(tmp_path, monkeypatch):
@@ -688,21 +647,24 @@ def test_every_written_file_takes_the_flat_path(tmp_path, monkeypatch):
         assert cli_main(["generate", *flags, "--out", str(tmp_path / f"{name}.json")]) == 0
     mub = mub_functional(build_mub_family(3, 4))
     dumps = [
-        (assemblage_from_json, assemblage_to_json(canonical_quantum_assemblage(mub))),
-        (mub_family_from_json, mub_family_to_json(build_mub_family(5, 6))),
-        (clifford_family_from_json, clifford_family_to_json(build_clifford_family(4))),
+        functional_to_json(SteeringFunctional.from_table(table))
+        for table in (
+            canonical_quantum_assemblage(mub).members,
+            build_mub_family(5, 6).bases[:, None],
+            build_clifford_family(4).observables[:, None],
+        )
     ]
 
-    def no_tree_walk(text, kind):
-        raise AssertionError(f"a {kind} file fell back to the tree walk")
+    def no_tree_walk(text):
+        raise AssertionError("a file fell back to the tree walk")
 
-    def no_text_read(text, kind):
-        raise AssertionError(f"a {kind} file was read whole")
+    def no_text_read(text):
+        raise AssertionError("a file was read whole")
 
     monkeypatch.setattr(serialize, "_load_tree", no_tree_walk)
     with monkeypatch.context() as patch:
         patch.setattr(serialize, "_load", no_text_read)
         for name in generated:
             assert load_functional(tmp_path / f"{name}.json").n >= 1
-    for load, text in dumps:
-        load(text)
+    for text in dumps:
+        functional_from_json(text)
