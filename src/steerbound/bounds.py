@@ -45,7 +45,10 @@ through sums over the table (_canonical_check), without building it.
 Tables without paper values get a see-saw lower bound instead.
 quantum_bound_seesaw advances its restarts together, batched
 over restarts and settings, in groups whose assembled operators stay
-within 8 MiB, also with OpenBLAS at one thread. Every third update
+within 8 MiB, also with OpenBLAS at one thread. Its measurement step
+splits outcome pairs with one QR and one eigensolve each, or, on tables
+whose cells are zero outside one row (structure._rank_one_row, every
+random table), with one QR and a closed form. Every third update
 starts from a safeguarded SQUAREM extrapolation of the state (Varadhan
 and Roland, Scand. J. Stat. 35, 335-353, 2008) and is kept only where
 it does not lower the objective, which about halves the updates a
@@ -88,6 +91,7 @@ from .linalg import (
 from .mub import MubFamily
 from .structure import (
     TableStructure,
+    _rank_one_row,
     anticommuting_squares,
     complement_symmetric,
     table_scale,
@@ -628,9 +632,54 @@ def _positive_projectors(h: np.ndarray) -> np.ndarray:
     return (vecs * (vals > 0)[..., None, :]) @ _dagger(vecs)
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x^dagger y over the last axis."""
+    return np.einsum("...i,...i->...", x.conj(), y)
+
+
+def _rank_one_split(r: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
+    """Factors (R^dagger P, R^dagger (I - P)) of the exact split of a pair
+    whose operator R (R_a - R_b) R^dagger is M = herm(alpha beta^dagger),
+    with alpha = R (phi u_a - phi u_b), beta = R v and P the projector onto
+    the positive eigenvector of M, or 0 where M has none.
+
+    With w = alpha - (beta^dagger alpha / |beta|^2) beta, the part of
+    alpha orthogonal to beta, and g = Re(beta^dagger alpha), the vector
+    p = w + (s / |beta|^2) beta with s = g + sqrt(|w|^2 |beta|^2 + g^2)
+    has M p = (s/2) p. M has rank at most 2 and its other nonzero
+    eigenvalue is (g - sqrt(...))/2 <= 0, so the kernel goes to outcome b.
+    Where g < 0, s is taken as |w|^2 |beta|^2 / (sqrt(...) - g), the same
+    number without the cancellation. An s within 8 eps |alpha||beta| is
+    rounding and P is 0 there: near alpha = -t beta (t > 0), p would be w,
+    whose rounding may point anywhere, along beta too, where M is
+    negative. Dropping such a P loses at most 4 eps |alpha||beta| of the
+    pair's objective."""
+    a2 = _dot(alpha, alpha).real[..., None]
+    b2 = _dot(beta, beta).real[..., None]
+    inverse = np.divide(1.0, b2, out=np.zeros_like(b2), where=b2 > 0)
+    c = _dot(beta, alpha)[..., None]
+    w = alpha - (c * inverse) * beta
+    g, w2 = c.real, _dot(w, w).real[..., None]
+    cross = w2 * b2
+    root = np.sqrt(cross + g * g)
+    s = np.where(g >= 0, g + root, cross / np.where(g >= 0, 1.0, root - g))
+    p = w + (s * inverse) * beta
+    p2 = w2 + s * s * inverse  # |p|^2, as w is orthogonal to beta
+    positive = s > 8 * np.finfo(float).eps * np.sqrt(a2 * b2)
+    unit = np.divide(p, p2, out=np.zeros_like(p), where=positive)
+    lifted = _dagger(r)
+    first = (lifted @ unit[..., None]) * p.conj()[..., None, :]
+    return first, lifted - first
+
+
 def _povm_update(rotated: np.ndarray, factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact coordinate step for every (..., setting) POVM at once, from
     square factors G with E^a = G^a G^a^dagger: (new POVMs, their factors).
+
+    `rotated` holds the (..., m, d, d) Hermitian parts of the phased
+    conditioned operators, or, for a rank-one table whose conditioned
+    operators are u_a v^dagger, the (..., m + 1, d) vectors phi u_a and
+    then v that give them as herm(phi u_a v^dagger).
 
     Two outcomes take the positive-eigenspace projector P of R^1 - R^2,
     which is its own factor, and I - P. More outcomes take one sweep of
@@ -644,20 +693,39 @@ def _povm_update(rotated: np.ndarray, factors: np.ndarray) -> tuple[np.ndarray, 
     factor F = Q^(1/2) V of Q gives the same F P_+(F^dagger D F) F^dagger,
     so this is the maximizer of the root form E_a = Q^(1/2) X Q^(1/2),
     with one QR and one eigensolve per pair in place of two eigensolves
-    and a square root, and both elements are positive semidefinite by
-    construction. The objective never decreases.
+    and a square root. Rank-one operators make the pair operator
+    herm(alpha beta^dagger), of rank at most 2, whose positive eigenvector
+    has a closed form (_rank_one_split): one QR and no eigensolve per
+    pair, and for two outcomes no QR either (R = I). They send the pair
+    operator's kernel to outcome b, where the eigensolve splits it by the
+    signs of rounding. Either way both elements are positive semidefinite
+    by construction, and the objective never decreases.
     """
     *batch, m, d, _ = factors.shape
+    rank_one = rotated.ndim < factors.ndim
+    if rank_one:
+        phased, v = rotated[..., :-1, :], rotated[..., -1, :]
     if m == 2:
-        proj = _positive_projectors(rotated[..., 0, :, :] - rotated[..., 1, :, :])
-        povms = np.stack([proj, np.eye(d) - proj], axis=-3)
+        if rank_one:
+            split = _rank_one_split(np.eye(d), phased[..., 0, :] - phased[..., 1, :], v)
+            povms = np.stack(split, axis=-3)
+        else:
+            proj = _positive_projectors(rotated[..., 0, :, :] - rotated[..., 1, :, :])
+            povms = np.stack([proj, np.eye(d) - proj], axis=-3)
         return povms, povms
     factors = factors.copy()
+    upper = np.tri(d, dtype=bool).T
     for a in range(m):
         for b in range(a + 1, m):
             # R^dagger R = G_a G_a^dagger + G_b G_b^dagger
             stacked = _dagger(factors[..., (a, b), :, :]).reshape(*batch, 2 * d, d)
-            r = np.linalg.qr(stacked, mode="r")
+            raw, _ = np.linalg.qr(stacked, mode="raw")  # R in its transposed upper triangle
+            r = raw.swapaxes(-1, -2)[..., :d, :] * upper  # mode "r" without its np.triu copy
+            if rank_one:
+                alpha = (r @ (phased[..., a, :] - phased[..., b, :])[..., None])[..., 0]
+                beta = (r @ v[..., None])[..., 0]
+                factors[..., a, :, :], factors[..., b, :, :] = _rank_one_split(r, alpha, beta)
+                continue
             diff = rotated[..., a, :, :] - rotated[..., b, :, :]
             vals, vecs = np.linalg.eigh(hermitian_part(r @ diff @ _dagger(r)))
             lifted = _dagger(r) @ vecs
@@ -667,9 +735,18 @@ def _povm_update(rotated: np.ndarray, factors: np.ndarray) -> tuple[np.ndarray, 
     return factors @ _dagger(factors), factors
 
 
-def _phases(povms: np.ndarray, conditioned: np.ndarray) -> np.ndarray:
-    """e^{-i arg v} per restart, v = sum_xa Tr(E_x^a R_x^a); 1 where v = 0."""
-    value = np.einsum("rxaij,rxaji->r", povms, conditioned)
+def _pairing(povms: np.ndarray, conditioned: np.ndarray) -> np.ndarray:
+    """sum_xa Tr(E_x^a R_x^a) per restart."""
+    return np.einsum("rxaij,rxaji->r", povms, conditioned)
+
+
+def _rank_one_pairing(povms: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """sum_xa Tr(E_x^a u_xa v^dagger) = sum_xa v^dagger E_x^a u_xa per restart."""
+    return np.einsum("ri,rxaij,rxaj->r", right.conj(), povms, left)
+
+
+def _phases(value: np.ndarray) -> np.ndarray:
+    """e^{-i arg v} per restart; 1 where v = 0."""
     return np.where(value == 0, 1.0, np.exp(-1j * np.angle(value)))
 
 
@@ -700,6 +777,9 @@ def _seesaw_group(
     k, d, _ = state.shape
     n, m = f.n, f.m
     coeffs_t = f.coefficients.transpose(0, 1, 3, 2)  # (n, m, d, d), F^T per cell
+    row = None if f.hermitian else _rank_one_row(f)
+    if row is not None:
+        weights = f.coefficients[:, :, row, :].reshape(n * m, d, 1)  # F_x^a = e_row w_xa^T
     table = f.coefficients.reshape(n * m, d * d)
     eye = np.eye(d, dtype=complex)
     povms = np.broadcast_to(eye / m, (k, n, m, d, d)).copy()
@@ -715,11 +795,23 @@ def _seesaw_group(
         steps += active.size
         extrapolating = step > 0 and step % 3 == 0
         start = _extrapolated(history) if extrapolating else history[:, -1]
-        # R_x^a = Psi F_x^a^T Psi^dagger, per restart
-        conditioned = start[:, None, None] @ coeffs_t @ _dagger(start)[:, None, None]
-        phase = _phases(povms, conditioned)[:, None, None, None, None]
-        new_povms, new_factors = _povm_update(hermitian_part(phase * conditioned), factors)
-        phase = _phases(new_povms, conditioned)[:, None, None]
+        if row is None:
+            # R_x^a = Psi F_x^a^T Psi^dagger, per restart
+            conditioned = start[:, None, None] @ coeffs_t @ _dagger(start)[:, None, None]
+            phase = _phases(_pairing(povms, conditioned))[:, None, None, None, None]
+            new_povms, new_factors = _povm_update(hermitian_part(phase * conditioned), factors)
+            phase = _phases(_pairing(new_povms, conditioned))[:, None, None]
+        else:
+            # R_x^a = u_xa v^dagger with u_xa = Psi w_xa and v = Psi e_row
+            left = (start[:, None] @ weights).reshape(-1, n, m, d)
+            right = start[:, :, row]
+            phase = _phases(_rank_one_pairing(povms, left, right))[:, None, None, None]
+            vectors = np.concatenate(
+                (phase * left, np.broadcast_to(right[:, None, None], (len(right), n, 1, d))),
+                axis=2,
+            )
+            new_povms, new_factors = _povm_update(vectors, factors)
+            phase = _phases(_rank_one_pairing(new_povms, left, right))[:, None, None]
         # sum_xa E_x^a (x) F_x^a as one GEMM: (r, (i, j), xa) @ (xa, (k, l))
         rows = new_povms.transpose(0, 3, 4, 1, 2).reshape(-1, d * d, n * m)
         assembled = (rows @ table).reshape(-1, d, d, d, d).transpose(0, 1, 3, 2, 4)
@@ -808,8 +900,13 @@ def quantum_bound_seesaw(
     measurement is rebuilt from its conditioned operators (the
     positive-eigenspace projector for two outcomes; otherwise one sweep of
     pairwise splits on square factors E_x^a = G G^dagger, starting from
-    G = I/sqrt(m), each pair one QR and one eigensolve, see _povm_update);
-    with the measurements fixed, the state moves to the top eigenvector of
+    G = I/sqrt(m), each pair one QR and one eigensolve, see _povm_update).
+    A table whose cells are all zero outside one row r has conditioned
+    operators u_xa v^dagger, with u_xa = Psi w_xa for the row w_xa of
+    F_x^a and v = Psi e_r; they are never built, each pair (and the
+    projector for two outcomes) is split in closed form instead of
+    eigensolved, and the pairings read v^dagger E_x^a u_xa. With the
+    measurements fixed, the state moves to the top eigenvector of
     the assembled operator sum_xa E_x^a (x) F_x^a, built as one GEMM of the
     POVMs with the table. Non-Hermitian tables are handled through
     |<F, sigma>| by rotating with the phase of the current value, which

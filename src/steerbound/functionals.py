@@ -52,16 +52,30 @@ def _table_hermiticity_defect(table: np.ndarray) -> float:
     return float(defect)
 
 
+def _counts_as_hermitian(table: np.ndarray, defect: float) -> bool:
+    """The defect is within TOLERANCES.hermiticity of the table's largest
+    entry modulus, so that scaling a table never changes the answer. The
+    moduli are taken one setting at a time, and only for a finite nonzero
+    defect (an infinite entry gives an infinite or NaN one)."""
+    if defect == 0.0:
+        return True
+    if not np.isfinite(defect):
+        return False
+    largest = max(float(np.abs(cells).max()) for cells in table)
+    return defect <= TOLERANCES.hermiticity * largest
+
+
 @dataclass(frozen=True)
 class SteeringFunctional:
     """Coefficient table of a linear functional on assemblages.
 
     coefficients[x, a] is the d x d operator weighting sigma_x^a. The
     hermitian and psd flags are derived from the table, never trusted
-    from callers or files: hermitian (within TOLERANCES.hermiticity) and
-    exactly_hermitian (F = F^dagger entry for entry) from one pass when
-    the table is built, psd on its first read, since it costs eigensolves
-    and only the quantum bound's envelope check reads it.
+    from callers or files: hermitian (within TOLERANCES.hermiticity of its
+    largest entry modulus) and exactly_hermitian (F = F^dagger entry for
+    entry) from one pass when the table is built, psd on its first read,
+    since it costs eigensolves and only the quantum bound's envelope check
+    reads it.
 
     from_table copies the caller's array. The loaders and the builders of
     this package hand over the array they just made, which becomes the
@@ -118,7 +132,7 @@ class SteeringFunctional:
         return cls(
             kind=kind,
             coefficients=table,
-            hermitian=defect <= TOLERANCES.hermiticity,
+            hermitian=_counts_as_hermitian(table, defect),
             exactly_hermitian=defect == 0.0,
             seed=seed,
         )

@@ -7,8 +7,10 @@ from dataclasses import dataclass
 class Tolerances:
     """Absolute tolerances shared across the toolkit.
 
-    hermiticity: largest max-norm defect F - F^dagger of a coefficient table
-        that still counts as Hermitian.
+    hermiticity: largest max-norm defect F - F^dagger of a coefficient table,
+        per unit of its largest entry modulus, that still counts as
+        Hermitian; also the slack below zero on the eigenvalues of the
+        cells of a table that counts as positive semidefinite.
     anticommutation: slack on anticommutator identities.
     unbiasedness: slack on basis orthonormality and cross-basis overlaps.
     assemblage: slack on positivity, no-signaling and normalization of

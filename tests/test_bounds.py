@@ -688,15 +688,19 @@ def test_pruned_enumeration_matches_the_full_one(name, functional, prunes):
 
 
 def test_pruning_bounds_the_matrix_eigvalsh_reads():
-    # F^0 is Hermitian within tolerance but nilpotent: its square is 0,
-    # while eigvalsh reads its lower triangle, of norm 1e-10. A bound on F^0
-    # itself would rank it below F^1 and skip the maximum.
-    low = np.array([[0, 0], [1e-10, 0]], dtype=complex)
-    functional = SteeringFunctional.from_table(np.stack([low, np.diag([6e-11, 0])])[None])
+    # Strategy (0, 0) sums to the nilpotent N = [[0, 0], [1e-10, 0]]: its
+    # square is 0, while eigvalsh reads its lower triangle, of norm 1e-10.
+    # A bound on N itself would rank it below diag(6e-11, 0), the sum of
+    # (1, 0), and skip the maximum. The identity cells that cancel in the
+    # sums make the table Hermitian within tolerance of its largest entry.
+    low = np.array([[1, 0], [1e-10, 1]], dtype=complex)
+    eye = np.eye(2, dtype=complex)
+    table = np.stack([np.stack([low, np.diag([1 + 6e-11, 1])]), np.stack([-eye, -eye])])
+    functional = SteeringFunctional.from_table(table)
     assert functional.hermitian and not functional.exactly_hermitian
     result = lhs_bound(functional)
     assert result.method == "enumeration"
-    assert (result.value, result.witness) == (1e-10, (0,))
+    assert (result.value, result.witness) == (1e-10, (0, 0))
     assert result.value == strategy_norms(functional).max()
 
 
@@ -1006,8 +1010,11 @@ def sequential_seesaw(f, restarts, max_iters, tol=1e-10, seed=0):
         return (x + x.conj().T) / 2
 
     def positive_projector(h):
+        # eigenvalues within 1e-12 of the largest modulus count as 0, so a
+        # kernel goes to the pair's second outcome, as the rank-one step
+        # sends it, and not by the sign of its rounding
         vals, vecs = np.linalg.eigh(herm(h))
-        pos = vecs[:, vals > 0]
+        pos = vecs[:, vals > 1e-12 * np.abs(vals).max()]
         return pos @ pos.conj().T
 
     def pairwise(conditioned, povm):
@@ -1086,8 +1093,10 @@ def sequential_seesaw(f, restarts, max_iters, tol=1e-10, seed=0):
         (random_functional(3, 0), 300),
         (mub_functional(build_mub_family(2, 3)), 300),
         (clifford_functional(build_clifford_family(3)), 300),
+        # random tables take the rank-one pair step; this one the generic one
+        (random_hermitian_functional(np.random.default_rng(100), 3, 3, 3), 300),
     ],
-    ids=["random-2-capped", "random-2", "random-3", "mub-2-3", "clifford-3"],
+    ids=["random-2-capped", "random-2", "random-3", "mub-2-3", "clifford-3", "hermitian-3"],
 )
 def test_batched_seesaw_matches_sequential_reference(functional, max_iters):
     result = quantum_bound_seesaw(functional, restarts=8, max_iters=max_iters, seed=3)
@@ -1153,23 +1162,31 @@ def test_seesaw_counts_every_update_against_max_iters(monkeypatch, max_iters):
 def test_seesaw_values_are_attained_by_the_final_measurements():
     # ten updates, three of them extrapolated: each final value is the top
     # eigenvalue of a rotated sum_xa E_x^a (x) F_x^a of the POVMs returned,
-    # so a state attains it with them, within that operator's numerical radius
-    f = random_functional(3, 0)
-    rng = np.random.default_rng(4)
-    raw = rng.normal(size=(6, 9)) + 1j * rng.normal(size=(6, 9))
-    state = (raw / np.linalg.norm(raw, axis=1, keepdims=True)).reshape(-1, 3, 3)
-    values, _, traces, _, povms, (kept, tried) = bounds_module._seesaw_group(
-        f, state, 10, 0.0, 1e-12
-    )
-    assert tried == 18 and kept < tried  # some extrapolations were discarded
-    bounds_module._require_measurements(povms, 0)
-    for value, trace, measurement in zip(values, traces, povms):
-        assert trace[-1] == value
-        assert (np.diff(trace) >= 0).all()
-        assembled = sum(
-            np.kron(measurement[x, a], f.coefficients[x, a]) for x in range(3) for a in range(3)
+    # so a state attains it with them, within that operator's numerical
+    # radius; a random table takes the rank-one pair step, the Hermitian
+    # one the generic step, and each discards some extrapolation
+    cases = [
+        (random_functional(3, 3), 4),
+        (random_hermitian_functional(np.random.default_rng(100), 3, 3, 3), 0),
+    ]
+    for f, seed in cases:
+        rng = np.random.default_rng(seed)
+        raw = rng.normal(size=(6, 9)) + 1j * rng.normal(size=(6, 9))
+        state = (raw / np.linalg.norm(raw, axis=1, keepdims=True)).reshape(-1, 3, 3)
+        values, _, traces, _, povms, (kept, tried) = bounds_module._seesaw_group(
+            f, state, 10, 0.0, 1e-12
         )
-        assert numerical_radius(assembled) >= value - 1e-7
+        assert tried == 18 and kept < tried  # some extrapolations were discarded
+        bounds_module._require_measurements(povms, 0)
+        for value, trace, measurement in zip(values, traces, povms):
+            assert trace[-1] == value
+            assert (np.diff(trace) >= 0).all()
+            assembled = sum(
+                np.kron(measurement[x, a], f.coefficients[x, a])
+                for x in range(3)
+                for a in range(3)
+            )
+            assert numerical_radius(assembled) >= value - 1e-7
 
 
 def test_extrapolation_of_fixed_straight_and_geometric_paths():
@@ -1265,10 +1282,99 @@ def test_factored_pair_step_matches_root_form(m, d, kind):
 
 @pytest.mark.parametrize("d", [3, 4])
 def test_seesaw_step_makes_one_qr_and_one_eigh_per_outcome_pair(linalg_calls, d):
-    # random tables have m = d outcomes; one step, then the stop at max_iters
-    quantum_bound_seesaw(random_functional(d, 0), restarts=1, max_iters=1)
+    # a generic table with m = d outcomes; one step, then the stop at max_iters
+    functional = random_hermitian_functional(np.random.default_rng(100), 3, d, d)
+    quantum_bound_seesaw(functional, restarts=1, max_iters=1)
     pairs = d * (d - 1) // 2
     assert linalg_calls == {"eigh": pairs + 1, "qr": pairs}
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_rank_one_seesaw_step_makes_one_qr_per_outcome_pair_and_one_eigh(linalg_calls, d):
+    # random tables (m = d outcomes) split their pairs in closed form: the
+    # one eigensolve of the step is the state's
+    quantum_bound_seesaw(random_functional(d, 0), restarts=1, max_iters=1)
+    assert linalg_calls == {"eigh": 1, "qr": d * (d - 1) // 2}
+
+
+def rank_one_pair_case(name, d=4):
+    """(square factors G_a, G_b, phased difference phi (u_a - u_b), v) of
+    one outcome pair of a rank-one table, the pair operator being
+    herm(phi (u_a - u_b) v^dagger); the degenerate cases are those a
+    random sign table meets: equal sign rows (u_a = u_b), v in the kernel
+    of Q = E_a + E_b, and u_a - u_b parallel to v."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    diff = np.exp(0.4j) * (rng.normal(size=d) + 1j * rng.normal(size=d))
+    factors = random_factors(rng, (), 3, d)[:2]  # two of three outcomes: Q < I
+    if name == "equal-outcomes":
+        diff = np.zeros(d, complex)
+    elif name == "v-in-kernel":
+        unit = v / np.linalg.norm(v)
+        factors = np.stack([np.eye(d) - np.outer(unit, unit.conj())] * 2) / np.sqrt(2)
+    elif name.startswith("parallel"):
+        diff = {"positive": 0.3 + 0.8j, "negative": -0.3 + 0.8j, "negative-real": -2.0,
+                "imaginary": 0.7j}[name.split("-", 1)[1]] * v
+    return factors, diff, v
+
+
+RANK_ONE_PAIR_CASES = ["random", "equal-outcomes", "v-in-kernel", "parallel-positive",
+                       "parallel-negative", "parallel-negative-real", "parallel-imaginary"]
+
+
+@pytest.mark.parametrize("name", RANK_ONE_PAIR_CASES)
+def test_rank_one_pair_split_matches_the_eigensolved_split(name):
+    """The closed-form split of one pair reaches the objective of the
+    eigensolved split within 1e-12 of the pair's scale, and both its
+    elements are positive semidefinite and sum to Q."""
+    factors, diff, v = rank_one_pair_case(name)
+    d = v.size
+    r = np.linalg.qr(factors.conj().swapaxes(-1, -2).reshape(2 * d, d), mode="r")
+    alpha, beta = r @ diff, r @ v
+    pair = np.outer(diff, v.conj())
+    pair = (pair + pair.conj().T) / 2  # R_a - R_b
+    vals, vecs = np.linalg.eigh(r @ pair @ r.conj().T)
+    eigensolved = (r.conj().T @ vecs) * (vals > 0)
+    first, second = bounds_module._rank_one_split(r, alpha, beta)
+    scale = max(1.0, np.linalg.norm(diff) * np.linalg.norm(v))
+    objective = np.trace(first @ first.conj().T @ pair).real
+    assert objective == pytest.approx(
+        np.trace(eigensolved @ eigensolved.conj().T @ pair).real, abs=1e-12 * scale
+    )
+    assert objective >= -1e-12 * scale
+    elements = np.stack([first @ first.conj().T, second @ second.conj().T])
+    assert np.linalg.eigvalsh(elements).min() >= -1e-12
+    q = factors @ factors.conj().swapaxes(-1, -2)
+    assert np.abs(elements.sum(axis=0) - q.sum(axis=0)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_rank_one_update_keeps_measurements_on_degenerate_tables(m):
+    """A whole rank-one update over pairs with equal outcomes, differences
+    parallel to v and v in the kernel of a pair's Q: every POVM stays
+    positive semidefinite, sums to I, matches its factors, and the
+    objective does not fall."""
+    d = 4
+    rng = np.random.default_rng(m)
+    v = rng.normal(size=(5, d)) + 1j * rng.normal(size=(5, d))
+    phased = rng.normal(size=(5, m, d)) + 1j * rng.normal(size=(5, m, d))
+    phased[0, 1] = phased[0, 0]  # equal sign rows
+    phased[1, 1] = phased[1, 0] - 2.0 * v[1]  # alpha = -2 beta
+    phased[2, 1] = phased[2, 0] + (0.3 + 0.8j) * v[2]
+    phased[3] = v[3] * np.arange(1, m + 1)[:, None]  # every operator parallel to v
+    v[4] = 0.0
+    v[4, 0] = 1.0  # the first outcome of every pair holds only e_0
+    factors = projective_factors((5,), m, d)
+    vectors = np.concatenate((phased, v[:, None]), axis=1)
+    povms, new_factors = bounds_module._povm_update(vectors, factors)
+    assert np.abs(povms.sum(axis=-3) - np.eye(d)).max() <= 1e-12
+    assert np.linalg.eigvalsh(povms).min() >= -1e-12
+    assert np.abs(povms - new_factors @ new_factors.conj().swapaxes(-1, -2)).max() <= 1e-12
+    rotated = phased[..., :, None] * v.conj()[:, None, None, :]
+    rotated = (rotated + rotated.conj().swapaxes(-1, -2)) / 2
+    before = np.einsum("kaij,kaji->k", factors @ factors.conj().swapaxes(-1, -2), rotated)
+    after = np.einsum("kaij,kaji->k", povms, rotated)
+    assert (after.real >= before.real - 1e-12).all()
 
 
 def test_seesaw_measurement_check_names_restart_and_setting():

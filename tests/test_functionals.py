@@ -367,3 +367,26 @@ def test_exactly_hermitian_is_the_entrywise_comparison():
         expected = all(np.array_equal(cell, cell.conj().T) for cell in cells)
         assert functional.exactly_hermitian is expected, name
         assert not expected or functional.hermitian, name
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e-11, 1e-9, 1e-3, 1.0, 1e3])
+def test_hermiticity_is_relative_to_the_largest_entry(scale):
+    """Scaling a table changes none of its flags: a random sign table stays
+    non-Hermitian however small, so its LHS bound stays the rank-one
+    radius, and a Hermitian table off by 1e-12 of its largest entry stays
+    Hermitian however large."""
+    from steerbound import lhs_bound
+
+    functional = SteeringFunctional.from_table(random_functional(3, 0).coefficients * scale)
+    assert not functional.hermitian and not functional.exactly_hermitian
+    result = lhs_bound(functional)
+    assert result.method == "rank-one"
+    assert result.value / scale == pytest.approx(1.2264831572567787, rel=1e-12)
+    rng = np.random.default_rng(12)
+    raw = rng.normal(size=(2, 2, 3, 3)) + 1j * rng.normal(size=(2, 2, 3, 3))
+    table = raw + raw.conj().swapaxes(2, 3)
+    near = table + 1e-12 * np.abs(table).max() * np.triu(np.ones((3, 3)), 1)
+    for cells, exact in ((table, True), (near, False)):
+        functional = SteeringFunctional.from_table(cells * scale)
+        assert functional.hermitian
+        assert functional.exactly_hermitian is exact
