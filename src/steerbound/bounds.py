@@ -47,12 +47,12 @@ quantum_bound_seesaw advances its restarts together, batched
 over restarts and settings, in groups whose assembled operators stay
 within 8 MiB, also with OpenBLAS at one thread. Its measurement step
 splits outcome pairs with one QR and one eigensolve each, or, on tables
-whose cells are zero outside one row (structure._rank_one_row, every
-random table), with one QR and a closed form. Every third update
-starts from a safeguarded SQUAREM extrapolation of the state (Varadhan
-and Roland, Scand. J. Stat. 35, 335-353, 2008) and is kept only where
-it does not lower the objective, which about halves the updates a
-linearly converging restart takes.
+of more than two outcomes whose cells are zero outside one row
+(structure._rank_one_row, every random table with d > 2), with one QR
+and a closed form. Every third update starts from a safeguarded SQUAREM
+extrapolation of the state (Varadhan and Roland, Scand. J. Stat. 35,
+335-353, 2008) and is kept only where it does not lower the objective,
+which about halves the updates a linearly converging restart takes.
 
 Memory is bounded by shape alone: 1 MiB of strategy operators per chunk,
 beside the copy of those a pruned chunk still solves, 256 KiB of squared
@@ -678,8 +678,8 @@ def _povm_update(rotated: np.ndarray, factors: np.ndarray) -> tuple[np.ndarray, 
 
     `rotated` holds the (..., m, d, d) Hermitian parts of the phased
     conditioned operators, or, for a rank-one table whose conditioned
-    operators are u_a v^dagger, the (..., m + 1, d) vectors phi u_a and
-    then v that give them as herm(phi u_a v^dagger).
+    operators are u_a v^dagger and m > 2, the (..., m + 1, d) vectors
+    phi u_a and then v that give them as herm(phi u_a v^dagger).
 
     Two outcomes take the positive-eigenspace projector P of R^1 - R^2,
     which is its own factor, and I - P. More outcomes take one sweep of
@@ -696,22 +696,18 @@ def _povm_update(rotated: np.ndarray, factors: np.ndarray) -> tuple[np.ndarray, 
     and a square root. Rank-one operators make the pair operator
     herm(alpha beta^dagger), of rank at most 2, whose positive eigenvector
     has a closed form (_rank_one_split): one QR and no eigensolve per
-    pair, and for two outcomes no QR either (R = I). They send the pair
-    operator's kernel to outcome b, where the eigensolve splits it by the
-    signs of rounding. Either way both elements are positive semidefinite
-    by construction, and the objective never decreases.
+    pair. They send the pair operator's kernel to outcome b, where the
+    eigensolve splits it by the signs of rounding. Either way both
+    elements are positive semidefinite by construction, and the objective
+    never decreases.
     """
     *batch, m, d, _ = factors.shape
     rank_one = rotated.ndim < factors.ndim
     if rank_one:
         phased, v = rotated[..., :-1, :], rotated[..., -1, :]
-    if m == 2:
-        if rank_one:
-            split = _rank_one_split(np.eye(d), phased[..., 0, :] - phased[..., 1, :], v)
-            povms = np.stack(split, axis=-3)
-        else:
-            proj = _positive_projectors(rotated[..., 0, :, :] - rotated[..., 1, :, :])
-            povms = np.stack([proj, np.eye(d) - proj], axis=-3)
+    elif m == 2:
+        proj = _positive_projectors(rotated[..., 0, :, :] - rotated[..., 1, :, :])
+        povms = np.stack([proj, np.eye(d) - proj], axis=-3)
         return povms, povms
     factors = factors.copy()
     upper = np.tri(d, dtype=bool).T
@@ -777,7 +773,7 @@ def _seesaw_group(
     k, d, _ = state.shape
     n, m = f.n, f.m
     coeffs_t = f.coefficients.transpose(0, 1, 3, 2)  # (n, m, d, d), F^T per cell
-    row = None if f.hermitian else _rank_one_row(f)
+    row = None if f.hermitian or m == 2 else _rank_one_row(f)
     if row is not None:
         weights = f.coefficients[:, :, row, :].reshape(n * m, d, 1)  # F_x^a = e_row w_xa^T
     table = f.coefficients.reshape(n * m, d * d)
@@ -901,16 +897,15 @@ def quantum_bound_seesaw(
     positive-eigenspace projector for two outcomes; otherwise one sweep of
     pairwise splits on square factors E_x^a = G G^dagger, starting from
     G = I/sqrt(m), each pair one QR and one eigensolve, see _povm_update).
-    A table whose cells are all zero outside one row r has conditioned
-    operators u_xa v^dagger, with u_xa = Psi w_xa for the row w_xa of
-    F_x^a and v = Psi e_r; they are never built, each pair (and the
-    projector for two outcomes) is split in closed form instead of
-    eigensolved, and the pairings read v^dagger E_x^a u_xa. With the
-    measurements fixed, the state moves to the top eigenvector of
-    the assembled operator sum_xa E_x^a (x) F_x^a, built as one GEMM of the
-    POVMs with the table. Non-Hermitian tables are handled through
-    |<F, sigma>| by rotating with the phase of the current value, which
-    preserves monotonicity of the modulus. The result is a lower bound on
+    A table of more than two outcomes whose cells are all zero outside
+    one row r has conditioned operators u_xa v^dagger, with u_xa = Psi w_xa
+    for the row w_xa of F_x^a and v = Psi e_r; they are never built, each
+    pair is split in closed form instead of eigensolved, and the pairings
+    read v^dagger E_x^a u_xa. With the measurements fixed, the state moves
+    to the top eigenvector of the assembled operator sum_xa E_x^a (x) F_x^a,
+    built as one GEMM of the POVMs with the table. Non-Hermitian tables
+    are handled through |<F, sigma>| by rotating with the phase of the
+    current value, which preserves monotonicity of the modulus. The result is a lower bound on
     the quantum value up to solver tolerance; restarts draw fresh random
     initial states, in restart order from one generator.
 

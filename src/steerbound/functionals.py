@@ -37,32 +37,28 @@ def _table(arr) -> np.ndarray:
     return out
 
 
-def _table_hermiticity_defect(table: np.ndarray) -> float:
-    """max |F - F^dagger| over the table's entries, one setting at a time,
-    so the temporaries stay the size of one setting's cells. It is 0
-    exactly when every finite cell equals its adjoint entry for entry, and
-    then no modulus is taken."""
-    defect = 0.0
-    for cells in table:
+def _hermiticity_defects(table: np.ndarray) -> tuple[float, float]:
+    """max |F - F^dagger| over the table's entries, and the same per unit
+    of its largest entry modulus, which scaling a table never changes; one
+    setting at a time, so the temporaries stay the size of one setting's
+    cells. The first is 0 exactly when every finite cell equals its
+    adjoint entry for entry (the second may underflow to 0 before it), and
+    both are NaN or infinite where an entry is. Entry moduli are taken
+    only from the first setting with a defect on, when those of the
+    settings before it are taken too, so an exactly Hermitian table pays
+    for none."""
+    defect = largest = 0.0
+    for x, cells in enumerate(table):
         difference = cells.conj()  # minus the conjugate of F - F^dagger: same moduli
         np.subtract(difference, cells.swapaxes(1, 2), out=difference)
         if difference.any():
             defect = np.maximum(defect, np.abs(difference).max())  # NaN stays NaN
         del difference  # before the next setting's is made
-    return float(defect)
-
-
-def _counts_as_hermitian(table: np.ndarray, defect: float) -> bool:
-    """The defect is within TOLERANCES.hermiticity of the table's largest
-    entry modulus, so that scaling a table never changes the answer. The
-    moduli are taken one setting at a time, and only for a finite nonzero
-    defect (an infinite entry gives an infinite or NaN one)."""
-    if defect == 0.0:
-        return True
-    if not np.isfinite(defect):
-        return False
-    largest = max(float(np.abs(cells).max()) for cells in table)
-    return defect <= TOLERANCES.hermiticity * largest
+        if defect:  # largest is 0 until the first defect
+            for seen in table[x if largest else 0 : x + 1]:
+                largest = np.maximum(largest, np.abs(seen).max())
+    defect = float(defect)
+    return defect, defect / float(largest) if defect else 0.0
 
 
 @dataclass(frozen=True)
@@ -127,12 +123,12 @@ class SteeringFunctional:
         if kind not in KINDS:
             raise PreconditionError(f"unknown functional kind {kind!r}")
         table = _table(table)
-        defect = _table_hermiticity_defect(table)
+        defect, relative = _hermiticity_defects(table)
         table.setflags(write=False)
         return cls(
             kind=kind,
             coefficients=table,
-            hermitian=_counts_as_hermitian(table, defect),
+            hermitian=relative <= TOLERANCES.hermiticity,
             exactly_hermitian=defect == 0.0,
             seed=seed,
         )
