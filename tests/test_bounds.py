@@ -1352,6 +1352,27 @@ def test_rank_one_pair_split_matches_the_eigensolved_split(name):
     assert np.abs(elements.sum(axis=0) - q.sum(axis=0)).max() <= 1e-12
 
 
+def test_rank_one_pair_split_sends_the_kernel_by_the_pairing_bit():
+    """On full-rank pairs (Q = I, d = 4) the pair operator has one positive
+    and one negative eigenvalue: the outcome that takes the kernel has rank
+    3, the other rank 1, and the lowest mantissa bit of Re(beta^dagger
+    alpha) picks a, when set, or b; both occur."""
+    rng = np.random.default_rng(5)
+    k, d = 200, 4
+    alpha = rng.normal(size=(k, d)) + 1j * rng.normal(size=(k, d))
+    beta = rng.normal(size=(k, d)) + 1j * rng.normal(size=(k, d))
+    r = np.broadcast_to(np.eye(d, dtype=complex), (k, d, d))
+    first, second = bounds_module._rank_one_split(r, alpha, beta)
+    ranks = [
+        (np.linalg.eigvalsh(g @ g.conj().swapaxes(-1, -2)) > 1e-9).sum(axis=-1)
+        for g in (first, second)
+    ]
+    to_a = (bounds_module._dot(beta, alpha).real.view(np.int64) & 1).astype(bool)
+    assert 0 < to_a.sum() < k
+    assert (ranks[0] == np.where(to_a, 3, 1)).all()
+    assert (ranks[1] == np.where(to_a, 1, 3)).all()
+
+
 @pytest.mark.parametrize("m", [3, 4])
 def test_rank_one_update_keeps_measurements_on_degenerate_tables(m):
     """A whole rank-one update over pairs with equal outcomes, differences
