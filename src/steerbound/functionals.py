@@ -66,12 +66,14 @@ class SteeringFunctional:
     """Coefficient table of a linear functional on assemblages.
 
     coefficients[x, a] is the d x d operator weighting sigma_x^a. The
-    hermitian and psd flags are derived from the table, never trusted
-    from callers or files: hermitian (within TOLERANCES.hermiticity of its
-    largest entry modulus) and exactly_hermitian (F = F^dagger entry for
-    entry) from one pass when the table is built, psd on its first read,
-    since it costs eigensolves and only the quantum bound's envelope check
-    reads it.
+    hermitian, exactly_hermitian and psd flags are derived from the table,
+    never trusted from callers or files, each on its first read: hermitian
+    (within TOLERANCES.hermiticity of its largest entry modulus) and
+    exactly_hermitian (F = F^dagger entry for entry) from one shared pass
+    over the table, psd from eigensolves. Building a table runs none of
+    them, and the monomial +- tables never read them
+    (structure.anticommuting_squares reads their exact Hermiticity from
+    their nonzeros).
 
     from_table copies the caller's array. The loaders and the builders of
     this package hand over the array they just made, which becomes the
@@ -81,8 +83,6 @@ class SteeringFunctional:
 
     kind: str
     coefficients: np.ndarray  # (n, m, d, d)
-    hermitian: bool
-    exactly_hermitian: bool
     seed: int | None = None
 
     @property
@@ -98,15 +98,34 @@ class SteeringFunctional:
         return self.coefficients.shape[2]
 
     @cached_property
+    def _hermiticity(self) -> tuple[float, float]:
+        return _hermiticity_defects(self.coefficients)
+
+    @cached_property
+    def hermitian(self) -> bool:
+        return self._hermiticity[1] <= TOLERANCES.hermiticity
+
+    @cached_property
+    def exactly_hermitian(self) -> bool:
+        return self._hermiticity[0] == 0.0
+
+    @cached_property
     def psd(self) -> bool:
         """A Hermitian table none of whose cells has an eigenvalue below
-        -TOLERANCES.hermiticity.
+        -TOLERANCES.hermiticity per unit of the table's largest entry
+        modulus, the unit `hermitian` takes, so scaling a table never
+        changes it.
 
         Cells are eigensolved one at a time, stopping at the first that
-        fails, so a +- table pays for one cell rather than n * m.
+        fails, so a +- table pays for one cell rather than n * m; entry
+        moduli are taken one setting at a time.
         """
-        return self.hermitian and all(
-            float(np.linalg.eigvalsh(cell)[0]) >= -TOLERANCES.hermiticity
+        if not self.hermitian:
+            return False
+        largest = max((np.abs(cells).max() for cells in self.coefficients), default=0.0)
+        slack = TOLERANCES.hermiticity * float(largest)
+        return all(
+            float(np.linalg.eigvalsh(cell)[0]) >= -slack
             for cell in self.coefficients.reshape(-1, self.d, self.d)
         )
 
@@ -123,15 +142,8 @@ class SteeringFunctional:
         if kind not in KINDS:
             raise PreconditionError(f"unknown functional kind {kind!r}")
         table = _table(table)
-        defect, relative = _hermiticity_defects(table)
         table.setflags(write=False)
-        return cls(
-            kind=kind,
-            coefficients=table,
-            hermitian=relative <= TOLERANCES.hermiticity,
-            exactly_hermitian=defect == 0.0,
-            seed=seed,
-        )
+        return cls(kind=kind, coefficients=table, seed=seed)
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,12 @@ cases, in the order they are tried:
   exactly. Then (sum_x s_x B_x)^2 = (sum_x c_x^2) I for every sign string,
   so every strategy has the norm sqrt(sum_x c_x^2), a closed form. When
   every B_x is monomial (one nonzero per row and per column, as Pauli
-  strings are), it is kept as (column, value) arrays and the products
-  are O(d) gathers, each B_x against all earlier B_y at once, so the
-  check costs O(n d^2) to read the table and O(n^2 d) to decide in O(n d)
-  memory; other tables take dense d x d products pair by pair,
-  O(n^2 d^3).
+  strings are), it is kept as (column, value) arrays; its exact
+  Hermiticity is read from them in O(n d), and the products are O(d)
+  gathers, each B_x against all earlier B_y at once, so the check costs
+  O(n d^2) to read the table and O(n^2 d) to decide in O(n d) memory;
+  other tables read the table's Hermiticity pass and take dense d x d
+  products pair by pair, O(n^2 d^3).
   The c_x^2 are kept, since they also give the canonical assemblage's
   positivity in closed form (bounds._canonical_check).
 - rank-one: a non-Hermitian table whose cells are all zero outside one
@@ -71,19 +72,33 @@ def complement_symmetric(f: SteeringFunctional) -> bool:
 
 
 def _monomial(b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(columns, values) of the one nonzero in each row of the Hermitian
-    `b`, when it has exactly one (and so, being Hermitian, one per column
-    too); else None."""
-    rows, columns = np.nonzero(b)
+    """(columns, values) of the one nonzero in each row of `b`, when it has
+    exactly one; else None. The nonzeros are found through a boolean mask,
+    which is faster than np.nonzero on the complex entries."""
+    flat = b.ravel()
+    index = np.flatnonzero(flat != 0)
+    rows, columns = np.divmod(index, b.shape[0])
     if not np.array_equal(rows, np.arange(b.shape[0])):
         return None
-    return columns, b[rows, columns]
+    return columns, flat[index]
+
+
+def _monomial_hermitian(columns: np.ndarray, values: np.ndarray) -> bool:
+    """Whether every monomial B_x, row i holding values[x, i] at column
+    columns[x, i], equals B_x^dagger entry for entry. B_x^dagger holds
+    conj(v_x[j]) in row c_x(j) at column j, so the two are equal exactly
+    when c_x is an involution with v_x[c_x] = conj(v_x): the entry-wise
+    comparison's decision, in O(n d)."""
+    rows = np.arange(columns.shape[1])
+    if not (np.take_along_axis(columns, columns, axis=1) == rows).all():
+        return False
+    return bool((np.take_along_axis(values, columns, axis=1) == values.conj()).all())
 
 
 def _monomial_squares(columns: np.ndarray, values: np.ndarray) -> tuple[float, ...] | None:
-    """_dense_squares for Hermitian monomial B_x, row i holding values[x, i]
-    at column columns[x, i], from O(d) gathers. Hermiticity makes c_x an
-    involution with v_x[c_x] = conj(v_x), so B_x^2 is the diagonal
+    """_dense_squares for Hermitian monomial B_x (_monomial_hermitian), row
+    i holding values[x, i] at column columns[x, i], from O(d) gathers: c_x
+    is an involution with v_x[c_x] = conj(v_x), so B_x^2 is the diagonal
     v_x * v_x[c_x]. P = B_x B_y holds p = v_x * v_y[c_x] in row i at
     column pi(i), pi = c_y[c_x], and P^dagger holds conj(p[pi]) there
     exactly where pi(pi(i)) = i. Every entry of a dense product is one such
@@ -126,17 +141,23 @@ def _dense_squares(ops: np.ndarray) -> tuple[float, ...] | None:
 
 def anticommuting_squares(f: SteeringFunctional) -> tuple[float, ...] | None:
     """c_x^2 per setting when the table is an anticommuting +- table (the
-    first case of the module docstring), else None. Monomial cells take
-    _monomial_squares, any other table dense products at one OpenBLAS
-    thread, so the exact checks cannot depend on the caller's thread
-    count."""
-    if not complement_symmetric(f) or not f.exactly_hermitian:
+    first case of the module docstring), else None. Monomial cells are
+    proven exactly Hermitian from their nonzeros (_monomial_hermitian) and
+    take _monomial_squares, so the table's Hermiticity pass never runs;
+    any other table reads f.exactly_hermitian and takes dense products at
+    one OpenBLAS thread, so the exact checks cannot depend on the caller's
+    thread count."""
+    if not complement_symmetric(f):
         return None
     ops = f.coefficients[:, 0]
     cells = [_monomial(b) for b in ops]
     if all(cell is not None for cell in cells):
-        columns, values = zip(*cells)
-        return _monomial_squares(np.stack(columns), np.stack(values))
+        columns, values = (np.stack(part) for part in zip(*cells))
+        if not _monomial_hermitian(columns, values):
+            return None
+        return _monomial_squares(columns, values)
+    if not f.exactly_hermitian:
+        return None
     with blas_threads(1):
         return _dense_squares(ops)
 

@@ -8,12 +8,11 @@ class Tolerances:
     """Tolerances shared across the toolkit, absolute unless an entry says
     per unit of something.
 
-    hermiticity: two uses. Relative in SteeringFunctional.hermitian: the
-        largest max-norm defect F - F^dagger of a coefficient table, per
-        unit of its largest entry modulus, that still counts as Hermitian.
-        Absolute in SteeringFunctional.psd: the slack below zero on the
-        eigenvalues of the cells of a table that counts as positive
-        semidefinite.
+    hermiticity: two uses, both per unit of a coefficient table's largest
+        entry modulus. In SteeringFunctional.hermitian: the largest
+        max-norm defect F - F^dagger that still counts as Hermitian. In
+        SteeringFunctional.psd: the slack below zero on the eigenvalues of
+        the cells of a table that counts as positive semidefinite.
     anticommutation: slack on anticommutator identities.
     unbiasedness: slack on basis orthonormality and cross-basis overlaps.
     assemblage: slack on positivity, no-signaling and normalization of

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import steerbound.functionals as functionals_module
 from steerbound.linalg import _openblas
 
 
@@ -33,6 +34,21 @@ def eigvalsh_matrices(monkeypatch):
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return counted
+
+
+@pytest.fixture
+def hermiticity_passes(monkeypatch):
+    """Counts the Hermiticity passes over functional tables, one entry (the
+    table's shape) per call of functionals._hermiticity_defects."""
+    counted = []
+    original = functionals_module._hermiticity_defects
+
+    def counting(table):
+        counted.append(table.shape)
+        return original(table)
+
+    monkeypatch.setattr(functionals_module, "_hermiticity_defects", counting)
     return counted
 
 

@@ -465,6 +465,117 @@ def test_monomial_table_off_anticommuting_is_rejected_as_dense(name, dense_check
     assert dense_checks == []
 
 
+def _pauli_near_misses():
+    """B_x of the compact dichotomic n = 7 table (d = 8) and near misses of
+    them for the monomial Hermiticity proof, every cell still one nonzero
+    per row. In the single settings the anticommutation has no pair to
+    check, and B_x^2 is still exactly I on the diagonal _monomial_squares
+    reads, so only the Hermiticity proof rejects them."""
+    ops = dichotomic_functional(build_clifford_family(7)).coefficients[:, 0]
+    x, i, j = next((x, i, j) for x, i, j in zip(*np.nonzero(ops.real)) if i != j)
+    y, k = next((y, k) for y, k, l in zip(*np.nonzero(ops.real)) if k == l)
+
+    def put(*entries):
+        changed = ops.copy()
+        for index, value in entries:
+            changed[index] = value
+        return changed
+
+    # (1 + 2^-52)(1 - 2^-53) rounds to 1
+    sign = ops[x, i, j].real
+    off_by_ulps = put(
+        ((x, i, j), sign * np.nextafter(1.0, 2.0)), ((x, j, i), sign * np.nextafter(1.0, 0.0))
+    )
+    return {
+        "pauli": ops,
+        "columns shifted, no involution": put((x, np.roll(np.eye(8), 1, axis=1))),
+        "one setting, columns shifted": np.roll(np.eye(8), 1, axis=1)[None],
+        "columns collapsed, no permutation": put((x, np.eye(8)[np.zeros(8, dtype=int)])),
+        "one ulp off its conjugate": put(((x, i, j), np.nextafter(ops[x, i, j].real, 2.0))),
+        "one setting, a pair an ulp off its conjugates": off_by_ulps[x : x + 1],
+        "-0.0 imaginary part": put(((x, i, j), complex(ops[x, i, j].real, -0.0))),
+        "-0.0 imaginary part on the diagonal": put(((y, k, k), complex(ops[y, k, k].real, -0.0))),
+        "NaN": put(((x, i, j), np.nan)),
+    }
+
+
+# what lhs_bound and violation(strict=False) returned for each near miss
+# before the monomial proof replaced the Hermiticity pass: (method, value,
+# witness) and (s_q, s_q_method, violation, failed certificates), or the
+# exception raised
+_CLOSED_FORM = ("anticommuting", 2.6457513110645907, (0,) * 7)
+_ANALYTIC = (7.0, "analytic", 2.6457513110645903, ())
+_VIOLATION_CHECK = "violation_ge_dichotomic"
+EXACTLY_HERMITIAN_NEAR_MISSES = (
+    "pauli",
+    "-0.0 imaginary part",
+    "-0.0 imaginary part on the diagonal",
+)
+PAULI_NEAR_MISS_RESULTS = {
+    "pauli": (_CLOSED_FORM, _ANALYTIC),
+    "columns shifted, no involution": (
+        ("complement-half", 3.2841750840240387, (0, 1, 1, 1, 1, 1, 0)),
+        (6.0, "canonical-lower", 1.8269427927844553, ("canonical_attainment", _VIOLATION_CHECK)),
+    ),
+    "one setting, columns shifted": (
+        ("complement-half", 1.0000000000000004, (0,)),
+        (0.0, "canonical-lower", 0.0, ("canonical_attainment", _VIOLATION_CHECK)),
+    ),
+    "columns collapsed, no permutation": (
+        ("complement-half", 3.9702555234583587, (0, 0, 0, 1, 0, 1, 0)),
+        BoundCheckError,
+    ),
+    "one ulp off its conjugate": (
+        ("complement-half", 2.6457513110645916, (0, 0, 0, 0, 0, 1, 0)),
+        (7.0, "analytic", 2.6457513110645894, ()),
+    ),
+    "one setting, a pair an ulp off its conjugates": (
+        ("complement-half", 1.0, (0,)),
+        (1.0, "analytic", 1.0, ()),
+    ),
+    "-0.0 imaginary part": (_CLOSED_FORM, _ANALYTIC),
+    "-0.0 imaginary part on the diagonal": (_CLOSED_FORM, _ANALYTIC),
+    "NaN": (PreconditionError, PreconditionError),
+}
+
+
+@pytest.mark.parametrize("name", list(PAULI_NEAR_MISS_RESULTS))
+def test_monomial_exactness_decides_like_the_entrywise_comparison(
+    name, dense_checks, hermiticity_passes
+):
+    """The monomial cells' exact Hermiticity, read from their nonzeros,
+    rejects a table exactly where comparing every B_x with its adjoint or
+    the anticommutation does, without the table's Hermiticity pass; bounds
+    and reports are what they were when that pass decided."""
+    ops = _pauli_near_misses()[name]
+    functional = SteeringFunctional.from_table(
+        np.stack([ops, -ops], axis=1), kind="clifford-dichotomic"
+    )
+    exact = all(np.array_equal(b, b.conj().T) for b in ops)
+    assert exact is (name in EXACTLY_HERMITIAN_NEAR_MISSES)
+    squares = structure_module.anticommuting_squares(functional)
+    assert (squares is None) == (dense_anticommuting_value(functional) is None)
+    assert (squares is None) is not exact
+    assert dense_checks == [] and hermiticity_passes == []
+    lhs, report = PAULI_NEAR_MISS_RESULTS[name]
+    if isinstance(lhs, type):
+        with pytest.raises(lhs):
+            lhs_bound(functional)
+    else:
+        result = lhs_bound(functional)
+        assert (result.method, result.value, result.witness) == (
+            lhs[0], pytest.approx(lhs[1], rel=1e-14), lhs[2]
+        )
+    if isinstance(report, type):
+        with pytest.raises(report):
+            violation(functional, strict=False)
+    else:
+        found = violation(functional, strict=False)
+        assert (found.s_q, found.s_q_method, found.violation, found.failed) == (
+            report[0], report[1], pytest.approx(report[2], rel=1e-14), report[3]
+        )
+
+
 PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 

@@ -16,7 +16,9 @@ from steerbound import (
     random_functional,
 )
 from steerbound import serialize
-from steerbound.serialize import functional_from_json, functional_to_json
+from steerbound.bounds import violation
+from steerbound.cli import main as cli_main
+from steerbound.serialize import functional_from_json, functional_to_json, load_functional
 from steerbound.tolerances import TOLERANCES
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -242,13 +244,15 @@ def test_functional_flags_recomputed_not_trusted():
 
 
 def eager_psd(table) -> bool:
-    """psd as from_table once computed it: Hermitian, and one batched
+    """psd as from_table once computed it, with both slacks taken per unit
+    of the table's largest entry modulus: Hermitian, and one batched
     eigensolve of every cell with no eigenvalue below the tolerance."""
     table = np.asarray(table)
-    if np.abs(table - table.conj().transpose(0, 1, 3, 2)).max() > TOLERANCES.hermiticity:
+    slack = TOLERANCES.hermiticity * float(np.abs(table).max())
+    if np.abs(table - table.conj().transpose(0, 1, 3, 2)).max() > slack:
         return False
     flat = table.reshape(-1, table.shape[2], table.shape[3])
-    return float(np.linalg.eigvalsh(flat).min()) >= -TOLERANCES.hermiticity
+    return float(np.linalg.eigvalsh(flat).min()) >= -slack
 
 
 def psd_cases():
@@ -274,6 +278,7 @@ def test_from_table_makes_no_eigensolve(eigvalsh_matrices):
 
 
 def test_psd_matches_the_eager_definition():
+    """At every scale, since the slack is per unit of the largest entry."""
     expected = {
         "mub": True,
         "clifford": False,
@@ -283,8 +288,11 @@ def test_psd_matches_the_eager_definition():
         "custom-psd-within-tolerance": True,
         "custom-below-tolerance": False,
     }
-    for name, table in psd_cases().items():
-        assert SteeringFunctional.from_table(table).psd is eager_psd(table) is expected[name], name
+    for scale in (1e-3, 1.0, 1e3):
+        for name, table in psd_cases().items():
+            table = table * scale
+            functional = SteeringFunctional.from_table(table)
+            assert functional.psd is eager_psd(table) is expected[name], (name, scale)
 
 
 def test_psd_of_a_plus_minus_table_eigensolves_one_cell_once(eigvalsh_matrices):
@@ -341,6 +349,31 @@ def test_from_table_copies_and_the_package_adopts(monkeypatch):
         assert np.shares_memory(handed[0], functional.coefficients), name
         assert not functional.coefficients.flags.writeable, name
     assert np.shares_memory(loaded[-1], functional.coefficients)
+
+
+def test_full_dim_tables_never_run_the_hermiticity_pass(tmp_path, hermiticity_passes):
+    """Full-dim Pauli tables are built, written, loaded and bounded, and
+    compact ones swept, on the monomial proof alone: no step reads the
+    Hermiticity flags."""
+    for kind in ("clifford", "dichotomic"):
+        path = tmp_path / f"{kind}.json"
+        flags = ["--kind", kind, "--n", "7", "--full-dim", "--out", str(path)]
+        assert cli_main(["generate", *flags]) == 0
+        report = violation(load_functional(path))
+        assert report.diagnostics["lhs_method"] == "anticommuting"
+    sweep = ["sweep", "--kind", "dichotomic", "--n", "8,10,12", "--out", str(tmp_path / "s.csv")]
+    assert cli_main(sweep) == 0
+    assert hermiticity_passes == []
+
+
+def test_hermiticity_flags_share_one_pass_on_first_read(hermiticity_passes):
+    """Building runs no pass; the first read of a flag runs one, which
+    every later read of hermitian, exactly_hermitian or psd reuses."""
+    for f in (mub_functional(build_mub_family(3, 4)), random_functional(3, 0)):
+        assert hermiticity_passes == []
+        reads = {(f.hermitian, f.exactly_hermitian, f.psd) for _ in range(3)}
+        assert len(reads) == 1 and len(hermiticity_passes) == 1
+        hermiticity_passes.clear()
 
 
 def test_exactly_hermitian_is_the_entrywise_comparison():

@@ -549,6 +549,55 @@ def test_windowed_writer_matches_the_whole_text(monkeypatch):
     assert set(shapes) == {(64, 128, 2)}  # half a 128 x 128 matrix a window
 
 
+def _splice_edge_tables():
+    """d = 4 tables of two matrices whose nonzero leaves lie at the edges
+    of the skeleton's cuts. At _WINDOW 64 a window is two rows (16 leaves)
+    of a matrix; at 1 << 16 the whole block is one window."""
+
+    def put(*entries):
+        table = np.zeros((1, 2, 4, 4), dtype=complex)
+        for index, value in entries:
+            table[index] = value
+        return table
+
+    return {
+        "no nonzero leaf": put(),
+        # matrix 0 and rows 0-1 of matrix 1 have none
+        "a window with no nonzero leaf": put(((0, 1, 3, 2), 0.5)),
+        # the imaginary part of row 1's last entry ends a window, that of
+        # the last matrix's last entry ends the block
+        "last leaf nonzero": put(((0, 0, 1, 3), 2.5j), ((0, 1, 3, 3), -3j)),
+        "nonzeros next to row boundaries": put(
+            ((0, 0, 0, 0), 1.5), ((0, 0, 0, 3), 1j), ((0, 0, 1, 0), 2.0), ((0, 1, 2, 0), -1.0)
+        ),
+        "-0.0 and subnormal tokens": put(
+            ((0, 0, 0, 1), complex(-0.0, 5e-324)),
+            ((0, 0, 2, 2), -5e-324),
+            ((0, 1, 1, 1), complex(2.2250738585072014e-308, -0.0)),
+            ((0, 1, 3, 0), complex(-0.0, -1e-310)),
+        ),
+    }
+
+
+@pytest.mark.parametrize("window", [64, 1 << 16])
+def test_spliced_windows_match_the_per_entry_emitter(monkeypatch, window):
+    """Every window of these tables takes the splice of the nonzero leaves'
+    tokens into the all-`0` skeleton, and the file is the per-entry
+    emitter's byte for byte."""
+    nested, leaves = serialize._nested, set()
+
+    def recording(leaf, shape):
+        leaves.add(leaf)
+        return nested(leaf, shape)
+
+    monkeypatch.setattr(serialize, "_nested", recording)
+    monkeypatch.setattr(serialize, "_WINDOW", window)
+    for name, table in _splice_edge_tables().items():
+        functional = SteeringFunctional.from_table(table)
+        assert functional_to_json(functional) == _reference_functional_json(functional), name
+    assert leaves == {"0"}  # no window took the dense template
+
+
 def _traced_peak(action):
     """What `action` returns, and the peak of the memory it allocated."""
     tracemalloc.start()
@@ -567,10 +616,11 @@ def test_load_holds_the_table_and_a_fraction_of_the_text():
     """The value array is the load's one table-sized allocation.
 
     A full-dim dichotomic n = 7 text (1.38 MB, a 3.67 MB table) was
-    measured to peak at the table plus 0.42 MB while it is parsed in 64 KiB
-    windows, and at the table plus 0.52 MB in the Hermiticity pass, which
-    holds one setting's cells: both under the table plus half the text. A
-    copy of the table, or one mask over the whole text, adds more."""
+    measured to peak at the table plus 0.49 MB while it is parsed in 64 KiB
+    windows, under the table plus half the text; the load runs no
+    Hermiticity pass, which would hold one setting's cells (0.66 MB) on a
+    flag's first read. A copy of the table, or one mask over the whole
+    text, adds more."""
     text = functional_to_json(dichotomic_functional(build_clifford_family(7, full_dimension=True)))
     functional, peak = _traced_peak(lambda: functional_from_json(text))
     assert functional.coefficients.nbytes == FULL_DIM_7_TABLE_BYTES
@@ -579,9 +629,9 @@ def test_load_holds_the_table_and_a_fraction_of_the_text():
 
 @pytest.mark.parametrize("make", [clifford_functional, dichotomic_functional])
 def test_building_a_signed_table_holds_the_table_and_no_copy(make):
-    """The +- table is filled in place: the build peaks at the table plus
-    the Hermiticity pass's one setting (0.52 MB), under the table plus the
-    family's observables (1.84 MB), which a stacked -obs temporary
+    """The +- table is filled in place and no Hermiticity pass runs: the
+    build was measured to peak at the table plus 2 KB, under the table plus
+    the family's observables (1.84 MB), which a stacked -obs temporary
     exceeds."""
     family = build_clifford_family(7, full_dimension=True)
     functional, peak = _traced_peak(lambda: make(family))
@@ -607,8 +657,8 @@ def test_writing_a_file_holds_a_window_of_text(tmp_path):
 def test_loading_a_file_holds_the_table_and_a_window(tmp_path):
     """load_functional reads the block from the file a window at a time,
     so no text of it is held whole: a full-dim n = 7 file (1.38 MB) was
-    measured to peak at the table plus 0.66 MB, of which the Hermiticity
-    pass holds 0.52 MB."""
+    measured to peak at the table plus 0.55 MB, with no Hermiticity pass
+    run."""
     path = tmp_path / "table.json"
     path.write_text(
         functional_to_json(dichotomic_functional(build_clifford_family(7, full_dimension=True)))
