@@ -338,8 +338,7 @@ def edge_tables():
 def test_per_setting_checks_decide_as_the_whole_table_ones(name, table):
     """_require_bounded_table and complement_symmetric take one setting at
     a time; they decide as the whole-table formulas they replace."""
-    with np.errstate(invalid="ignore", over="ignore"):  # F - F^dagger of infinities
-        functional = SteeringFunctional.from_table(table)
+    functional = SteeringFunctional.from_table(table)
     c = functional.coefficients
     with np.errstate(over="ignore"):
         mass = np.abs(c.real).sum() + np.abs(c.imag).sum()
