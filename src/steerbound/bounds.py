@@ -59,13 +59,14 @@ beside the copy of those a pruned chunk still solves, 256 KiB of squared
 or rotated matrices per block of the upper bounds and of the
 numerical-radius grid (see linalg), 8 MiB of assembled operators per
 see-saw group, beside two earlier states and one spare POVM/factor table per
-restart in it; table_structure adds one setting's cells, a d x d product,
-a boolean mask of the table and the (n, d) gathers of one setting's
-anticommutation pairs at a time. The canonical attainment
-adds one setting's outcome sum, and the cells' Hermitian parts only when
-it must eigensolve them (tables without the +- structure). A table whose
-absolute entry sum reaches 1e300 is rejected before any of them runs,
-since its strategy sums could overflow.
+restart in it. The passes over the table itself - its entry sum,
+table_structure and the canonical certificate - run over blocks of whole
+settings whose cells stay within 256 KiB (linalg._blocks), or one
+setting where a setting is larger, and hold a few blocks' worth of
+temporaries at a time; table_structure adds a d x d product, a boolean
+mask of the B_x and anticommutation pair gathers within 256 KiB
+(linalg._pair_blocks). A table whose absolute entry sum reaches 1e300 is
+rejected before any of them runs, since its strategy sums could overflow.
 """
 
 from __future__ import annotations
@@ -80,6 +81,7 @@ import numpy as np
 from .errors import BoundCheckError, EnumerationCapExceeded, PreconditionError
 from .functionals import Assemblage, AssemblageReport, SteeringFunctional, require_seed
 from .linalg import (
+    _blocks,
     blas_threads,
     hermitian_norm_upper_bounds,
     hermitian_part,
@@ -213,13 +215,14 @@ def _require_bounded_table(f: SteeringFunctional) -> None:
     Each of their entries is at most the table's absolute entry sum
     (|Re| + |Im| over all entries) times a few sqrt(d); a sum below
     _MAX_TABLE_MASS keeps all of them, and their Hermitian parts, finite.
-    The sum is taken one setting at a time, so the temporaries are one
-    setting's.
+    The sum is taken over blocks of whole settings (linalg._blocks), so
+    the temporaries stay within 256 KiB, or one setting's where a setting
+    is larger; a NaN or an overflow makes the sum fail the comparison.
     """
-    mass = 0.0
+    mass, table = 0.0, f.coefficients
     with np.errstate(over="ignore"):
-        for cells in f.coefficients:
-            mass += np.abs(cells.real).sum() + np.abs(cells.imag).sum()
+        for part in _blocks(table, f.m):
+            mass += np.abs(table[part].real).sum() + np.abs(table[part].imag).sum()
     if not mass < _MAX_TABLE_MASS:
         raise PreconditionError(
             f"table entries sum to {mass:.3g} in absolute value; above "
@@ -319,16 +322,31 @@ def _strategy_values(
     chunk of operators solves only the strategies that can reach its
     maximum (_pruned_values, bounded by hermitian_norm_upper_bounds or
     numerical_radius_upper_bounds) and gives the others -inf; every
-    solved value is the one the unpruned chunk gives."""
+    solved value is the one the unpruned chunk gives.
+
+    An exactly Hermitian table's strategy sums are bounded as they come
+    (hermitian_norm_upper_bounds with `exact`), not rebuilt from their
+    lower triangles. Entry (j, i) of a sum adds the conjugates of the n
+    terms entry (i, j) adds, so the sum is Hermitian up to the GEMM's
+    rounding, about n eps of those terms, which moves a bound by as
+    little: far inside the relative TOLERANCES.strategy_pruning margin,
+    1e-9. A GEMM that adds both entries' terms in one order, as numpy's
+    does at one OpenBLAS thread, makes the sums exactly Hermitian and the
+    bounds the rebuilt ones bit for bit."""
     n, m, d = f.n, f.m, f.d
     chunk = _chunk_size(d)
     spans = [(s, min(s + chunk, count)) for s in range(0, count, chunk)]
     cells, scale = f.coefficients, 1.0
     if row is not None:  # scaled so that the radius's squares cannot overflow
-        cells, scale = square_safe(cells[:, :, row : row + 1])
+        cells, (scale,) = square_safe(cells[None, :, :, row : row + 1])
+        cells = cells[0]
     cells = np.ascontiguousarray(cells).reshape(n * m, -1).view(np.float64)
     if f.hermitian:
-        norms, upper_bounds = _top_abs_eigenvalues, hermitian_norm_upper_bounds
+        norms, exact = _top_abs_eigenvalues, f.exactly_hermitian
+
+        def upper_bounds(ops):
+            return hermitian_norm_upper_bounds(ops, exact=exact)
+
     else:
         upper_bounds = numerical_radius_upper_bounds
 
@@ -505,10 +523,11 @@ def paper_values(f: SteeringFunctional) -> PaperValues | None:
 
 def _canonical_check(
     f: SteeringFunctional, paper: PaperValues, squares: tuple[float, ...] | None
-) -> tuple[AssemblageReport, complex]:
+) -> tuple[AssemblageReport, complex, np.ndarray | None]:
     """Validity of the canonical assemblage sigma_x^a = (scale F_x^a +
-    shift I)/d and its pairing with the table, from sums over the table
-    instead of the members, so no table-sized array is built:
+    shift I)/d, its pairing with the table, and, without `squares`, the
+    (n, m, d) eigenvalues of the cells' Hermitian parts, from sums over
+    the table instead of the members, so no table-sized array is built:
 
     - value: (scale sum_xa Tr(F_x^a F_x^a) + shift sum_xa Tr F_x^a)/d, a
       pairing of the table that never reads `squares`, so an attained
@@ -521,22 +540,32 @@ def _canonical_check(
       +-B_x with B_x exactly Hermitian and B_x^2 = c_x^2 I
       (structure.anticommuting_squares). Each member then has the
       spectrum (shift +- scale c_x)/d, so the smallest eigenvalue is
-      (shift - scale max_x c_x)/d and no cell is eigensolved; without
-      them the cells' Hermitian parts are eigensolved in one batch.
+      (shift - scale max_x c_x)/d and no cell is eigensolved. Every R_x
+      is then exactly 0, so the deviation is 0.0 and Tr R_0 is 0, and no
+      outcome sum or norm is taken.
+
+    Without `squares`, the cells' Hermitian parts are eigensolved and the
+    R_x - R_0 normed in batches, over blocks of whole settings whose cells
+    stay within 256 KiB (linalg._blocks), each matrix as on its own.
     """
     table, m, d = f.coefficients, f.m, f.d
     scale, shift = paper.scale, paper.shift
+    eigs, trace_r0, nosig = None, 0.0, 0.0
     if squares:
         lowest = (shift - scale * float(np.sqrt(max(squares)))) / d
     else:
-        eigs = np.linalg.eigvalsh(hermitian_part(table.reshape(-1, d, d)))
+        eigs = np.empty(table.shape[:3])
+        deviations = np.zeros(f.n)
+        first = table[0].sum(axis=0)
+        for part in _blocks(table, m):
+            cells = table[part]
+            eigs[part] = np.linalg.eigvalsh(hermitian_part(cells))
+            moved = scale * (cells.sum(axis=1) - first) / d
+            deviations[part] = np.linalg.norm(moved, 2, axis=(1, 2))
         lowest = float(((scale * eigs + shift) / d).min())
-    first = table[0].sum(axis=0)
-    nosig = max(
-        (operator_norm(scale * (cells.sum(axis=0) - first) / d) for cells in table[1:]),
-        default=0.0,
-    )
-    trace = (scale * float(np.trace(first).real) + m * d * shift) / d
+        trace_r0 = float(np.trace(first).real)
+        nosig = float(deviations[1:].max(initial=0.0))
+    trace = (scale * trace_r0 + m * d * shift) / d
     report = AssemblageReport(
         min_eigenvalue=lowest,
         no_signaling_deviation=nosig,
@@ -545,7 +574,23 @@ def _canonical_check(
     )
     pairing = np.einsum("xaij,xaji->", table, table)
     value = (scale * pairing + shift * np.einsum("xaii->", table)) / d
-    return report, complex(value)
+    return report, complex(value), eigs
+
+
+def _psd_envelope(f: SteeringFunctional, eigs: np.ndarray) -> float | None:
+    """sum_x max_a max |eigenvalue| of the cells, from their (n, m, d)
+    eigenvalues, when the table is positive semidefinite: Hermitian, and
+    no eigenvalue below -TOLERANCES.hermiticity per unit of the table's
+    largest entry modulus, the unit `hermitian` takes, so scaling a table
+    never changes the decision; else None. Entry moduli are taken over
+    blocks of whole settings (linalg._blocks)."""
+    if not f.hermitian:
+        return None
+    table = f.coefficients
+    largest = max((np.abs(table[part]).max() for part in _blocks(table, f.m)), default=0.0)
+    if not eigs.min(initial=0.0) >= -TOLERANCES.hermiticity * float(largest):
+        return None
+    return float(np.abs(eigs).max(axis=(1, 2), initial=0.0).sum())
 
 
 def canonical_quantum_assemblage(f: SteeringFunctional) -> Assemblage:
@@ -571,23 +616,21 @@ def _canonical_attainment(
     table (_canonical_check), after checks that raise BoundCheckError: the
     assemblage must be valid (a kind the table lacks fails positivity,
     no-signalling or normalisation), and for a positive-semidefinite table
-    s_q must stay within the envelope sum_x max_a ||F_x^a||. A table with
-    `squares` is not probed: its cells B and -B are both positive
+    s_q must stay within the envelope sum_x max_a ||F_x^a||, both read
+    from the eigenvalues _canonical_check found (_psd_envelope). A table
+    with `squares` is not probed: its cells B and -B are both positive
     semidefinite only when B = 0, which fails attainment anyway. A pairing
     with an imaginary part misses s_q by it."""
-    report, attained = _canonical_check(f, paper, squares)
+    report, attained, eigs = _canonical_check(f, paper, squares)
     try:
         report.require()
     except PreconditionError as exc:
         raise BoundCheckError(
             f"kind {f.kind!r} does not fit the table: its canonical {exc}"
         ) from None
-    if not squares and f.psd:
-        envelope = float(np.linalg.norm(f.coefficients, 2, axis=(2, 3)).max(axis=1).sum())
-        if paper.s_q > envelope + TOLERANCES.bound_slack:
-            raise BoundCheckError(
-                f"quantum bound {paper.s_q} exceeds the PSD envelope {envelope}"
-            )
+    envelope = None if eigs is None else _psd_envelope(f, eigs)
+    if envelope is not None and paper.s_q > envelope + TOLERANCES.bound_slack:
+        raise BoundCheckError(f"quantum bound {paper.s_q} exceeds the PSD envelope {envelope}")
     return Certificate(
         name="canonical_attainment",
         satisfied=abs(attained - paper.s_q) <= TOLERANCES.bound_slack,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .clifford import CliffordFamily
 from .errors import PreconditionError
-from .linalg import operator_norm
+from .linalg import _blocks, operator_norm
 from .mub import MubFamily
 from .tolerances import TOLERANCES
 
@@ -39,26 +39,26 @@ def _table(arr) -> np.ndarray:
 
 def _hermiticity_defects(table: np.ndarray) -> tuple[float, float]:
     """max |F - F^dagger| over the table's entries, and the same per unit
-    of its largest entry modulus, which scaling a table never changes; one
-    setting at a time, so the temporaries stay the size of one setting's
-    cells. The first is 0 exactly when every finite cell equals its
-    adjoint entry for entry (the second may underflow to 0 before it), and
-    both are NaN or infinite where an entry is. Entry moduli are taken
-    only from the first setting with a defect on, when those of the
-    settings before it are taken too, so an exactly Hermitian table pays
-    for none."""
-    defect = largest = 0.0
-    for x, cells in enumerate(table):
+    of its largest entry modulus, which scaling a table never changes;
+    over blocks of whole settings whose cells stay within 256 KiB
+    (linalg._blocks), or one setting where a setting is larger, so the
+    temporaries stay the size of one block's cells. The first is 0 exactly
+    when every finite cell equals its adjoint entry for entry (the second
+    may underflow to 0 before it), and both are NaN or infinite where an
+    entry is. Entry moduli are taken, in a second pass, only when there is
+    a defect, so an exactly Hermitian table pays for none."""
+    defect = 0.0
+    for part in _blocks(table, table.shape[1]):
+        cells = table[part]
         difference = cells.conj()  # minus the conjugate of F - F^dagger: same moduli
-        np.subtract(difference, cells.swapaxes(1, 2), out=difference)
+        np.subtract(difference, cells.swapaxes(-1, -2), out=difference)
         if difference.any():
             defect = np.maximum(defect, np.abs(difference).max())  # NaN stays NaN
-        del difference  # before the next setting's is made
-        if defect:  # largest is 0 until the first defect
-            for seen in table[x if largest else 0 : x + 1]:
-                largest = np.maximum(largest, np.abs(seen).max())
-    defect = float(defect)
-    return defect, defect / float(largest) if defect else 0.0
+        del difference  # before the next block's is made
+    if not defect:
+        return 0.0, 0.0
+    largest = np.max([np.abs(table[part]).max() for part in _blocks(table, table.shape[1])])
+    return float(defect), float(defect) / float(largest)
 
 
 @dataclass(frozen=True)
@@ -66,14 +66,15 @@ class SteeringFunctional:
     """Coefficient table of a linear functional on assemblages.
 
     coefficients[x, a] is the d x d operator weighting sigma_x^a. The
-    hermitian, exactly_hermitian and psd flags are derived from the table,
-    never trusted from callers or files, each on its first read: hermitian
-    (within TOLERANCES.hermiticity of its largest entry modulus) and
-    exactly_hermitian (F = F^dagger entry for entry) from one shared pass
-    over the table, psd from eigensolves. Building a table runs none of
-    them, and the monomial +- tables never read them
-    (structure.anticommuting_squares reads their exact Hermiticity from
-    their nonzeros).
+    hermitian and exactly_hermitian flags are derived from the table,
+    never trusted from callers or files, on the first read of either:
+    hermitian (within TOLERANCES.hermiticity of its largest entry modulus)
+    and exactly_hermitian (F = F^dagger entry for entry) from one shared
+    pass over the table. Building a table runs neither, and the monomial
+    +- tables never read them (structure.anticommuting_squares reads their
+    exact Hermiticity from their nonzeros). Whether a table is positive
+    semidefinite is decided where it is used, from the eigenvalues the
+    canonical certificate finds (bounds._psd_envelope).
 
     from_table copies the caller's array. The loaders and the builders of
     this package hand over the array they just made, which becomes the
@@ -108,26 +109,6 @@ class SteeringFunctional:
     @cached_property
     def exactly_hermitian(self) -> bool:
         return self._hermiticity[0] == 0.0
-
-    @cached_property
-    def psd(self) -> bool:
-        """A Hermitian table none of whose cells has an eigenvalue below
-        -TOLERANCES.hermiticity per unit of the table's largest entry
-        modulus, the unit `hermitian` takes, so scaling a table never
-        changes it.
-
-        Cells are eigensolved one at a time, stopping at the first that
-        fails, so a +- table pays for one cell rather than n * m; entry
-        moduli are taken one setting at a time.
-        """
-        if not self.hermitian:
-            return False
-        largest = max((np.abs(cells).max() for cells in self.coefficients), default=0.0)
-        slack = TOLERANCES.hermiticity * float(largest)
-        return all(
-            float(np.linalg.eigvalsh(cell)[0]) >= -slack
-            for cell in self.coefficients.reshape(-1, self.d, self.d)
-        )
 
     @classmethod
     def from_table(cls, table, kind: str = "custom", seed: int | None = None):

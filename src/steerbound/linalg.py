@@ -97,18 +97,22 @@ def operator_norm(m) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def square_safe(stack: np.ndarray) -> tuple[np.ndarray, float]:
-    """(s * stack, s), s a power of two after which squares of entries, and
-    of sums of up to 2^100 entries, cannot overflow: 1 (and the stack
-    itself) while every modulus is below 2^400, else 2^-e, e the np.frexp
-    exponent of the largest. A norm of the scaled stack, divided by s, is
-    the unscaled one bit for bit wherever that is finite: the scaling is
-    exact down to 2^-1022 of the largest modulus, below a norm's last bit."""
-    _, e = np.frexp(np.abs(stack).max(initial=0.0))
-    if e <= 400:
-        return stack, 1.0
-    scale = float(np.ldexp(1.0, -int(e)))
-    return stack * scale, scale
+def square_safe(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the stack with each member s * member, the (k,) s), one s per member
+    of the leading axis, a power of two after which squares of its entries,
+    and of sums of up to 2^100 of them, cannot overflow: 1 while every
+    modulus of the member is below 2^400, else 2^-e, e the np.frexp
+    exponent of its largest. The stack itself comes back when every s is 1.
+    A norm of a scaled member, divided by its s, is the unscaled one bit
+    for bit wherever that is finite: the scaling is exact down to 2^-1022
+    of the member's largest modulus, below a norm's last bit."""
+    _, e = np.frexp(np.abs(stack).max(axis=tuple(range(1, stack.ndim)), initial=0.0))
+    big = e > 400
+    scales = np.ldexp(1.0, -np.where(big, e, 0))
+    if big.any():
+        stack = stack.copy()
+        stack[big] *= scales[big].reshape(-1, *(1,) * (stack.ndim - 1))
+    return stack, scales
 
 
 _GRID_BLOCK_BYTES = 1 << 18  # temporaries of one block, see _blocks
@@ -132,15 +136,30 @@ def _blocks(ms: np.ndarray, per_matrix: int):
         yield slice(s, s + block)
 
 
-def hermitian_norm_upper_bounds(ms) -> np.ndarray:
+def _pair_blocks(n: int, d: int):
+    """Consecutive (x0, x1) ranges of the settings 1..n-1 whose pairs (x,
+    y), y < x, take eight (pairs, d) complex arrays within 256 KiB (at
+    least one setting per range)."""
+    budget, x0 = _GRID_BLOCK_BYTES // (128 * d), 1
+    while x0 < n:
+        x1, pairs = x0 + 1, x0
+        while x1 < n and pairs + x1 <= budget:
+            pairs, x1 = pairs + x1, x1 + 1
+        yield x0, x1
+        x0 = x1
+
+
+def hermitian_norm_upper_bounds(ms, exact: bool = False) -> np.ndarray:
     """Upper bound on max |eigenvalue| as eigvalsh finds it, up to
     rounding, per matrix of a (k, d, d) stack: (Tr H^4)^(1/4) =
     ||H^2||_F^(1/2) of the Hermitian matrix H that eigvalsh reads, the
     lower triangle of m with its diagonal's real part. H equals m when m
     is exactly Hermitian; for a table Hermitian only within tolerance it
-    is the matrix whose eigenvalues eigvalsh returns. One batched H @ H
-    per block of the stack, whose temporary stacks together stay within
-    256 KiB. The bound exceeds the largest |eigenvalue| by at most
+    is the matrix whose eigenvalues eigvalsh returns. A caller that knows
+    the stack is exactly Hermitian, up to the rounding of its own sums,
+    passes `exact`, and m is squared as it comes instead of H. One batched
+    H @ H per block of the stack, whose temporary stacks together stay
+    within 256 KiB. The bound exceeds the largest |eigenvalue| by at most
     d^(1/4); on rank-one matrices the two are equal, and either may come
     out an ulp above the other. It is inf or NaN, without a warning,
     where H^2 overflows, and inf where it is below 2^-225 (about 2e-68):
@@ -154,9 +173,12 @@ def hermitian_norm_upper_bounds(ms) -> np.ndarray:
     bounds = np.zeros(ms.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
         for part in _blocks(ms, 4):  # L, its adjoint and H, then H and H^2
-            lower = ms[part] * weights
-            h = lower + lower.conj().swapaxes(-1, -2)
-            del lower
+            if exact:
+                h = ms[part]
+            else:
+                lower = ms[part] * weights
+                h = lower + lower.conj().swapaxes(-1, -2)
+                del lower
             square = (h @ h).reshape(h.shape[0], -1).view(np.float64)
             bounds[part] = np.sqrt(np.sqrt(np.einsum("ki,ki->k", square, square)))
     return np.where(bounds < _BOUND_FLOOR, np.inf, bounds)

@@ -10,12 +10,14 @@ cases, in the order they are tried:
   exactly. Then (sum_x s_x B_x)^2 = (sum_x c_x^2) I for every sign string,
   so every strategy has the norm sqrt(sum_x c_x^2), a closed form. When
   every B_x is monomial (one nonzero per row and per column, as Pauli
-  strings are), it is kept as (column, value) arrays; its exact
-  Hermiticity is read from them in O(n d), and the products are O(d)
-  gathers, each B_x against all earlier B_y at once, so the check costs
-  O(n d^2) to read the table and O(n^2 d) to decide in O(n d) memory;
-  other tables read the table's Hermiticity pass and take dense d x d
-  products pair by pair, O(n^2 d^3).
+  strings are), one boolean mask of the B_x finds them all, and they are
+  kept as (column, value) arrays; their exact Hermiticity is read from
+  them in O(n d), and the products are O(d) gathers over the pairs (x,
+  y < x), taken in blocks of settings x whose gathers stay within 256
+  KiB, the first failing block ending the check. So the check costs
+  O(n d^2) to read the table and O(n^2 d) to decide, in the mask plus
+  256 KiB of gathers; other tables read the table's Hermiticity pass and
+  take dense d x d products pair by pair, O(n^2 d^3).
   The c_x^2 are kept, since they also give the canonical assemblage's
   positivity in closed form (bounds._canonical_check).
 - rank-one: a non-Hermitian table whose cells are all zero outside one
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functionals import SteeringFunctional
-from .linalg import blas_threads, square_safe
+from .linalg import _blocks, _pair_blocks, blas_threads, square_safe
 from .tolerances import TOLERANCES
 
 
@@ -66,21 +68,34 @@ class TableStructure:
 
 def complement_symmetric(f: SteeringFunctional) -> bool:
     """Two outcomes with F_x^2 = -F_x^1 exactly: a strategy and its
-    complement then sum to negated operators of equal value. Checked one
-    setting at a time, so the temporaries are one cell's."""
-    return f.m == 2 and all(np.array_equal(cells[1], -cells[0]) for cells in f.coefficients)
+    complement then sum to negated operators of equal value. Checked over
+    blocks of whole settings (linalg._blocks), so the temporaries are one
+    block's cells; a NaN anywhere fails it, as in the whole-table
+    comparison."""
+    if f.m != 2:
+        return False
+    table = f.coefficients
+    for part in _blocks(table, 2):
+        if not np.array_equal(table[part, 1], -table[part, 0]):
+            return False
+    return True
 
 
-def _monomial(b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(columns, values) of the one nonzero in each row of `b`, when it has
-    exactly one; else None. The nonzeros are found through a boolean mask,
-    which is faster than np.nonzero on the complex entries."""
-    flat = b.ravel()
-    index = np.flatnonzero(flat != 0)
-    rows, columns = np.divmod(index, b.shape[0])
-    if not np.array_equal(rows, np.arange(b.shape[0])):
+def _monomials(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(columns, values), each (n, d), of the one nonzero in each row of
+    every B_x of the (n, d, d) stack, when every row has exactly one; else
+    None. One boolean mask of the stack finds the nonzeros, which is
+    faster than np.nonzero on the complex entries, and its count rejects
+    a table with too many before any index is taken."""
+    n, d, _ = ops.shape
+    nonzero = ops != 0
+    if np.count_nonzero(nonzero) != n * d:
         return None
-    return columns, flat[index]
+    rows, columns = np.divmod(np.flatnonzero(nonzero), d)
+    if not np.array_equal(rows, np.arange(n * d)):
+        return None
+    columns = columns.reshape(n, d)
+    return columns, ops[np.arange(n)[:, None], np.arange(d), columns]
 
 
 def _monomial_hermitian(columns: np.ndarray, values: np.ndarray) -> bool:
@@ -89,10 +104,10 @@ def _monomial_hermitian(columns: np.ndarray, values: np.ndarray) -> bool:
     conj(v_x[j]) in row c_x(j) at column j, so the two are equal exactly
     when c_x is an involution with v_x[c_x] = conj(v_x): the entry-wise
     comparison's decision, in O(n d)."""
-    rows = np.arange(columns.shape[1])
-    if not (np.take_along_axis(columns, columns, axis=1) == rows).all():
+    x = np.arange(columns.shape[0])[:, None]
+    if not (columns[x, columns] == np.arange(columns.shape[1])).all():
         return False
-    return bool((np.take_along_axis(values, columns, axis=1) == values.conj()).all())
+    return bool((values[x, columns] == values.conj()).all())
 
 
 def _monomial_squares(columns: np.ndarray, values: np.ndarray) -> tuple[float, ...] | None:
@@ -102,19 +117,25 @@ def _monomial_squares(columns: np.ndarray, values: np.ndarray) -> tuple[float, .
     v_x * v_x[c_x]. P = B_x B_y holds p = v_x * v_y[c_x] in row i at
     column pi(i), pi = c_y[c_x], and P^dagger holds conj(p[pi]) there
     exactly where pi(pi(i)) = i. Every entry of a dense product is one such
-    product plus exact zeros, so the decision is the dense check's. Each
-    B_x is checked against all B_y, y < x, at once, so the extra memory is
-    at most the (n, d) input's and the first failing x ends the check."""
-    squares = values * np.take_along_axis(values, columns, axis=1)
+    product plus exact zeros, so the decision is the dense check's. The
+    pairs (x, y < x) are gathered in blocks of settings x whose eight
+    (pairs, d) complex gathers stay within 256 KiB (linalg._pair_blocks),
+    each block against all earlier y at once, and the first failing block
+    ends the check."""
+    squares = values * values[np.arange(columns.shape[0])[:, None], columns]
     c2 = squares[:, :1]
     if (c2.imag != 0).any() or not (squares == c2).all():
         return None
     rows = np.arange(columns.shape[1])
-    for x in range(1, columns.shape[0]):
-        cx = columns[x]
-        pi, p = columns[:x, cx], values[x] * values[:x, cx]
-        paired = np.take_along_axis(pi, pi, axis=1) == rows
-        if np.where(paired, p + np.take_along_axis(p, pi, axis=1).conj(), p).any():
+    for x0, x1 in _pair_blocks(*columns.shape):
+        counts = np.arange(x0, x1)  # setting x pairs with the x settings before it
+        xs = np.repeat(counts, counts)
+        ys = (np.arange(xs.size) - np.repeat(np.cumsum(counts) - counts, counts))[:, None]
+        cx, pair = columns[xs], np.arange(xs.size)[:, None]
+        pi = columns[ys, cx]
+        p = values[xs] * values[ys, cx]
+        paired = pi[pair, pi] == rows
+        if np.where(paired, p + p[pair, pi].conj(), p).any():
             return None
     return tuple(c2[:, 0].real)
 
@@ -141,18 +162,19 @@ def _dense_squares(ops: np.ndarray) -> tuple[float, ...] | None:
 
 def anticommuting_squares(f: SteeringFunctional) -> tuple[float, ...] | None:
     """c_x^2 per setting when the table is an anticommuting +- table (the
-    first case of the module docstring), else None. Monomial cells are
-    proven exactly Hermitian from their nonzeros (_monomial_hermitian) and
-    take _monomial_squares, so the table's Hermiticity pass never runs;
+    first case of the module docstring), else None. Monomial cells, found
+    with one boolean mask of the B_x (_monomials), are proven exactly
+    Hermitian from their nonzeros (_monomial_hermitian) and take
+    _monomial_squares, so the table's Hermiticity pass never runs;
     any other table reads f.exactly_hermitian and takes dense products at
     one OpenBLAS thread, so the exact checks cannot depend on the caller's
     thread count."""
     if not complement_symmetric(f):
         return None
     ops = f.coefficients[:, 0]
-    cells = [_monomial(b) for b in ops]
-    if all(cell is not None for cell in cells):
-        columns, values = (np.stack(part) for part in zip(*cells))
+    monomials = _monomials(ops)
+    if monomials is not None:
+        columns, values = monomials
         if not _monomial_hermitian(columns, values):
             return None
         return _monomial_squares(columns, values)
@@ -169,28 +191,42 @@ def _rank_one_row(f: SteeringFunctional) -> int | None:
 
 def table_scale(f: SteeringFunctional) -> float:
     """max(1, sum_x max_a ||F_x^a||_F): a bound on every strategy
-    operator's norm, and the unit of scale-relative tolerances. Taken one
-    setting at a time, scaled so that no square overflows (square_safe)."""
-    peaks = [np.linalg.norm(c, axis=(1, 2)).max() / s for c, s in map(square_safe, f.coefficients)]
+    operator's norm, and the unit of scale-relative tolerances. Taken over
+    blocks of whole settings whose cells stay within 256 KiB
+    (linalg._blocks), each setting scaled so that no square overflows
+    (square_safe)."""
+    table, peaks = f.coefficients, np.empty(f.n)
+    for part in _blocks(table, f.m):
+        cells, scales = square_safe(table[part])
+        peaks[part] = np.linalg.norm(cells, axis=(2, 3)).max(axis=1) / scales
     return max(1.0, float(np.sum(peaks)))
 
 
 def _outcome_permutation(f: SteeringFunctional, conjugate) -> tuple[np.ndarray, float] | None:
     """(n, m) map a -> b, F_x^b the cell nearest conjugate(F_x^a) in
     Frobenius norm, and the residue sum_x max_a of those distances; None
-    unless the map is a bijection per setting. Each setting's distances
-    are taken between its cells scaled so that no square overflows
-    (square_safe)."""
-    perm = np.empty((f.n, f.m), dtype=int)
-    residue = 0.0
-    for x, cells in enumerate(f.coefficients):
-        cells, scale = square_safe(cells)
-        dist = np.array([np.linalg.norm(cells - conjugate(cell), axis=(1, 2)) for cell in cells])
-        perm[x] = dist.argmin(axis=1)
-        if len(set(perm[x].tolist())) != f.m:
-            return None
-        residue += dist[np.arange(f.m), perm[x]].max() / scale
-    return perm, float(residue)
+    unless the map is a bijection per setting. The (n m, m) distances are
+    taken over blocks of cells (x, a), each against its setting's cells,
+    each setting scaled so that no square overflows (square_safe); a
+    block's temporaries, 3 m + 2 d x d matrices per cell, stay within 256
+    KiB (linalg._blocks), or are one cell's where that is larger."""
+    n, m, d = f.n, f.m, f.d
+    cells = f.coefficients.reshape(n * m, d, d)
+    perm, steps = np.empty(n * m, dtype=int), np.empty(n * m)
+    for part in _blocks(cells, 3 * m + 2):
+        index = np.arange(n * m)[part]
+        rows = np.arange(index.size)
+        # each cell's setting, then its differences from the conjugated cell
+        settings, scales = square_safe(f.coefficients[index // m])
+        settings -= conjugate(settings[rows, index % m])[:, None]
+        dist = np.linalg.norm(settings, axis=(2, 3))
+        del settings  # before the next block's is gathered
+        perm[part] = dist.argmin(axis=1)
+        steps[part] = dist[rows, perm[part]] / scales
+    perm = perm.reshape(n, m)
+    if not (np.sort(perm, axis=1) == np.arange(m)).all():
+        return None
+    return perm, float(np.cumsum(steps.reshape(n, m).max(axis=1))[-1])  # in setting order
 
 
 def _weyl_transitive(f: SteeringFunctional) -> bool:
@@ -203,7 +239,7 @@ def _weyl_transitive(f: SteeringFunctional) -> bool:
     k = np.arange(d)
     clock = np.exp(2j * np.pi * (np.subtract.outer(k, k) % d) / d)  # omega^(i-j)
     perms, residue = [], 0.0
-    for conjugate in (lambda c: np.roll(c, 1, axis=(0, 1)), lambda c: clock * c):
+    for conjugate in (lambda c: np.roll(c, 1, axis=(-2, -1)), lambda c: clock * c):
         found = _outcome_permutation(f, conjugate)
         if found is None:
             return False

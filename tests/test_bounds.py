@@ -35,8 +35,10 @@ from steerbound import (
     violation,
 )
 import steerbound.bounds as bounds_module
+import steerbound.functionals as functionals_module
+import steerbound.linalg as linalg_module
 import steerbound.structure as structure_module
-from steerbound.linalg import blas_threads
+from steerbound.linalg import blas_threads, operator_norm
 from steerbound.structure import table_scale
 
 LHS_23 = (3 + np.sqrt(3)) / 2
@@ -336,8 +338,8 @@ def edge_tables():
 
 @pytest.mark.parametrize("name, table", list(edge_tables()))
 def test_per_setting_checks_decide_as_the_whole_table_ones(name, table):
-    """_require_bounded_table and complement_symmetric take one setting at
-    a time; they decide as the whole-table formulas they replace."""
+    """_require_bounded_table and complement_symmetric take blocks of whole
+    settings; they decide as the whole-table formulas they replace."""
     functional = SteeringFunctional.from_table(table)
     c = functional.coefficients
     with np.errstate(over="ignore"):
@@ -351,6 +353,146 @@ def test_per_setting_checks_decide_as_the_whole_table_ones(name, table):
         assert bounded, name
     symmetric = c.shape[1] == 2 and bool(np.array_equal(c[:, 1], -c[:, 0]))
     assert structure_module.complement_symmetric(functional) is symmetric, name
+
+
+def setting_square_safe(cells):
+    """(s * cells, s) of one setting, s one power of two for all its cells
+    after which no square overflows, as linalg.square_safe once took it."""
+    _, e = np.frexp(np.abs(cells).max(initial=0.0))
+    if e <= 400:
+        return cells, 1.0
+    scale = float(np.ldexp(1.0, -int(e)))
+    return cells * scale, scale
+
+
+def whole_table_checks(functional):
+    """complement_symmetric, _require_bounded_table, _hermiticity_defects
+    and table_scale by the formulas their blocked passes replace: the
+    first three over the whole table, table_scale one setting at a time,
+    each scaled on its own (setting_square_safe)."""
+    c = functional.coefficients
+    mass = np.abs(c.real).sum() + np.abs(c.imag).sum()
+    defect = float(np.abs(c - c.conj().swapaxes(-1, -2)).max())
+    ratio = defect / float(np.abs(c).max()) if defect else 0.0
+    peaks = [np.linalg.norm(s, axis=(1, 2)).max() / k for s, k in map(setting_square_safe, c)]
+    return (
+        c.shape[1] == 2 and bool(np.array_equal(c[:, 1], -c[:, 0])),
+        bool(mass < bounds_module._MAX_TABLE_MASS),
+        (defect, ratio),
+        max(1.0, float(np.sum(peaks))),
+    )
+
+
+def blocked_checks(functional):
+    try:
+        bounds_module._require_bounded_table(functional)
+        bounded = True
+    except PreconditionError:
+        bounded = False
+    return (
+        structure_module.complement_symmetric(functional),
+        bounded,
+        functionals_module._hermiticity_defects(functional.coefficients),
+        table_scale(functional),
+    )
+
+
+def per_cell_outcome_permutation(functional, conjugate):
+    """_outcome_permutation as it was, one cell against its setting at a
+    time."""
+    perm = np.empty((functional.n, functional.m), dtype=int)
+    residue = 0.0
+    for x, cells in enumerate(functional.coefficients):
+        cells, scale = setting_square_safe(cells)
+        dist = np.array([np.linalg.norm(cells - conjugate(cell), axis=(1, 2)) for cell in cells])
+        perm[x] = dist.argmin(axis=1)
+        if len(set(perm[x].tolist())) != functional.m:
+            return None
+        residue += dist[np.arange(functional.m), perm[x]].max() / scale
+    return perm, float(residue)
+
+
+def block_tables():
+    """(id, functional) of every table kind, and tables whose settings
+    differ in scale by up to 1e255."""
+    rng = np.random.default_rng(21)
+    raw = rng.normal(size=(3, 2, 4, 4)) + 1j * rng.normal(size=(3, 2, 4, 4))
+    mub34 = mub_functional(build_mub_family(3, 4))
+    scales = np.array([1e200, 1.0, 1e-5, 3e250])[:, None, None, None]
+    yield "mub-3-4", mub34
+    yield "mub-5-3", mub_functional(build_mub_family(5, 3))
+    yield "mub-settings-scaled", SteeringFunctional.from_table(mub34.coefficients * scales)
+    yield "dichotomic-7", dichotomic_functional(build_clifford_family(7))
+    yield "dichotomic-6-near-miss", off_anticommuting(dichotomic_functional(build_clifford_family(6)))
+    repeated = dichotomic_functional(build_clifford_family(6)).coefficients.copy()
+    repeated[5] = repeated[0]  # only the last pair of settings commutes
+    yield "dichotomic-6-last-pair-commutes", SteeringFunctional.from_table(repeated)
+    yield "clifford-4-full", clifford_functional(build_clifford_family(4, full_dimension=True))
+    yield "random-3", random_functional(3, 0)
+    yield "custom-hermitian", SteeringFunctional.from_table(raw + raw.conj().swapaxes(2, 3))
+    yield "custom-non-hermitian", SteeringFunctional.from_table(raw)
+    yield "custom-plus-minus", plus_minus_functional(rng, 4, 3)
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 40], ids=["one-setting-per-block", "one-block"])
+def test_blocked_checks_decide_as_the_whole_table_formulas(budget, monkeypatch):
+    """Every blocked pass gives the decision or the value of its
+    whole-table formula, bit for bit, with one setting per block and with
+    the whole table in one block, NaN and +-inf entries included."""
+    monkeypatch.setattr(linalg_module, "_GRID_BLOCK_BYTES", budget)
+    tables = [(name, SteeringFunctional.from_table(t)) for name, t in edge_tables()]
+    for name, functional in tables + list(block_tables()):
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected, got = whole_table_checks(functional), blocked_checks(functional)
+        np.testing.assert_equal(got, expected, err_msg=name)
+    for name, functional in block_tables():
+        structure = structure_matches_dense_reference(functional)
+        k = np.arange(functional.d)
+        clock = np.exp(2j * np.pi * (np.subtract.outer(k, k) % functional.d) / functional.d)
+        for conjugate in (lambda c: np.roll(c, 1, axis=(-2, -1)), lambda c: clock * c):
+            found = structure_module._outcome_permutation(functional, conjugate)
+            reference = per_cell_outcome_permutation(functional, conjugate)
+            assert (found is None) == (reference is None), name
+            if found is not None:
+                assert np.array_equal(found[0], reference[0]) and found[1] == reference[1], name
+        paper = paper_values(functional) or paper_values(mub_functional(build_mub_family(2, 3)))
+        squares = structure.squares or None
+        checks = []
+        for size in (1 << 18, budget):
+            monkeypatch.setattr(linalg_module, "_GRID_BLOCK_BYTES", size)
+            with np.errstate(over="ignore", invalid="ignore"):  # the 1e250 table's pairing
+                report, value, eigs = bounds_module._canonical_check(functional, paper, squares)
+            checks.append((*dataclasses.astuple(report), value, eigs))
+        np.testing.assert_equal(checks[1], checks[0], err_msg=name)
+
+
+def test_table_checks_peak_within_one_setting():
+    """On tables whose settings exceed 256 KiB, table_structure and
+    _require_bounded_table hold one setting's temporaries at a time. The
+    bounds are what the per-setting checks they replace needed: one cell's
+    negation and its booleans on the full-dim Pauli table (1,115,903 B
+    there, against a 16 MiB table), two settings' worth of differences and
+    their norm on the unbiased bases, and one setting's real parts."""
+    full_dim = clifford_functional(build_clifford_family(8, full_dimension=True))
+    mub = mub_functional(build_mub_family(31, 3))
+    assert full_dim.coefficients[0].nbytes > 1 << 18 and mub.coefficients[0].nbytes > 1 << 18
+    assert mub.hermitian  # the Hermiticity pass is not what is measured
+
+    def peak(call, functional):
+        tracemalloc.start()
+        try:
+            call(functional)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    cell = full_dim.coefficients[0, 0].nbytes
+    assert peak(structure_module.table_structure, full_dim) <= cell + cell // 16 + 4096
+    setting = mub.coefficients[0].nbytes
+    assert peak(structure_module.table_structure, mub) <= 2 * setting + (64 << 10)
+    for functional in (full_dim, mub):
+        setting = functional.coefficients[0].nbytes
+        assert peak(bounds_module._require_bounded_table, functional) <= setting // 2 + 4096
 
 
 def dense_anticommuting_value(functional):
@@ -426,7 +568,7 @@ def test_rotated_clifford_table_takes_the_dense_check(dense_checks):
     table = clifford_functional(build_clifford_family(4)).coefficients
     rotated = unitary @ table @ unitary.conj().T
     functional = SteeringFunctional.from_table(rotated, kind="clifford")
-    assert any(structure_module._monomial(cell) is None for cell in rotated[:, 0])
+    assert any(structure_module._monomials(cell[None]) is None for cell in rotated[:, 0])
     structure = structure_matches_dense_reference(functional)
     assert (structure.method, structure.value) == ("anticommuting", 1.0)
     assert dense_checks == [4]
@@ -458,7 +600,7 @@ def _monomial_variants():
 @pytest.mark.parametrize("name", list(_monomial_variants()))
 def test_monomial_table_off_anticommuting_is_rejected_as_dense(name, dense_checks):
     table = _monomial_variants()[name]
-    assert all(structure_module._monomial(cell) is not None for cell in table[:, 0])
+    assert all(structure_module._monomials(cell[None]) is not None for cell in table[:, 0])
     functional = SteeringFunctional.from_table(table, kind="clifford-dichotomic")
     assert structure_matches_dense_reference(functional).method == "complement-half"
     assert dense_checks == []
@@ -626,10 +768,10 @@ def test_pair_gathers_decide_random_pauli_tables_like_dense_products(qubits, cas
     rng = np.random.default_rng(100 * qubits + len(case))
     for _ in range(5):
         ops = _random_pauli_table(rng, qubits, case)
-        columns, values = zip(*map(structure_module._monomial, ops))
+        columns, values = structure_module._monomials(ops)
         with blas_threads(1):
             dense = structure_module._dense_squares(ops)
-        assert structure_module._monomial_squares(np.stack(columns), np.stack(values)) == dense
+        assert structure_module._monomial_squares(columns, values) == dense
         if case == "anticommuting":
             assert dense == tuple(np.abs(ops[:, 0]).max(axis=1) ** 2)
         elif case in ("commuting-pair", "square-one-ulp-off"):
@@ -814,6 +956,24 @@ def test_pruning_bounds_the_matrix_eigvalsh_reads():
     assert result.value == strategy_norms(functional).max()
 
 
+def test_exactly_hermitian_sums_are_bounded_as_they_come():
+    """The strategy sums of an exactly Hermitian table, bounded without the
+    lower-triangle rebuild, get the rebuilt bounds bit for bit: the one-hot
+    GEMM adds the same terms in the same order to entries (i, j) and (j, i)."""
+    rng = np.random.default_rng(13)
+    for functional in (
+        mub_functional(build_mub_family(7, 4)),
+        mub_functional(build_mub_family(5, 6)),
+        random_hermitian_functional(rng, 5, 3, 6),
+    ):
+        n, m, d = functional.n, functional.m, functional.d
+        assert functional.exactly_hermitian
+        cells = functional.coefficients.reshape(n * m, -1).view(np.float64)
+        sums = bounds_module._chunk_sums(cells, n, m, 0, min(m**n, 4096)).reshape(-1, d, d)
+        exact = linalg_module.hermitian_norm_upper_bounds(sums, exact=True)
+        assert np.array_equal(exact, linalg_module.hermitian_norm_upper_bounds(sums))
+
+
 def signed_table(observables):
     """The +- table F_x^1 = B_x, F_x^2 = -B_x of a stack of Hermitian B_x."""
     observables = np.asarray(observables, dtype=complex)
@@ -824,9 +984,9 @@ def test_near_miss_of_the_closed_form_skips_the_bounds(monkeypatch):
     bounded = []
     original = bounds_module.hermitian_norm_upper_bounds
 
-    def counting(ms):
+    def counting(ms, **kwargs):
         bounded.append(len(ms))
-        return original(ms)
+        return original(ms, **kwargs)
 
     monkeypatch.setattr(bounds_module, "hermitian_norm_upper_bounds", counting)
     # dichotomic n = 6 (d = 8) with B_0 one ulp off anticommuting with the rest
@@ -1860,7 +2020,7 @@ def test_canonical_check_is_the_members_pairing_and_validation():
         members = canonical_members(functional)
         expected = Assemblage(members=members).validate()
         for given in (squares, None):
-            report, value = bounds_module._canonical_check(functional, paper, given)
+            report, value, _ = bounds_module._canonical_check(functional, paper, given)
             assert abs(value - evaluate(functional, members)) <= 1e-12 * table_scale(functional)
             assert report.failed == expected.failed
             assert report.min_eigenvalue == pytest.approx(expected.min_eigenvalue, abs=1e-14)
@@ -1891,6 +2051,90 @@ def failure_message(call):
     except PreconditionError as exc:
         return str(exc)
     return None
+
+
+def test_proven_squares_certify_no_signalling_without_a_norm(monkeypatch, eigvalsh_matrices):
+    """With the structure proof's squares every R_x = F_x^1 + F_x^2 is
+    exactly 0: the deviation is 0.0 with no outcome sum, norm or
+    eigensolve taken, and the rest of the report is the eigensolved one."""
+    tables = [f for f in attainment_tables() if structure_module.anticommuting_squares(f)]
+    expected = [bounds_module._canonical_check(f, paper_values(f), None) for f in tables]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a norm was taken")
+
+    for name in ("norm", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setattr(bounds_module, "operator_norm", refuse)
+    eigvalsh_matrices.clear()
+    for functional, (eigensolved, value, _) in zip(tables, expected):
+        squares = structure_module.anticommuting_squares(functional)
+        report, attained, eigs = bounds_module._canonical_check(
+            functional, paper_values(functional), squares
+        )
+        assert report.no_signaling_deviation == 0.0 == eigensolved.no_signaling_deviation
+        assert report.normalization_deviation == eigensolved.normalization_deviation
+        assert report.failed == eigensolved.failed
+        assert (attained, eigs) == (value, None)
+    assert len(tables) == 28 and eigvalsh_matrices == []
+
+
+def per_setting_no_signalling(functional, paper):
+    """The no-signalling deviation as it was: one operator norm per setting."""
+    table, d = functional.coefficients, functional.d
+    first = table[0].sum(axis=0)
+    return max(
+        (operator_norm(paper.scale * (cells.sum(axis=0) - first) / d) for cells in table[1:]),
+        default=0.0,
+    )
+
+
+def per_cell_psd_envelope(functional):
+    """The PSD decision and envelope as SteeringFunctional.psd and the
+    attainment once took them: per-cell eigensolves with the slack per
+    unit of the largest entry modulus, then per-cell SVD norms."""
+    c = functional.coefficients
+    if not functional.hermitian:
+        return None
+    slack = TOLERANCES.hermiticity * float(np.abs(c).max())
+    if not all(np.linalg.eigvalsh(cell)[0] >= -slack for cell in c.reshape(-1, c.shape[2], c.shape[3])):
+        return None
+    return float(np.linalg.norm(c, 2, axis=(2, 3)).max(axis=1).sum())
+
+
+def test_batched_certificate_decides_as_the_per_cell_checks():
+    """The canonical certificate's batched no-signalling norms are the
+    per-setting ones bit for bit, and its PSD decision and envelope, read
+    from the batched eigenvalues, are the per-cell eigvalsh and SVD ones."""
+    rng = np.random.default_rng(8)
+    raw = rng.normal(size=(3, 3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3, 3))
+    psd = np.einsum("xaij,xakj->xaik", raw, raw.conj())
+    tables = [
+        *attainment_tables(),
+        *positivity_tables(),
+        SteeringFunctional.from_table(psd / np.trace(psd.sum(axis=1), axis1=1, axis2=2)[0], kind="mub"),
+        SteeringFunctional.from_table(psd - 1e-3 * np.eye(3), kind="mub"),
+        SteeringFunctional.from_table(raw, kind="mub"),
+    ]
+    decisions = []
+    for functional in tables:
+        paper = paper_values(functional)
+        report, _, eigs = bounds_module._canonical_check(functional, paper, None)
+        assert report.no_signaling_deviation == per_setting_no_signalling(functional, paper)
+        envelope, reference = bounds_module._psd_envelope(functional, eigs), per_cell_psd_envelope(functional)
+        assert (envelope is None) == (reference is None)
+        if envelope is not None:
+            assert envelope == pytest.approx(reference, rel=1e-13)
+        decisions.append(envelope is not None)
+    assert 0 < sum(decisions) < len(decisions)
+
+
+def test_quantum_value_above_the_psd_envelope_raises():
+    # cells I/2: a valid canonical assemblage, but n = 3 settings of norm
+    # 1/2 cannot reach the unbiased-basis value n
+    functional = SteeringFunctional.from_table(np.full((3, 2, 2, 2), 0.0) + np.eye(2) / 2, kind="mub")
+    with pytest.raises(BoundCheckError, match="quantum bound 3.0 exceeds the PSD envelope 1.5"):
+        quantum_bound(functional)
 
 
 def test_mub_label_on_a_plus_minus_table_does_not_fit(eigvalsh_matrices):

@@ -15,8 +15,9 @@ from steerbound import (
     mub_functional,
     random_functional,
 )
-from steerbound import serialize
-from steerbound.bounds import violation
+from steerbound import linalg, serialize
+from steerbound import bounds as bounds_module
+from steerbound.bounds import PaperValues, violation
 from steerbound.cli import main as cli_main
 from steerbound.serialize import functional_from_json, functional_to_json, load_functional
 from steerbound.tolerances import TOLERANCES
@@ -46,10 +47,24 @@ def test_mub_functional_resolves_identity():
         assert np.abs(total - np.eye(3)).max() <= 1e-10
 
 
+def cell_eigenvalues(functional) -> np.ndarray:
+    """The (n, m, d) eigenvalues of the cells' Hermitian parts, as the
+    canonical certificate finds them; they do not depend on the paper
+    values it is given."""
+    paper = PaperValues(s_q=0.0, scale=1.0, shift=0.0, lhs_upper={}, violation_lower={})
+    return bounds_module._canonical_check(functional, paper, None)[2]
+
+
+def psd_envelope(functional):
+    """The canonical attainment's PSD decision and envelope: None when the
+    table is not positive semidefinite."""
+    return bounds_module._psd_envelope(functional, cell_eigenvalues(functional))
+
+
 def test_mub_functional_flags():
     functional = mub_functional(build_mub_family(5, 6))
     assert functional.hermitian
-    assert functional.psd
+    assert psd_envelope(functional) == pytest.approx(6.0, abs=1e-12)
 
 
 def test_clifford_functional_single_observable():
@@ -59,7 +74,7 @@ def test_clifford_functional_single_observable():
 
 def test_clifford_functional_sign_symmetry():
     functional = clifford_functional(build_clifford_family(4))
-    assert not functional.psd
+    assert psd_envelope(functional) is None
     assert functional.hermitian
     total = functional.coefficients[:, 0] + functional.coefficients[:, 1]
     assert np.abs(total).max() == 0.0
@@ -240,13 +255,14 @@ def test_functional_flags_recomputed_not_trusted():
     table[0, 1] = np.array([[0, 1], [1, 0]])
     functional = SteeringFunctional.from_table(table, kind="custom")
     assert functional.hermitian
-    assert not functional.psd
+    assert psd_envelope(functional) is None
 
 
 def eager_psd(table) -> bool:
-    """psd as from_table once computed it, with both slacks taken per unit
-    of the table's largest entry modulus: Hermitian, and one batched
-    eigensolve of every cell with no eigenvalue below the tolerance."""
+    """The PSD decision as from_table once computed it, with both slacks
+    taken per unit of the table's largest entry modulus: Hermitian, and one
+    batched eigensolve of every cell with no eigenvalue below the
+    tolerance."""
     table = np.asarray(table)
     slack = TOLERANCES.hermiticity * float(np.abs(table).max())
     if np.abs(table - table.conj().transpose(0, 1, 3, 2)).max() > slack:
@@ -278,7 +294,9 @@ def test_from_table_makes_no_eigensolve(eigvalsh_matrices):
 
 
 def test_psd_matches_the_eager_definition():
-    """At every scale, since the slack is per unit of the largest entry."""
+    """The canonical attainment's PSD decision, at every scale, since the
+    slack is per unit of the largest entry; on a PSD table its envelope is
+    the per-cell SVD one the functional's psd flag once fed it."""
     expected = {
         "mub": True,
         "clifford": False,
@@ -291,17 +309,28 @@ def test_psd_matches_the_eager_definition():
     for scale in (1e-3, 1.0, 1e3):
         for name, table in psd_cases().items():
             table = table * scale
-            functional = SteeringFunctional.from_table(table)
-            assert functional.psd is eager_psd(table) is expected[name], (name, scale)
+            envelope = psd_envelope(SteeringFunctional.from_table(table))
+            assert (envelope is not None) is eager_psd(table) is expected[name], (name, scale)
+            if envelope is not None:
+                singular = np.linalg.norm(table, 2, axis=(2, 3)).max(axis=1).sum()
+                assert envelope == pytest.approx(singular, rel=1e-13), (name, scale)
 
 
-def test_psd_of_a_plus_minus_table_eigensolves_one_cell_once(eigvalsh_matrices):
+def test_cell_eigenvalues_take_one_eigensolve_per_block(eigvalsh_matrices, monkeypatch):
+    """The certificate eigensolves every cell once, in blocks of whole
+    settings whose cells stay within 256 KiB, and each cell's eigenvalues
+    are those it has on its own, whatever the block."""
     functional = dichotomic_functional(build_clifford_family(7, full_dimension=True))
     eigvalsh_matrices.clear()
-    assert not functional.psd
-    assert eigvalsh_matrices == [1]
-    assert not functional.psd
-    assert eigvalsh_matrices == [1]
+    eigs = cell_eigenvalues(functional)
+    assert eigvalsh_matrices == [2] * 7  # one 512 KiB setting per block
+    mub = mub_functional(build_mub_family(5, 6))
+    eigvalsh_matrices.clear()
+    assert np.array_equal(cell_eigenvalues(mub), np.linalg.eigvalsh(mub.coefficients))
+    assert eigvalsh_matrices == [30, 30]
+    monkeypatch.setattr(linalg, "_GRID_BLOCK_BYTES", 1)
+    assert np.array_equal(cell_eigenvalues(functional), eigs)
+    assert np.array_equal(cell_eigenvalues(mub), np.linalg.eigvalsh(mub.coefficients))
 
 
 def test_from_table_copies_and_the_package_adopts(monkeypatch):
@@ -368,10 +397,11 @@ def test_full_dim_tables_never_run_the_hermiticity_pass(tmp_path, hermiticity_pa
 
 def test_hermiticity_flags_share_one_pass_on_first_read(hermiticity_passes):
     """Building runs no pass; the first read of a flag runs one, which
-    every later read of hermitian, exactly_hermitian or psd reuses."""
+    every later read of hermitian or exactly_hermitian, and the PSD
+    decision, reuse."""
     for f in (mub_functional(build_mub_family(3, 4)), random_functional(3, 0)):
         assert hermiticity_passes == []
-        reads = {(f.hermitian, f.exactly_hermitian, f.psd) for _ in range(3)}
+        reads = {(f.hermitian, f.exactly_hermitian, psd_envelope(f)) for _ in range(3)}
         assert len(reads) == 1 and len(hermiticity_passes) == 1
         hermiticity_passes.clear()
 
