@@ -10,30 +10,27 @@ therefore redundant and never materialize; per strategy the state
 optimization collapses to a top-|eigenvalue| computation (Hermitian
 tables) or a numerical radius (general tables).
 
-lhs_bound is the one entry point. It asks structure.table_structure
-which path the table allows - never its `kind` - and takes it: a closed
-form for anticommuting +- tables (no strategy evaluated, all-zeros
-witness), or the first m^(n-k) strategies in lexicographic order, those
-with a_0..a_{k-1} = 0, for a prefix k of 2 (Weyl-covariant tables), 1
-(complement-symmetric tables) or 0 (everything else); rank-one tables
-swap the per-strategy norm for their exact closed-form radius. Every
-solved strategy has the value it has in strategy_norms, the full
-enumeration, which stays the reference: the top |eigenvalue| when the
-table is Hermitian, the numerical radius otherwise, taken over each
-chunk's whole stack of strategy operators in one call, and for
-two-outcome tables with F_x^2 = -F_x^1 only the a_0 = 0 half, mirrored.
-Both build each chunk of strategy operators as one GEMM of a one-hot
-selector with the flattened table. lhs_bound then solves, per chunk,
-only the strategies a certified upper bound leaves in reach of the
-chunk's maximum: (Tr H^4)^(1/4) for Hermitian tables, 16 support lines
-of the numerical range otherwise (linalg), measured against the value
-of the strategy with the largest bound. Chunks have fixed, shape-only
-bounds; the `threads` pool workers are the only parallelism, because the
-enumeration holds OpenBLAS at one thread. The maximum is the first one
-in lexicographic order, so reports are identical for any `threads` and
-any OPENBLAS_NUM_THREADS. These pins serve library callers; the command
-line holds OpenBLAS at one thread for its whole command, so that load,
-table_structure and the certificates run single-threaded too.
+lhs_bound is the one entry point. It takes the path that
+structure.table_structure finds in the table, never its `kind`: a
+closed form for anticommuting +- tables (no strategy evaluated,
+all-zeros witness), or the first m^(n-k) strategies in lexicographic
+order, those with a_0..a_{k-1} = 0, for a prefix k of 2 (Weyl-covariant
+tables), 1 (complement-symmetric tables) or 0; rank-one tables swap the
+per-strategy norm for their exact closed-form radius. strategy_norms,
+the full enumeration, stays the reference: the top |eigenvalue| of each
+strategy operator of a Hermitian table, its numerical radius otherwise,
+one call per chunk of operators built as one GEMM of a one-hot selector
+with the flattened table. lhs_bound solves, per chunk, only the
+strategies whose certified upper bound ((Tr H^4)^(1/4), or 16 support
+lines of the numerical range; linalg) reaches the value of the strategy
+with the largest bound; a table that table_structure finds flat, a near
+miss of the closed form, is solved without bounds. Chunks have fixed,
+shape-only bounds, the `threads` pool workers are the only parallelism
+(OpenBLAS is held at one thread) and the maximum is the first in
+lexicographic order, so reports are identical for any `threads` and any
+OPENBLAS_NUM_THREADS. The command line holds OpenBLAS at one thread for
+its whole command, so load, table_structure and the certificates run
+single-threaded too.
 
 paper_values, the one reader of `kind`, holds what the paper proves for
 the kind a table claims, including the scale and shift of the canonical
@@ -42,17 +39,11 @@ quantum_bound and violation check that claim on the table with one
 attainment certificate, and violation reads nothing else for its
 analytic values. The certificate pairs the table with that assemblage
 through sums over the table (_canonical_check), without building it.
-Tables without paper values get a see-saw lower bound instead.
-quantum_bound_seesaw advances its restarts together, batched
-over restarts and settings, in groups whose assembled operators stay
-within 8 MiB, also with OpenBLAS at one thread. Its measurement step
-splits outcome pairs with one QR and one eigensolve each, or, on tables
-of more than two outcomes whose cells are zero outside one row
-(structure._rank_one_row, every random table with d > 2), with one QR
-and a closed form. Every third update starts from a safeguarded SQUAREM
-extrapolation of the state (Varadhan and Roland, Scand. J. Stat. 35,
-335-353, 2008) and is kept only where it does not lower the objective,
-which about halves the updates a linearly converging restart takes.
+Tables without paper values get a see-saw lower bound instead
+(quantum_bound_seesaw), batched over restarts and settings with OpenBLAS
+at one thread, with closed-form splits on tables whose cells are zero
+outside one row (structure._rank_one_row) and safeguarded SQUAREM
+extrapolation of the state.
 
 Memory is bounded by shape alone: 1 MiB of strategy operators per chunk,
 beside the copy of those a pruned chunk still solves, 256 KiB of squared
@@ -63,8 +54,8 @@ restart in it. The passes over the table itself - its entry sum,
 table_structure and the canonical certificate - run over blocks of whole
 settings whose cells stay within 256 KiB (linalg._blocks), or one
 setting where a setting is larger, and hold a few blocks' worth of
-temporaries at a time; table_structure adds a d x d product, a boolean
-mask of the B_x and anticommutation pair gathers within 256 KiB
+temporaries at a time; table_structure adds a few d x d products, a
+boolean mask of the B_x and anticommutation pair gathers within 256 KiB
 (linalg._pair_blocks). A table whose absolute entry sum reaches 1e300 is
 rejected before any of them runs, since its strategy sums could overflow.
 """
@@ -183,15 +174,6 @@ class BoundsReport:
 # strategy enumeration
 
 
-def _strategy_total(n: int, m: int, cap: int) -> int:
-    total = m**n
-    if total > cap:
-        raise EnumerationCapExceeded(
-            f"enumeration needs {total} deterministic strategies, cap is {cap}"
-        )
-    return total
-
-
 def _chunk_size(d: int) -> int:
     # keeps a chunk's (chunk, d, d) operator stack at or below 1 MiB; depends
     # only on the problem shape so results cannot vary with the worker count
@@ -259,38 +241,6 @@ def _pruned_values(ops: np.ndarray, norms, upper_bounds) -> np.ndarray:
     return values
 
 
-def _near_anticommuting(f: SteeringFunctional) -> bool:
-    """Whether all strategy norms are within half of
-    TOLERANCES.strategy_pruning of one another, so that no upper bound can
-    skip any of them: the near misses of the anticommuting closed form,
-    whose enumeration would otherwise pay for every bound and solve every
-    strategy all the same.
-
-    That holds for a +- table of exactly Hermitian B_x = F_x^1 whose
-    defect D = sum_x ||B_x^2 - c_x^2 I||_F + sum_{x<y} ||B_x B_y + B_y B_x||_F,
-    with c_x^2 = ||B_x||_F^2 / d, is at most C strategy_pruning / 2 for
-    C = sum_x c_x^2: every strategy operator S has S^2 = C I + E with
-    ||E|| <= D, so ||S||^2 lies in [C - D, C + D]. Dense products at one
-    OpenBLAS thread, so the decision cannot depend on the caller's thread
-    count; the first setting that takes D past its limit ends the check."""
-    if not complement_symmetric(f) or not f.exactly_hermitian:
-        return False
-    ops = f.coefficients[:, 0]
-    eye = np.eye(f.d)
-    with blas_threads(1), np.errstate(over="ignore", invalid="ignore"):
-        squares = [np.vdot(b, b).real / f.d for b in ops]
-        limit = TOLERANCES.strategy_pruning / 2 * sum(squares)
-        defect = 0.0
-        for x, b in enumerate(ops):
-            defect += np.linalg.norm(b @ b - squares[x] * eye)
-            for y in range(x):
-                p = b @ ops[y]
-                defect += np.linalg.norm(p + p.conj().T)
-            if not defect <= limit:
-                return False
-    return True
-
-
 def _checked_total(
     f: SteeringFunctional, cap: int, threads: int, angular_resolution: int
 ) -> int:
@@ -302,7 +252,12 @@ def _checked_total(
             f"angular_resolution must be at least 8, got {angular_resolution}"
         )
     _require_bounded_table(f)
-    return _strategy_total(f.n, f.m, cap)
+    total = f.m**f.n
+    if total > cap:
+        raise EnumerationCapExceeded(
+            f"enumeration needs {total} deterministic strategies, cap is {cap}"
+        )
+    return total
 
 
 def _strategy_values(
@@ -416,8 +371,7 @@ def lhs_bound(
     certified upper bound reaches the chunk's best solved value less the
     relative TOLERANCES.strategy_pruning (_pruned_values), each with the
     value it has in strategy_norms; the others are certified below the
-    maximum. A near miss of the closed form (_near_anticommuting), where
-    no bound can skip a strategy, solves every one without bounding it.
+    maximum. A flat table (structure.flat) solves every one unbounded.
     strategies_evaluated counts the strategies the maximum covers,
     strategies_solved those whose norm was computed; neither depends on
     `threads`. The cap applies to m^n whatever the path, and
@@ -440,7 +394,7 @@ def lhs_bound(
         threads,
         angular_resolution,
         structure.row,
-        prune=not _near_anticommuting(f),
+        prune=not structure.flat,
     )
     best = int(np.argmax(values))
     witness = tuple(int(a) for a in np.unravel_index(best, (f.m,) * f.n))

@@ -131,11 +131,16 @@ def _check_lhs_structure_shortcuts(rng, threads: int) -> tuple[bool, str]:
     perturbed = mub_functional(build_mub_family(3, 3)).coefficients.copy()
     perturbed[1, 1, 0, 0] += 1e-9
     general = rng.normal(size=(3, 3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3, 3))
+    near = dichotomic_functional(build_clifford_family(6)).coefficients[:, 0].copy()
+    j = int(np.flatnonzero(near[0, 0])[0])  # B_0 an ulp off anticommuting: flat
+    near[0, 0, j] += 1j * np.spacing(abs(near[0, 0, j]))
+    near[0, j, 0] = np.conj(near[0, 0, j])
     cases = (
         ("anticommuting", dichotomic_functional(build_clifford_family(5))),
         ("rank-one", random_functional(3, 0)),
         ("weyl-orbit", mub_functional(build_mub_family(5, 4))),
         ("complement-half", SteeringFunctional.from_table(np.stack([plus_minus, -plus_minus], 1))),
+        ("complement-half", SteeringFunctional.from_table(np.stack([near, -near], 1))),
         ("enumeration", SteeringFunctional.from_table(perturbed, kind="mub")),
         ("enumeration", SteeringFunctional.from_table(general)),  # numerical radii
     )

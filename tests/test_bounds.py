@@ -366,12 +366,13 @@ def setting_square_safe(cells):
 
 
 def whole_table_checks(functional):
-    """complement_symmetric, _require_bounded_table, _hermiticity_defects
-    and table_scale by the formulas their blocked passes replace: the
-    first three over the whole table, table_scale one setting at a time,
-    each scaled on its own (setting_square_safe)."""
+    """complement_symmetric, _require_bounded_table, _hermiticity_defects,
+    table_scale and _rank_one_row by the formulas their blocked passes
+    replace: all but table_scale over the whole table, table_scale one
+    setting at a time, each scaled on its own (setting_square_safe)."""
     c = functional.coefficients
     mass = np.abs(c.real).sum() + np.abs(c.imag).sum()
+    rows = np.flatnonzero(np.any(c != 0, axis=(0, 1, 3)))
     defect = float(np.abs(c - c.conj().swapaxes(-1, -2)).max())
     ratio = defect / float(np.abs(c).max()) if defect else 0.0
     peaks = [np.linalg.norm(s, axis=(1, 2)).max() / k for s, k in map(setting_square_safe, c)]
@@ -380,6 +381,7 @@ def whole_table_checks(functional):
         bool(mass < bounds_module._MAX_TABLE_MASS),
         (defect, ratio),
         max(1.0, float(np.sum(peaks))),
+        int(rows[0]) if rows.size == 1 else None,
     )
 
 
@@ -394,6 +396,7 @@ def blocked_checks(functional):
         bounded,
         functionals_module._hermiticity_defects(functional.coefficients),
         table_scale(functional),
+        structure_module._rank_one_row(functional),
     )
 
 
@@ -517,6 +520,17 @@ def dense_anticommuting_value(functional):
                 if (p + p.conj().T).any():
                     return None
     return float(np.sqrt(total))
+
+
+def flat_reference(ops):
+    """Whether the defect of the B_x, every term taken with dense
+    products, is within the flat limit of the structure module."""
+    d = ops.shape[-1]
+    means = [np.vdot(b, b).real / d for b in ops]
+    defect = sum(np.linalg.norm(b @ b - c2 * np.eye(d)) for b, c2 in zip(ops, means))
+    for x, y in itertools.combinations(range(len(ops)), 2):
+        defect += np.linalg.norm(ops[x] @ ops[y] + ops[y] @ ops[x])
+    return bool(defect <= TOLERANCES.strategy_pruning / 2 * sum(means))
 
 
 def structure_matches_dense_reference(functional):
@@ -772,10 +786,12 @@ def test_pair_gathers_decide_random_pauli_tables_like_dense_products(qubits, cas
         with blas_threads(1):
             dense = structure_module._dense_squares(ops)
         assert structure_module._monomial_squares(columns, values) == dense
+        squares, flat = dense
+        assert flat is flat_reference(ops)
         if case == "anticommuting":
-            assert dense == tuple(np.abs(ops[:, 0]).max(axis=1) ** 2)
+            assert dense == (tuple(np.abs(ops[:, 0]).max(axis=1) ** 2), True)
         elif case in ("commuting-pair", "square-one-ulp-off"):
-            assert dense is None
+            assert squares is None
 
 
 def test_pair_gathers_reject_many_settings_within_the_table_memory():
@@ -980,22 +996,24 @@ def signed_table(observables):
     return SteeringFunctional.from_table(np.stack([observables, -observables], axis=1))
 
 
-def test_near_miss_of_the_closed_form_skips_the_bounds(monkeypatch):
-    bounded = []
+@pytest.fixture
+def bounded(monkeypatch):
+    """Counts the matrices passed to the enumeration's Hermitian upper bound."""
+    counted = []
     original = bounds_module.hermitian_norm_upper_bounds
 
     def counting(ms, **kwargs):
-        bounded.append(len(ms))
+        counted.append(len(ms))
         return original(ms, **kwargs)
 
     monkeypatch.setattr(bounds_module, "hermitian_norm_upper_bounds", counting)
+    return counted
+
+
+def test_near_miss_of_the_closed_form_skips_the_bounds(bounded):
     # dichotomic n = 6 (d = 8) with B_0 one ulp off anticommuting with the rest
-    observables = dichotomic_functional(build_clifford_family(6)).coefficients[:, 0].copy()
-    j = int(np.flatnonzero(observables[0, 0])[0])
-    observables[0, 0, j] += 1j * np.spacing(abs(observables[0, 0, j]))
-    observables[0, j, 0] = np.conj(observables[0, 0, j])
-    near_miss = signed_table(observables)
-    assert bounds_module._near_anticommuting(near_miss)
+    near_miss = off_anticommuting(dichotomic_functional(build_clifford_family(6)))
+    assert structure_module.table_structure(near_miss).flat
     result = lhs_bound(near_miss)
     assert (result.method, result.strategies_evaluated, result.strategies_solved) == (
         "complement-half", 32, 32)
@@ -1008,10 +1026,79 @@ def test_near_miss_of_the_closed_form_skips_the_bounds(monkeypatch):
     bounded.clear()
     signs = np.random.default_rng(4).choice([-1.0, 1.0], size=(6, 8))
     commuting = signed_table([np.diag(s) for s in signs])
-    assert not bounds_module._near_anticommuting(commuting)
+    assert not structure_module.table_structure(commuting).flat
     result = lhs_bound(commuting)
     assert bounded and result.strategies_solved < result.strategies_evaluated == 32
     assert result.value == strategy_norms(commuting).max()
+
+
+def test_complement_symmetry_is_checked_once_per_bound(monkeypatch):
+    """table_structure hands its one complement_symmetric pass to the
+    anticommutation proof, and lhs_bound reads flatness from the record."""
+    calls = []
+    original = structure_module.complement_symmetric
+
+    def counting(f):
+        calls.append(f.n)
+        return original(f)
+
+    monkeypatch.setattr(structure_module, "complement_symmetric", counting)
+    monkeypatch.setattr(bounds_module, "complement_symmetric", counting)
+    observables = dichotomic_functional(build_clifford_family(10)).coefficients[:, 0].copy()
+    observables[9] = observables[0]
+    table = np.stack([observables, -observables], axis=1)
+    functional = SteeringFunctional.from_table(table, kind="clifford-dichotomic")
+    result = lhs_bound(functional)
+    assert (result.method, result.structure.flat) == ("complement-half", False)
+    assert result.value == pytest.approx(np.sqrt(12.0), rel=1e-14)
+    assert calls == [10]
+    calls.clear()
+    assert violation(functional, strict=False).s_q_method == "analytic"
+    assert calls == [10]
+
+
+def test_monomial_near_miss_is_flat_from_its_gathers(dense_checks, bounded):
+    # dichotomic n = 10 (d = 32) with B_0 one ulp off: the monomial proof
+    # decides flatness too, with no dense product and no Hermiticity pass
+    near_miss = off_anticommuting(dichotomic_functional(build_clifford_family(10)))
+    structure = structure_module.table_structure(near_miss)
+    assert (structure.method, structure.flat) == ("complement-half", True)
+    assert flat_reference(near_miss.coefficients[:, 0])
+    result = lhs_bound(near_miss)
+    assert result.strategies_solved == result.strategies_evaluated == 512
+    assert dense_checks == [] and bounded == []
+    assert result.value == strategy_norms(near_miss).max()
+
+
+class _CountedProducts(np.ndarray):
+    """An array that counts the matrix products taken with it."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        _CountedProducts.products += 1
+        return np.asarray(self) @ np.asarray(other)
+
+
+def test_dense_near_miss_is_decided_in_one_pass_of_products(dense_checks, bounded):
+    # dichotomic n = 6 (d = 8) turned by a random unitary, then made exactly
+    # Hermitian: anticommuting up to rounding, with dense cells
+    rng = np.random.default_rng(5)
+    unitary, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+    observables = dichotomic_functional(build_clifford_family(6)).coefficients[:, 0]
+    turned = unitary @ observables @ unitary.conj().T
+    turned = (turned + turned.conj().swapaxes(1, 2)) / 2
+    table = np.stack([turned, -turned], axis=1).view(_CountedProducts)
+    near_miss = SteeringFunctional(kind="custom", coefficients=table)
+    assert near_miss.exactly_hermitian and flat_reference(turned)
+    assert structure_module._monomials(turned) is None
+    _CountedProducts.products = 0
+    result = lhs_bound(near_miss)
+    assert _CountedProducts.products == 6 * 7 // 2  # each B_x B_y, y <= x, once
+    assert dense_checks == [6] and bounded == []
+    assert (result.method, result.structure.flat) == ("complement-half", True)
+    assert result.strategies_solved == result.strategies_evaluated == 32
+    assert result.value == strategy_norms(signed_table(turned)).max()
 
 
 def test_rank_one_table_makes_no_numerical_radius_call(radius_matrices):
