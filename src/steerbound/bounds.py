@@ -50,14 +50,19 @@ beside the copy of those a pruned chunk still solves, 256 KiB of squared
 or rotated matrices per block of the upper bounds and of the
 numerical-radius grid (see linalg), 8 MiB of assembled operators per
 see-saw group, beside two earlier states and one spare POVM/factor table per
-restart in it. The passes over the table itself - its entry sum,
-table_structure and the canonical certificate - run over blocks of whole
-settings whose cells stay within 256 KiB (linalg._blocks), or one
-setting where a setting is larger, and hold a few blocks' worth of
-temporaries at a time; table_structure adds a few d x d products, a
-boolean mask of the B_x and anticommutation pair gathers within 256 KiB
-(linalg._pair_blocks). A table whose absolute entry sum reaches 1e300 is
-rejected before any of them runs, since its strategy sums could overflow.
+restart in it. On a two-outcome table of monomial cells, such as the
+Pauli tables, one boolean mask of the table (SteeringFunctional.monomials,
+taken once, over blocks whose masks stay within 256 KiB) gives its
+nonzeros, and the passes over the table - its entry sum, complement
+symmetry, the anticommutation proof and the canonical certificate's
+pairing and trace - read those O(n m d) numbers and never the d x d
+cells. On other tables these passes run over blocks of whole settings
+whose cells stay within 256 KiB (linalg._blocks), or one setting where
+a setting is larger, and hold a few blocks' worth of temporaries at a
+time; table_structure adds a few d x d products and anticommutation
+pair gathers within 256 KiB (linalg._pair_blocks). A table whose
+absolute entry sum reaches 1e300 is rejected before any of them runs,
+since its strategy sums could overflow.
 """
 
 from __future__ import annotations
@@ -197,14 +202,22 @@ def _require_bounded_table(f: SteeringFunctional) -> None:
     Each of their entries is at most the table's absolute entry sum
     (|Re| + |Im| over all entries) times a few sqrt(d); a sum below
     _MAX_TABLE_MASS keeps all of them, and their Hermitian parts, finite.
-    The sum is taken over blocks of whole settings (linalg._blocks), so
+    The sum is taken over the nonzeros of a table of monomial cells
+    (f.monomials), else over blocks of whole settings (linalg._blocks), so
     the temporaries stay within 256 KiB, or one setting's where a setting
     is larger; a NaN or an overflow makes the sum fail the comparison.
+    The two sums add the same terms in different orders, so they can
+    differ in their last bits, which no table within a rounding of
+    _MAX_TABLE_MASS needs.
     """
     mass, table = 0.0, f.coefficients
     with np.errstate(over="ignore"):
-        for part in _blocks(table, f.m):
-            mass += np.abs(table[part].real).sum() + np.abs(table[part].imag).sum()
+        if f.monomials is not None:
+            values = f.monomials[1]
+            mass = np.abs(values.real).sum() + np.abs(values.imag).sum()
+        else:
+            for part in _blocks(table, f.m):
+                mass += np.abs(table[part].real).sum() + np.abs(table[part].imag).sum()
     if not mass < _MAX_TABLE_MASS:
         raise PreconditionError(
             f"table entries sum to {mass:.3g} in absolute value; above "
@@ -500,7 +513,9 @@ def _canonical_check(
 
     Without `squares`, the cells' Hermitian parts are eigensolved and the
     R_x - R_0 normed in batches, over blocks of whole settings whose cells
-    stay within 256 KiB (linalg._blocks), each matrix as on its own.
+    stay within 256 KiB (linalg._blocks), each matrix as on its own. The
+    two traces of the value are read from f.monomials where the table has
+    that form (_monomial_traces), else taken by einsum over the table.
     """
     table, m, d = f.coefficients, f.m, f.d
     scale, shift = paper.scale, paper.shift
@@ -526,9 +541,29 @@ def _canonical_check(
         normalization_deviation=abs(trace - 1.0),
         tolerance=TOLERANCES.assemblage,
     )
-    pairing = np.einsum("xaij,xaji->", table, table)
-    value = (scale * pairing + shift * np.einsum("xaii->", table)) / d
+    if f.monomials is None:
+        pairing, trace = np.einsum("xaij,xaji->", table, table), np.einsum("xaii->", table)
+    else:
+        pairing, trace = _monomial_traces(*f.monomials)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed pairing stays inf or NaN
+        value = (scale * pairing + shift * trace) / d
     return report, complex(value), eigs
+
+
+def _monomial_traces(columns: np.ndarray, values: np.ndarray) -> tuple[complex, complex]:
+    """sum_xa Tr(F_x^a F_x^a) and sum_xa Tr F_x^a of monomial cells, row i
+    of cell (x, a) holding values[x, a, i] at column columns[x, a, i]: F_ij
+    F_ji is v_i v_j where j = c_i and c_j = i, and v_i times an exact zero
+    otherwise (NaN where v_i is not finite, as in the dense pairing). The
+    terms are the dense sums' nonzero ones, so where they add without
+    rounding, as on the Pauli tables, the sums are the einsum's bit for
+    bit; elsewhere they may differ in the last bits."""
+    rows = np.arange(columns.shape[-1])
+    back = np.take_along_axis(columns, columns, axis=-1) == rows
+    partners = np.where(back, np.take_along_axis(values, columns, axis=-1), 0)
+    with np.errstate(over="ignore", invalid="ignore"):  # silent, as the einsum is
+        pairing = (values * partners).sum()
+    return pairing, np.where(columns == rows, values, 0).sum()
 
 
 def _psd_envelope(f: SteeringFunctional, eigs: np.ndarray) -> float | None:

@@ -214,7 +214,9 @@ def _print_bounds_table(report: BoundsReport) -> None:
 
 def cmd_bounds(args) -> int:
     threads = _threads(args)
+    start = time.perf_counter()
     functional = load_functional(args.input)
+    load_ms = (time.perf_counter() - start) * 1e3
     report = violation(
         functional,
         cap=args.cap,
@@ -226,6 +228,7 @@ def cmd_bounds(args) -> int:
         seesaw_seed=args.seed,
         strict=False,
     )
+    report.diagnostics["timings"]["load_ms"] = load_ms  # volatile, beside lhs_ms and quantum_ms
     _print_bounds_table(report)
     if args.out:
         document = {

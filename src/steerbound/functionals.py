@@ -61,6 +61,26 @@ def _hermiticity_defects(table: np.ndarray) -> tuple[float, float]:
     return float(defect), float(defect) / float(largest)
 
 
+def _monomials(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(columns, values), each (k, d), of the one nonzero in each row of
+    every matrix of the (k, d, d) stack, when every row has exactly one;
+    else None. A boolean mask finds the nonzeros (a NaN counts as one),
+    which is faster than np.nonzero on the complex entries, over blocks of
+    matrices whose masks stay within 256 KiB (linalg._blocks); its count
+    rejects a block with too many before any index is taken."""
+    k, d, _ = ops.shape
+    columns = np.empty((k, d), dtype=np.intp)
+    for part in _blocks(ops, 1, itemsize=1):
+        nonzero = ops[part] != 0
+        if np.count_nonzero(nonzero) != nonzero.shape[0] * d:
+            return None
+        rows, found = np.divmod(np.flatnonzero(nonzero), d)
+        if not np.array_equal(rows, np.arange(rows.size)):
+            return None
+        columns[part] = found.reshape(-1, d)
+    return columns, ops[np.arange(k)[:, None], np.arange(d), columns]
+
+
 @dataclass(frozen=True)
 class SteeringFunctional:
     """Coefficient table of a linear functional on assemblages.
@@ -72,7 +92,9 @@ class SteeringFunctional:
     and exactly_hermitian (F = F^dagger entry for entry) from one shared
     pass over the table. Building a table runs neither, and the monomial
     +- tables never read them (structure.anticommuting_squares reads their
-    exact Hermiticity from their nonzeros). Whether a table is positive
+    exact Hermiticity from their nonzeros). `monomials`, the nonzeros of a
+    two-outcome table of monomial cells, is derived on its first read in
+    the same way. Whether a table is positive
     semidefinite is decided where it is used, from the eigenvalues the
     canonical certificate finds (bounds._psd_envelope).
 
@@ -109,6 +131,21 @@ class SteeringFunctional:
     @cached_property
     def exactly_hermitian(self) -> bool:
         return self._hermiticity[0] == 0.0
+
+    @cached_property
+    def monomials(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(columns, values), each (n, m, d), when the table has two
+        outcomes and every cell is monomial: cell (x, a) holds values[x, a,
+        i] in row i at column columns[x, a, i] and zeros (+0.0 or -0.0)
+        elsewhere; else None. Found with one boolean mask of the table
+        (_monomials), it is a proof artifact of O(n m d) numbers that the
+        table checks read in place of the d x d cells (structure, and
+        bounds' mass check and canonical certificate)."""
+        if self.m != 2:
+            return None
+        n, m, d = self.n, self.m, self.d
+        found = _monomials(self.coefficients.reshape(n * m, d, d))
+        return None if found is None else (found[0].reshape(n, m, d), found[1].reshape(n, m, d))
 
     @classmethod
     def from_table(cls, table, kind: str = "custom", seed: int | None = None):

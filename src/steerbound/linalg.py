@@ -126,12 +126,13 @@ def _rotated_top_eigenvalues(ms: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(hermitian_part(np.exp(1j * thetas)[..., None, None] * ms))[..., -1]
 
 
-def _blocks(ms: np.ndarray, per_matrix: int):
+def _blocks(ms: np.ndarray, per_matrix: int, itemsize: int = 16):
     """Consecutive slices of the (k, d, d) stack, each small enough that
-    `per_matrix` d x d complex matrices per member stay within 256 KiB
-    (at least one matrix per slice)."""
+    `per_matrix` d x d matrices of `itemsize`-byte entries (complex by
+    default, 1 for a boolean mask) per member stay within 256 KiB (at
+    least one matrix per slice)."""
     d = ms.shape[-1]
-    block = max(1, _GRID_BLOCK_BYTES // (16 * per_matrix * d * d))
+    block = max(1, _GRID_BLOCK_BYTES // (itemsize * per_matrix * d * d))
     for s in range(0, ms.shape[0], block):
         yield slice(s, s + block)
 

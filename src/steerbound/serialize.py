@@ -21,29 +21,33 @@ full-dimensional Pauli tables with one nonzero entry per row. When at
 most a quarter of a window's leaves are nonzero, the writer finds them
 through a boolean mask, formats only those, and joins their tokens with
 the pieces of the all-`0` skeleton between them, so no text is scanned
-for format codes; when the number text averages at most
-4 bytes a leaf, the reader sets each token that is exactly `0` to +0.0,
-as json.loads would, and parses only the others. Denser stacks take one
-template and one list of every leaf, which their per-leaf bookkeeping
-would only slow down.
+for format codes. When the block's number text averages at most 4 bytes
+a leaf, the reader finds the tokens other than `0` by byte compares,
+checks the window with each of them replaced by `0` against the block's
+all-`0` text in one comparison, and parses each distinct one of them
+once. Denser stacks take one template and one list of every leaf, which
+their per-leaf bookkeeping would only slow down.
 
 `_load` first tries `_load_flat`, which never builds the nested lists:
 it parses the document with the matrix block cut out, then reads the
-block in windows of 64 KiB (`_read_block`). Each window takes two
-translates and a few byte compares: its bracket/comma skeleton is checked
-against the shape the meta gives, a number glued to a bracket on the
-wrong side is looked for, and its brackets are deleted, leaving a flat
-JSON list whose numbers go into the window's stretch of the value array.
-The value array is the load's one table-sized allocation: the per-byte
-masks, the parsed numbers and the text's copies are one window's, and the
-skeleton it is checked against is one matrix's, tiled. Every file this
-module writes takes this path, and so does any whitespace layout of one.
-Anything it cannot vouch for (an escaped key, a duplicated key, a
-malformed block, a token longer than a window) goes to `_load_tree`, the
-plain json.loads walk, which accepts the same documents, returns the same
-bits, and raises every SchemaError. Loaders validate strictly: unknown
-keys, wrong shapes, unknown kinds, values that are not numbers and
-non-finite values (NaN, Infinity) are all rejected with SchemaError.
+block in windows of 64 KiB (`_read_block`). A mostly-zero window is
+vouched for by that one comparison (`_sparse_window`): it proves the
+skeleton the meta gives, that no number is glued to a bracket and that
+every other leaf is exactly `0`. Any other window takes two translates
+and a few byte compares: its bracket/comma skeleton is checked against
+the shape, a number glued to a bracket on the wrong side is looked for,
+and its brackets are deleted, leaving a flat JSON list whose numbers go
+into the window's stretch of the value array. The value array is the
+load's one table-sized allocation: the byte masks, the parsed numbers
+and the text's copies are one window's, and the text a window is
+checked against is one matrix's, tiled. Every file this module writes
+takes this path, and so does any whitespace layout of one. Anything it
+cannot vouch for (an escaped key, a duplicated key, a malformed block, a
+token longer than a window) goes to `_load_tree`, the plain json.loads
+walk, which accepts the same documents, returns the same bits, and
+raises every SchemaError. Loaders validate strictly: unknown keys, wrong
+shapes, unknown kinds, values that are not numbers and non-finite
+values (NaN, Infinity) are all rejected with SchemaError.
 
 `load_functional` does not read a file's text whole: `_load_file` finds
 the key in the file's first window and the meta in its last, and hands
@@ -56,6 +60,7 @@ array to the functional without a copy (SteeringFunctional._adopt).
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 from pathlib import Path
@@ -84,6 +89,16 @@ def _nested(leaf: str, shape: tuple[int, ...]) -> str:
     return leaf
 
 
+def _strides(shape: tuple[int, ...]) -> list[int]:
+    """The text length of one block and its comma on each level of
+    _nested("0", shape), the leaf's last."""
+    strides, block = [], 1
+    for size in reversed(shape):
+        strides.insert(0, block + 1)
+        block = size * (block + 1) + 1
+    return strides
+
+
 def _format_floats(values: np.ndarray) -> str:
     """Nested JSON arrays of `values`, each written with 17 significant
     digits; zeros (-0.0 too) are written as 0 and non-finite values are
@@ -97,18 +112,16 @@ def _format_floats(values: np.ndarray) -> str:
         raise SchemaError("non-finite values cannot be serialized")
     flat = values.ravel()
     nonzero = np.flatnonzero(flat != 0.0)  # a boolean mask: faster than on the floats
-    if 4 * nonzero.size > flat.size or values.ndim == 0:
+    if 4 * nonzero.size > flat.size:
         template = _nested("%.17g", values.shape)
         return template % tuple(np.where(flat == 0.0, 0.0, flat).tolist())
     skeleton = _nested("0", values.shape)
     # a leaf's offset: one "[" per level, and on each level the blocks
-    # (with their commas) before it; `block` is the length of one block
+    # (with their commas) before it
     index = np.unravel_index(nonzero, values.shape)
     offsets = np.full(nonzero.size, values.ndim)
-    block = 1
-    for axis in reversed(range(values.ndim)):
-        offsets += index[axis] * (block + 1)
-        block = values.shape[axis] * (block + 1) + 1
+    for axis, stride in enumerate(_strides(values.shape)):
+        offsets += index[axis] * stride
     cuts = offsets.tolist()
     # the skeleton's pieces between the cuts, each cut's token between them
     text = [None] * (2 * len(cuts) + 1)
@@ -122,9 +135,12 @@ def _write_floats(values: np.ndarray, write) -> None:
     of at most _WINDOW // 4 leaves at a time (about a window of text for
     the mostly-zero stacks): a run of whole sub-arrays along the first
     axis, or, where one sub-array holds more leaves than that, each
-    sub-array in turn."""
+    sub-array in turn. A 0-d array is written as its float (format_float)."""
     budget = _WINDOW // 4
-    if values.ndim == 0 or values.size <= budget:
+    if values.ndim == 0:
+        write(format_float(float(values)))
+        return
+    if values.size <= budget:
         write(_format_floats(values))
         return
     write("[")
@@ -143,7 +159,11 @@ def _write_floats(values: np.ndarray, write) -> None:
 
 
 def format_float(x: float) -> str:
-    return _format_floats(np.asarray(x, dtype=np.float64))
+    """One float as _format_floats writes a leaf: `0` for +-0.0, else 17
+    significant digits; non-finite values are rejected."""
+    if not math.isfinite(x):
+        raise SchemaError("non-finite values cannot be serialized")
+    return "0" if x == 0.0 else "%.17g" % x
 
 
 def _emit(obj, write) -> None:
@@ -266,6 +286,11 @@ _BLOCK_KEY_BYTES = re.compile(_BLOCK_KEY.pattern.encode())
 _NUMBER_CHARS = b"0123456789+-.eE"
 _WHITESPACE = b" \t\n\r"
 _COMMA, _ZERO, _OPEN, _CLOSE = b",0[]"
+_ZERO_RUN = 32  # `0` bytes in a row that _sparse_window follows; %.17g writes at most 16
+# whitespace to b" ", brackets and commas to b",", every other byte to b"a"
+_CLASSES = bytes(
+    ord(" ") if c in _WHITESPACE else _COMMA if c in b",[]" else ord("a") for c in range(256)
+)
 
 
 def _read_dense(padded: bytes, values: np.ndarray) -> int:
@@ -279,54 +304,100 @@ def _read_dense(padded: bytes, values: np.ndarray) -> int:
     return parsed.size
 
 
-def _read_sparse(padded: bytes, values: np.ndarray) -> int:
-    """What _read_dense does, into a zeroed `values`, parsing only the
-    tokens that are not exactly `0`.
+def _leaf_index(offsets: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The C-order leaf indexes of the leaves at `offsets` in
+    _nested("0", shape), the inverse of _format_floats's offsets: on each
+    level one "[" and then whole blocks, each with its comma, before the
+    leaf."""
+    index = np.zeros_like(offsets)
+    for size, stride in zip(shape, _strides(shape)):
+        step, offsets = np.divmod(offsets - 1, stride)
+        index = index * size + step
+    return index
 
-    A `0` token and its comma take exactly two bytes, so the other token
-    that starts after the comma at offset q is leaf (q - e) / 2, where e
-    sums the earlier other tokens' lengths beyond one byte. So no array
-    over all tokens is built: only per-byte masks of `padded` and the other
-    tokens' offsets."""
+
+def _joins_numbers(window: bytes) -> bool:
+    """Whether deleting the whitespace of `window` would join two tokens
+    into one (`1 2`, `12 .5`): fewer runs of token bytes without it than
+    with each whitespace byte read as a separator."""
+    classes = window.translate(_CLASSES)
+    runs = (b"," + classes.replace(b" ", b",")).count(b",a")
+    return runs != (b"," + classes.replace(b" ", b"")).count(b",a")
+
+
+def _sparse_window(window: bytes, tile: bytes, start: int) -> tuple[int, np.ndarray, list] | None:
+    """A window of a mostly-zero block, checked against the block's all-`0`
+    text, which `tile` holds from offset `start` on: the window's length
+    in that text, the offsets there of its tokens other than `0`, and their
+    numbers; None when the flat parse cannot vouch for the window.
+
+    Whitespace is deleted first, unless that would join two tokens
+    (_joins_numbers). A token is a run of bytes other than brackets and
+    commas; the ones holding a byte other than `0` are found by byte
+    compares and each replaced by one `0`. The window is vouched for when
+    the result is the all-`0` text at `start`: so its skeleton is the
+    block's, no number touches a bracket on its wrong side, each other
+    token sits in a leaf slot, and every remaining leaf is exactly `0`,
+    which json.loads reads as +0.0. Each distinct other token must be made
+    of number characters only and parse by json.loads as a finite number;
+    `-0` then gives +0.0 too. A token with a run of more than _ZERO_RUN
+    `0` bytes is left to the tree walk, so the token search takes a
+    bounded number of passes. Held at once: a padded copy of the window,
+    one byte mask of it and the replaced text."""
+    if any(space in window for space in (b" ", b"\n", b"\r", b"\t")):
+        if _joins_numbers(window):
+            return None
+        window = window.translate(None, _WHITESPACE)
+    padded = b"," + window + b","  # a separator at each end
     text = np.frombuffer(padded, np.uint8)
-    comma = text == _COMMA
-    other = comma[:-2] & comma[2:]
-    other &= text[1:-1] == _ZERO
-    np.logical_not(other, out=other)  # False at the comma before each `0` token
-    starts = comma[:-1].copy()
-    starts[:-1] &= other
-    ends = comma[1:]  # a view: comma is not read again
-    ends[1:] &= other
-    starts, ends = np.flatnonzero(starts), np.flatnonzero(ends) + 1
-    del text, comma, other
-    excess = np.cumsum(ends - starts - 2)  # lengths beyond one byte, through each token
-    count = (len(padded) - 1 - int(excess[-1] if excess.size else 0)) // 2
-    if count > values.size:
-        raise ValueError(f"{count} numbers for {values.size} leaves")
-    if starts.size:
-        tokens = b",".join([padded[a + 1 : b] for a, b in zip(starts.tolist(), ends.tolist())])
-        excess -= ends - starts - 2  # ... and before it
-        values[(starts - excess) // 2] = np.array(json.loads(b"[" + tokens + b"]"), np.float64)
-    return count
-
-
-def _parse_leaves(flat: bytes, size: int) -> np.ndarray:
-    """The `size` comma-separated JSON numbers of `flat` as float64, with
-    the errors json.loads and np.array raise on them.
-
-    When the text averages at most 4 bytes a leaf, so most leaves are the
-    token `0`, _read_sparse takes it: byte compares mark the commas and
-    each token that is exactly `0`, which stays +0.0 as json.loads gives
-    it, and the other tokens are found by their offsets, joined and parsed
-    as one list. Otherwise _read_dense parses every token. Held beside the
-    result: a padded copy of the text, three per-byte masks and the parsed
-    numbers, which in _read_block, reading one window at a time, are one
-    window's."""
-    values = np.zeros(size)
-    read = _read_dense if len(flat) > 4 * size else _read_sparse
-    if read(b"," + flat + b",", values) != size:
-        raise ValueError(f"expected {size} numbers")
-    return values
+    other = text != _ZERO
+    for byte in (_COMMA, _OPEN, _CLOSE):
+        other &= text != byte
+    marks = np.flatnonzero(other)
+    del other
+    # a token: its marked bytes and the `0` bytes between them, then the
+    # `0` bytes on either side
+    ends = marks + 1
+    for _ in range(_ZERO_RUN):
+        more = text[ends] == _ZERO
+        if not more.any():
+            break
+        ends += more
+    else:
+        return None
+    first = np.ones(marks.size + 1, dtype=bool)  # and one past the last mark
+    first[1:-1] = ends[:-1] != marks[1:]
+    starts, ends = marks[first[:-1]], ends[first[1:]]
+    for _ in range(_ZERO_RUN):
+        more = text[starts - 1] == _ZERO
+        if not more.any():
+            break
+        starts -= more
+    else:
+        return None
+    del text
+    excess = ends - starts - 1  # bytes each token has beyond its `0`
+    cuts, ends = starts.tolist(), ends.tolist()
+    view = memoryview(padded)  # slices without copies, joined once
+    zeroed = b"0".join([view[a:b] for a, b in zip([1, *ends], [*cuts, -1])])
+    if not tile.startswith(zeroed, start):
+        return None
+    tokens = [padded[a:b] for a, b in zip(cuts, ends)]
+    numbers = {}
+    for token in set(tokens):
+        if token.translate(None, _NUMBER_CHARS):
+            return None
+        try:
+            number = float(json.loads(token))
+        except (ValueError, OverflowError):
+            return None
+        if not math.isfinite(number):
+            return None
+        numbers[token] = number
+    # a token's offset in the replaced text: its own, less the separator
+    # and what the tokens before it had beyond their `0`
+    offsets = starts - 1 - (np.cumsum(excess) - excess)
+    return len(zeroed), offsets, [numbers[token] for token in tokens]
 
 
 def _glued(window: bytes) -> bool:
@@ -356,24 +427,28 @@ def _read_block(read, length: int, count: int, d: int) -> np.ndarray | None:
     side (`5[`, `] 5`) or holds a token that is not a finite JSON number.
 
     The block is read in windows of at most _WINDOW bytes, each ending
-    before a comma, so no token is split. Each window is checked against
-    its stretch of the skeleton (one translate deletes every number and
-    whitespace byte, and the stretch is a slice of one matrix's skeleton,
-    tiled), checked for a glued number by byte compares (_glued), stripped
-    of its brackets and parsed into its stretch of the value array. The
+    before a comma, so no token is split. A mostly-zero block, whose
+    number text averages at most 4 bytes a leaf, has each window compared
+    with its stretch of the block's all-`0` text (_sparse_window), and the
+    numbers of its other tokens put at their leaves. Any other block has
+    each window checked against its stretch of the skeleton (one translate
+    deletes every number and whitespace byte), checked for a glued number
+    by byte compares (_glued), stripped of its brackets and parsed into its
+    stretch of the value array. Either text is one matrix's, tiled. The
     value array is the only allocation the size of the table; the rest is
-    one window's, and the tile, at most a window and two matrices'
-    skeletons."""
+    one window's, and the tile, at most a window and two matrices' text."""
     size = count * d * d * 2
-    unit = 4 * d * d + 2 * d + 2  # one matrix's skeleton and the comma after it
-    if length + 1 < count * unit + 1 + size:
+    unit = 6 * d * d + 2 * d + 2  # one matrix's all-`0` text and the comma after it
+    if length < count * unit:
         return None  # too short to hold the shape: build nothing from meta
     brackets = 2 * (1 + count * (1 + d * (1 + d)))
-    parse = _read_dense if length + 1 - brackets > 4 * size else _read_sparse
+    sparse = length + 1 - brackets <= 4 * size
+    if not sparse:
+        unit -= 2 * d * d  # the skeleton's
     reps = min(_WINDOW, length) // unit + 2  # so a window's stretch fits from any offset
-    tile = b"[" + (_nested("", (d, d, 2)) + ",").encode() * reps
+    tile = b"[" + (_nested("0" if sparse else "", (d, d, 2)) + ",").encode() * reps
     values = np.zeros(size)
-    at = done = 0  # the skeleton's bytes checked and the leaves read so far
+    at = done = 0  # the tile's bytes matched and the leaves parsed (dense) so far
     lead = b","  # the first window starts at a token, the others at a comma
     window, left = b"", length
     while left > 0 or window:
@@ -389,23 +464,32 @@ def _read_block(read, length: int, count: int, d: int) -> np.ndarray | None:
             if cut < 1:
                 return None  # a token longer than a window
             window, rest = window[:cut], window[cut:]
-        skeleton = window.translate(None, _NUMBER_CHARS + _WHITESPACE)
-        if at + len(skeleton) > count * unit:
-            return None
-        if not tile.startswith(skeleton, at and 1 + (at - 1) % unit) or _glued(window):
-            return None
-        at += len(skeleton)
-        flat = window.translate(None, b"[]")
-        del window, skeleton
-        try:
-            read_now = parse(lead + flat + b",", values[done:])
-        except (ValueError, OverflowError):
-            return None
-        if not np.isfinite(values[done : done + read_now]).all():
-            return None
-        done += read_now
+        start = at and 1 + (at - 1) % unit
+        if sparse:
+            found = _sparse_window(window, tile, start)
+            if found is None or at + found[0] > count * unit:
+                return None
+            stretch, offsets, numbers = found
+            values[_leaf_index(at + offsets, (count, d, d, 2))] = numbers
+        else:
+            skeleton = window.translate(None, _NUMBER_CHARS + _WHITESPACE)
+            stretch = len(skeleton)
+            if at + stretch > count * unit:
+                return None
+            if not tile.startswith(skeleton, start) or _glued(window):
+                return None
+            flat = window.translate(None, b"[]")
+            del skeleton
+            try:
+                read_now = _read_dense(lead + flat + b",", values[done:])
+            except (ValueError, OverflowError):
+                return None
+            if not np.isfinite(values[done : done + read_now]).all():
+                return None
+            done += read_now
+        at += stretch
         window, lead = rest, b""
-    return values if at == count * unit and done == size else None
+    return values if at == count * unit and (sparse or done == size) else None
 
 
 def _text_reader(text: str, start: int):

@@ -9,13 +9,15 @@ cases, in the order they are tried:
   Hermitian with B_x B_y + B_y B_x = 0 (x != y) and B_x^2 = c_x^2 I, all
   exactly. Then (sum_x s_x B_x)^2 = (sum_x c_x^2) I for every sign string,
   so every strategy has the norm sqrt(sum_x c_x^2), a closed form. When
-  every B_x is monomial (one nonzero per row and per column, as Pauli
-  strings are), one boolean mask of the B_x finds them all, and they are
-  kept as (column, value) arrays; their exact Hermiticity is read from
-  them in O(n d), and the products are O(d) gathers over the pairs (x,
-  y < x), in blocks within 256 KiB. So the check costs O(n d^2) to read
-  the table and O(n^2 d) to decide; other tables read the table's
-  Hermiticity pass and take dense d x d products pair by pair, O(n^2 d^3).
+  every cell is monomial (one nonzero per row and per column, as Pauli
+  strings are), the functional's monomial form (f.monomials, one boolean
+  mask of the table taken once) holds the B_x as (column, value) arrays,
+  and neither this check nor complement_symmetric reads the d x d cells:
+  exact Hermiticity is read from them in O(n d), and the products are
+  O(d) gathers over the pairs (x, y < x), in blocks within 256 KiB. So
+  the check costs O(n d^2) to mask the table and O(n^2 d) to decide;
+  other tables read the table's Hermiticity pass and take dense d x d
+  products pair by pair, O(n^2 d^3).
   The c_x^2 are kept, since they also give the canonical assemblage's
   positivity in closed form (bounds._canonical_check).
   The same products decide whether the table is flat: whether its defect
@@ -77,34 +79,24 @@ class TableStructure:
 
 def complement_symmetric(f: SteeringFunctional) -> bool:
     """Two outcomes with F_x^2 = -F_x^1 exactly: a strategy and its
-    complement then sum to negated operators of equal value. Checked over
-    blocks of whole settings (linalg._blocks), so the temporaries are one
-    block's cells; a NaN anywhere fails it, as in the whole-table
+    complement then sum to negated operators of equal value. Read from
+    f.monomials when every cell is monomial (same columns, negated values;
+    the zeros, +0.0 or -0.0, compare equal as in the table), else checked
+    over blocks of whole settings (linalg._blocks), so the temporaries are
+    one block's cells; a NaN anywhere fails it, as in the whole-table
     comparison."""
     if f.m != 2:
         return False
+    if f.monomials is not None:
+        columns, values = f.monomials
+        return np.array_equal(columns[:, 1], columns[:, 0]) and np.array_equal(
+            values[:, 1], -values[:, 0]
+        )
     table = f.coefficients
     for part in _blocks(table, 2):
         if not np.array_equal(table[part, 1], -table[part, 0]):
             return False
     return True
-
-
-def _monomials(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(columns, values), each (n, d), of the one nonzero in each row of
-    every B_x of the (n, d, d) stack, when every row has exactly one; else
-    None. One boolean mask of the stack finds the nonzeros, which is
-    faster than np.nonzero on the complex entries, and its count rejects
-    a table with too many before any index is taken."""
-    n, d, _ = ops.shape
-    nonzero = ops != 0
-    if np.count_nonzero(nonzero) != n * d:
-        return None
-    rows, columns = np.divmod(np.flatnonzero(nonzero), d)
-    if not np.array_equal(rows, np.arange(n * d)):
-        return None
-    columns = columns.reshape(n, d)
-    return columns, ops[np.arange(n)[:, None], np.arange(d), columns]
 
 
 def _monomial_hermitian(columns: np.ndarray, values: np.ndarray) -> bool:
@@ -137,9 +129,9 @@ def _monomial_squares(columns: np.ndarray, values: np.ndarray) -> _Proof:
     dense check's. The pairs (x, y < x) come in blocks of settings x whose
     eight (pairs, d) gathers stay within 256 KiB (linalg._pair_blocks)."""
     n, d = columns.shape
-    squares = values * values[np.arange(n)[:, None], columns]
-    c2, limit, defect = squares[:, :1], None, 0.0  # limit: set at the first inexact block
     with np.errstate(over="ignore", invalid="ignore"):
+        squares = values * values[np.arange(n)[:, None], columns]
+        c2, limit, defect = squares[:, :1], None, 0.0  # limit: set at the first inexact block
         if (c2.imag != 0).any() or not (squares == c2).all():
             means, limit = _flat_limit(values)
             defect = np.linalg.norm(squares - means[:, None], axis=1).sum()
@@ -192,19 +184,22 @@ def _dense_squares(ops: np.ndarray) -> _Proof:
 def _anticommutation(f: SteeringFunctional, symmetric: bool) -> _Proof:
     """(c_x^2 per setting when the table is an anticommuting +- table, else
     None, and flatness), `symmetric` being complement_symmetric(f).
-    Monomial cells (_monomials) are proven exactly Hermitian from their
+    Monomial cells (f.monomials) are proven exactly Hermitian from their
     nonzeros (_monomial_hermitian) and take _monomial_squares, so the
     table's Hermiticity pass never runs; other tables read
     f.exactly_hermitian and take dense products at one OpenBLAS thread,
     so the exact checks cannot depend on the caller's thread count."""
-    ops = f.coefficients[:, 0]
-    monomials = _monomials(ops) if symmetric else None
-    if monomials is not None:
-        return _monomial_squares(*monomials) if _monomial_hermitian(*monomials) else (None, False)
-    if not (symmetric and f.exactly_hermitian):
+    if not symmetric:
+        return None, False
+    if f.monomials is not None:
+        columns, values = (part[:, 0] for part in f.monomials)
+        if not _monomial_hermitian(columns, values):
+            return None, False
+        return _monomial_squares(columns, values)
+    if not f.exactly_hermitian:
         return None, False
     with blas_threads(1):
-        return _dense_squares(ops)
+        return _dense_squares(f.coefficients[:, 0])
 
 
 def anticommuting_squares(f: SteeringFunctional) -> tuple[float, ...] | None:

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -355,6 +356,132 @@ def test_per_setting_checks_decide_as_the_whole_table_ones(name, table):
     assert structure_module.complement_symmetric(functional) is symmetric, name
 
 
+def monomial_form_tables():
+    """(id, table) around a monomial +- table, dichotomic n = 4 (d = 4,
+    32 nonzeros of modulus 1): NaN and +-inf at a monomial slot and at a
+    zero slot, -0.0 entries, a stray nonzero, a moved nonzero and a
+    one-ulp change in outcome 2, entry masses within 32 ulps of the limit
+    on either side (sums of equal terms, exact in any order), and a dense
+    +- table."""
+    base = dichotomic_functional(build_clifford_family(4)).coefficients.copy()
+    x, i = 2, 1
+    j = int(np.flatnonzero(base[x, 0, i])[0])  # the monomial slot of row i
+    k = (j + 1) % base.shape[-1]  # a zero slot of row i
+
+    def put(*entries):
+        table = base.copy()
+        for index, value in entries:
+            table[index] = value
+        return table
+
+    yield "plus-minus", base
+    for name, value in (("NaN", np.nan), ("+inf", np.inf), ("-inf", -np.inf)):
+        yield f"{name} at a monomial slot", put(((x, 0, i, j), value))
+        yield f"{name} at both outcomes' monomial slot", put(
+            ((x, 0, i, j), value), ((x, 1, i, j), -value)
+        )
+        yield f"{name} at a zero slot", put(((x, 0, i, k), value))
+    yield "imaginary inf at a monomial slot", put(((x, 0, i, j), complex(0.0, np.inf)))
+    yield "-0.0 entries", put(
+        ((x, 0, i, k), -0.0), ((x, 1, i, k), complex(-0.0, -0.0)), ((0, 1, 0, k), 0.0)
+    )
+    yield "a stray nonzero in outcome 2", put(((x, 1, i, k), 1e-300))
+    yield "outcome 2's nonzero in another column", put(
+        ((x, 1, i, k), base[x, 1, i, j]), ((x, 1, i, j), 0.0)
+    )
+    re, im = base[x, 1, i, j].real, base[x, 1, i, j].imag
+    off = complex(np.nextafter(re, 2.0), im) if re else complex(re, np.nextafter(im, 2.0))
+    yield "outcome 2 one ulp off", put(((x, 1, i, j), off))
+    fraction, exponent = math.frexp(bounds_module._MAX_TABLE_MASS)
+    steps = int(fraction * 2.0**53) // 32  # the limit is 32 * steps ulps, rounded down
+    for name, count in (("mass just under the limit", steps), ("mass just over it", steps + 1)):
+        yield name, base * math.ldexp(count, exponent - 53)  # 32 entries of modulus count ulps
+    yield "dense plus-minus", plus_minus_functional(np.random.default_rng(8), 4, 4).coefficients
+
+
+@pytest.mark.parametrize("name, table", list(monomial_form_tables()))
+def test_monomial_form_checks_decide_as_the_dense_passes(name, table):
+    """The mass check, complement symmetry, the anticommutation proof and
+    the canonical certificate read the table's monomial form where it has
+    one, and decide as the dense passes on the same table. The certificate
+    runs, as in violation, only on tables the mass check admits: the
+    others hold a non-finite entry or are too large, and their cells
+    cannot be eigensolved."""
+    functional = SteeringFunctional.from_table(table, kind="clifford-dichotomic")
+    dense = SteeringFunctional.from_table(table, kind="clifford-dichotomic")
+    dense.__dict__["monomials"] = None  # the cached form: none, so the dense passes run
+    dense_only = ("zero slot" in name, "stray" in name, name == "dense plus-minus")
+    assert (functional.monomials is None) == any(dense_only)
+    paper = paper_values(functional)
+    decisions = []
+    for f in (functional, dense):
+        try:
+            bounds_module._require_bounded_table(f)
+            bounded = True
+        except PreconditionError:
+            bounded = False
+        symmetric = structure_module.complement_symmetric(f)
+        proof = structure_module._anticommutation(f, symmetric)
+        decisions.append([bounded, symmetric, proof])
+        if bounded:
+            report, value, _ = bounds_module._canonical_check(f, paper, proof[0])
+            attained = bool(abs(value - paper.s_q) <= TOLERANCES.bound_slack)
+            decisions[-1] += [report.failed, attained]
+    assert decisions[0] == decisions[1]
+    if "mass" in name:
+        c = functional.coefficients
+        mass = np.abs(c.real).sum() + np.abs(c.imag).sum()
+        assert mass == 32 * abs(table).max()  # no rounding, in the dense order either
+        assert decisions[0][0] == (mass < bounds_module._MAX_TABLE_MASS) == ("under" in name)
+    assert decisions[0][0] or not np.isfinite(table).all() or "over" in name
+
+
+def monomial_permutation_table():
+    """Two-outcome monomial cells of d = 6 whose column maps are random
+    permutations (some rows fixed, some in cycles longer than two) and
+    whose values are small Gaussian integers, so every sum is exact."""
+    rng = np.random.default_rng(12)
+    table = np.zeros((3, 2, 6, 6), dtype=complex)
+    for x, a in itertools.product(range(3), range(2)):
+        columns = rng.permutation(6)
+        values = rng.integers(1, 4, 6) * rng.choice([1, -1, 1j, -1j], 6)
+        table[x, a, np.arange(6), columns] = values
+    return table
+
+
+@pytest.mark.parametrize(
+    "functional",
+    [
+        mub_functional(build_mub_family(3, 4)),
+        dichotomic_functional(build_clifford_family(6)),
+        clifford_functional(build_clifford_family(5)),
+        clifford_functional(build_clifford_family(7, full_dimension=True)),
+        dichotomic_functional(build_clifford_family(4, full_dimension=True)),
+        SteeringFunctional.from_table(monomial_permutation_table(), kind="clifford"),
+    ],
+    ids=[
+        "mub-3-4",
+        "dichotomic-6",
+        "clifford-5",
+        "clifford-7-full",
+        "dichotomic-4-full",
+        "permutations",
+    ],
+)
+def test_canonical_pairing_is_the_einsum_bit_for_bit(functional):
+    """The canonical certificate's attained value, read from the monomial
+    form on the +- tables and on monomial cells whose column maps are not
+    involutions, is the dense einsum pairing's, compared with ==."""
+    assert (functional.monomials is None) == (functional.kind == "mub")
+    paper = paper_values(functional)
+    squares = structure_module.anticommuting_squares(functional)
+    _, value, _ = bounds_module._canonical_check(functional, paper, squares)
+    c = functional.coefficients
+    trace = np.einsum("xaii->", c)
+    expected = (paper.scale * np.einsum("xaij,xaji->", c, c) + paper.shift * trace) / functional.d
+    assert value == complex(expected)
+
+
 def setting_square_safe(cells):
     """(s * cells, s) of one setting, s one power of two for all its cells
     after which no square overflows, as linalg.square_safe once took it."""
@@ -582,7 +709,7 @@ def test_rotated_clifford_table_takes_the_dense_check(dense_checks):
     table = clifford_functional(build_clifford_family(4)).coefficients
     rotated = unitary @ table @ unitary.conj().T
     functional = SteeringFunctional.from_table(rotated, kind="clifford")
-    assert any(structure_module._monomials(cell[None]) is None for cell in rotated[:, 0])
+    assert any(functionals_module._monomials(cell[None]) is None for cell in rotated[:, 0])
     structure = structure_matches_dense_reference(functional)
     assert (structure.method, structure.value) == ("anticommuting", 1.0)
     assert dense_checks == [4]
@@ -614,7 +741,7 @@ def _monomial_variants():
 @pytest.mark.parametrize("name", list(_monomial_variants()))
 def test_monomial_table_off_anticommuting_is_rejected_as_dense(name, dense_checks):
     table = _monomial_variants()[name]
-    assert all(structure_module._monomials(cell[None]) is not None for cell in table[:, 0])
+    assert all(functionals_module._monomials(cell[None]) is not None for cell in table[:, 0])
     functional = SteeringFunctional.from_table(table, kind="clifford-dichotomic")
     assert structure_matches_dense_reference(functional).method == "complement-half"
     assert dense_checks == []
@@ -782,7 +909,7 @@ def test_pair_gathers_decide_random_pauli_tables_like_dense_products(qubits, cas
     rng = np.random.default_rng(100 * qubits + len(case))
     for _ in range(5):
         ops = _random_pauli_table(rng, qubits, case)
-        columns, values = structure_module._monomials(ops)
+        columns, values = functionals_module._monomials(ops)
         with blas_threads(1):
             dense = structure_module._dense_squares(ops)
         assert structure_module._monomial_squares(columns, values) == dense
@@ -1091,7 +1218,7 @@ def test_dense_near_miss_is_decided_in_one_pass_of_products(dense_checks, bounde
     table = np.stack([turned, -turned], axis=1).view(_CountedProducts)
     near_miss = SteeringFunctional(kind="custom", coefficients=table)
     assert near_miss.exactly_hermitian and flat_reference(turned)
-    assert structure_module._monomials(turned) is None
+    assert functionals_module._monomials(turned) is None
     _CountedProducts.products = 0
     result = lhs_bound(near_miss)
     assert _CountedProducts.products == 6 * 7 // 2  # each B_x B_y, y <= x, once

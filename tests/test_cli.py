@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +226,24 @@ def test_bounds_large_entries_report_the_enumerated_maximum(tmp_path, capsys):
     written = load_report(report)["report"]
     assert written["diagnostics"]["lhs_method"] == "enumeration"
     assert written["s_lhs_exact"] == pytest.approx(2.2844212084666236 * 6e154, rel=1e-12)
+
+
+def test_bounds_plus_minus_table_near_the_mass_limit_warns_nothing(tmp_path, capsys):
+    from steerbound import build_clifford_family, dichotomic_functional
+    from steerbound.serialize import functional_to_json
+
+    # entries of 3e298 pass the mass check, but their squares and the
+    # canonical pairing overflow: the kind's certificate fails on one line
+    table = dichotomic_functional(build_clifford_family(4)).coefficients * 3e298
+    path = tmp_path / "large.json"
+    path.write_text(
+        functional_to_json(SteeringFunctional.from_table(table, kind="clifford-dichotomic"))
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["bounds", str(path)]) == EXIT_CHECK
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "fails positivity" in err
 
 
 def test_bounds_reports_a_missed_canonical_attainment(tmp_path, capsys):

@@ -275,13 +275,29 @@ def test_flat_parse_matches_the_tree_walk_on_every_kind_and_layout():
             assert _assert_flat_matches_tree(layout)[0] == "accept"
 
 
-def _mutated_documents(count):
-    """The texts of `count` documents of _documents, each with one to
-    three random edits: deletions, insertions, replacements, swaps of
-    neighbours and repeated stretches."""
+def _mostly_zero(text):
+    """Whether the matrix block of a document averages at most 4 bytes of
+    number, comma and whitespace text a leaf, so it takes the sparse
+    window check."""
+    meta = json.loads(text)["meta"]
+    start = serialize._BLOCK_KEY.search(text).end()
+    quote = text.find('"', start)
+    block = text[start : text.rfind("]", start, quote if quote >= 0 else len(text)) + 1]
+    leaves = meta["n"] * meta["m"] * meta["d"] ** 2 * 2
+    return len(block) - block.count("[") - block.count("]") <= 4 * leaves
+
+
+def _mutated_documents(count, sparse=False):
+    """The texts of `count` documents of _documents (with `sparse`, only
+    the mostly-zero ones and the sparse base case), each with one to three
+    random edits: deletions, insertions, replacements, swaps of neighbours
+    and repeated stretches."""
     rng = np.random.default_rng(2024)
     alphabet = '[],:{}" \n\t0123456789-+.eEaNIntul\\é'
     bases = [layout for text in _documents() for layout in _layouts(text)[:3:2]]
+    if sparse:
+        bases = [text for text in bases if _mostly_zero(text)]
+        bases.append(_sparse_named_cases()[0].values[0])
     for case in range(count):
         text = bases[case % len(bases)]
         for _ in range(1 + rng.integers(3)):
@@ -396,17 +412,25 @@ def test_flat_parse_of_tokens_near_zero(text, accepted):
 
 
 @pytest.mark.parametrize("token", ["0", "-0", "-0.0", "0.0", "0e0", " 0 ", "0 ", "7", "00", ""])
-def test_zero_token_skipping_parses_as_json(token):
+def test_zero_token_skipping_parses_as_json(token, monkeypatch):
+    """A mostly-zero block of 16 leaves, one of them `token`, is read by
+    the sparse window check (_sparse_window, never the dense parse) into
+    what json.loads gives for its leaves, or declined where json.loads
+    rejects them."""
     leaves = ["0"] * 7 + [token] + ["0"] * 7 + ["2.5"]
-    flat = ",".join(leaves).encode()
-    assert len(flat) <= 4 * len(leaves)  # the branch that skips zero tokens
+    text = serialize._nested("%s", (2, 2, 2, 2)) % tuple(leaves)
+
+    def no_dense_parse(padded, values):
+        raise AssertionError("a mostly-zero block took the dense parse")
+
+    monkeypatch.setattr(serialize, "_read_dense", no_dense_parse)
+    values = serialize._read_block(serialize._text_reader(text, 0), len(text) - 1, 2, 2)
     try:
-        expected = np.array(json.loads(b"[" + flat + b"]"), np.float64).tobytes()
+        expected = np.array(json.loads("[" + ",".join(leaves) + "]"), np.float64).tobytes()
     except ValueError:
-        with pytest.raises(ValueError):
-            serialize._parse_leaves(flat, len(leaves))
+        assert values is None
         return
-    assert serialize._parse_leaves(flat, len(leaves)).tobytes() == expected
+    assert values.tobytes() == expected
 
 
 def test_flat_parse_over_many_windows_matches_the_tree_walk(monkeypatch):
@@ -424,6 +448,111 @@ def test_flat_parse_over_many_windows_matches_the_tree_walk(monkeypatch):
     assert _assert_flat_matches_tree(long_token)[0] == "accept"
     monkeypatch.setattr(serialize, "_WINDOW", 256)
     test_flat_parse_matches_the_tree_walk_under_mutation()
+
+
+def _sparse_named_cases():
+    """Edits of a mostly-zero table's text, whose number text averages
+    under 4 bytes a leaf, so its block takes the sparse window check: each
+    case is (text, accepted by the tree walk, taken by the flat parse)."""
+    table = np.zeros((1, 2, 4, 4), dtype=complex)
+    table[0, 0, 0, 0], table[0, 1, 2, 3] = 12.5, -0.5j
+    base = functional_to_json(SteeringFunctional.from_table(table))
+    block = base[len('{"matrices":') : base.index(',"meta"')]
+    matrix = json.dumps(json.loads(block)[0], separators=(",", ":"))
+    first = base.index("12.5")
+    cases = {
+        "canonical": (base, True, True),
+        "glued after a bracket": (base.replace("],[", "]5,[", 1), False, False),
+        "glued before a bracket": (base.replace("],[", "],5[", 1), False, False),
+        "zero glued before a bracket": (base.replace(",[0,0]", ",0[,0]", 1), False, False),
+        "number moved before its bracket": (
+            base.replace("[[[[12.5,", "[[[12.5[,", 1),
+            False,
+            False,
+        ),
+        "whitespace inside a number": (base[:first] + "12 .5" + base[first + 4 :], False, False),
+        "1 2 joined by stripping": (base.replace("[0,0]", "[1 2,0]", 1), False, False),
+        "1 0 joined into a number": (base.replace("[0,0]", "[1 0,0]", 1), False, False),
+        "00": (base.replace("[0,0]", "[00,0]", 1), False, False),
+        "-0": (base.replace("[0,0]", "[-0,0]", 1), True, True),
+        "0.0": (base.replace("[0,0]", "[0.0,0]", 1), True, True),
+        "-0.0": (base.replace("[0,0]", "[-0.0,0]", 1), True, True),
+        "whitespace between tokens": (
+            base.replace(",0]", ", 0 ]", 5).replace("],[", "],\n\t[", 3),
+            True,
+            True,
+        ),
+        "trailing comma in a pair": (base.replace("[0,0]", "[0,0,]", 1), False, False),
+        "trailing comma in the block": (base.replace(']]]],"meta"', ']]],],"meta"'), False, False),
+        "non-ASCII whitespace beside a bracket": (
+            base.replace("[[[[", "[\u00a0[[[", 1),
+            False,
+            False,
+        ),
+        "non-ASCII whitespace beside a zero": (
+            base.replace("[0,0]", "[\u00a00,0]", 1),
+            False,
+            False,
+        ),
+        "lone surrogate": (base.replace("[0,0]", "[\ud800,0]", 1), False, False),
+        "empty leaf": (base.replace("[0,0]", "[,0]", 1), False, False),
+        "string leaf": (base.replace("12.5", '"12.5"', 1), False, False),
+        "true leaf": (base.replace("[0,0]", "[true,0]", 1), False, False),
+        "NaN": (base.replace("12.5", "NaN", 1), False, False),
+        "1e400": (base.replace("12.5", "1e400", 1), False, False),
+        "40-digit integer": (base.replace("12.5", "7" * 40, 1), True, True),
+        "a run of 32 zeros": (base.replace("12.5", "0." + "0" * 31 + "1", 1), True, True),
+        "a run of 33 zeros": (base.replace("12.5", "0." + "0" * 32 + "1", 1), True, False),
+        "a run of 33 zeros ending a token": (base.replace("12.5", "1" + "0" * 33, 1), True, False),
+        "integral and exponent tokens": (
+            base.replace("[0,0]", "[100,1e-05]", 1).replace("12.5", "-0.125E+2", 1),
+            True,
+            True,
+        ),
+        "extra closing bracket": (base.replace(']]]],"meta"', ']]]]],"meta"'), False, False),
+        "missing closing bracket": (base.replace(']]]],"meta"', ']]],"meta"'), False, False),
+        "a matrix too many": (base.replace(block, block[:-1] + "," + matrix + "]"), False, False),
+    }
+    return [
+        pytest.param(text, accepted, flat, id=name)
+        for name, (text, accepted, flat) in cases.items()
+    ]
+
+
+@pytest.mark.parametrize(("text", "accepted", "flat"), _sparse_named_cases())
+def test_sparse_block_named_cases(text, accepted, flat, monkeypatch):
+    """Each case gives what the tree walk gives, and the ones the flat
+    parse takes are read by the sparse window check alone."""
+
+    def no_dense_parse(*args):
+        raise AssertionError("a mostly-zero block took the dense parse")
+
+    monkeypatch.setattr(serialize, "_read_dense", no_dense_parse)
+    monkeypatch.setattr(serialize, "_glued", no_dense_parse)
+    assert (_assert_flat_matches_tree(text)[0] == "accept") == accepted
+    assert (serialize._load_flat(text) is not None) == flat
+
+
+def test_sparse_blocks_over_many_windows_match_the_tree_walk(monkeypatch):
+    """The sparse cases again with windows of a few tokens (61 and 256
+    characters), so each is checked over many windows against the tiled
+    all-`0` text; a token longer than a window sends the document to the
+    tree walk; and mutations of mostly-zero documents still match it."""
+    for window in (61, 256):
+        monkeypatch.setattr(serialize, "_WINDOW", window)
+        for case in _sparse_named_cases():
+            text, accepted, flat = case.values
+            assert (_assert_flat_matches_tree(text)[0] == "accept") == accepted, case.id
+            assert (serialize._load_flat(text) is not None) == flat, case.id
+        base = _sparse_named_cases()[0].values[0]
+        long_token = base.replace("12.5", "0." + "1" * window, 1)
+        assert serialize._load_flat(long_token) is None
+        assert _assert_flat_matches_tree(long_token)[0] == "accept"
+    accepted = flat_taken = 0
+    for text in _mutated_documents(1000, sparse=True):
+        accepted += _assert_flat_matches_tree(text)[0] == "accept"
+        flat_taken += serialize._load_flat(text) is not None
+    assert 50 < accepted < 950 and flat_taken > 25
 
 
 def test_lone_surrogate_in_the_block_is_a_schema_error():
