@@ -132,6 +132,9 @@ def test_bounds_mub_report(tmp_path, capsys):
     names = {c["name"] for c in doc["report"]["certificates"]}
     assert "lhs_exact_le_mub-uncertainty" in names
     assert all(c["satisfied"] for c in doc["report"]["certificates"])
+    timings = doc["report"]["diagnostics"]["timings"]  # the volatile fields, the load's too
+    assert set(timings) == {"load_ms", "lhs_ms", "quantum_ms", "total_ms"}
+    assert all(value >= 0 for value in timings.values())
 
 
 def test_bounds_clifford_prints_both_values(tmp_path, capsys):
