@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
+from .linalg import require_table_size
 from .tolerances import TOLERANCES
 
 DIMENSION_CAP = 4096
@@ -92,7 +93,9 @@ def build_clifford_family(n: int, full_dimension: bool = False) -> CliffordFamil
     this toolkit depends only on the anticommutation relations, not on the
     ambient dimension. With full_dimension=True the family is placed on n
     qubits instead - the dimension 2^n in which the chain extends to a
-    complete operator basis - capped at 4096.
+    complete operator basis - capped at 4096. A family whose two-outcome
+    table would exceed linalg.TABLE_BYTES_CAP is refused before the family,
+    half that table's size, is built.
     """
     if n < 1:
         raise PreconditionError(f"observable count must be positive, got {n}")
@@ -103,6 +106,7 @@ def build_clifford_family(n: int, full_dimension: bool = False) -> CliffordFamil
             f"requested family needs dimension 2^{m} = {dim}, "
             f"which exceeds the cap of {DIMENSION_CAP}"
         )
+    require_table_size(n, 2, dim)
     obs = _chain(m, n)
     obs.setflags(write=False)
     return CliffordFamily(qubits=m, observables=obs)

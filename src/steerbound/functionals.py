@@ -21,7 +21,7 @@ import numpy as np
 
 from .clifford import CliffordFamily
 from .errors import PreconditionError
-from .linalg import _blocks, operator_norm
+from .linalg import _blocks, operator_norm, require_table_size
 from .mub import MubFamily
 from .tolerances import TOLERANCES
 
@@ -279,11 +279,13 @@ def random_functional(d: int, seed: int) -> SteeringFunctional:
     elsewhere, so it is genuinely non-Hermitian. Signs come from numpy's
     PCG64 stream: eps = 2 * default_rng(seed).integers(0, 2, size=(d, d, d)) - 1,
     drawn in C order over (x, a, k). Identical seeds reproduce identical
-    tables bit-exactly.
+    tables bit-exactly. A table above linalg.TABLE_BYTES_CAP is refused
+    before anything is allocated.
     """
     if d < 2:
         raise PreconditionError(f"dimension must be at least 2, got {d}")
     require_seed(seed)
+    require_table_size(d, d, d)
     rng = np.random.default_rng(seed)
     eps = 2 * rng.integers(0, 2, size=(d, d, d)) - 1
     table = np.zeros((d, d, d, d), dtype=complex)

@@ -72,6 +72,22 @@ def blas_threads(count: int):
             put(next(reversed(_blas_requests.values()), _blas_ambient))
 
 
+# bytes of the largest (n, m, d, d) complex table a builder makes: it
+# admits full-dim clifford n <= 10, mub d <= 89 and random d <= 90
+TABLE_BYTES_CAP = 1 << 30
+
+
+def require_table_size(n: int, m: int, d: int) -> None:
+    """Refuse an (n, m, d, d) complex table above TABLE_BYTES_CAP, before
+    anything of it is allocated."""
+    size = n * m * d * d * 16
+    if size > TABLE_BYTES_CAP:
+        raise PreconditionError(
+            f"an ({n}, {m}, {d}, {d}) table needs {size} bytes, "
+            f"above the cap of {TABLE_BYTES_CAP} bytes"
+        )
+
+
 def require_square(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

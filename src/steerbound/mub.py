@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
+from .linalg import require_table_size
 from .tolerances import TOLERANCES
 
 
@@ -96,14 +97,18 @@ def build_mub_family(d: int, n: int) -> MubFamily:
     """Construct n mutually unbiased bases of C^d for prime d, 2 <= n <= d+1.
 
     Basis 0 is the computational basis; basis x in {1..d} follows the
-    quadratic-phase formula (Pauli eigenbases for d = 2).
+    quadratic-phase formula (Pauli eigenbases for d = 2). A family whose
+    table (n settings, d outcomes) would exceed linalg.TABLE_BYTES_CAP is
+    refused before it is built.
     """
     if not is_prime(d):
+        what = "composite" if d > 1 else "not prime"
         raise PreconditionError(
-            f"dimension {d} is composite: the construction requires a prime dimension"
+            f"dimension {d} is {what}: the construction requires a prime dimension"
         )
     if not 2 <= n <= d + 1:
         raise PreconditionError(f"basis count {n} outside the valid range [2, {d + 1}]")
+    require_table_size(n, d, d)
     if d == 2:
         z = np.eye(2, dtype=complex)
         x = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)

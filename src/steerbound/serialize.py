@@ -28,9 +28,13 @@ all-`0` text in one comparison, and parses each distinct one of them
 once. Denser stacks take one template and one list of every leaf, which
 their per-leaf bookkeeping would only slow down.
 
-`_load` first tries `_load_flat`, which never builds the nested lists:
-it parses the document with the matrix block cut out, then reads the
-block in windows of 64 KiB (`_read_block`). A mostly-zero window is
+Every load goes through `_load_stream`, which reads a source with `read`
+and `seek` a window at a time and never builds the nested lists: an open
+regular file or a pipe's bytes (`load_functional`), or a str encoded one
+read at a time (`_TextSource`, for `functional_from_json`). The key must
+lie in the source's first 64 KiB and the block's end in its last
+(`_EDGE`); the document is parsed with the block cut out, and the block
+is read in windows of 64 KiB (`_read_block`). A mostly-zero window is
 vouched for by that one comparison (`_sparse_window`): it proves the
 skeleton the meta gives, that no number is glued to a bracket and that
 every other leaf is exactly `0`. Any other window takes two translates
@@ -42,28 +46,25 @@ load's one table-sized allocation: the byte masks, the parsed numbers
 and the text's copies are one window's, and the text a window is
 checked against is one matrix's, tiled. Every file this module writes
 takes this path, and so does any whitespace layout of one. Anything it
-cannot vouch for (an escaped key, a duplicated key, a malformed block, a
-token longer than a window) goes to `_load_tree`, the plain json.loads
-walk, which accepts the same documents, returns the same bits, and
-raises every SchemaError. Loaders validate strictly: unknown keys, wrong
+cannot vouch for (a key or block end past the edges, a str that is not
+ASCII, an escaped key, a duplicated key, a malformed block, a token
+longer than a window) goes to `_load_tree`, the plain json.loads walk,
+which accepts the same documents, returns the same bits, and raises
+every SchemaError. Loaders validate strictly: unknown keys, wrong
 shapes, unknown kinds, values that are not numbers and non-finite
-values (NaN, Infinity) are all rejected with SchemaError.
-
-`load_functional` does not read a file's text whole: `_load_file` finds
-the key in the file's first window and the meta in its last, and hands
-the block, read from the file in windows, to the same `_read_block`. A
-file it cannot vouch for that way is read as text and goes through
-`_load`. `functional_from_json` and `load_functional` hand their value
-array to the functional without a copy (SteeringFunctional._adopt).
+values (NaN, Infinity) are all rejected with SchemaError. Both loaders
+hand their value array to the functional without a copy
+(SteeringFunctional._adopt).
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
 import re
-from pathlib import Path
+import stat
 
 import numpy as np
 
@@ -72,10 +73,13 @@ from .errors import SchemaError
 from .functionals import KINDS, SteeringFunctional
 
 META_KEYS = ("kind", "d", "n", "m", "seed", "version")
-# characters of the block checked and parsed at a time, and read from a
-# file at a time: on a full-dim n = 7 table (a 1.4 MB text) as fast as
-# 256 KiB and faster than 1 MiB; a quarter of it in leaves written at a time
+# bytes of the block checked and parsed at a time, and read from a source
+# at a time: on a full-dim n = 7 table (a 1.4 MB text) as fast as 256 KiB
+# and faster than 1 MiB; a quarter of it in leaves written at a time
 _WINDOW = 1 << 16
+# bytes at a source's start that must hold the `matrices` key, and at its
+# end that must hold the block's end and the rest of the document
+_EDGE = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +285,7 @@ def _load_tree(text: str) -> tuple[dict, np.ndarray]:
     return meta, values.view(complex).reshape(count, d, d)
 
 
-_BLOCK_KEY = re.compile(r'"matrices"[ \t\n\r]*:[ \t\n\r]*(?=\[)')
-_BLOCK_KEY_BYTES = re.compile(_BLOCK_KEY.pattern.encode())
+_BLOCK_KEY_BYTES = re.compile(rb'"matrices"[ \t\n\r]*:[ \t\n\r]*(?=\[)')
 _NUMBER_CHARS = b"0123456789+-.eE"
 _WHITESPACE = b" \t\n\r"
 _COMMA, _ZERO, _OPEN, _CLOSE = b",0[]"
@@ -421,7 +424,7 @@ def _glued(window: bytes) -> bool:
 
 def _read_block(read, length: int, count: int, d: int) -> np.ndarray | None:
     """The leaves, in C order, of a matrix block of shape (count, d, d, 2)
-    whose `length` characters before its closing bracket `read(size)`
+    whose `length` bytes before its closing bracket `read(size)`
     returns in turn, as bytes; None when the block does not have that
     bracket/comma skeleton, holds a number beside a bracket on the wrong
     side (`5[`, `] 5`) or holds a token that is not a finite JSON number.
@@ -492,92 +495,66 @@ def _read_block(read, length: int, count: int, d: int) -> np.ndarray | None:
     return values if at == count * unit and (sparse or done == size) else None
 
 
-def _text_reader(text: str, start: int):
-    """read(size) for _read_block: the next `size` characters of `text`
-    from `start` on, encoded (a lone surrogate too, which the block check
-    then rejects)."""
-    at = start
+class _TextSource:
+    """A str as _load_stream reads it: read(size) encodes the next `size`
+    characters only, so the str API holds a window of bytes beside its
+    text. A text that is not ASCII, whose byte and character offsets
+    differ, reads as empty, which the stream declines."""
 
-    def read(size: int) -> bytes:
-        nonlocal at
-        at += size
-        return text[at - size : at].encode(errors="surrogatepass")
+    def __init__(self, text: str):
+        self.text, self.at = (text if text.isascii() else ""), 0
 
-    return read
+    def seek(self, at: int, whence: int = os.SEEK_SET) -> int:
+        self.at = at + (len(self.text) if whence == os.SEEK_END else 0)
+        return self.at
 
-
-def _read_document(rest, read, length: int) -> tuple[dict, np.ndarray] | None:
-    """The meta and the stack of a document whose text with its matrix
-    block replaced by `null` is `rest`, and whose block _read_block reads
-    through `read`; None when either is not one the flat parse vouches
-    for."""
-    try:
-        doc = json.loads(rest)
-        meta, count, d = _check_header(doc)
-    except (ValueError, RecursionError):
-        return None
-    values = _read_block(read, length, count, d)
-    return None if values is None else (meta, values.view(complex).reshape(count, d, d))
+    def read(self, size: int = -1) -> bytes:
+        start, self.at = self.at, len(self.text) if size < 0 else self.at + size
+        return self.text[start : self.at].encode()
 
 
-def _load_flat(text: str) -> tuple[dict, np.ndarray] | None:
-    """What `_load_tree` returns for `text`, parsed without a Python list
-    per matrix row and [re, im] pair, or None when the document is not one
-    this path can vouch for.
+def _load_stream(source) -> tuple[dict, np.ndarray] | None:
+    """What `_load_tree` returns for the document `source` holds, read
+    through its `read` and `seek` a window at a time and without a Python
+    list per matrix row and [re, im] pair; None when the document is not
+    one this path can vouch for.
 
-    The `matrices` value is cut out, and the rest is parsed and checked as
-    usual. The block must then have the bracket/comma skeleton of shape
-    (n * m, d, d, 2) and hold no number beside a bracket on the wrong side,
-    so each leaf slot holds exactly one token: deleting the brackets
-    leaves a flat JSON list of the same tokens in C order (_read_block)."""
-    key = None if "\\" in text else _BLOCK_KEY.search(text)
-    if key is None or text.find('"matrices"') != key.start():
+    The key must lie in the first _EDGE bytes and the block's closing
+    bracket in the last _EDGE: the block's end is the last `]` before the
+    tail's first quote, which is the first quote after the key because the
+    block check admits none. The document with its `matrices` value
+    replaced by `null` is parsed and checked as usual; a backslash or a
+    second `matrices` key in the head or the tail, which could make the
+    cut one that is not top-level, is declined. The block must then have
+    the bracket/comma skeleton of shape (n * m, d, d, 2) and hold no number
+    beside a bracket on the wrong side, so each leaf slot holds exactly one
+    token (_read_block)."""
+    head = source.read(_EDGE)
+    key = None if b"\\" in head else _BLOCK_KEY_BYTES.search(head)
+    if key is None or head.find(b'"matrices"') != key.start():
         return None
     start = key.end()
-    quote = text.find('"', start)  # the block holds none
-    end = text.rfind("]", start, len(text) if quote < 0 else quote) + 1
-    if end <= start or text.find('"matrices"', end) >= 0:
-        return None  # the key is not the only one, so maybe not the top-level one
-    rest = text[:start] + "null" + text[end:]
-    return _read_document(rest, _text_reader(text, start), end - 1 - start)
-
-
-def _load_file(path) -> tuple[dict, np.ndarray] | None:
-    """What _load_flat returns for the text of the file at `path`, read
-    from the file a window at a time, or None when that cannot be vouched
-    for from the file's first and last window and its block.
-
-    The key must lie in the first window and the block's closing bracket
-    in the last: the block's end is the last `]` before the last window's
-    first quote, which is the first quote after the key because the block
-    check admits none. Every other condition _load_flat tests on the whole
-    text is tested on these windows or implied by the block check, so
-    where this accepts, _load_flat accepts the same cut."""
-    with open(path, "rb") as file:
-        head = file.read(_WINDOW)
-        key = None if b"\\" in head else _BLOCK_KEY_BYTES.search(head)
-        if key is None or head.find(b'"matrices"') != key.start():
-            return None
-        start = key.end()
-        tail_at = max(start, os.fstat(file.fileno()).st_size - _WINDOW)
-        file.seek(tail_at)
-        tail = file.read()
-        quote = tail.find(b'"')
-        end = tail.rfind(b"]", 0, len(tail) if quote < 0 else quote) + 1
-        if not end or b"\\" in tail or tail.find(b'"matrices"', end) >= 0:
-            return None
-        try:
-            rest = (head[:start] + b"null" + tail[end:]).decode("utf-8")
-        except UnicodeDecodeError:
-            return None
-        del head, tail
-        file.seek(start)
-        return _read_document(rest, file.read, tail_at + end - 1 - start)
+    tail_at = max(start, source.seek(0, os.SEEK_END) - _EDGE)
+    source.seek(tail_at)
+    tail = source.read()
+    quote = tail.find(b'"')
+    end = tail.rfind(b"]", 0, len(tail) if quote < 0 else quote) + 1
+    if not end or b"\\" in tail or tail.find(b'"matrices"', end) >= 0:
+        return None
+    try:
+        doc = json.loads((head[:start] + b"null" + tail[end:]).decode("utf-8"))
+        meta, count, d = _check_header(doc)
+    except (ValueError, RecursionError):  # not UTF-8 and SchemaError too
+        return None
+    del head, tail
+    source.seek(start)
+    values = _read_block(source.read, tail_at + end - 1 - start, count, d)
+    return None if values is None else (meta, values.view(complex).reshape(count, d, d))
 
 
 def _load(text: str) -> tuple[dict, np.ndarray]:
     """Parse a document into its meta and its complex (n * m, d, d) stack."""
-    loaded = _load_flat(text)
+    loaded = _load_stream(_TextSource(text))
     return _load_tree(text) if loaded is None else loaded
 
 
@@ -605,15 +582,19 @@ def functional_from_json(text: str) -> SteeringFunctional:
 
 
 def load_functional(path) -> SteeringFunctional:
-    """The functional of the file at `path`. A regular file's block is
-    read from the file a window at a time (_load_file); any other file,
-    and any file that path cannot vouch for, is read as text."""
-    loaded = _load_file(path) if Path(path).is_file() else None
-    if loaded is None:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise SchemaError(f"{path} is not UTF-8 text: {exc}") from exc
-        loaded = _load(text)
-        del text
+    """The functional of the file at `path`, read through _load_stream: a
+    regular file a window at a time, any other file (a pipe, a device)
+    from the bytes it gives once. A file the stream cannot vouch for is
+    read as UTF-8 text and goes to the tree walk."""
+    with open(path, "rb") as file:
+        regular = stat.S_ISREG(os.fstat(file.fileno()).st_mode)
+        source = file if regular else io.BytesIO(file.read())
+        loaded = _load_stream(source)
+        if loaded is None:
+            source.seek(0)
+            try:
+                text = io.TextIOWrapper(source, encoding="utf-8").read()
+            except UnicodeDecodeError as exc:
+                raise SchemaError(f"{path} is not UTF-8 text: {exc}") from exc
+            loaded = _load_tree(text)
     return _functional(*loaded)

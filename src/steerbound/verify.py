@@ -7,6 +7,7 @@ detail; the suite passes only if every selected check does.
 
 from __future__ import annotations
 
+import io
 import time
 from dataclasses import dataclass
 
@@ -33,7 +34,13 @@ from .functionals import (
     require_seed,
 )
 from .mub import build_mub_family, verify_unbiasedness
-from .serialize import _load_flat, _load_tree, functional_from_json, functional_to_json
+from .serialize import (
+    _load_stream,
+    _load_tree,
+    _TextSource,
+    functional_from_json,
+    functional_to_json,
+)
 from .tolerances import TOLERANCES
 
 
@@ -207,8 +214,8 @@ def _check_fine_grained() -> tuple[bool, str]:
 
 def _check_serialize_round_trip() -> tuple[bool, str]:
     """One functional of each builder, dense and mostly zero: re-dumping
-    what was loaded gives the same bytes, and the flat parse runs and
-    equals the tree walk bit for bit."""
+    what was loaded gives the same bytes, and the stream reader takes the
+    document as a str and as bytes and equals the tree walk bit for bit."""
     functionals = (
         mub_functional(build_mub_family(3, 4)),
         clifford_functional(build_clifford_family(4, full_dimension=True)),
@@ -219,12 +226,14 @@ def _check_serialize_round_trip() -> tuple[bool, str]:
         text = functional_to_json(functional)
         if functional_to_json(functional_from_json(text)) != text:
             return False, f"{functional.kind}: re-dumped bytes differ"
-        flat = _load_flat(text)
-        if flat is None:
-            return False, f"{functional.kind}: the flat parse fell back to the tree walk"
-        if flat[1].tobytes() != _load_tree(text)[1].tobytes():
-            return False, f"{functional.kind}: the flat parse differs from the tree walk"
-    return True, f"{len(functionals)} builders byte-identical, flat parse equal to the tree walk"
+        tree = _load_tree(text)[1].tobytes()
+        for name, source in (("str", _TextSource(text)), ("bytes", io.BytesIO(text.encode()))):
+            loaded = _load_stream(source)
+            if loaded is None:
+                return False, f"{functional.kind} {name}: the stream fell back to the tree walk"
+            if loaded[1].tobytes() != tree:
+                return False, f"{functional.kind} {name}: the stream differs from the tree walk"
+    return True, f"{len(functionals)} builders byte-identical, both streams equal to the tree walk"
 
 
 def run_suite(

@@ -80,6 +80,22 @@ def test_generate_rejects_composite_dimension(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--kind", "random", "--d", "200"],
+        ["generate", "--kind", "mub", "--d", "101"],
+        ["generate", "--kind", "dichotomic", "--n", "12", "--full-dim"],
+        ["sweep", "--kind", "clifford", "--n", "4,11", "--full-dim"],
+    ],
+)
+def test_a_table_above_the_byte_cap_exits_with_a_precondition_error(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == EXIT_PRECONDITION
+    assert "bytes, above the cap" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_missing_required_parameter():
     assert run(["generate", "--kind", "mub"]) == EXIT_PRECONDITION
 
@@ -116,6 +132,24 @@ def test_format_flag_is_gone(tmp_path):
     assert run(["bounds", str(functional), "--format", "csv"]) == EXIT_USAGE
     assert run(["generate", "--kind", "mub", "--d", "2", "--format", "json"]) == EXIT_USAGE
     assert run(["sweep", "--kind", "mub", "--d", "2", "--format", "csv"]) == EXIT_USAGE
+
+
+def test_bounds_reads_a_pipe_as_its_regular_file(tmp_path):
+    """`bounds` on a FIFO fed by a writer thread reports what it reports on
+    the regular file, apart from the timings and the meta's input path and
+    timestamp."""
+    table, pipe = tmp_path / "m56.json", tmp_path / "pipe"
+    assert run(["generate", "--kind", "mub", "--d", "5", "--n", "6", "--out", str(table)]) == 0
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_bytes, args=(table.read_bytes(),), daemon=True)
+    writer.start()
+    assert run(["bounds", str(pipe), "--out", str(tmp_path / "piped.json")]) == EXIT_OK
+    writer.join(30)
+    assert not writer.is_alive()
+    assert run(["bounds", str(table), "--out", str(tmp_path / "regular.json")]) == EXIT_OK
+    piped, regular = load_report(tmp_path / "piped.json"), load_report(tmp_path / "regular.json")
+    assert (piped["meta"].pop("input"), regular["meta"].pop("input")) == (str(pipe), str(table))
+    assert piped == regular
 
 
 def test_bounds_mub_report(tmp_path, capsys):
@@ -508,7 +542,7 @@ def test_verify_filter(tmp_path, capsys):
 
 
 def test_verify_round_trip_check_catches_a_silent_fallback(capsys, monkeypatch):
-    monkeypatch.setattr(verify_module, "_load_flat", lambda text: None)
+    monkeypatch.setattr(verify_module, "_load_stream", lambda source: None)
     assert run(["verify", "--filter", "serialize-round-trip"]) == EXIT_CHECK
     assert "fell back to the tree walk" in capsys.readouterr().out
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,29 @@ def test_random_functional_deterministic():
 def test_random_functional_dimension_validated():
     with pytest.raises(PreconditionError):
         random_functional(1, 0)
+
+
+@pytest.mark.parametrize(
+    ("build", "size"),
+    [
+        (lambda: random_functional(91, 0), 91**4 * 16),
+        (lambda: build_mub_family(97, 98), 98 * 97**3 * 16),
+        (lambda: build_clifford_family(11, full_dimension=True), 11 * 2 * 2048**2 * 16),
+        (lambda: build_clifford_family(12, full_dimension=True), 12 * 2 * 4096**2 * 16),
+    ],
+)
+def test_builders_refuse_a_table_above_the_byte_cap_before_allocating(build, size):
+    """The table a builder would make is priced at n m d^2 16 bytes before
+    anything is allocated: a family's table too, ahead of the family."""
+    assert size > linalg.TABLE_BYTES_CAP
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError, match=f"needs {size} bytes"):
+            build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_evaluate_canonical_mub_attains_settings_count():

@@ -51,6 +51,13 @@ def test_composite_dimension_rejected():
         build_mub_family(4, 5)
 
 
+@pytest.mark.parametrize("d", [-3, 0, 1])
+def test_dimension_below_two_is_not_prime_not_composite(d):
+    with pytest.raises(PreconditionError, match=f"dimension {d} is not prime") as caught:
+        build_mub_family(d, 2)
+    assert "composite" not in str(caught.value)
+
+
 def test_count_range_rejected():
     with pytest.raises(PreconditionError, match="range"):
         build_mub_family(5, 7)

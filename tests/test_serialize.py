@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -225,11 +227,17 @@ def _outcome(load, text):
 
 
 def _assert_flat_matches_tree(text):
-    """`_load` (flat parse, tree walk when it cannot vouch) gives what the
-    tree walk alone gives; returns that outcome."""
+    """`_load` (the stream reader, tree walk when it cannot vouch) gives
+    what the tree walk alone gives; returns that outcome."""
     expected = _outcome(serialize._load_tree, text)
     assert _outcome(serialize._load, text) == expected
     return expected
+
+
+def _streamed(text):
+    """What the stream reader gives for `text` through the str source, or
+    None where it cannot vouch for it."""
+    return serialize._load_stream(serialize._TextSource(text))
 
 
 def _documents():
@@ -271,7 +279,7 @@ def _layouts(text):
 def test_flat_parse_matches_the_tree_walk_on_every_kind_and_layout():
     for text in _documents():
         for layout in _layouts(text):
-            assert serialize._load_flat(layout) is not None
+            assert _streamed(layout) is not None
             assert _assert_flat_matches_tree(layout)[0] == "accept"
 
 
@@ -280,11 +288,12 @@ def _mostly_zero(text):
     number, comma and whitespace text a leaf, so it takes the sparse
     window check."""
     meta = json.loads(text)["meta"]
-    start = serialize._BLOCK_KEY.search(text).end()
-    quote = text.find('"', start)
-    block = text[start : text.rfind("]", start, quote if quote >= 0 else len(text)) + 1]
+    data = text.encode()
+    start = serialize._BLOCK_KEY_BYTES.search(data).end()
+    quote = data.find(b'"', start)
+    block = data[start : data.rfind(b"]", start, quote if quote >= 0 else len(data)) + 1]
     leaves = meta["n"] * meta["m"] * meta["d"] ** 2 * 2
-    return len(block) - block.count("[") - block.count("]") <= 4 * leaves
+    return len(block) - block.count(b"[") - block.count(b"]") <= 4 * leaves
 
 
 def _mutated_documents(count, sparse=False):
@@ -322,7 +331,7 @@ def test_flat_parse_matches_the_tree_walk_under_mutation():
     accepted = flat_taken = 0
     for text in _mutated_documents(4000):
         accepted += _assert_flat_matches_tree(text)[0] == "accept"
-        flat_taken += serialize._load_flat(text) is not None
+        flat_taken += _streamed(text) is not None
     # both sides of the comparison are exercised
     assert 200 < accepted < 3800
     assert flat_taken > 100
@@ -408,7 +417,7 @@ def test_flat_parse_of_tokens_near_zero(text, accepted):
     outcome = _assert_flat_matches_tree(text)
     assert (outcome[0] == "accept") == accepted
     if accepted:
-        assert serialize._load_flat(text) is not None
+        assert _streamed(text) is not None
 
 
 @pytest.mark.parametrize("token", ["0", "-0", "-0.0", "0.0", "0e0", " 0 ", "0 ", "7", "00", ""])
@@ -424,7 +433,7 @@ def test_zero_token_skipping_parses_as_json(token, monkeypatch):
         raise AssertionError("a mostly-zero block took the dense parse")
 
     monkeypatch.setattr(serialize, "_read_dense", no_dense_parse)
-    values = serialize._read_block(serialize._text_reader(text, 0), len(text) - 1, 2, 2)
+    values = serialize._read_block(serialize._TextSource(text).read, len(text) - 1, 2, 2)
     try:
         expected = np.array(json.loads("[" + ",".join(leaves) + "]"), np.float64).tobytes()
     except ValueError:
@@ -444,7 +453,7 @@ def test_flat_parse_over_many_windows_matches_the_tree_walk(monkeypatch):
         text, accepted = case.values
         assert (_assert_flat_matches_tree(text)[0] == "accept") == accepted, case.id
     long_token = _named_cases()[0].values[0].replace("12.5", "0." + "1" * 61, 1)
-    assert serialize._load_flat(long_token) is None
+    assert _streamed(long_token) is None
     assert _assert_flat_matches_tree(long_token)[0] == "accept"
     monkeypatch.setattr(serialize, "_WINDOW", 256)
     test_flat_parse_matches_the_tree_walk_under_mutation()
@@ -530,7 +539,7 @@ def test_sparse_block_named_cases(text, accepted, flat, monkeypatch):
     monkeypatch.setattr(serialize, "_read_dense", no_dense_parse)
     monkeypatch.setattr(serialize, "_glued", no_dense_parse)
     assert (_assert_flat_matches_tree(text)[0] == "accept") == accepted
-    assert (serialize._load_flat(text) is not None) == flat
+    assert (_streamed(text) is not None) == flat
 
 
 def test_sparse_blocks_over_many_windows_match_the_tree_walk(monkeypatch):
@@ -543,15 +552,15 @@ def test_sparse_blocks_over_many_windows_match_the_tree_walk(monkeypatch):
         for case in _sparse_named_cases():
             text, accepted, flat = case.values
             assert (_assert_flat_matches_tree(text)[0] == "accept") == accepted, case.id
-            assert (serialize._load_flat(text) is not None) == flat, case.id
+            assert (_streamed(text) is not None) == flat, case.id
         base = _sparse_named_cases()[0].values[0]
         long_token = base.replace("12.5", "0." + "1" * window, 1)
-        assert serialize._load_flat(long_token) is None
+        assert _streamed(long_token) is None
         assert _assert_flat_matches_tree(long_token)[0] == "accept"
     accepted = flat_taken = 0
     for text in _mutated_documents(1000, sparse=True):
         accepted += _assert_flat_matches_tree(text)[0] == "accept"
-        flat_taken += serialize._load_flat(text) is not None
+        flat_taken += _streamed(text) is not None
     assert 50 < accepted < 950 and flat_taken > 25
 
 
@@ -560,18 +569,25 @@ def test_lone_surrogate_in_the_block_is_a_schema_error():
     numbers, is rejected as the tree walk rejects it."""
     text = functional_to_json(SteeringFunctional.from_table(np.ones((1, 1, 2, 2))))
     text = text.replace("[[[1,0]", "[[[1,\ud800]", 1)
-    assert serialize._load_flat(text) is None
+    assert _streamed(text) is None
     assert _assert_flat_matches_tree(text)[:2] == ("reject", "SchemaError")
 
 
+def _file_stream(path):
+    """What the stream reader gives for the file at `path`, read a window
+    at a time, or None where it cannot vouch for it."""
+    with open(path, "rb") as file:
+        return serialize._load_stream(file)
+
+
 def _assert_file_matches_text(path, text):
-    """Write `text` to `path`; the windowed file read (_load_file) either
+    """Write `text` to `path`; the stream reader over the file either
     declines it or gives what the tree walk gives for the file's text, and
-    load_functional gives what the text gives. Returns whether the
-    windowed file read took it."""
+    load_functional gives what the text gives. Returns whether the stream
+    reader took the file."""
     path.write_text(text, encoding="utf-8")
     text = path.read_text(encoding="utf-8")
-    loaded = serialize._load_file(path)
+    loaded = _file_stream(path)
     if loaded is not None:
         expected = _outcome(serialize._load_tree, text)
         assert expected == ("accept", loaded[0], loaded[1].shape, loaded[1].tobytes())
@@ -592,10 +608,11 @@ def _functional_outcome(load, source):
 @pytest.mark.parametrize("window", [128, 256, 1 << 16])
 def test_file_read_matches_the_text_read(tmp_path, monkeypatch, window):
     """Every kind and layout, the named cases and mutations, read from a
-    file, with windows so short that the head and the last window of a
-    file are separate and the block is read over many, but long enough for
-    the last window to hold the meta."""
+    file, with windows and edges so short that the head and the tail of a
+    file are separate and the block is read over many windows, but long
+    enough for the tail to hold the meta."""
     monkeypatch.setattr(serialize, "_WINDOW", window)
+    monkeypatch.setattr(serialize, "_EDGE", window)
     path = tmp_path / "doc.json"
     for text in _documents():
         assert _assert_file_matches_text(path, text)  # the canonical layout
@@ -608,23 +625,78 @@ def test_file_read_matches_the_text_read(tmp_path, monkeypatch, window):
 
 
 def test_file_read_falls_back_for_what_it_cannot_vouch_for(tmp_path):
-    """Files that are not UTF-8, whose key or block end lies outside the
-    first or last window, or that are not regular files, are read as
-    text, with the errors that read gives."""
+    """A file that is not UTF-8 is read as text, with the error that read
+    gives. A key or a block past the first _EDGE bytes, a block end more
+    than _EDGE before the end, and a str that is not ASCII go to the tree
+    walk: each loads with the canonical text's bits through both
+    functional_from_json and load_functional. A file whose meta holds raw
+    UTF-8 is taken by the stream reader and loads as its str does. An
+    escaped duplicate key that only the tail holds is declined, and
+    rejected as the tree walk rejects it. Paths that are not files raise
+    what opening them raises."""
     path = tmp_path / "doc.json"
     text = functional_to_json(mub_functional(build_mub_family(2, 3)))
     path.write_bytes(text.replace('"mub"', '"m\xffb"').encode("latin-1"))
-    assert serialize._load_file(path) is None
+    assert _file_stream(path) is None
     with pytest.raises(SchemaError, match="not UTF-8"):
         load_functional(path)
-    padded = text.replace('"matrices":', '"matrices":' + " " * (1 << 16))
-    padded = padded.replace(',"meta"', " " * (1 << 16) + ',"meta"')
-    for layout in (padded, json.dumps({"meta": json.loads(text)["meta"], "matrices": [[0]] * 6})):
-        assert not _assert_file_matches_text(path, layout)
+    canonical = _functional_outcome(functional_from_json, text)
+    pad = " " * serialize._EDGE
+    padded = {
+        "key past the head": text.replace('{"matrices":', "{" + pad + '"matrices":'),
+        "block past the head": text.replace('"matrices":', '"matrices":' + pad),
+        "block end before the tail": text.replace(',"meta"', pad + ',"meta"'),
+    }
+    for name, layout in padded.items():
+        assert _streamed(layout) is None, name
+        assert not _assert_file_matches_text(path, layout), name
+        assert _functional_outcome(functional_from_json, layout) == canonical, name
+    non_ascii = text.replace('"version":"0.1.0"', '"version":"0.1.0-\u00e9"')
+    assert "\u00e9" in non_ascii and _streamed(non_ascii) is None
+    assert _assert_file_matches_text(path, non_ascii)
+    assert _functional_outcome(functional_from_json, non_ascii) == canonical
+    long_text = functional_to_json(mub_functional(build_mub_family(7, 8)))  # 0.1 MB
+    escaped = long_text.replace(',"meta"', ',"\\u006datrices":null,"meta"')
+    assert escaped.index("\\") > serialize._EDGE
+    assert _streamed(escaped) is None
+    assert not _assert_file_matches_text(path, escaped)
+    assert _functional_outcome(functional_from_json, escaped)[:2] == ("reject", "SchemaError")
+    wrong_shape = json.dumps({"meta": json.loads(text)["meta"], "matrices": [[0]] * 6})
+    assert not _assert_file_matches_text(path, wrong_shape)
     with pytest.raises(IsADirectoryError):
         load_functional(tmp_path)
     with pytest.raises(FileNotFoundError):
         load_functional(tmp_path / "missing.json")
+
+
+def test_load_functional_reads_a_pipe_as_its_regular_file(tmp_path, monkeypatch):
+    """A FIFO fed by a writer thread gives the regular file's table bits:
+    through the stream reader alone for a canonical file, and through the
+    tree walk for one the stream cannot vouch for."""
+    text = functional_to_json(dichotomic_functional(build_clifford_family(4, full_dimension=True)))
+    declined = text.replace(',"meta"', " " * serialize._EDGE + ',"meta"')
+    path, pipe = tmp_path / "doc.json", tmp_path / "pipe"
+    os.mkfifo(pipe)
+
+    def from_pipe(layout):
+        writer = threading.Thread(target=pipe.write_text, args=(layout,), daemon=True)
+        writer.start()
+        outcome = _functional_outcome(load_functional, pipe)
+        writer.join(30)
+        assert not writer.is_alive()
+        return outcome
+
+    path.write_text(declined)
+    assert from_pipe(declined) == _functional_outcome(load_functional, path)
+    path.write_text(text)
+    expected = _functional_outcome(load_functional, path)
+    assert expected[0] == "accept"
+
+    def no_tree_walk(text):
+        raise AssertionError("a pipe fell back to the tree walk")
+
+    monkeypatch.setattr(serialize, "_load_tree", no_tree_walk)
+    assert from_pipe(text) == expected
 
 
 def _windowed(values):
