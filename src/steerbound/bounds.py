@@ -98,7 +98,6 @@ from .structure import (
 from .tolerances import TOLERANCES
 
 DEFAULT_ENUMERATION_CAP = 10**6
-DEFAULT_ANGULAR_RESOLUTION = 720
 _MAX_TABLE_MASS = 1e300
 
 
@@ -166,10 +165,6 @@ class BoundsReport:
     def failed(self) -> tuple[str, ...]:
         """Names of the certificates not satisfied."""
         return tuple(c.name for c in self.certificates if not c.satisfied)
-
-    @property
-    def all_certificates_pass(self) -> bool:
-        return not self.failed
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self) | {"s_lhs_witness": list(self.s_lhs_witness)}
@@ -254,16 +249,10 @@ def _pruned_values(ops: np.ndarray, norms, upper_bounds) -> np.ndarray:
     return values
 
 
-def _checked_total(
-    f: SteeringFunctional, cap: int, threads: int, angular_resolution: int
-) -> int:
+def _checked_total(f: SteeringFunctional, cap: int, threads: int) -> int:
     """m^n, after every check strategy_norms and lhs_bound share."""
     if threads < 1:
         raise PreconditionError(f"thread count must be positive, got {threads}")
-    if angular_resolution < 8:
-        raise PreconditionError(
-            f"angular_resolution must be at least 8, got {angular_resolution}"
-        )
     _require_bounded_table(f)
     total = f.m**f.n
     if total > cap:
@@ -277,7 +266,6 @@ def _strategy_values(
     f: SteeringFunctional,
     count: int,
     threads: int,
-    angular_resolution: int,
     row: int | None = None,
     prune: bool = False,
 ) -> np.ndarray:
@@ -316,10 +304,7 @@ def _strategy_values(
             return hermitian_norm_upper_bounds(ops, exact=exact)
 
     else:
-        upper_bounds = numerical_radius_upper_bounds
-
-        def norms(ops):
-            return numerical_radius(ops, angular_resolution)
+        upper_bounds, norms = numerical_radius_upper_bounds, numerical_radius
 
     def values_of(span):
         sums = _chunk_sums(cells, n, m, *span)
@@ -341,28 +326,25 @@ def strategy_norms(
     f: SteeringFunctional,
     cap: int = DEFAULT_ENUMERATION_CAP,
     threads: int = 1,
-    angular_resolution: int = DEFAULT_ANGULAR_RESOLUTION,
 ) -> np.ndarray:
     """Norm of sum_x F_x^{a(x)} for every deterministic strategy, in
     lexicographic strategy order.
 
     The norm is the one the state optimization of |<F, sigma>| produces:
-    the top |eigenvalue| for Hermitian tables, the numerical radius (at
-    `angular_resolution`) otherwise; `angular_resolution` must be at least
-    8 whatever the table, and a table whose strategy sums can overflow is
-    rejected first (_require_bounded_table). Fixed, shape-only chunks run
-    on `threads` pool workers with OpenBLAS held at one thread; a chunk of
-    a non-Hermitian table is one numerical_radius call on its stack. For
+    the top |eigenvalue| for Hermitian tables, the numerical radius (on
+    numerical_radius's grid of 720 angles, accurate to about 1e-7) otherwise;
+    a table whose strategy sums can overflow is rejected first
+    (_require_bounded_table). Fixed, shape-only chunks run on `threads`
+    pool workers with OpenBLAS held at one thread; a chunk of a
+    non-Hermitian table is one numerical_radius call on its stack. For
     complement-symmetric tables only the a_0 = 0 half is computed: the
     complement of strategy i is m^n - 1 - i, so the second half is the
     first one reversed. No other structure is used: this is the full
     enumeration lhs_bound's shortcuts are tested against.
     """
-    total = _checked_total(f, cap, threads, angular_resolution)
+    total = _checked_total(f, cap, threads)
     mirrored = complement_symmetric(f)
-    values = _strategy_values(
-        f, total // 2 if mirrored else total, threads, angular_resolution
-    )
+    values = _strategy_values(f, total // 2 if mirrored else total, threads)
     return np.concatenate([values, values[::-1]]) if mirrored else values
 
 
@@ -370,7 +352,6 @@ def lhs_bound(
     f: SteeringFunctional,
     cap: int = DEFAULT_ENUMERATION_CAP,
     threads: int = 1,
-    angular_resolution: int = DEFAULT_ANGULAR_RESOLUTION,
 ) -> LhsExactResult:
     """Exact LHS bound: the largest strategy norm (see strategy_norms) over
     all m^n deterministic strategies, by the path table_structure finds.
@@ -390,7 +371,7 @@ def lhs_bound(
     `threads`. The cap applies to m^n whatever the path, and
     strategy_count is always m^n.
     """
-    total = _checked_total(f, cap, threads, angular_resolution)
+    total = _checked_total(f, cap, threads)
     structure = table_structure(f)
     if structure.value is not None:
         return LhsExactResult(
@@ -405,7 +386,6 @@ def lhs_bound(
         f,
         f.m ** (f.n - structure.prefix),
         threads,
-        angular_resolution,
         structure.row,
         prune=not structure.flat,
     )
@@ -651,6 +631,7 @@ def quantum_bound(f: SteeringFunctional) -> QuantumBoundResult:
 
 
 _SEESAW_GROUP_BYTES = 1 << 23  # assembled stack of one restart group
+_SEESAW_TOL = 1e-10  # largest gain of a restart's last kept update
 
 
 def _dagger(stack: np.ndarray) -> np.ndarray:
@@ -805,7 +786,7 @@ def _extrapolated(history: np.ndarray) -> np.ndarray:
 
 
 def _seesaw_group(
-    f: SteeringFunctional, state: np.ndarray, max_iters: int, tol: float, slack: float
+    f: SteeringFunctional, state: np.ndarray, max_iters: int, slack: float
 ) -> tuple[np.ndarray, np.ndarray, list[list[float]], int, np.ndarray, tuple[int, int]]:
     """Run the restarts starting from the (k, d, d) states together until
     each converges or takes max_iters updates: (final values, converged
@@ -887,7 +868,7 @@ def _seesaw_group(
             if new:
                 traces[r].append(value)
         finals[active] = objective
-        done = keep & (objective - previous <= tol) & (step > 0)
+        done = keep & (objective - previous <= _SEESAW_TOL) & (step > 0)
         converged[active[done]] = True
         measurements[active[done]] = povms[done]
         active, history = active[~done], history[~done]
@@ -915,13 +896,11 @@ def _require_measurements(povms: np.ndarray, first: int) -> None:
         )
 
 
-def _check_seesaw_parameters(restarts: int, max_iters: int, tol: float, seed: int) -> None:
+def _check_seesaw_parameters(restarts: int, max_iters: int, seed: int) -> None:
     if restarts < 1 or max_iters < 1:
         raise PreconditionError(
             f"see-saw restarts and max_iters must be positive, got {restarts} and {max_iters}"
         )
-    if not (np.isfinite(tol) and tol >= 0):
-        raise PreconditionError(f"see-saw tolerance must be finite and at least 0, got {tol!r}")
     require_seed(seed)
 
 
@@ -929,7 +908,6 @@ def quantum_bound_seesaw(
     f: SteeringFunctional,
     restarts: int = 20,
     max_iters: int = 500,
-    tol: float = 1e-10,
     seed: int = 0,
 ) -> SeesawResult:
     """Monotone alternating lower bound on the quantum value.
@@ -967,7 +945,7 @@ def quantum_bound_seesaw(
     stack, 16 d^4 bytes per restart, stays within 8 MiB (at least one
     restart per group), with OpenBLAS held at one thread; every update is
     batched over the group's restarts and settings, and a restart leaves
-    the group at its first kept update that gains at most `tol`.
+    the group at its first kept update that gains at most _SEESAW_TOL.
     `max_iters` caps, and `iterations` counts, every update of every
     restart, kept or discarded; `trace` lists the kept values of the first
     restart with the largest final value, which is the result, and
@@ -980,7 +958,7 @@ def quantum_bound_seesaw(
     TOLERANCES.assemblage.
     """
     d = f.d
-    _check_seesaw_parameters(restarts, max_iters, tol, seed)
+    _check_seesaw_parameters(restarts, max_iters, seed)
     _require_bounded_table(f)
     rng = np.random.default_rng(seed)
     group = max(1, _SEESAW_GROUP_BYTES // (16 * d**4))
@@ -992,9 +970,7 @@ def quantum_bound_seesaw(
             raw = rng.normal(size=(min(group, restarts - first), 2, d * d))
             raw = raw[:, 0] + 1j * raw[:, 1]
             state = (raw / np.linalg.norm(raw, axis=1, keepdims=True)).reshape(-1, d, d)
-            values, flags, paths, steps, povms, (k, t) = _seesaw_group(
-                f, state, max_iters, tol, slack
-            )
+            values, flags, paths, steps, povms, (k, t) = _seesaw_group(f, state, max_iters, slack)
             _require_measurements(povms, first)
             finals.append(values)
             converged.append(flags)
@@ -1022,10 +998,8 @@ def violation(
     f: SteeringFunctional,
     cap: int = DEFAULT_ENUMERATION_CAP,
     threads: int = 1,
-    angular_resolution: int = DEFAULT_ANGULAR_RESOLUTION,
     seesaw_restarts: int = 20,
     seesaw_max_iters: int = 500,
-    seesaw_tol: float = 1e-10,
     seesaw_seed: int = 0,
     strict: bool = True,
 ) -> BoundsReport:
@@ -1045,9 +1019,9 @@ def violation(
     are checked first, for every table. With strict enabled, a failed
     certificate raises instead of being reported.
     """
-    _check_seesaw_parameters(seesaw_restarts, seesaw_max_iters, seesaw_tol, seesaw_seed)
+    _check_seesaw_parameters(seesaw_restarts, seesaw_max_iters, seesaw_seed)
     t0 = time.perf_counter()
-    lhs = lhs_bound(f, cap=cap, threads=threads, angular_resolution=angular_resolution)
+    lhs = lhs_bound(f, cap=cap, threads=threads)
     if lhs.value <= 0:
         raise PreconditionError("S_LHS is 0; the violation ratio is undefined")
     t1 = time.perf_counter()
@@ -1070,11 +1044,7 @@ def violation(
             s_q, method = attainment.value, "canonical-lower"
     else:
         seesaw = quantum_bound_seesaw(
-            f,
-            restarts=seesaw_restarts,
-            max_iters=seesaw_max_iters,
-            tol=seesaw_tol,
-            seed=seesaw_seed,
+            f, restarts=seesaw_restarts, max_iters=seesaw_max_iters, seed=seesaw_seed
         )
         s_q, method = seesaw.value, "seesaw-lower"
         diagnostics["seesaw_iterations"] = seesaw.iterations

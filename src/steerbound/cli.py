@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import os
 import sys
@@ -31,7 +32,7 @@ from pathlib import Path
 
 from ._version import __version__
 from .bounds import BoundsReport, violation
-from .clifford import build_clifford_family
+from .clifford import build_clifford_family, clifford_qubits
 from .errors import (
     BoundCheckError,
     EnumerationCapExceeded,
@@ -46,7 +47,7 @@ from .functionals import (
     random_functional,
 )
 from .linalg import blas_threads
-from .mub import build_mub_family
+from .mub import build_mub_family, require_mub_parameters
 from .serialize import format_float, load_functional, write_canonical, write_functional
 from .verify import run_suite
 
@@ -221,10 +222,8 @@ def cmd_bounds(args) -> int:
         functional,
         cap=args.cap,
         threads=threads,
-        angular_resolution=args.angular_res,
         seesaw_restarts=args.restarts,
         seesaw_max_iters=args.max_iters,
-        seesaw_tol=args.tol,
         seesaw_seed=args.seed,
         strict=False,
     )
@@ -269,6 +268,11 @@ def cmd_sweep(args) -> int:
     flag, raw = ("--d", args.d) if args.kind == "mub" else ("--n", args.n)
     values = _parse_values(flag, raw)
     threads = _threads(args)
+    for value in values:  # every row's preconditions, before the first row is built
+        if args.kind == "mub":
+            require_mub_parameters(value, value + 1)
+        else:
+            clifford_qubits(value, args.full_dim)
 
     buffer = io.StringIO()
     writer = csv.writer(buffer)
@@ -314,13 +318,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_suite(
-        name_filter=args.filter,
-        seed=args.seed,
-        seesaw_restarts=args.restarts,
-        seesaw_max_iters=args.max_iters,
-        threads=_threads(args),
-    )
+    results = run_suite(name_filter=args.filter, seed=args.seed, threads=_threads(args))
     width = max((len(r.name) for r in results), default=10)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -340,6 +338,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once per process, however many times main() runs
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="steerbound",
@@ -360,13 +359,9 @@ def _build_parser() -> argparse.ArgumentParser:
     bnd.add_argument("input", help="functional JSON file")
     bnd.add_argument("--cap", type=int, default=10**6, help="strategy enumeration cap")
     bnd.add_argument("--threads", type=int, help=THREADS_HELP)
-    bnd.add_argument("--angular-res", type=int, default=720)
     bnd.add_argument("--restarts", type=int, default=20, help="see-saw restarts")
     bnd.add_argument(
         "--max-iters", type=int, default=500, help="see-saw updates per restart, kept or discarded"
-    )
-    bnd.add_argument(
-        "--tol", type=float, default=1e-10, help="see-saw stop: largest gain of a kept update"
     )
     bnd.add_argument("--seed", type=int, default=0, help="see-saw restart seed")
     bnd.add_argument("--out", help="write the JSON report here")
@@ -385,10 +380,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run the cross-module self-check suite")
     ver.add_argument("--filter", help="substring filter on check names")
     ver.add_argument("--seed", type=int, default=7)
-    ver.add_argument("--restarts", type=int, default=8, help="see-saw restarts in the suite")
-    ver.add_argument(
-        "--max-iters", type=int, default=300, help="see-saw update cap per restart in the suite"
-    )
     ver.add_argument("--threads", type=int, help=THREADS_HELP)
     ver.add_argument("--out", help="write the machine-readable summary here")
     ver.set_defaults(func=cmd_verify)

@@ -85,18 +85,11 @@ def _chain(m: int, count: int) -> np.ndarray:
     return ops
 
 
-def build_clifford_family(n: int, full_dimension: bool = False) -> CliffordFamily:
-    """Construct n anticommuting observables.
-
-    The compact default uses the smallest qubit count m with 2m+1 >= n
-    (dimension 2^ceil(n/2) or one qubit fewer for odd n); every bound in
-    this toolkit depends only on the anticommutation relations, not on the
-    ambient dimension. With full_dimension=True the family is placed on n
-    qubits instead - the dimension 2^n in which the chain extends to a
-    complete operator basis - capped at 4096. A family whose two-outcome
-    table would exceed linalg.TABLE_BYTES_CAP is refused before the family,
-    half that table's size, is built.
-    """
+def clifford_qubits(n: int, full_dimension: bool = False) -> int:
+    """The qubit count of build_clifford_family(n, full_dimension), after
+    the checks it makes before building: n >= 1, a dimension within
+    DIMENSION_CAP and a two-outcome table within linalg.TABLE_BYTES_CAP;
+    PreconditionError otherwise."""
     if n < 1:
         raise PreconditionError(f"observable count must be positive, got {n}")
     m = n if full_dimension else max(1, n // 2)
@@ -107,6 +100,22 @@ def build_clifford_family(n: int, full_dimension: bool = False) -> CliffordFamil
             f"which exceeds the cap of {DIMENSION_CAP}"
         )
     require_table_size(n, 2, dim)
+    return m
+
+
+def build_clifford_family(n: int, full_dimension: bool = False) -> CliffordFamily:
+    """Construct n anticommuting observables.
+
+    The compact default uses the smallest qubit count m with 2m+1 >= n
+    (dimension 2^ceil(n/2) or one qubit fewer for odd n); every bound in
+    this toolkit depends only on the anticommutation relations, not on the
+    ambient dimension. With full_dimension=True the family is placed on n
+    qubits instead - the dimension 2^n in which the chain extends to a
+    complete operator basis - capped at 4096. A family whose two-outcome
+    table would exceed linalg.TABLE_BYTES_CAP is refused before the family,
+    half that table's size, is built (clifford_qubits).
+    """
+    m = clifford_qubits(n, full_dimension)
     obs = _chain(m, n)
     obs.setflags(write=False)
     return CliffordFamily(qubits=m, observables=obs)

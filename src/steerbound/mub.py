@@ -93,14 +93,10 @@ def canonicalize_phases(bases: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_mub_family(d: int, n: int) -> MubFamily:
-    """Construct n mutually unbiased bases of C^d for prime d, 2 <= n <= d+1.
-
-    Basis 0 is the computational basis; basis x in {1..d} follows the
-    quadratic-phase formula (Pauli eigenbases for d = 2). A family whose
-    table (n settings, d outcomes) would exceed linalg.TABLE_BYTES_CAP is
-    refused before it is built.
-    """
+def require_mub_parameters(d: int, n: int) -> None:
+    """Raise PreconditionError unless build_mub_family(d, n) can build its
+    family: d prime, 2 <= n <= d+1, and a table (n settings, d outcomes)
+    within linalg.TABLE_BYTES_CAP."""
     if not is_prime(d):
         what = "composite" if d > 1 else "not prime"
         raise PreconditionError(
@@ -109,6 +105,17 @@ def build_mub_family(d: int, n: int) -> MubFamily:
     if not 2 <= n <= d + 1:
         raise PreconditionError(f"basis count {n} outside the valid range [2, {d + 1}]")
     require_table_size(n, d, d)
+
+
+def build_mub_family(d: int, n: int) -> MubFamily:
+    """Construct n mutually unbiased bases of C^d for prime d, 2 <= n <= d+1.
+
+    Basis 0 is the computational basis; basis x in {1..d} follows the
+    quadratic-phase formula (Pauli eigenbases for d = 2). Parameters that
+    require_mub_parameters refuses, a table above linalg.TABLE_BYTES_CAP
+    among them, are refused before anything is built.
+    """
+    require_mub_parameters(d, n)
     if d == 2:
         z = np.eye(2, dtype=complex)
         x = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)

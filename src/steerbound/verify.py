@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import (
+    canonical_quantum_assemblage,
     fine_grained_bound,
     fine_grained_xi,
     gram_norm_identity_check,
@@ -29,6 +30,7 @@ from .functionals import (
     SteeringFunctional,
     clifford_functional,
     dichotomic_functional,
+    evaluate,
     mub_functional,
     random_functional,
     require_seed,
@@ -42,6 +44,9 @@ from .serialize import (
     functional_to_json,
 )
 from .tolerances import TOLERANCES
+
+_SEESAW_RESTARTS = 8
+_SEESAW_MAX_ITERS = 300
 
 
 @dataclass(frozen=True)
@@ -163,6 +168,9 @@ def _check_lhs_structure_shortcuts(rng, threads: int) -> tuple[bool, str]:
 
 
 def _check_canonical_attainment() -> tuple[bool, str]:
+    """quantum_bound's value against the dense pairing of each table with
+    its built canonical assemblage, apart from the sums quantum_bound
+    checked it with."""
     tables = [
         (f"mub d={d} n={d + 1}", mub_functional(build_mub_family(d, d + 1))) for d in (2, 3, 5, 7)
     ]
@@ -175,24 +183,27 @@ def _check_canonical_attainment() -> tuple[bool, str]:
     worst = 0.0
     for label, functional in tables:
         try:
-            result = quantum_bound(functional)
+            value = quantum_bound(functional).value
         except BoundCheckError as exc:
             return False, f"{label}: {exc}"
-        worst = max(worst, abs(result.canonical_value - result.value))
+        attained = evaluate(functional, canonical_quantum_assemblage(functional))
+        defect = abs(attained - value)
+        if defect > TOLERANCES.bound_slack:
+            return False, f"{label}: canonical assemblage attains {attained!r}, not {value!r}"
+        worst = max(worst, defect)
     return True, f"max attainment defect {worst:.2e}"
 
 
-def _check_seesaw_attainment(restarts: int, max_iters: int, seed: int) -> tuple[bool, str]:
-    ratios = []
-    functional = mub_functional(build_mub_family(2, 3))
-    result = quantum_bound_seesaw(functional, restarts=restarts, max_iters=max_iters, seed=seed)
-    ratios.append(result.value / 3.0)
+def _check_seesaw_attainment(seed: int) -> tuple[bool, str]:
+    tables = [(mub_functional(build_mub_family(2, 3)), 3.0)]
     for n in (2, 4):
-        functional = clifford_functional(build_clifford_family(n))
+        tables.append((clifford_functional(build_clifford_family(n)), n / 2.0))
+    ratios = []
+    for functional, s_q in tables:
         result = quantum_bound_seesaw(
-            functional, restarts=restarts, max_iters=max_iters, seed=seed
+            functional, restarts=_SEESAW_RESTARTS, max_iters=_SEESAW_MAX_ITERS, seed=seed
         )
-        ratios.append(result.value / (n / 2.0))
+        ratios.append(result.value / s_q)
     worst = min(ratios)
     return worst >= 0.99, f"worst attainment ratio {worst:.6f}"
 
@@ -237,13 +248,11 @@ def _check_serialize_round_trip() -> tuple[bool, str]:
 
 
 def run_suite(
-    name_filter: str | None = None,
-    seed: int = 7,
-    seesaw_restarts: int = 8,
-    seesaw_max_iters: int = 300,
-    threads: int = 1,
+    name_filter: str | None = None, seed: int = 7, threads: int = 1
 ) -> list[CheckResult]:
-    """Run all (or name-filtered) checks and collect their results."""
+    """Run all (or name-filtered) checks and collect their results; the
+    see-saw check runs _SEESAW_RESTARTS restarts of at most
+    _SEESAW_MAX_ITERS updates each."""
     require_seed(seed)
     rng = np.random.default_rng(seed)
     checks = [
@@ -255,10 +264,7 @@ def run_suite(
         ("lhs-analytic-dominance", lambda: _check_lhs_dominance(threads)),
         ("lhs-structure-shortcuts", lambda: _check_lhs_structure_shortcuts(rng, threads)),
         ("quantum-canonical-attainment", lambda: _check_canonical_attainment()),
-        (
-            "seesaw-attainment",
-            lambda: _check_seesaw_attainment(seesaw_restarts, seesaw_max_iters, seed),
-        ),
+        ("seesaw-attainment", lambda: _check_seesaw_attainment(seed)),
         ("fine-grained-uncertainty", lambda: _check_fine_grained()),
         ("serialize-round-trip", lambda: _check_serialize_round_trip()),
     ]

@@ -160,9 +160,7 @@ def test_criterion_8_seesaw_attainment():
             (clifford_functional(build_clifford_family(4)), 2.0),
         ]
         for functional, target in scenarios:
-            result = quantum_bound_seesaw(
-                functional, restarts=20, max_iters=500, tol=1e-10, seed=0
-            )
+            result = quantum_bound_seesaw(functional, restarts=20, max_iters=500, seed=0)
             assert result.value >= 0.99 * target
             assert result.value <= target + 1e-7
         assert time.perf_counter() - start < 60.0
