@@ -8,32 +8,8 @@ constructions satisfy.
 """
 
 from ._version import __version__
-from .bounds import (
-    BoundsReport,
-    Certificate,
-    GramIdentityReport,
-    LhsExactResult,
-    PaperValues,
-    QuantumBoundResult,
-    SeesawResult,
-    canonical_quantum_assemblage,
-    fine_grained_bound,
-    fine_grained_xi,
-    gram_matrix,
-    gram_norm_identity_check,
-    lhs_bound,
-    paper_values,
-    quantum_bound,
-    quantum_bound_seesaw,
-    strategy_norms,
-    violation,
-)
-from .clifford import (
-    AnticommutationReport,
-    CliffordFamily,
-    build_clifford_family,
-    verify_anticommutation,
-)
+from .bounds import BoundsReport, violation
+from .clifford import CliffordFamily, build_clifford_family
 from .errors import (
     BoundCheckError,
     EnumerationCapExceeded,
@@ -51,8 +27,17 @@ from .functionals import (
     mub_functional,
     random_functional,
 )
+from .lhs import LhsExactResult, lhs_bound, strategy_norms
 from .linalg import numerical_radius, operator_norm
-from .mub import MubFamily, UnbiasednessReport, build_mub_family, verify_unbiasedness
+from .mub import MubFamily, build_mub_family
+from .quantum import (
+    Certificate,
+    PaperValues,
+    canonical_quantum_assemblage,
+    paper_values,
+    quantum_bound,
+)
+from .seesaw import SeesawResult, quantum_bound_seesaw
 from .tolerances import TOLERANCES, Tolerances
 
 __all__ = [
@@ -67,13 +52,9 @@ __all__ = [
     "operator_norm",
     "numerical_radius",
     "MubFamily",
-    "UnbiasednessReport",
     "build_mub_family",
-    "verify_unbiasedness",
     "CliffordFamily",
-    "AnticommutationReport",
     "build_clifford_family",
-    "verify_anticommutation",
     "SteeringFunctional",
     "Assemblage",
     "AssemblageReport",
@@ -85,10 +66,8 @@ __all__ = [
     "canonical_quantum_assemblage",
     "BoundsReport",
     "Certificate",
-    "GramIdentityReport",
     "LhsExactResult",
     "PaperValues",
-    "QuantumBoundResult",
     "SeesawResult",
     "lhs_bound",
     "strategy_norms",
@@ -96,8 +75,4 @@ __all__ = [
     "quantum_bound_seesaw",
     "violation",
     "paper_values",
-    "gram_matrix",
-    "gram_norm_identity_check",
-    "fine_grained_xi",
-    "fine_grained_bound",
 ]

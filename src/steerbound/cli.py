@@ -371,8 +371,8 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--kind", required=True, choices=["mub", "clifford", "dichotomic"])
     swp.add_argument("--d", help="comma-separated prime dimensions (mub; n = d+1 each)")
     swp.add_argument("--n", help="comma-separated setting counts (clifford, dichotomic)")
-    swp.add_argument("--full-dim", action="store_true")
-    swp.add_argument("--cap", type=int, default=10**6)
+    swp.add_argument("--full-dim", action="store_true", help="use the 2^n-dimensional chain")
+    swp.add_argument("--cap", type=int, default=10**6, help="strategy enumeration cap")
     swp.add_argument("--threads", type=int, help=THREADS_HELP)
     swp.add_argument("--out", help="output CSV path (default stdout)")
     swp.set_defaults(func=cmd_sweep)

@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import PreconditionError
 from .linalg import require_table_size
-from .tolerances import TOLERANCES
 
 DIMENSION_CAP = 4096
 
@@ -48,18 +47,6 @@ class CliffordFamily:
     @property
     def dimension(self) -> int:
         return self.observables.shape[1]
-
-
-@dataclass(frozen=True)
-class AnticommutationReport:
-    """Exhaustive max-norm deviation of A_x A_y + A_y A_x - 2 delta_xy 1."""
-
-    max_deviation: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_deviation <= self.tolerance
 
 
 def _chain(m: int, count: int) -> np.ndarray:
@@ -119,17 +106,3 @@ def build_clifford_family(n: int, full_dimension: bool = False) -> CliffordFamil
     obs = _chain(m, n)
     obs.setflags(write=False)
     return CliffordFamily(qubits=m, observables=obs)
-
-
-def verify_anticommutation(family: CliffordFamily) -> AnticommutationReport:
-    obs = family.observables
-    n, dim, _ = obs.shape
-    eye2 = 2 * np.eye(dim)
-    dev = 0.0
-    for x in range(n):
-        for y in range(x, n):
-            anti = obs[x] @ obs[y] + obs[y] @ obs[x]
-            if x == y:
-                anti = anti - eye2
-            dev = max(dev, float(np.abs(anti).max()))
-    return AnticommutationReport(max_deviation=dev, tolerance=TOLERANCES.anticommutation)

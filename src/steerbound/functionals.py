@@ -8,7 +8,7 @@ sigma_x^a) is the number every bound in this toolkit is about.
 A functional's `kind` names the structure its table claims; this module
 only checks it against KINDS. What the paper proves for each kind, and
 the canonical assemblage attaining its quantum value, live in
-bounds.paper_values.
+quantum.paper_values.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ class SteeringFunctional:
     two-outcome table of monomial cells, is derived on its first read in
     the same way. Whether a table is positive
     semidefinite is decided where it is used, from the eigenvalues the
-    canonical certificate finds (bounds._psd_envelope).
+    canonical certificate finds (quantum._psd_envelope).
 
     from_table copies the caller's array. The loaders and the builders of
     this package hand over the array they just made, which becomes the
@@ -140,7 +140,7 @@ class SteeringFunctional:
         elsewhere; else None. Found with one boolean mask of the table
         (_monomials), it is a proof artifact of O(n m d) numbers that the
         table checks read in place of the d x d cells (structure, and
-        bounds' mass check and canonical certificate)."""
+        lhs' mass check and quantum's canonical certificate)."""
         if self.m != 2:
             return None
         n, m, d = self.n, self.m, self.d

@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import PreconditionError
 from .linalg import require_table_size
-from .tolerances import TOLERANCES
 
 
 def is_prime(n: int) -> bool:
@@ -62,22 +61,6 @@ class MubFamily:
     def projector(self, x: int, a: int) -> np.ndarray:
         v = self.bases[x, a]
         return np.outer(v, v.conj())
-
-
-@dataclass(frozen=True)
-class UnbiasednessReport:
-    """Exhaustive deviation report for a basis family."""
-
-    orthonormality_deviation: float
-    unbiasedness_deviation: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.orthonormality_deviation <= self.tolerance
-            and self.unbiasedness_deviation <= self.tolerance
-        )
 
 
 def canonicalize_phases(bases: np.ndarray) -> np.ndarray:
@@ -132,23 +115,3 @@ def build_mub_family(d: int, n: int) -> MubFamily:
     stack = canonicalize_phases(stack)
     stack.setflags(write=False)
     return MubFamily(bases=stack)
-
-
-def verify_unbiasedness(family: MubFamily) -> UnbiasednessReport:
-    """Exhaustively check orthonormality within each basis and the 1/sqrt(d)
-    overlap modulus across every pair of distinct bases."""
-    bases = family.bases
-    n, d, _ = bases.shape
-    orth = 0.0
-    unb = 0.0
-    eye = np.eye(d)
-    target = 1.0 / np.sqrt(d)
-    for x in range(n):
-        gram = bases[x].conj() @ bases[x].T
-        orth = max(orth, float(np.abs(gram - eye).max()))
-        for y in range(x + 1, n):
-            cross = bases[x].conj() @ bases[y].T
-            unb = max(unb, float(np.abs(np.abs(cross) - target).max()))
-    return UnbiasednessReport(
-        orthonormality_deviation=orth, unbiasedness_deviation=unb, tolerance=TOLERANCES.unbiasedness
-    )

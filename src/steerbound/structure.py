@@ -19,7 +19,7 @@ cases, in the order they are tried:
   other tables read the table's Hermiticity pass and take dense d x d
   products pair by pair, O(n^2 d^3).
   The c_x^2 are kept, since they also give the canonical assemblage's
-  positivity in closed form (bounds._canonical_check).
+  positivity in closed form (quantum._canonical_check).
   The same products decide whether the table is flat: whether its defect
   D = sum_x ||B_x^2 - cbar_x^2 I||_F + sum_{x<y} ||B_x B_y + B_y B_x||_F,
   cbar_x^2 = ||B_x||_F^2 / d, is at most C strategy_pruning / 2, C =

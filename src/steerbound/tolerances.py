@@ -11,7 +11,7 @@ class Tolerances:
     hermiticity: two uses, both per unit of a coefficient table's largest
         entry modulus. In SteeringFunctional.hermitian: the largest
         max-norm defect F - F^dagger that still counts as Hermitian. In
-        bounds._psd_envelope: the slack below zero on the eigenvalues of
+        quantum._psd_envelope: the slack below zero on the eigenvalues of
         the cells of a table that counts as positive semidefinite.
     anticommutation: slack on anticommutator identities.
     unbiasedness: slack on basis orthonormality and cross-basis overlaps.

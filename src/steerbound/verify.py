@@ -1,5 +1,7 @@
 """Self-verification suite: every cross-module identity the toolkit relies
-on, runnable from the CLI with a name filter.
+on, runnable from the CLI with a name filter, and the lemma checks it
+runs: unbiasedness, anticommutation, the Gram-matrix identities and
+fine-grained uncertainty.
 
 Each check is independent and reports a pass flag plus a short numeric
 detail; the suite passes only if every selected check does.
@@ -13,19 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (
-    canonical_quantum_assemblage,
-    fine_grained_bound,
-    fine_grained_xi,
-    gram_norm_identity_check,
-    lhs_bound,
-    paper_values,
-    quantum_bound,
-    quantum_bound_seesaw,
-    strategy_norms,
-)
-from .clifford import build_clifford_family, verify_anticommutation
-from .errors import BoundCheckError
+from .clifford import CliffordFamily, build_clifford_family
+from .errors import BoundCheckError, PreconditionError
 from .functionals import (
     SteeringFunctional,
     clifford_functional,
@@ -35,7 +26,11 @@ from .functionals import (
     random_functional,
     require_seed,
 )
-from .mub import build_mub_family, verify_unbiasedness
+from .lhs import lhs_bound, strategy_norms
+from .linalg import hermitian_part, operator_norm
+from .mub import MubFamily, build_mub_family
+from .quantum import canonical_quantum_assemblage, paper_values, quantum_bound
+from .seesaw import quantum_bound_seesaw
 from .serialize import (
     _load_stream,
     _load_tree,
@@ -57,6 +52,179 @@ class CheckResult:
     runtime_ms: float
 
 
+def _worst(*values: float) -> float:
+    """The largest of `values`, or NaN if any is NaN, so that a check on
+    it fails (max() skips a NaN that is not first)."""
+    return float(np.max(values))
+
+
+# ---------------------------------------------------------------------------
+# lemma checks
+
+
+@dataclass(frozen=True)
+class UnbiasednessReport:
+    """Exhaustive deviation report for a basis family."""
+
+    orthonormality_deviation: float
+    unbiasedness_deviation: float
+    tolerance: float
+
+    @property
+    def passed(self) -> bool:
+        return (
+            self.orthonormality_deviation <= self.tolerance
+            and self.unbiasedness_deviation <= self.tolerance
+        )
+
+
+def verify_unbiasedness(family: MubFamily) -> UnbiasednessReport:
+    """Exhaustively check orthonormality within each basis and the 1/sqrt(d)
+    overlap modulus across every pair of distinct bases."""
+    bases = family.bases
+    n, d, _ = bases.shape
+    orth = 0.0
+    unb = 0.0
+    eye = np.eye(d)
+    target = 1.0 / np.sqrt(d)
+    for x in range(n):
+        gram = bases[x].conj() @ bases[x].T
+        orth = _worst(orth, np.abs(gram - eye).max())
+        for y in range(x + 1, n):
+            cross = bases[x].conj() @ bases[y].T
+            unb = _worst(unb, np.abs(np.abs(cross) - target).max())
+    return UnbiasednessReport(
+        orthonormality_deviation=orth, unbiasedness_deviation=unb, tolerance=TOLERANCES.unbiasedness
+    )
+
+
+@dataclass(frozen=True)
+class AnticommutationReport:
+    """Exhaustive max-norm deviation of A_x A_y + A_y A_x - 2 delta_xy 1."""
+
+    max_deviation: float
+    tolerance: float
+
+    @property
+    def passed(self) -> bool:
+        return self.max_deviation <= self.tolerance
+
+
+def verify_anticommutation(family: CliffordFamily) -> AnticommutationReport:
+    obs = family.observables
+    n, dim, _ = obs.shape
+    eye2 = 2 * np.eye(dim)
+    dev = 0.0
+    for x in range(n):
+        for y in range(x, n):
+            anti = obs[x] @ obs[y] + obs[y] @ obs[x]
+            if x == y:
+                anti = anti - eye2
+            dev = _worst(dev, np.abs(anti).max())
+    return AnticommutationReport(max_deviation=dev, tolerance=TOLERANCES.anticommutation)
+
+
+@dataclass(frozen=True)
+class GramIdentityReport:
+    frame_norm: float
+    gram_norm: float
+    deviation: float
+    scaled_norm: float
+    scaled_bound: float
+    scaled_bound_sharp: float
+    tolerance: float
+
+    @property
+    def passed(self) -> bool:
+        return (
+            self.deviation <= self.tolerance
+            and self.scaled_norm <= self.scaled_bound + self.tolerance
+        )
+
+
+def _weighted_vectors(family: MubFamily, p) -> np.ndarray:
+    p = np.asarray(p, dtype=float)
+    n, d = family.count, family.dimension
+    if p.shape != (n, d):
+        raise PreconditionError(f"probability table must have shape {(n, d)}, got {p.shape}")
+    if not p.min(initial=0.0) >= -1e-12:
+        raise PreconditionError(f"probability table has a negative or NaN entry {p.min()}")
+    row_defect = float(np.abs(p.sum(axis=1) - 1.0).max(initial=0.0))
+    if not row_defect <= 1e-12:
+        raise PreconditionError(
+            f"probability rows must sum to 1 within 1e-12 (defect {row_defect:.3e})"
+        )
+    weights = np.sqrt(np.clip(p, 0.0, None))
+    return (weights[:, :, None] * family.bases).reshape(n * d, d)
+
+
+def _checked_gram(psi: np.ndarray) -> np.ndarray:
+    g = psi.conj() @ psi.T
+    min_eig = float(np.linalg.eigvalsh(hermitian_part(g)).min())
+    if min_eig < -TOLERANCES.gram_psd:
+        raise BoundCheckError(f"Gram matrix has eigenvalue {min_eig}, expected PSD")
+    return g
+
+
+def gram_matrix(family: MubFamily, p) -> np.ndarray:
+    """Gram matrix G[(x,a),(y,b)] = sqrt(p(a|x) p(b|y)) <phi_x^a|phi_y^b> of
+    the response-weighted basis vectors, (n*d, n*d) with the composite
+    (x, a) in row-major order."""
+    return _checked_gram(_weighted_vectors(family, p))
+
+
+def gram_norm_identity_check(family: MubFamily, p) -> GramIdentityReport:
+    """Check that the frame operator sum |psi><psi| and the Gram matrix of
+    the same vectors share their operator norm, and that the scaled Gram
+    norm stays below sqrt(d) + n + 1 (sharper intermediate with sup p(a|x)
+    in place of 1 is reported for diagnostics, not asserted)."""
+    n, d = family.count, family.dimension
+    psi = _weighted_vectors(family, p)
+    frame_norm = operator_norm(psi.T @ psi.conj())
+    gram_norm = operator_norm(_checked_gram(psi))
+    scaled_norm = float(np.sqrt(d) * gram_norm)
+    return GramIdentityReport(
+        frame_norm=frame_norm,
+        gram_norm=gram_norm,
+        deviation=abs(frame_norm - gram_norm),
+        scaled_norm=scaled_norm,
+        scaled_bound=float(np.sqrt(d) + n + 1),
+        scaled_bound_sharp=float(np.sqrt(d) * np.max(p) + n + 1),
+        tolerance=TOLERANCES.gram_identity,
+    )
+
+
+def fine_grained_bound(d: int, n: int) -> float:
+    """Upper bound (1/d)(1 + (d-1)/sqrt(n)) on the average success
+    probability of any fixed outcome string across n unbiased bases."""
+    return (1.0 + (d - 1) / np.sqrt(n)) / d
+
+
+def fine_grained_xi(family: MubFamily, strategy) -> float:
+    """Largest average success probability (1/n) sum_x p(a(x)|x) over
+    states, for one fixed outcome string a(x) of integers in [0, d);
+    asserts the unbiased-basis bound (1/d)(1 + (d-1)/sqrt(n))."""
+    n, d = family.count, family.dimension
+    outcomes = np.asarray(strategy, dtype=float)
+    if outcomes.shape != (n,):
+        raise PreconditionError(f"strategy length {outcomes.size} != settings {n}")
+    if not np.all((outcomes == np.round(outcomes)) & (outcomes >= 0) & (outcomes < d)):
+        raise PreconditionError(
+            f"strategy {tuple(strategy)} has outcomes that are not integers in [0, {d})"
+        )
+    chosen = family.bases[np.arange(n), outcomes.astype(int)]
+    mean_proj = (chosen.T @ chosen.conj()) / n
+    xi = float(np.linalg.eigvalsh(hermitian_part(mean_proj))[-1])
+    bound = fine_grained_bound(d, n)
+    if xi > bound + TOLERANCES.bound_slack:
+        raise BoundCheckError(f"fine-grained value {xi} exceeds the bound {bound}")
+    return xi
+
+
+# ---------------------------------------------------------------------------
+# the suite
+
+
 def _random_probability_table(rng, n: int, d: int) -> np.ndarray:
     p = rng.random((n, d))
     return p / p.sum(axis=1, keepdims=True)
@@ -66,7 +234,7 @@ def _check_mub_unbiasedness() -> tuple[bool, str]:
     worst = 0.0
     for d in (2, 3, 5, 7):
         report = verify_unbiasedness(build_mub_family(d, d + 1))
-        worst = max(worst, report.orthonormality_deviation, report.unbiasedness_deviation)
+        worst = _worst(worst, report.orthonormality_deviation, report.unbiasedness_deviation)
     return worst <= TOLERANCES.unbiasedness, f"max deviation {worst:.2e}"
 
 
@@ -77,15 +245,15 @@ def _check_mub_identity_resolution() -> tuple[bool, str]:
         eye = np.eye(d)
         for x in range(family.count):
             resolved = np.einsum("ai,aj->ij", family.bases[x], family.bases[x].conj())
-            worst = max(worst, float(np.abs(resolved - eye).max()))
+            worst = _worst(worst, np.abs(resolved - eye).max())
     return worst <= TOLERANCES.unbiasedness, f"max identity defect {worst:.2e}"
 
 
 def _check_clifford_anticommutation() -> tuple[bool, str]:
     worst = 0.0
     for n in range(1, 9):
-        worst = max(worst, verify_anticommutation(build_clifford_family(n)).max_deviation)
-    worst = max(
+        worst = _worst(worst, verify_anticommutation(build_clifford_family(n)).max_deviation)
+    worst = _worst(
         worst,
         verify_anticommutation(build_clifford_family(3, full_dimension=True)).max_deviation,
     )
@@ -99,7 +267,7 @@ def _check_clifford_square_identity(rng) -> tuple[bool, str]:
     for _ in range(50):
         c = rng.normal(size=family.count)
         combo = np.einsum("x,xij->ij", c, family.observables)
-        worst = max(worst, float(np.abs(combo @ combo - (c @ c) * eye).max()))
+        worst = _worst(worst, np.abs(combo @ combo - (c @ c) * eye).max())
     return worst <= 1e-10, f"max squared-sum defect {worst:.2e}"
 
 
@@ -110,8 +278,8 @@ def _check_gram_identity(rng) -> tuple[bool, str]:
         family = build_mub_family(d, n)
         for _ in range(100):
             report = gram_norm_identity_check(family, _random_probability_table(rng, n, d))
-            worst_dev = max(worst_dev, report.deviation)
-            worst_margin = max(worst_margin, report.scaled_norm - report.scaled_bound)
+            worst_dev = _worst(worst_dev, report.deviation)
+            worst_margin = _worst(worst_margin, report.scaled_norm - report.scaled_bound)
     ok = worst_dev <= TOLERANCES.gram_identity and worst_margin <= TOLERANCES.gram_identity
     return ok, f"max norm mismatch {worst_dev:.2e}, max bound margin {worst_margin:.2e}"
 
@@ -163,7 +331,7 @@ def _check_lhs_structure_shortcuts(rng, threads: int) -> tuple[bool, str]:
         if result.method != method:
             return False, f"{method} table took the {result.method} path"
         witness = int(np.ravel_multi_index(result.witness, (functional.m,) * functional.n))
-        worst = max(worst, abs(result.value - norms.max()), abs(norms[witness] - norms.max()))
+        worst = _worst(worst, abs(result.value - norms.max()), abs(norms[witness] - norms.max()))
     return worst <= 1e-12, f"max gap to the full enumeration {worst:.2e}"
 
 
@@ -183,14 +351,14 @@ def _check_canonical_attainment() -> tuple[bool, str]:
     worst = 0.0
     for label, functional in tables:
         try:
-            value = quantum_bound(functional).value
+            value = quantum_bound(functional)
         except BoundCheckError as exc:
             return False, f"{label}: {exc}"
         attained = evaluate(functional, canonical_quantum_assemblage(functional))
         defect = abs(attained - value)
-        if defect > TOLERANCES.bound_slack:
+        if not defect <= TOLERANCES.bound_slack:
             return False, f"{label}: canonical assemblage attains {attained!r}, not {value!r}"
-        worst = max(worst, defect)
+        worst = _worst(worst, defect)
     return True, f"max attainment defect {worst:.2e}"
 
 
@@ -204,7 +372,7 @@ def _check_seesaw_attainment(seed: int) -> tuple[bool, str]:
             functional, restarts=_SEESAW_RESTARTS, max_iters=_SEESAW_MAX_ITERS, seed=seed
         )
         ratios.append(result.value / s_q)
-    worst = min(ratios)
+    worst = float(np.min(ratios))  # NaN if any ratio is
     return worst >= 0.99, f"worst attainment ratio {worst:.6f}"
 
 
@@ -215,8 +383,8 @@ def _check_fine_grained() -> tuple[bool, str]:
         best = 0.0
         for flat in range(d**n):
             strategy = np.unravel_index(flat, (d,) * n)
-            best = max(best, fine_grained_xi(family, strategy))
-        if best > bound + TOLERANCES.bound_slack:
+            best = _worst(best, fine_grained_xi(family, strategy))
+        if not best <= bound + TOLERANCES.bound_slack:
             return False, f"(d={d}, n={n}): xi {best} above bound {bound}"
         if (d, n) == (2, 3) and abs(best - bound) > TOLERANCES.bound_slack:
             return False, f"(2, 3): bound not tight (xi {best} vs {bound})"

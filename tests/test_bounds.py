@@ -21,10 +21,6 @@ from steerbound import (
     clifford_functional,
     dichotomic_functional,
     evaluate,
-    fine_grained_bound,
-    fine_grained_xi,
-    gram_matrix,
-    gram_norm_identity_check,
     lhs_bound,
     mub_functional,
     numerical_radius,
@@ -37,10 +33,19 @@ from steerbound import (
 )
 import steerbound.bounds as bounds_module
 import steerbound.functionals as functionals_module
+import steerbound.lhs as lhs_module
 import steerbound.linalg as linalg_module
+import steerbound.quantum as quantum_module
+import steerbound.seesaw as seesaw_module
 import steerbound.structure as structure_module
 from steerbound.linalg import blas_threads, operator_norm
 from steerbound.structure import table_scale
+from steerbound.verify import (
+    fine_grained_bound,
+    fine_grained_xi,
+    gram_matrix,
+    gram_norm_identity_check,
+)
 
 LHS_23 = (3 + np.sqrt(3)) / 2
 
@@ -345,9 +350,9 @@ def test_per_setting_checks_decide_as_the_whole_table_ones(name, table):
     c = functional.coefficients
     with np.errstate(over="ignore"):
         mass = np.abs(c.real).sum() + np.abs(c.imag).sum()
-    bounded = bool(mass < bounds_module._MAX_TABLE_MASS)
+    bounded = bool(mass < lhs_module._MAX_TABLE_MASS)
     try:
-        bounds_module._require_bounded_table(functional)
+        lhs_module._require_bounded_table(functional)
     except PreconditionError:
         assert not bounded, name
     else:
@@ -392,7 +397,7 @@ def monomial_form_tables():
     re, im = base[x, 1, i, j].real, base[x, 1, i, j].imag
     off = complex(np.nextafter(re, 2.0), im) if re else complex(re, np.nextafter(im, 2.0))
     yield "outcome 2 one ulp off", put(((x, 1, i, j), off))
-    fraction, exponent = math.frexp(bounds_module._MAX_TABLE_MASS)
+    fraction, exponent = math.frexp(lhs_module._MAX_TABLE_MASS)
     steps = int(fraction * 2.0**53) // 32  # the limit is 32 * steps ulps, rounded down
     for name, count in (("mass just under the limit", steps), ("mass just over it", steps + 1)):
         yield name, base * math.ldexp(count, exponent - 53)  # 32 entries of modulus count ulps
@@ -416,7 +421,7 @@ def test_monomial_form_checks_decide_as_the_dense_passes(name, table):
     decisions = []
     for f in (functional, dense):
         try:
-            bounds_module._require_bounded_table(f)
+            lhs_module._require_bounded_table(f)
             bounded = True
         except PreconditionError:
             bounded = False
@@ -424,7 +429,7 @@ def test_monomial_form_checks_decide_as_the_dense_passes(name, table):
         proof = structure_module._anticommutation(f, symmetric)
         decisions.append([bounded, symmetric, proof])
         if bounded:
-            report, value, _ = bounds_module._canonical_check(f, paper, proof[0])
+            report, value, _ = quantum_module._canonical_check(f, paper, proof[0])
             attained = bool(abs(value - paper.s_q) <= TOLERANCES.bound_slack)
             decisions[-1] += [report.failed, attained]
     assert decisions[0] == decisions[1]
@@ -432,7 +437,7 @@ def test_monomial_form_checks_decide_as_the_dense_passes(name, table):
         c = functional.coefficients
         mass = np.abs(c.real).sum() + np.abs(c.imag).sum()
         assert mass == 32 * abs(table).max()  # no rounding, in the dense order either
-        assert decisions[0][0] == (mass < bounds_module._MAX_TABLE_MASS) == ("under" in name)
+        assert decisions[0][0] == (mass < lhs_module._MAX_TABLE_MASS) == ("under" in name)
     assert decisions[0][0] or not np.isfinite(table).all() or "over" in name
 
 
@@ -475,7 +480,7 @@ def test_canonical_pairing_is_the_einsum_bit_for_bit(functional):
     assert (functional.monomials is None) == (functional.kind == "mub")
     paper = paper_values(functional)
     squares = structure_module.anticommuting_squares(functional)
-    _, value, _ = bounds_module._canonical_check(functional, paper, squares)
+    _, value, _ = quantum_module._canonical_check(functional, paper, squares)
     c = functional.coefficients
     trace = np.einsum("xaii->", c)
     expected = (paper.scale * np.einsum("xaij,xaji->", c, c) + paper.shift * trace) / functional.d
@@ -505,7 +510,7 @@ def whole_table_checks(functional):
     peaks = [np.linalg.norm(s, axis=(1, 2)).max() / k for s, k in map(setting_square_safe, c)]
     return (
         c.shape[1] == 2 and bool(np.array_equal(c[:, 1], -c[:, 0])),
-        bool(mass < bounds_module._MAX_TABLE_MASS),
+        bool(mass < lhs_module._MAX_TABLE_MASS),
         (defect, ratio),
         max(1.0, float(np.sum(peaks))),
         int(rows[0]) if rows.size == 1 else None,
@@ -514,7 +519,7 @@ def whole_table_checks(functional):
 
 def blocked_checks(functional):
     try:
-        bounds_module._require_bounded_table(functional)
+        lhs_module._require_bounded_table(functional)
         bounded = True
     except PreconditionError:
         bounded = False
@@ -591,7 +596,7 @@ def test_blocked_checks_decide_as_the_whole_table_formulas(budget, monkeypatch):
         for size in (1 << 18, budget):
             monkeypatch.setattr(linalg_module, "_GRID_BLOCK_BYTES", size)
             with np.errstate(over="ignore", invalid="ignore"):  # the 1e250 table's pairing
-                report, value, eigs = bounds_module._canonical_check(functional, paper, squares)
+                report, value, eigs = quantum_module._canonical_check(functional, paper, squares)
             checks.append((*dataclasses.astuple(report), value, eigs))
         np.testing.assert_equal(checks[1], checks[0], err_msg=name)
 
@@ -622,7 +627,7 @@ def test_table_checks_peak_within_one_setting():
     assert peak(structure_module.table_structure, mub) <= 2 * setting + (64 << 10)
     for functional in (full_dim, mub):
         setting = functional.coefficients[0].nbytes
-        assert peak(bounds_module._require_bounded_table, functional) <= setting // 2 + 4096
+        assert peak(lhs_module._require_bounded_table, functional) <= setting // 2 + 4096
 
 
 def dense_anticommuting_value(functional):
@@ -953,13 +958,13 @@ def test_reduced_strategies_keep_their_full_enumeration_values():
 def radius_matrices(monkeypatch):
     """Counts the matrices passed to the enumeration's numerical radius."""
     counted = []
-    original = bounds_module.numerical_radius
+    original = lhs_module.numerical_radius
 
     def counting(ms, *args, **kwargs):
         counted.append(int(np.prod(np.shape(ms)[:-2])))
         return original(ms, *args, **kwargs)
 
-    monkeypatch.setattr(bounds_module, "numerical_radius", counting)
+    monkeypatch.setattr(lhs_module, "numerical_radius", counting)
     return counted
 
 
@@ -1112,7 +1117,7 @@ def test_exactly_hermitian_sums_are_bounded_as_they_come():
         n, m, d = functional.n, functional.m, functional.d
         assert functional.exactly_hermitian
         cells = functional.coefficients.reshape(n * m, -1).view(np.float64)
-        sums = bounds_module._chunk_sums(cells, n, m, 0, min(m**n, 4096)).reshape(-1, d, d)
+        sums = lhs_module._chunk_sums(cells, n, m, 0, min(m**n, 4096)).reshape(-1, d, d)
         exact = linalg_module.hermitian_norm_upper_bounds(sums, exact=True)
         assert np.array_equal(exact, linalg_module.hermitian_norm_upper_bounds(sums))
 
@@ -1127,13 +1132,13 @@ def signed_table(observables):
 def bounded(monkeypatch):
     """Counts the matrices passed to the enumeration's Hermitian upper bound."""
     counted = []
-    original = bounds_module.hermitian_norm_upper_bounds
+    original = lhs_module.hermitian_norm_upper_bounds
 
     def counting(ms, **kwargs):
         counted.append(len(ms))
         return original(ms, **kwargs)
 
-    monkeypatch.setattr(bounds_module, "hermitian_norm_upper_bounds", counting)
+    monkeypatch.setattr(lhs_module, "hermitian_norm_upper_bounds", counting)
     return counted
 
 
@@ -1147,7 +1152,7 @@ def test_near_miss_of_the_closed_form_skips_the_bounds(bounded):
     assert bounded == []
     assert result.value == strategy_norms(near_miss).max()
     # pruning it anyway finds nothing to skip: every value is within the slack
-    values = bounds_module._strategy_values(near_miss, 32, 1, prune=True)
+    values = lhs_module._strategy_values(near_miss, 32, 1, prune=True)
     assert bounded and (values > -np.inf).all()
     # commuting +- observables are not a near miss, and prune
     bounded.clear()
@@ -1170,7 +1175,7 @@ def test_complement_symmetry_is_checked_once_per_bound(monkeypatch):
         return original(f)
 
     monkeypatch.setattr(structure_module, "complement_symmetric", counting)
-    monkeypatch.setattr(bounds_module, "complement_symmetric", counting)
+    monkeypatch.setattr(lhs_module, "complement_symmetric", counting)
     observables = dichotomic_functional(build_clifford_family(10)).coefficients[:, 0].copy()
     observables[9] = observables[0]
     table = np.stack([observables, -observables], axis=1)
@@ -1420,10 +1425,10 @@ def test_paper_values_none_for_random_and_custom():
 
 
 def test_quantum_bound_values():
-    assert quantum_bound(mub_functional(build_mub_family(3, 4))).value == 4.0
-    assert quantum_bound(clifford_functional(build_clifford_family(6))).value == 3.0
+    assert quantum_bound(mub_functional(build_mub_family(3, 4))) == 4.0
+    assert quantum_bound(clifford_functional(build_clifford_family(6))) == 3.0
     dicho = dichotomic_functional(build_clifford_family(5))
-    assert quantum_bound(dicho).value == 5.0
+    assert quantum_bound(dicho) == 5.0
 
 
 def test_paper_values_reject_a_one_dimensional_mub_table():
@@ -1435,8 +1440,7 @@ def test_paper_values_reject_a_one_dimensional_mub_table():
 def test_quantum_bound_canonical_method():
     functional = mub_functional(build_mub_family(2, 3))
     result = quantum_bound(functional)
-    assert result.canonical_value == pytest.approx(3.0, abs=1e-9)
-    assert result.value == pytest.approx(3.0, abs=1e-9)
+    assert result == pytest.approx(3.0, abs=1e-9)
 
 
 def test_quantum_bound_rejects_random():
@@ -1476,7 +1480,7 @@ def test_seesaw_raises_on_a_decreasing_step(monkeypatch):
     # a negative tolerance turns every step that does not rise by at least
     # 1.0 into a violation, so the per-step check must fire
     monkeypatch.setattr(
-        bounds_module, "TOLERANCES", dataclasses.replace(TOLERANCES, seesaw_monotone=-1.0)
+        seesaw_module, "TOLERANCES", dataclasses.replace(TOLERANCES, seesaw_monotone=-1.0)
     )
     functional = mub_functional(build_mub_family(2, 3))
     with pytest.raises(BoundCheckError, match="see-saw objective fell"):
@@ -1616,7 +1620,7 @@ def test_extrapolated_seesaw_reaches_higher_values_in_fewer_updates():
 
 @pytest.mark.parametrize("max_iters", [1, 2, 3, 4])
 def test_seesaw_counts_every_update_against_max_iters(monkeypatch, max_iters):
-    update, extrapolated = bounds_module._povm_update, bounds_module._extrapolated
+    update, extrapolated = seesaw_module._povm_update, seesaw_module._extrapolated
     batches, extrapolated_at = [], []
 
     def counting(rotated, factors):
@@ -1627,8 +1631,8 @@ def test_seesaw_counts_every_update_against_max_iters(monkeypatch, max_iters):
         extrapolated_at.append(len(batches))  # 0-based index of the update it starts
         return extrapolated(history)
 
-    monkeypatch.setattr(bounds_module, "_povm_update", counting)
-    monkeypatch.setattr(bounds_module, "_extrapolated", recording)
+    monkeypatch.setattr(seesaw_module, "_povm_update", counting)
+    monkeypatch.setattr(seesaw_module, "_extrapolated", recording)
     restarts = 5
     result = quantum_bound_seesaw(random_functional(3, 0), restarts=restarts, max_iters=max_iters)
     # one group: each call updates every restart still running once
@@ -1654,11 +1658,11 @@ def test_seesaw_values_are_attained_by_the_final_measurements():
         rng = np.random.default_rng(seed)
         raw = rng.normal(size=(6, 9)) + 1j * rng.normal(size=(6, 9))
         state = (raw / np.linalg.norm(raw, axis=1, keepdims=True)).reshape(-1, 3, 3)
-        values, _, traces, _, povms, (kept, tried) = bounds_module._seesaw_group(
+        values, _, traces, _, povms, (kept, tried) = seesaw_module._seesaw_group(
             f, state, 10, 1e-12
         )
         assert tried == 18 and kept < tried  # some extrapolations were discarded
-        bounds_module._require_measurements(povms, 0)
+        seesaw_module._require_measurements(povms, 0)
         for value, trace, measurement in zip(values, traces, povms):
             assert trace[-1] == value
             assert (np.diff(trace) >= 0).all()
@@ -1681,7 +1685,7 @@ def test_extrapolation_of_fixed_straight_and_geometric_paths():
         # steps 2b, b: alpha = -2 lands on the limit a + 4b of the halving steps
         np.stack([a, a + 2 * b, a + 3 * b]),
     ])
-    start = bounds_module._extrapolated(history)
+    start = seesaw_module._extrapolated(history)
     unit = [fixed, a + 2 * b, a + 4 * b]  # v = 0 gives alpha = -1: the newest state
     for got, want in zip(start, unit):
         assert np.abs(got - want / np.linalg.norm(want)).max() <= 1e-15
@@ -1754,7 +1758,7 @@ def test_factored_pair_step_matches_root_form(m, d, kind):
     raw = rng.normal(size=(*shape, m, d, d)) + 1j * rng.normal(size=(*shape, m, d, d))
     rotated = (raw + raw.conj().swapaxes(-1, -2)) / 2
     povms = factors @ factors.conj().swapaxes(-1, -2)
-    new_povms, new_factors = bounds_module._povm_update(rotated, factors)
+    new_povms, new_factors = seesaw_module._povm_update(rotated, factors)
     assert np.abs(new_povms - root_form_sweep(rotated, povms)).max() <= 1e-12
     assert np.abs(new_povms - new_factors @ new_factors.conj().swapaxes(-1, -2)).max() <= 1e-12
     # the sweep keeps every POVM normalised
@@ -1823,7 +1827,7 @@ def test_rank_one_pair_split_matches_the_eigensolved_split(name):
     pair = (pair + pair.conj().T) / 2  # R_a - R_b
     vals, vecs = np.linalg.eigh(r @ pair @ r.conj().T)
     eigensolved = (r.conj().T @ vecs) * (vals > 0)
-    first, second = bounds_module._rank_one_split(r, alpha, beta)
+    first, second = seesaw_module._rank_one_split(r, alpha, beta)
     scale = max(1.0, np.linalg.norm(diff) * np.linalg.norm(v))
     objective = np.trace(first @ first.conj().T @ pair).real
     assert objective == pytest.approx(
@@ -1846,12 +1850,12 @@ def test_rank_one_pair_split_sends_the_kernel_by_the_pairing_bit():
     alpha = rng.normal(size=(k, d)) + 1j * rng.normal(size=(k, d))
     beta = rng.normal(size=(k, d)) + 1j * rng.normal(size=(k, d))
     r = np.broadcast_to(np.eye(d, dtype=complex), (k, d, d))
-    first, second = bounds_module._rank_one_split(r, alpha, beta)
+    first, second = seesaw_module._rank_one_split(r, alpha, beta)
     ranks = [
         (np.linalg.eigvalsh(g @ g.conj().swapaxes(-1, -2)) > 1e-9).sum(axis=-1)
         for g in (first, second)
     ]
-    to_a = (bounds_module._dot(beta, alpha).real.view(np.int64) & 1).astype(bool)
+    to_a = (seesaw_module._dot(beta, alpha).real.view(np.int64) & 1).astype(bool)
     assert 0 < to_a.sum() < k
     assert (ranks[0] == np.where(to_a, 3, 1)).all()
     assert (ranks[1] == np.where(to_a, 1, 3)).all()
@@ -1875,7 +1879,7 @@ def test_rank_one_update_keeps_measurements_on_degenerate_tables(m):
     v[4, 0] = 1.0  # the first outcome of every pair holds only e_0
     factors = projective_factors((5,), m, d)
     vectors = np.concatenate((phased, v[:, None]), axis=1)
-    povms, new_factors = bounds_module._povm_update(vectors, factors)
+    povms, new_factors = seesaw_module._povm_update(vectors, factors)
     assert np.abs(povms.sum(axis=-3) - np.eye(d)).max() <= 1e-12
     assert np.linalg.eigvalsh(povms).min() >= -1e-12
     assert np.abs(povms - new_factors @ new_factors.conj().swapaxes(-1, -2)).max() <= 1e-12
@@ -1889,25 +1893,25 @@ def test_rank_one_update_keeps_measurements_on_degenerate_tables(m):
 def test_seesaw_measurement_check_names_restart_and_setting():
     eye = np.eye(2, dtype=complex)
     povms = np.broadcast_to(eye / 2, (3, 2, 2, 2, 2)).copy()
-    bounds_module._require_measurements(povms, first=5)
+    seesaw_module._require_measurements(povms, first=5)
     povms[1, 1, 0] = np.diag([1.0, -1e-6])
     povms[1, 1, 1] = eye - povms[1, 1, 0]
     with pytest.raises(BoundCheckError, match="restart 6, setting 1"):
-        bounds_module._require_measurements(povms, first=5)
+        seesaw_module._require_measurements(povms, first=5)
     povms = np.broadcast_to(eye / 2, (3, 2, 2, 2, 2)).copy()
     povms[2, 0, 1] *= 1 + 1e-6
     with pytest.raises(BoundCheckError, match="restart 7, setting 0"):
-        bounds_module._require_measurements(povms, first=5)
+        seesaw_module._require_measurements(povms, first=5)
 
 
 def test_seesaw_rejects_measurements_that_drift(monkeypatch):
-    update = bounds_module._povm_update
+    update = seesaw_module._povm_update
 
     def drifting(rotated, factors):
         povms, factors = update(rotated, factors)
         return povms * (1 + 1e-6), factors
 
-    monkeypatch.setattr(bounds_module, "_povm_update", drifting)
+    monkeypatch.setattr(seesaw_module, "_povm_update", drifting)
     with pytest.raises(BoundCheckError, match="see-saw restart 0, setting 0"):
         quantum_bound_seesaw(random_functional(3, 0), restarts=2, max_iters=3)
 
@@ -2030,6 +2034,8 @@ def test_gram_rejects_malformed_table():
         gram_matrix(family, np.array([[1.2, -0.2]] * 3))
     with pytest.raises(PreconditionError, match="shape"):
         gram_matrix(family, np.full((2, 2), 0.5))
+    with pytest.raises(PreconditionError, match="NaN"):
+        gram_matrix(family, np.array([[np.nan, 1.0]] * 3))
 
 
 def test_gram_norm_identity_random_tables():
@@ -2097,6 +2103,8 @@ def test_fine_grained_validates_strategy():
         fine_grained_xi(family, (0, 1))
     with pytest.raises(PreconditionError):
         fine_grained_xi(family, (0, 1, 2))
+    with pytest.raises(PreconditionError, match="not integers"):
+        fine_grained_xi(family, (0.9, 1.7, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -2182,8 +2190,8 @@ def test_canonical_positivity_formula_matches_an_eigensolve():
         paper = paper_values(functional)
         squares = structure_module.anticommuting_squares(functional)
         assert squares
-        closed_form = bounds_module._canonical_check(functional, paper, squares)[0]
-        eigensolved = bounds_module._canonical_check(functional, paper, None)[0]
+        closed_form = quantum_module._canonical_check(functional, paper, squares)[0]
+        eigensolved = quantum_module._canonical_check(functional, paper, None)[0]
         assert closed_form.min_eigenvalue == pytest.approx(eigensolved.min_eigenvalue, abs=1e-14)
         assert closed_form.failed == eigensolved.failed
         assert failure_message(closed_form.require) == failure_message(eigensolved.require)
@@ -2234,7 +2242,7 @@ def test_canonical_check_is_the_members_pairing_and_validation():
         members = canonical_members(functional)
         expected = Assemblage(members=members).validate()
         for given in (squares, None):
-            report, value, _ = bounds_module._canonical_check(functional, paper, given)
+            report, value, _ = quantum_module._canonical_check(functional, paper, given)
             assert abs(value - evaluate(functional, members)) <= 1e-12 * table_scale(functional)
             assert report.failed == expected.failed
             assert report.min_eigenvalue == pytest.approx(expected.min_eigenvalue, abs=1e-14)
@@ -2250,7 +2258,7 @@ def test_canonical_check_is_the_members_pairing_and_validation():
         expected = Assemblage(members=canonical_members(functional)).validate()
         squares = structure_module.anticommuting_squares(functional)
         for given in (squares, None):
-            report = bounds_module._canonical_check(functional, paper, given)[0]
+            report = quantum_module._canonical_check(functional, paper, given)[0]
             assert report.failed == expected.failed
             assert failure_message(report.require) == failure_message(expected.require)
         assert failure_message(lambda: canonical_quantum_assemblage(functional)) == (
@@ -2272,18 +2280,17 @@ def test_proven_squares_certify_no_signalling_without_a_norm(monkeypatch, eigval
     exactly 0: the deviation is 0.0 with no outcome sum, norm or
     eigensolve taken, and the rest of the report is the eigensolved one."""
     tables = [f for f in attainment_tables() if structure_module.anticommuting_squares(f)]
-    expected = [bounds_module._canonical_check(f, paper_values(f), None) for f in tables]
+    expected = [quantum_module._canonical_check(f, paper_values(f), None) for f in tables]
 
     def refuse(*args, **kwargs):
         raise AssertionError("a norm was taken")
 
     for name in ("norm", "svd"):
         monkeypatch.setattr(np.linalg, name, refuse)
-    monkeypatch.setattr(bounds_module, "operator_norm", refuse)
     eigvalsh_matrices.clear()
     for functional, (eigensolved, value, _) in zip(tables, expected):
         squares = structure_module.anticommuting_squares(functional)
-        report, attained, eigs = bounds_module._canonical_check(
+        report, attained, eigs = quantum_module._canonical_check(
             functional, paper_values(functional), squares
         )
         assert report.no_signaling_deviation == 0.0 == eigensolved.no_signaling_deviation
@@ -2333,9 +2340,9 @@ def test_batched_certificate_decides_as_the_per_cell_checks():
     decisions = []
     for functional in tables:
         paper = paper_values(functional)
-        report, _, eigs = bounds_module._canonical_check(functional, paper, None)
+        report, _, eigs = quantum_module._canonical_check(functional, paper, None)
         assert report.no_signaling_deviation == per_setting_no_signalling(functional, paper)
-        envelope, reference = bounds_module._psd_envelope(functional, eigs), per_cell_psd_envelope(functional)
+        envelope, reference = quantum_module._psd_envelope(functional, eigs), per_cell_psd_envelope(functional)
         assert (envelope is None) == (reference is None)
         if envelope is not None:
             assert envelope == pytest.approx(reference, rel=1e-13)

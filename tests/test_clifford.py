@@ -8,10 +8,10 @@ from steerbound import (
     CliffordFamily,
     PreconditionError,
     build_clifford_family,
-    verify_anticommutation,
 )
 from steerbound.cli import main
 from steerbound.clifford import _chain
+from steerbound.verify import verify_anticommutation
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -57,6 +57,8 @@ def test_verify_flags_repeated_observable():
     report = verify_anticommutation(family)
     assert report.max_deviation == pytest.approx(2.0, abs=1e-15)
     assert not report.passed
+    family = CliffordFamily(qubits=1, observables=np.stack([SIGMA_X, np.full((2, 2), np.nan)]))
+    assert not verify_anticommutation(family).passed
 
 
 def test_verify_single_observable_vacuous():

@@ -18,9 +18,10 @@ from steerbound import (
     random_functional,
 )
 from steerbound import linalg, serialize
-from steerbound import bounds as bounds_module
-from steerbound.bounds import PaperValues, violation
+from steerbound import quantum as quantum_module
+from steerbound.bounds import violation
 from steerbound.cli import main as cli_main
+from steerbound.quantum import PaperValues
 from steerbound.serialize import functional_from_json, functional_to_json, load_functional
 from steerbound.tolerances import TOLERANCES
 
@@ -54,13 +55,13 @@ def cell_eigenvalues(functional) -> np.ndarray:
     canonical certificate finds them; they do not depend on the paper
     values it is given."""
     paper = PaperValues(s_q=0.0, scale=1.0, shift=0.0, lhs_upper={}, violation_lower={})
-    return bounds_module._canonical_check(functional, paper, None)[2]
+    return quantum_module._canonical_check(functional, paper, None)[2]
 
 
 def psd_envelope(functional):
     """The canonical attainment's PSD decision and envelope: None when the
     table is not positive semidefinite."""
-    return bounds_module._psd_envelope(functional, cell_eigenvalues(functional))
+    return quantum_module._psd_envelope(functional, cell_eigenvalues(functional))
 
 
 def test_mub_functional_flags():

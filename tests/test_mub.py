@@ -5,8 +5,8 @@ from steerbound import (
     MubFamily,
     PreconditionError,
     build_mub_family,
-    verify_unbiasedness,
 )
+from steerbound.verify import verify_unbiasedness
 
 
 def test_qubit_family_is_pauli_triple():
@@ -79,6 +79,9 @@ def test_verify_flags_scaled_vector():
     report = verify_unbiasedness(MubFamily(bases=bases))
     assert report.orthonormality_deviation == pytest.approx(0.0201, abs=1e-12)
     assert not report.passed
+    bases = family.bases.copy()
+    bases[1, 0, 0] = np.nan
+    assert not verify_unbiasedness(MubFamily(bases=bases)).passed
 
 
 def test_verify_single_basis_vacuous():

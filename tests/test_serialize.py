@@ -16,7 +16,6 @@ from steerbound import (
     build_mub_family,
     serialize,
 )
-from steerbound.bounds import canonical_quantum_assemblage
 from steerbound.cli import main as cli_main
 from steerbound.functionals import (
     clifford_functional,
@@ -24,6 +23,7 @@ from steerbound.functionals import (
     mub_functional,
     random_functional,
 )
+from steerbound.quantum import canonical_quantum_assemblage
 from steerbound.serialize import (
     canonical_dumps,
     functional_from_json,
