@@ -15,6 +15,7 @@ from .errors import BoundCheckError, PreconditionError
 from .functionals import SteeringFunctional
 from .lhs import DEFAULT_ENUMERATION_CAP, lhs_bound
 from .quantum import Certificate, _canonical_attainment, paper_values
+from .seesaw import DEFAULT_MAX_ITERS, DEFAULT_RESTARTS
 from .seesaw import _check_seesaw_parameters, quantum_bound_seesaw
 from .tolerances import TOLERANCES
 
@@ -48,8 +49,8 @@ def violation(
     f: SteeringFunctional,
     cap: int = DEFAULT_ENUMERATION_CAP,
     threads: int = 1,
-    seesaw_restarts: int = 20,
-    seesaw_max_iters: int = 500,
+    seesaw_restarts: int = DEFAULT_RESTARTS,
+    seesaw_max_iters: int = DEFAULT_MAX_ITERS,
     seesaw_seed: int = 0,
     strict: bool = True,
 ) -> BoundsReport:
@@ -64,7 +65,8 @@ def violation(
     the valid canonical assemblage attains, a lower bound tagged
     "canonical-lower". The canonical assemblage reuses the structure
     lhs_bound found, so table_structure runs once. Random/custom tables fall
-    back to the see-saw lower bound (tagged as such). A table whose LHS
+    back to the see-saw lower bound, tagged "seesaw-lower", or to S_LHS,
+    tagged "lhs-lower", where that is strictly larger. A table whose LHS
     bound is 0 has no ratio and is rejected. The see-saw parameters
     are checked first, for every table. With strict enabled, a failed
     certificate raises instead of being reported.
@@ -97,6 +99,8 @@ def violation(
             f, restarts=seesaw_restarts, max_iters=seesaw_max_iters, seed=seesaw_seed
         )
         s_q, method = seesaw.value, "seesaw-lower"
+        if lhs.value > s_q:  # every LHS assemblage is quantum
+            s_q, method = lhs.value, "lhs-lower"
         diagnostics["seesaw_iterations"] = seesaw.iterations
         diagnostics["seesaw_converged"] = seesaw.converged
         diagnostics["seesaw_extrapolations"] = {

@@ -46,8 +46,10 @@ from .functionals import (
     mub_functional,
     random_functional,
 )
+from .lhs import DEFAULT_ENUMERATION_CAP
 from .linalg import blas_threads
 from .mub import build_mub_family, require_mub_parameters
+from .seesaw import DEFAULT_MAX_ITERS, DEFAULT_RESTARTS
 from .serialize import format_float, load_functional, write_canonical, write_functional
 from .verify import run_suite
 
@@ -79,6 +81,7 @@ SWEEP_COLUMNS = (
 
 
 THREADS_HELP = "worker threads (default: $STEERBOUND_THREADS, else 1)"
+CAP_HELP = "strategy enumeration cap"
 
 
 def _default_threads() -> int:
@@ -357,11 +360,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bnd = sub.add_parser("bounds", help="exact and analytic bounds for a functional file")
     bnd.add_argument("input", help="functional JSON file")
-    bnd.add_argument("--cap", type=int, default=10**6, help="strategy enumeration cap")
+    bnd.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP, help=CAP_HELP)
     bnd.add_argument("--threads", type=int, help=THREADS_HELP)
-    bnd.add_argument("--restarts", type=int, default=20, help="see-saw restarts")
+    bnd.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS, help="see-saw restarts")
     bnd.add_argument(
-        "--max-iters", type=int, default=500, help="see-saw updates per restart, kept or discarded"
+        "--max-iters",
+        type=int,
+        default=DEFAULT_MAX_ITERS,
+        help="see-saw updates per restart, kept or discarded",
     )
     bnd.add_argument("--seed", type=int, default=0, help="see-saw restart seed")
     bnd.add_argument("--out", help="write the JSON report here")
@@ -372,7 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--d", help="comma-separated prime dimensions (mub; n = d+1 each)")
     swp.add_argument("--n", help="comma-separated setting counts (clifford, dichotomic)")
     swp.add_argument("--full-dim", action="store_true", help="use the 2^n-dimensional chain")
-    swp.add_argument("--cap", type=int, default=10**6, help="strategy enumeration cap")
+    swp.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP, help=CAP_HELP)
     swp.add_argument("--threads", type=int, help=THREADS_HELP)
     swp.add_argument("--out", help="output CSV path (default stdout)")
     swp.set_defaults(func=cmd_sweep)

@@ -23,14 +23,15 @@ one call per chunk of operators built as one GEMM of a one-hot selector
 with the flattened table. lhs_bound solves, per chunk, only the
 strategies whose certified upper bound ((Tr H^4)^(1/4), or 16 support
 lines of the numerical range; linalg) reaches the value of the strategy
-with the largest bound; a table that table_structure finds flat, a near
-miss of the closed form, is solved without bounds. Chunks have fixed,
-shape-only bounds, the `threads` pool workers are the only parallelism
-(OpenBLAS is held at one thread) and the maximum is the first in
-lexicographic order, so reports are identical for any `threads` and any
-OPENBLAS_NUM_THREADS. The command line holds OpenBLAS at one thread for
-its whole command, so load, table_structure and the certificates run
-single-threaded too.
+with the largest bound; if the first chunk's bounds skip nothing, as on
+a near miss of the closed form, the other chunks are solved without
+bounds. Chunks have fixed, shape-only ends, the first one decides
+before any pool worker runs, the `threads` workers are the only
+parallelism (OpenBLAS is held at one thread) and the maximum is the
+first in lexicographic order, so reports are identical for any
+`threads` and any OPENBLAS_NUM_THREADS. The command line holds OpenBLAS
+at one thread for its whole command, so load, table_structure and the
+certificates run single-threaded too.
 
 Memory is bounded by shape alone: 1 MiB of strategy operators per chunk,
 beside the copy of those a pruned chunk still solves, and 256 KiB of
@@ -190,18 +191,17 @@ def _strategy_values(
     (|w_row| + |w|)/2 of that row w of the operator. With `prune`, a
     chunk of operators solves only the strategies that can reach its
     maximum (_pruned_values, bounded by hermitian_norm_upper_bounds or
-    numerical_radius_upper_bounds) and gives the others -inf; every
-    solved value is the one the unpruned chunk gives.
+    numerical_radius_upper_bounds), each to its unpruned value, and gives
+    the others -inf; the first chunk runs before the pool starts, and the
+    others are pruned only if it skipped a strategy.
 
     An exactly Hermitian table's strategy sums are bounded as they come
     (hermitian_norm_upper_bounds with `exact`), not rebuilt from their
-    lower triangles. Entry (j, i) of a sum adds the conjugates of the n
-    terms entry (i, j) adds, so the sum is Hermitian up to the GEMM's
-    rounding, about n eps of those terms, which moves a bound by as
-    little: far inside the relative TOLERANCES.strategy_pruning margin,
-    1e-9. A GEMM that adds both entries' terms in one order, as numpy's
-    does at one OpenBLAS thread, makes the sums exactly Hermitian and the
-    bounds the rebuilt ones bit for bit."""
+    lower triangles: the GEMM leaves them Hermitian up to about n eps of
+    their terms, far inside the relative 1e-9 TOLERANCES.strategy_pruning,
+    and a GEMM that adds both entries' terms in one order, as numpy's does
+    at one OpenBLAS thread, leaves them exactly Hermitian, with the rebuilt
+    bounds bit for bit."""
     n, m, d = f.n, f.m, f.d
     chunk = _chunk_size(d)
     spans = [(s, min(s + chunk, count)) for s in range(0, count, chunk)]
@@ -219,7 +219,7 @@ def _strategy_values(
     else:
         upper_bounds, norms = numerical_radius_upper_bounds, numerical_radius
 
-    def values_of(span):
+    def values_of(span, prune):
         sums = _chunk_sums(cells, n, m, *span)
         if row is not None:
             return (np.abs(sums[:, row]) + np.linalg.norm(sums, axis=1)) / (2 * scale)
@@ -227,12 +227,14 @@ def _strategy_values(
         return _pruned_values(ops, norms, upper_bounds) if prune else norms(ops)
 
     with blas_threads(1):
-        if threads > 1 and len(spans) > 1:
+        first, rest = values_of(spans[0], prune), spans[1:]
+        prune = prune and bool((first == -np.inf).any())
+        if threads > 1 and len(rest) > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(values_of, spans))
+                parts = list(pool.map(values_of, rest, [prune] * len(rest)))
         else:
-            parts = [values_of(span) for span in spans]
-    return np.concatenate(parts) if parts else np.zeros(0)
+            parts = [values_of(span, prune) for span in rest]
+    return np.concatenate([first, *parts])
 
 
 def strategy_norms(
@@ -278,11 +280,11 @@ def lhs_bound(
     certified upper bound reaches the chunk's best solved value less the
     relative TOLERANCES.strategy_pruning (_pruned_values), each with the
     value it has in strategy_norms; the others are certified below the
-    maximum. A flat table (structure.flat) solves every one unbounded.
-    strategies_evaluated counts the strategies the maximum covers,
-    strategies_solved those whose norm was computed; neither depends on
-    `threads`. The cap applies to m^n whatever the path, and
-    strategy_count is always m^n.
+    maximum; if the first chunk's bounds skip none, the other chunks are
+    solved unbounded. strategies_evaluated counts the strategies the
+    maximum covers, strategies_solved those whose norm was computed;
+    neither depends on `threads`. The cap applies to m^n whatever the
+    path, and strategy_count is always m^n.
     """
     total = _checked_total(f, cap, threads)
     structure = table_structure(f)
@@ -296,11 +298,7 @@ def lhs_bound(
             strategies_solved=0,
         )
     values = _strategy_values(
-        f,
-        f.m ** (f.n - structure.prefix),
-        threads,
-        structure.row,
-        prune=not structure.flat,
+        f, f.m ** (f.n - structure.prefix), threads, structure.row, prune=True
     )
     best = int(np.argmax(values))
     witness = tuple(int(a) for a in np.unravel_index(best, (f.m,) * f.n))

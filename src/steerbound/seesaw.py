@@ -17,6 +17,8 @@ from .linalg import blas_threads, hermitian_part
 from .structure import _rank_one_row, table_scale
 from .tolerances import TOLERANCES
 
+DEFAULT_RESTARTS = 20
+DEFAULT_MAX_ITERS = 500  # updates per restart, kept or discarded
 _SEESAW_GROUP_BYTES = 1 << 23  # assembled stack of one restart group
 _SEESAW_TOL = 1e-10  # largest gain of a restart's last kept update
 
@@ -303,8 +305,8 @@ def _check_seesaw_parameters(restarts: int, max_iters: int, seed: int) -> None:
 
 def quantum_bound_seesaw(
     f: SteeringFunctional,
-    restarts: int = 20,
-    max_iters: int = 500,
+    restarts: int = DEFAULT_RESTARTS,
+    max_iters: int = DEFAULT_MAX_ITERS,
     seed: int = 0,
 ) -> SeesawResult:
     """Monotone alternating lower bound on the quantum value.

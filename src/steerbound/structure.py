@@ -20,14 +20,6 @@ cases, in the order they are tried:
   products pair by pair, O(n^2 d^3).
   The c_x^2 are kept, since they also give the canonical assemblage's
   positivity in closed form (quantum._canonical_check).
-  The same products decide whether the table is flat: whether its defect
-  D = sum_x ||B_x^2 - cbar_x^2 I||_F + sum_{x<y} ||B_x B_y + B_y B_x||_F,
-  cbar_x^2 = ||B_x||_F^2 / d, is at most C strategy_pruning / 2, C =
-  sum_x cbar_x^2. Every strategy operator S has S^2 = C I + E, ||E|| <=
-  D, so ||S||^2 is within D of C and no bound can skip one (lhs_bound).
-  D is summed from the first inexact setting or pair block on, the exact
-  terms before it counting 0 (an exact table is flat), until it passes C
-  strategy_pruning / 2.
 - rank-one: a non-Hermitian table whose cells are all zero outside one
   common row r, exactly. Strategy operators are then e_r w^T, whose
   numerical radius is exactly (|w_r| + |w|)/2.
@@ -62,9 +54,6 @@ from .functionals import SteeringFunctional
 from .linalg import _blocks, _pair_blocks, blas_threads, square_safe
 from .tolerances import TOLERANCES
 
-_Proof = tuple[tuple[float, ...] | None, bool]  # c_x^2 of an anticommuting table, or None; flat
-
-
 @dataclass(frozen=True)
 class TableStructure:
     """What the LHS bound may exploit in one table."""
@@ -74,7 +63,6 @@ class TableStructure:
     value: float | None = None  # closed-form LHS bound (anticommuting)
     row: int | None = None  # the one nonzero row of every cell (rank-one)
     squares: tuple[float, ...] = ()  # c_x^2 per setting (anticommuting)
-    flat: bool = False  # no upper bound can prune a strategy (module docstring)
 
 
 def complement_symmetric(f: SteeringFunctional) -> bool:
@@ -111,14 +99,7 @@ def _monomial_hermitian(columns: np.ndarray, values: np.ndarray) -> bool:
     return bool((values[x, columns] == values.conj()).all())
 
 
-def _flat_limit(stack: np.ndarray) -> tuple[np.ndarray, float]:
-    """(cbar_x^2 per setting, and C strategy_pruning / 2) of the module
-    docstring, from the B_x or their monomial values, one setting at a time."""
-    means = np.array([np.vdot(b, b).real for b in stack]) / stack.shape[-1]
-    return means, TOLERANCES.strategy_pruning / 2 * float(means.sum())
-
-
-def _monomial_squares(columns: np.ndarray, values: np.ndarray) -> _Proof:
+def _monomial_squares(columns: np.ndarray, values: np.ndarray) -> tuple[float, ...] | None:
     """_dense_squares for Hermitian monomial B_x (_monomial_hermitian), row
     i holding values[x, i] at column columns[x, i], from O(d) gathers: c_x
     is an involution with v_x[c_x] = conj(v_x), so B_x^2 is the diagonal
@@ -131,80 +112,66 @@ def _monomial_squares(columns: np.ndarray, values: np.ndarray) -> _Proof:
     n, d = columns.shape
     with np.errstate(over="ignore", invalid="ignore"):
         squares = values * values[np.arange(n)[:, None], columns]
-        c2, limit, defect = squares[:, :1], None, 0.0  # limit: set at the first inexact block
+        c2 = squares[:, :1]
         if (c2.imag != 0).any() or not (squares == c2).all():
-            means, limit = _flat_limit(values)
-            defect = np.linalg.norm(squares - means[:, None], axis=1).sum()
+            return None
         rows = np.arange(d)
         for x0, x1 in _pair_blocks(n, d):
-            if limit is not None and not defect <= limit:
-                return None, False
             counts = np.arange(x0, x1)  # setting x pairs with the x settings before it
             xs = np.repeat(counts, counts)
             ys = (np.arange(xs.size) - np.repeat(np.cumsum(counts) - counts, counts))[:, None]
             cx, pair = columns[xs], np.arange(xs.size)[:, None]
             pi = columns[ys, cx]
             p = values[xs] * values[ys, cx]
-            paired = pi[pair, pi] == rows
-            anti = np.where(paired, p + p[pair, pi].conj(), p)
-            if limit is None and anti.any():
-                limit = _flat_limit(values)[1]
-            if limit is not None:  # an unpaired entry stands twice in P + P^dagger
-                defect += np.sqrt((np.where(paired, 1, 2) * abs(anti) ** 2).sum(axis=1)).sum()
-    return (tuple(c2[:, 0].real), True) if limit is None else (None, bool(defect <= limit))
+            if np.where(pi[pair, pi] == rows, p + p[pair, pi].conj(), p).any():
+                return None
+    return tuple(c2[:, 0].real)
 
 
-def _dense_squares(ops: np.ndarray) -> _Proof:
-    """(c_x^2 per setting, or None, and flatness) of Hermitian B_x: c_x^2
-    when B_x^2 = c_x^2 I and B_x B_y + B_y B_x = 0 exactly, checked pair by
-    pair with O(d^2) memory per pair."""
+def _dense_squares(ops: np.ndarray) -> tuple[float, ...] | None:
+    """c_x^2 per setting of Hermitian B_x when B_x^2 = c_x^2 I and B_x B_y
+    + B_y B_x = 0 exactly, else None; checked pair by pair with O(d^2)
+    memory per pair."""
     eye = np.eye(ops.shape[-1])
-    squares, limit, defect = [], None, 0.0  # limit: set at the first inexact product
+    squares = []
     with np.errstate(over="ignore", invalid="ignore"):
         for x, b in enumerate(ops):
-            if limit is not None and not defect <= limit:
-                return None, False
             square = b @ b
             c2 = square[0, 0]
+            if c2.imag != 0 or not np.array_equal(square, c2 * eye):
+                return None
             squares.append(c2.real)
-            if limit is None and (c2.imag != 0 or not np.array_equal(square, c2 * eye)):
-                means, limit = _flat_limit(ops)
-            if limit is not None:
-                defect += np.linalg.norm(square - means[x] * eye)
             for y in range(x):
                 p = b @ ops[y]  # B_y B_x = (B_x B_y)^dagger for Hermitian B
-                anti = p + p.conj().T
-                if limit is None and anti.any():
-                    means, limit = _flat_limit(ops)
-                if limit is not None:
-                    defect += np.linalg.norm(anti)
-    return (tuple(squares), True) if limit is None else (None, bool(defect <= limit))
+                if (p + p.conj().T).any():
+                    return None
+    return tuple(squares)
 
 
-def _anticommutation(f: SteeringFunctional, symmetric: bool) -> _Proof:
-    """(c_x^2 per setting when the table is an anticommuting +- table, else
-    None, and flatness), `symmetric` being complement_symmetric(f).
+def _anticommutation(f: SteeringFunctional, symmetric: bool) -> tuple[float, ...] | None:
+    """c_x^2 per setting when the table is an anticommuting +- table, else
+    None, `symmetric` being complement_symmetric(f).
     Monomial cells (f.monomials) are proven exactly Hermitian from their
     nonzeros (_monomial_hermitian) and take _monomial_squares, so the
     table's Hermiticity pass never runs; other tables read
     f.exactly_hermitian and take dense products at one OpenBLAS thread,
     so the exact checks cannot depend on the caller's thread count."""
     if not symmetric:
-        return None, False
+        return None
     if f.monomials is not None:
         columns, values = (part[:, 0] for part in f.monomials)
         if not _monomial_hermitian(columns, values):
-            return None, False
+            return None
         return _monomial_squares(columns, values)
     if not f.exactly_hermitian:
-        return None, False
+        return None
     with blas_threads(1):
         return _dense_squares(f.coefficients[:, 0])
 
 
 def anticommuting_squares(f: SteeringFunctional) -> tuple[float, ...] | None:
     """c_x^2 per setting of an anticommuting +- table, else None."""
-    return _anticommutation(f, complement_symmetric(f))[0]
+    return _anticommutation(f, complement_symmetric(f))
 
 
 def _rank_one_row(f: SteeringFunctional) -> int | None:
@@ -285,19 +252,17 @@ def _weyl_transitive(f: SteeringFunctional) -> bool:
 
 
 def table_structure(f: SteeringFunctional) -> TableStructure:
-    """The first case of the module docstring that the table satisfies,
-    and whether it is flat."""
+    """The first case of the module docstring that the table satisfies."""
     symmetric = complement_symmetric(f)
-    squares, flat = _anticommutation(f, symmetric)
+    squares = _anticommutation(f, symmetric)
     if squares is not None:
         total = 0.0
         for c2 in squares:  # in setting order, whatever sum() would do
             total += c2
-        value = float(np.sqrt(total))
-        return TableStructure("anticommuting", value=value, squares=squares, flat=True)
+        return TableStructure("anticommuting", value=float(np.sqrt(total)), squares=squares)
     row = None if f.hermitian else _rank_one_row(f)
     prefix = 2 if _weyl_transitive(f) else int(symmetric)
     if row is not None:
         return TableStructure("rank-one", prefix=prefix, row=row)
     method = ("enumeration", "complement-half", "weyl-orbit")[prefix]
-    return TableStructure(method, prefix=prefix, flat=flat)
+    return TableStructure(method, prefix=prefix)

@@ -33,8 +33,9 @@ class Tolerances:
         operator.
     strategy_pruning: relative margin by which a strategy's certified upper
         bound must fall below the best value its chunk computed before the
-        LHS enumeration skips the strategy's eigensolve; far above the
-        rounding of either the bound or the eigensolve (about d * 2.2e-16).
+        LHS enumeration skips the strategy's eigensolve (no later chunk is
+        bounded if the first skips none); far above the rounding of either
+        the bound or the eigensolve (about d * 2.2e-16).
     """
 
     hermiticity: float = 1e-10

@@ -312,7 +312,7 @@ def _check_lhs_structure_shortcuts(rng, threads: int) -> tuple[bool, str]:
     perturbed[1, 1, 0, 0] += 1e-9
     general = rng.normal(size=(3, 3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3, 3))
     near = dichotomic_functional(build_clifford_family(6)).coefficients[:, 0].copy()
-    j = int(np.flatnonzero(near[0, 0])[0])  # B_0 an ulp off anticommuting: flat
+    j = int(np.flatnonzero(near[0, 0])[0])  # B_0 an ulp off anticommuting: nothing prunes
     near[0, 0, j] += 1j * np.spacing(abs(near[0, 0, j]))
     near[0, j, 0] = np.conj(near[0, 0, j])
     cases = (

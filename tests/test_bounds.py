@@ -429,7 +429,7 @@ def test_monomial_form_checks_decide_as_the_dense_passes(name, table):
         proof = structure_module._anticommutation(f, symmetric)
         decisions.append([bounded, symmetric, proof])
         if bounded:
-            report, value, _ = quantum_module._canonical_check(f, paper, proof[0])
+            report, value, _ = quantum_module._canonical_check(f, paper, proof)
             attained = bool(abs(value - paper.s_q) <= TOLERANCES.bound_slack)
             decisions[-1] += [report.failed, attained]
     assert decisions[0] == decisions[1]
@@ -652,17 +652,6 @@ def dense_anticommuting_value(functional):
                 if (p + p.conj().T).any():
                     return None
     return float(np.sqrt(total))
-
-
-def flat_reference(ops):
-    """Whether the defect of the B_x, every term taken with dense
-    products, is within the flat limit of the structure module."""
-    d = ops.shape[-1]
-    means = [np.vdot(b, b).real / d for b in ops]
-    defect = sum(np.linalg.norm(b @ b - c2 * np.eye(d)) for b, c2 in zip(ops, means))
-    for x, y in itertools.combinations(range(len(ops)), 2):
-        defect += np.linalg.norm(ops[x] @ ops[y] + ops[y] @ ops[x])
-    return bool(defect <= TOLERANCES.strategy_pruning / 2 * sum(means))
 
 
 def structure_matches_dense_reference(functional):
@@ -918,12 +907,10 @@ def test_pair_gathers_decide_random_pauli_tables_like_dense_products(qubits, cas
         with blas_threads(1):
             dense = structure_module._dense_squares(ops)
         assert structure_module._monomial_squares(columns, values) == dense
-        squares, flat = dense
-        assert flat is flat_reference(ops)
         if case == "anticommuting":
-            assert dense == (tuple(np.abs(ops[:, 0]).max(axis=1) ** 2), True)
+            assert dense == tuple(np.abs(ops[:, 0]).max(axis=1) ** 2)
         elif case in ("commuting-pair", "square-one-ulp-off"):
-            assert squares is None
+            assert dense is None
 
 
 def test_pair_gathers_reject_many_settings_within_the_table_memory():
@@ -1142,31 +1129,36 @@ def bounded(monkeypatch):
     return counted
 
 
-def test_near_miss_of_the_closed_form_skips_the_bounds(bounded):
-    # dichotomic n = 6 (d = 8) with B_0 one ulp off anticommuting with the rest
+def first_maximiser(functional):
+    """(value, witness) of the full enumeration's first maximiser."""
+    norms = strategy_norms(functional)
+    best = int(np.argmax(norms))
+    witness = np.unravel_index(best, (functional.m,) * functional.n)
+    return norms[best], tuple(int(a) for a in witness)
+
+
+def test_near_miss_of_the_closed_form_prunes_from_its_one_chunk(bounded):
+    # dichotomic n = 6 (d = 8) with B_0 one ulp off anticommuting with the
+    # rest: its 32 strategies are one chunk, bounded once, and every value
+    # is within the slack of the largest, so every strategy is solved
     near_miss = off_anticommuting(dichotomic_functional(build_clifford_family(6)))
-    assert structure_module.table_structure(near_miss).flat
     result = lhs_bound(near_miss)
     assert (result.method, result.strategies_evaluated, result.strategies_solved) == (
         "complement-half", 32, 32)
-    assert bounded == []
-    assert result.value == strategy_norms(near_miss).max()
-    # pruning it anyway finds nothing to skip: every value is within the slack
-    values = lhs_module._strategy_values(near_miss, 32, 1, prune=True)
-    assert bounded and (values > -np.inf).all()
+    assert bounded == [32]
+    assert (result.value, result.witness) == first_maximiser(near_miss)
     # commuting +- observables are not a near miss, and prune
     bounded.clear()
     signs = np.random.default_rng(4).choice([-1.0, 1.0], size=(6, 8))
     commuting = signed_table([np.diag(s) for s in signs])
-    assert not structure_module.table_structure(commuting).flat
     result = lhs_bound(commuting)
     assert bounded and result.strategies_solved < result.strategies_evaluated == 32
-    assert result.value == strategy_norms(commuting).max()
+    assert (result.value, result.witness) == first_maximiser(commuting)
 
 
 def test_complement_symmetry_is_checked_once_per_bound(monkeypatch):
     """table_structure hands its one complement_symmetric pass to the
-    anticommutation proof, and lhs_bound reads flatness from the record."""
+    anticommutation proof."""
     calls = []
     original = structure_module.complement_symmetric
 
@@ -1181,7 +1173,7 @@ def test_complement_symmetry_is_checked_once_per_bound(monkeypatch):
     table = np.stack([observables, -observables], axis=1)
     functional = SteeringFunctional.from_table(table, kind="clifford-dichotomic")
     result = lhs_bound(functional)
-    assert (result.method, result.structure.flat) == ("complement-half", False)
+    assert result.method == "complement-half"
     assert result.value == pytest.approx(np.sqrt(12.0), rel=1e-14)
     assert calls == [10]
     calls.clear()
@@ -1189,30 +1181,63 @@ def test_complement_symmetry_is_checked_once_per_bound(monkeypatch):
     assert calls == [10]
 
 
-def test_monomial_near_miss_is_flat_from_its_gathers(dense_checks, bounded):
-    # dichotomic n = 10 (d = 32) with B_0 one ulp off: the monomial proof
-    # decides flatness too, with no dense product and no Hermiticity pass
+def test_monomial_near_miss_bounds_only_its_first_chunk(dense_checks, bounded):
+    # dichotomic n = 10 (d = 32) with B_0 one ulp off: 512 strategies in 8
+    # chunks of 64; the first chunk's bounds skip nothing, so the other 7
+    # are solved without bounds. The proof takes no dense product
     near_miss = off_anticommuting(dichotomic_functional(build_clifford_family(10)))
-    structure = structure_module.table_structure(near_miss)
-    assert (structure.method, structure.flat) == ("complement-half", True)
-    assert flat_reference(near_miss.coefficients[:, 0])
     result = lhs_bound(near_miss)
+    assert result.method == "complement-half"
     assert result.strategies_solved == result.strategies_evaluated == 512
-    assert dense_checks == [] and bounded == []
-    assert result.value == strategy_norms(near_miss).max()
+    assert dense_checks == [] and bounded == [64]
+    assert (result.value, result.witness) == first_maximiser(near_miss)
+
+
+def test_plus_minus_squares_table_bounds_only_its_first_chunk(bounded):
+    """Dichotomic n = 10 with B_9 = B_0: every strategy operator squares to
+    a multiple of I, so (Tr H^4)^(1/4) = d^(1/4) ||H|| lies above every
+    other norm and prunes nothing. The first of its 8 chunks of 64 shows
+    that, and is the only one bounded, whatever the thread count."""
+    observables = dichotomic_functional(build_clifford_family(10)).coefficients[:, 0].copy()
+    observables[9] = observables[0]
+    functional = signed_table(observables)
+    results = []
+    for threads in (1, 3):
+        bounded.clear()
+        results.append(lhs_bound(functional, threads=threads))
+        assert bounded == [64]
+    assert results[0] == results[1]
+    result = results[0]
+    assert (result.method, result.strategies_evaluated) == ("complement-half", 512)
+    assert result.strategies_solved == 512
+    assert (result.value, result.witness) == first_maximiser(functional)
+
+
+def test_unbiased_bases_prune_past_their_first_chunk(eigvalsh_matrices):
+    # mub (7,6): the Weyl orbit leaves 2,401 strategies, in chunks of 1,337;
+    # the first chunk's bounds prune, so the second is bounded too, and each
+    # solves its top strategy and one more
+    functional = mub_functional(build_mub_family(7, 6))
+    eigvalsh_matrices.clear()
+    result = lhs_bound(functional)
+    assert (result.method, result.strategy_count) == ("weyl-orbit", 7**6)
+    assert (result.strategies_evaluated, result.strategies_solved) == (2401, 4)
+    assert eigvalsh_matrices == [1, 1, 1, 1]
 
 
 class _CountedProducts(np.ndarray):
-    """An array that counts the matrix products taken with it."""
+    """An array that records the operands of the matrix products taken
+    with it, by their data addresses."""
 
-    products = 0
+    products = []
 
     def __matmul__(self, other):
-        _CountedProducts.products += 1
-        return np.asarray(self) @ np.asarray(other)
+        other = np.asarray(other)
+        _CountedProducts.products.append((self.ctypes.data, other.ctypes.data))
+        return np.asarray(self) @ other
 
 
-def test_dense_near_miss_is_decided_in_one_pass_of_products(dense_checks, bounded):
+def test_dense_near_miss_takes_each_product_at_most_once(dense_checks, bounded):
     # dichotomic n = 6 (d = 8) turned by a random unitary, then made exactly
     # Hermitian: anticommuting up to rounding, with dense cells
     rng = np.random.default_rng(5)
@@ -1222,15 +1247,16 @@ def test_dense_near_miss_is_decided_in_one_pass_of_products(dense_checks, bounde
     turned = (turned + turned.conj().swapaxes(1, 2)) / 2
     table = np.stack([turned, -turned], axis=1).view(_CountedProducts)
     near_miss = SteeringFunctional(kind="custom", coefficients=table)
-    assert near_miss.exactly_hermitian and flat_reference(turned)
+    assert near_miss.exactly_hermitian
     assert functionals_module._monomials(turned) is None
-    _CountedProducts.products = 0
+    _CountedProducts.products = []
     result = lhs_bound(near_miss)
-    assert _CountedProducts.products == 6 * 7 // 2  # each B_x B_y, y <= x, once
-    assert dense_checks == [6] and bounded == []
-    assert (result.method, result.structure.flat) == ("complement-half", True)
+    products = _CountedProducts.products
+    assert 1 <= len(products) == len(set(products)) <= 6 * 7 // 2  # B_x B_y, y <= x
+    assert dense_checks == [6] and bounded == [32]
+    assert result.method == "complement-half"
     assert result.strategies_solved == result.strategies_evaluated == 32
-    assert result.value == strategy_norms(signed_table(turned)).max()
+    assert (result.value, result.witness) == first_maximiser(signed_table(turned))
 
 
 def test_rank_one_table_makes_no_numerical_radius_call(radius_matrices):
@@ -1960,6 +1986,17 @@ def test_violation_random_uses_seesaw():
     report = violation(random_functional(2, 7), seesaw_restarts=5)
     assert report.s_q_method == "seesaw-lower"
     assert report.s_lhs_exact > 0
+
+
+def test_violation_floors_the_seesaw_at_the_lhs_bound():
+    # every LHS assemblage is quantum, so S_Q >= S_LHS; the default see-saw
+    # on random d = 4 seed 0 ends about 1e-11 below S_LHS
+    functional = random_functional(4, 0)
+    seesaw = seesaw_module.quantum_bound_seesaw(functional)
+    report = violation(functional)
+    assert seesaw.value < report.s_lhs_exact
+    assert (report.s_q, report.s_q_method) == (report.s_lhs_exact, "lhs-lower")
+    assert report.violation >= 1
 
 
 def test_steering_witness_strict_gap():

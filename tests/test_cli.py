@@ -484,9 +484,10 @@ def test_bounds_clifford_label_without_the_structure_eigensolves_every_cell(
         "error: kind 'clifford' does not fit the table: "
         "its canonical assemblage fails positivity\n"
     )
-    # the a_0 = 0 half at once, since a near miss of the closed form skips
-    # the pruning, then all 10 canonical cells at once
-    assert eigvalsh_matrices == [2**4, 10]
+    # the a_0 = 0 half in one chunk, pruned: the strategy with the largest
+    # bound, then the 15 others, whose bounds all reach its value; then all
+    # 10 canonical cells at once
+    assert eigvalsh_matrices == [1, 15, 10]
     lhs = lhs_bound(SteeringFunctional.from_table(table, kind="clifford"))
     assert lhs.strategies_evaluated == lhs.strategies_solved == 2**4
 
