@@ -1,13 +1,15 @@
 """The full report of a steering functional: its exact LHS bound
 (lhs.lhs_bound), its quantum value, analytic for the paper's kinds
-(quantum.paper_values, checked by one attainment certificate) and from
-below by the see-saw otherwise (seesaw.quantum_bound_seesaw), their
-ratio, and one certificate per proven bound the values must respect.
+(quantum.paper_values, checked by one attainment certificate) and for
+proven +- squares (structure), from below by the see-saw otherwise
+(seesaw.quantum_bound_seesaw), their ratio, and one certificate per
+proven bound the values must respect.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -64,9 +66,11 @@ def violation(
     missed attainment is a failed certificate, and s_q is then the value
     the valid canonical assemblage attains, a lower bound tagged
     "canonical-lower". The canonical assemblage reuses the structure
-    lhs_bound found, so table_structure runs once. Random/custom tables fall
-    back to the see-saw lower bound, tagged "seesaw-lower", or to S_LHS,
-    tagged "lhs-lower", where that is strictly larger. A table whose LHS
+    lhs_bound found, so table_structure runs once. Other tables with
+    proven +- squares (structure) get their S_Q = sum_x c_x, tagged
+    "analytic"; the rest fall back to the see-saw lower bound, tagged
+    "seesaw-lower", or to S_LHS, tagged "lhs-lower", where that is
+    strictly larger. A table whose LHS
     bound is 0 has no ratio and is rejected. The see-saw parameters
     are checked first, for every table. With strict enabled, a failed
     certificate raises instead of being reported.
@@ -94,6 +98,10 @@ def violation(
             s_q, method = paper.s_q, "analytic"
         else:
             s_q, method = attainment.value, "canonical-lower"
+    elif lhs.structure.squares:
+        s_q, method = 0.0, "analytic"
+        for c2 in lhs.structure.squares:  # in setting order, whatever sum() would do
+            s_q += math.sqrt(c2)
     else:
         seesaw = quantum_bound_seesaw(
             f, restarts=seesaw_restarts, max_iters=seesaw_max_iters, seed=seesaw_seed

@@ -30,9 +30,9 @@ KINDS = ("mub", "clifford", "clifford-dichotomic", "random", "custom")
 
 def _table(arr) -> np.ndarray:
     out = np.asarray(arr, dtype=complex)
-    if out.ndim != 4 or out.shape[2] != out.shape[3]:
+    if out.ndim != 4 or out.shape[2] != out.shape[3] or 0 in out.shape:
         raise PreconditionError(
-            f"expected a (settings, outcomes, d, d) table, got shape {out.shape}"
+            f"expected a non-empty (settings, outcomes, d, d) table, got shape {out.shape}"
         )
     return out
 

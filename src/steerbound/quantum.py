@@ -112,8 +112,8 @@ def _canonical_check(
       scale ||R_x - R_0|| / d;
     - normalisation: Tr sum_a sigma_0^a = (scale Tr R_0 + m d shift)/d;
     - positivity: `squares` are the c_x^2 of a table proven to hold cells
-      +-B_x with B_x exactly Hermitian and B_x^2 = c_x^2 I
-      (structure.anticommuting_squares). Each member then has the
+      +-B_x with B_x exactly Hermitian and B_x^2 = c_x^2 I, anticommuting
+      or not (structure.TableStructure.squares). Each member then has the
       spectrum (shift +- scale c_x)/d, so the smallest eigenvalue is
       (shift - scale max_x c_x)/d and no cell is eigensolved. Every R_x
       is then exactly 0, so the deviation is 0.0 and Tr R_0 is 0, and no

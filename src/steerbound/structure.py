@@ -2,24 +2,23 @@
 
 table_structure inspects a SteeringFunctional once and says which path
 the LHS bound can take; it never reads `kind`, so a file labelled `mub`
-or `clifford-dichotomic` that lacks the structure gets no shortcut. The
-cases, in the order they are tried:
+or `clifford-dichotomic` that lacks the structure gets no shortcut.
+Whatever the path, it keeps the c_x^2 of a +- table (squares): two
+outcomes with F_x^2 = -F_x^1, B_x = F_x^1 Hermitian and B_x^2 = c_x^2 I,
+c_x^2 finite, all exactly. They give the canonical assemblage's
+positivity in closed form (quantum._canonical_check) and S_Q = sum_x c_x
+(bounds.violation). Monomial cells (one nonzero per row and column, as
+in Pauli strings; f.monomials, one boolean mask of the table taken once)
+are read as (column, value) arrays by this check and complement_symmetric,
+never as d x d cells: Hermiticity and squares in O(n d), pair products by
+O(d) gathers over the pairs (x, y < x) in blocks within 256 KiB, O(n^2 d)
+after an O(n d^2) mask; other tables read the table's Hermiticity pass
+and take dense d x d products, O(n^2 d^3). The cases, in order tried:
 
-- anticommuting: two outcomes with F_x^2 = -F_x^1, and B_x = F_x^1
-  Hermitian with B_x B_y + B_y B_x = 0 (x != y) and B_x^2 = c_x^2 I, all
-  exactly. Then (sum_x s_x B_x)^2 = (sum_x c_x^2) I for every sign string,
-  so every strategy has the norm sqrt(sum_x c_x^2), a closed form. When
-  every cell is monomial (one nonzero per row and per column, as Pauli
-  strings are), the functional's monomial form (f.monomials, one boolean
-  mask of the table taken once) holds the B_x as (column, value) arrays,
-  and neither this check nor complement_symmetric reads the d x d cells:
-  exact Hermiticity is read from them in O(n d), and the products are
-  O(d) gathers over the pairs (x, y < x), in blocks within 256 KiB. So
-  the check costs O(n d^2) to mask the table and O(n^2 d) to decide;
-  other tables read the table's Hermiticity pass and take dense d x d
-  products pair by pair, O(n^2 d^3).
-  The c_x^2 are kept, since they also give the canonical assemblage's
-  positivity in closed form (quantum._canonical_check).
+- anticommuting: +- squares with B_x B_y + B_y B_x = 0 (x != y) exactly,
+  checked up to the first pair that fails. Then (sum_x s_x B_x)^2 =
+  (sum_x c_x^2) I for every sign string, so every strategy has the norm
+  sqrt(sum_x c_x^2), a closed form.
 - rank-one: a non-Hermitian table whose cells are all zero outside one
   common row r, exactly. Strategy operators are then e_r w^T, whose
   numerical radius is exactly (|w_r| + |w|)/2.
@@ -54,6 +53,8 @@ from .functionals import SteeringFunctional
 from .linalg import _blocks, _pair_blocks, blas_threads, square_safe
 from .tolerances import TOLERANCES
 
+_Proof = tuple[tuple[float, ...], bool]  # c_x^2 per setting, whether every pair anticommutes
+
 @dataclass(frozen=True)
 class TableStructure:
     """What the LHS bound may exploit in one table."""
@@ -62,7 +63,7 @@ class TableStructure:
     prefix: int = 0  # leading settings whose outcome is fixed to 0
     value: float | None = None  # closed-form LHS bound (anticommuting)
     row: int | None = None  # the one nonzero row of every cell (rank-one)
-    squares: tuple[float, ...] = ()  # c_x^2 per setting (anticommuting)
+    squares: tuple[float, ...] = ()  # c_x^2 per setting of a +- table with proven squares
 
 
 def complement_symmetric(f: SteeringFunctional) -> bool:
@@ -99,7 +100,7 @@ def _monomial_hermitian(columns: np.ndarray, values: np.ndarray) -> bool:
     return bool((values[x, columns] == values.conj()).all())
 
 
-def _monomial_squares(columns: np.ndarray, values: np.ndarray) -> tuple[float, ...] | None:
+def _monomial_squares(columns: np.ndarray, values: np.ndarray) -> _Proof | None:
     """_dense_squares for Hermitian monomial B_x (_monomial_hermitian), row
     i holding values[x, i] at column columns[x, i], from O(d) gathers: c_x
     is an involution with v_x[c_x] = conj(v_x), so B_x^2 is the diagonal
@@ -113,8 +114,9 @@ def _monomial_squares(columns: np.ndarray, values: np.ndarray) -> tuple[float, .
     with np.errstate(over="ignore", invalid="ignore"):
         squares = values * values[np.arange(n)[:, None], columns]
         c2 = squares[:, :1]
-        if (c2.imag != 0).any() or not (squares == c2).all():
+        if (c2.imag != 0).any() or not (squares == c2).all() or not np.isfinite(c2).all():
             return None
+        proven = tuple(c2[:, 0].real)
         rows = np.arange(d)
         for x0, x1 in _pair_blocks(n, d):
             counts = np.arange(x0, x1)  # setting x pairs with the x settings before it
@@ -124,33 +126,34 @@ def _monomial_squares(columns: np.ndarray, values: np.ndarray) -> tuple[float, .
             pi = columns[ys, cx]
             p = values[xs] * values[ys, cx]
             if np.where(pi[pair, pi] == rows, p + p[pair, pi].conj(), p).any():
-                return None
-    return tuple(c2[:, 0].real)
+                return proven, False
+    return proven, True
 
 
-def _dense_squares(ops: np.ndarray) -> tuple[float, ...] | None:
-    """c_x^2 per setting of Hermitian B_x when B_x^2 = c_x^2 I and B_x B_y
-    + B_y B_x = 0 exactly, else None; checked pair by pair with O(d^2)
-    memory per pair."""
+def _dense_squares(ops: np.ndarray) -> _Proof | None:
+    """(c_x^2 per setting, whether every pair anticommutes exactly) of
+    Hermitian B_x with B_x^2 = c_x^2 I, c_x^2 finite, exactly, else None;
+    pair by pair up to the first that fails, O(d^2) memory per pair."""
     eye = np.eye(ops.shape[-1])
     squares = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for x, b in enumerate(ops):
+        for b in ops:
             square = b @ b
             c2 = square[0, 0]
-            if c2.imag != 0 or not np.array_equal(square, c2 * eye):
+            if c2.imag != 0 or not np.isfinite(c2) or not np.array_equal(square, c2 * eye):
                 return None
             squares.append(c2.real)
+        for x, b in enumerate(ops):
             for y in range(x):
                 p = b @ ops[y]  # B_y B_x = (B_x B_y)^dagger for Hermitian B
                 if (p + p.conj().T).any():
-                    return None
-    return tuple(squares)
+                    return tuple(squares), False
+    return tuple(squares), True
 
 
-def _anticommutation(f: SteeringFunctional, symmetric: bool) -> tuple[float, ...] | None:
-    """c_x^2 per setting when the table is an anticommuting +- table, else
-    None, `symmetric` being complement_symmetric(f).
+def _squares_proof(f: SteeringFunctional, symmetric: bool) -> _Proof | None:
+    """_Proof of a +- table with exact squares, else None, `symmetric`
+    being complement_symmetric(f).
     Monomial cells (f.monomials) are proven exactly Hermitian from their
     nonzeros (_monomial_hermitian) and take _monomial_squares, so the
     table's Hermiticity pass never runs; other tables read
@@ -171,7 +174,8 @@ def _anticommutation(f: SteeringFunctional, symmetric: bool) -> tuple[float, ...
 
 def anticommuting_squares(f: SteeringFunctional) -> tuple[float, ...] | None:
     """c_x^2 per setting of an anticommuting +- table, else None."""
-    return _anticommutation(f, complement_symmetric(f))
+    squares, anticommuting = _squares_proof(f, complement_symmetric(f)) or ((), False)
+    return squares if anticommuting else None
 
 
 def _rank_one_row(f: SteeringFunctional) -> int | None:
@@ -254,8 +258,8 @@ def _weyl_transitive(f: SteeringFunctional) -> bool:
 def table_structure(f: SteeringFunctional) -> TableStructure:
     """The first case of the module docstring that the table satisfies."""
     symmetric = complement_symmetric(f)
-    squares = _anticommutation(f, symmetric)
-    if squares is not None:
+    squares, anticommuting = _squares_proof(f, symmetric) or ((), False)
+    if anticommuting:
         total = 0.0
         for c2 in squares:  # in setting order, whatever sum() would do
             total += c2
@@ -265,4 +269,4 @@ def table_structure(f: SteeringFunctional) -> TableStructure:
     if row is not None:
         return TableStructure("rank-one", prefix=prefix, row=row)
     method = ("enumeration", "complement-half", "weyl-orbit")[prefix]
-    return TableStructure(method, prefix=prefix)
+    return TableStructure(method, prefix=prefix, squares=squares)

@@ -406,8 +406,8 @@ def monomial_form_tables():
 
 @pytest.mark.parametrize("name, table", list(monomial_form_tables()))
 def test_monomial_form_checks_decide_as_the_dense_passes(name, table):
-    """The mass check, complement symmetry, the anticommutation proof and
-    the canonical certificate read the table's monomial form where it has
+    """The mass check, complement symmetry, the squares proof and the
+    canonical certificate read the table's monomial form where it has
     one, and decide as the dense passes on the same table. The certificate
     runs, as in violation, only on tables the mass check admits: the
     others hold a non-finite entry or are too large, and their cells
@@ -426,10 +426,11 @@ def test_monomial_form_checks_decide_as_the_dense_passes(name, table):
         except PreconditionError:
             bounded = False
         symmetric = structure_module.complement_symmetric(f)
-        proof = structure_module._anticommutation(f, symmetric)
+        proof = structure_module._squares_proof(f, symmetric)
         decisions.append([bounded, symmetric, proof])
         if bounded:
-            report, value, _ = quantum_module._canonical_check(f, paper, proof)
+            squares = proof[0] if proof else None
+            report, value, _ = quantum_module._canonical_check(f, paper, squares)
             attained = bool(abs(value - paper.s_q) <= TOLERANCES.bound_slack)
             decisions[-1] += [report.failed, attained]
     assert decisions[0] == decisions[1]
@@ -908,8 +909,10 @@ def test_pair_gathers_decide_random_pauli_tables_like_dense_products(qubits, cas
             dense = structure_module._dense_squares(ops)
         assert structure_module._monomial_squares(columns, values) == dense
         if case == "anticommuting":
-            assert dense == tuple(np.abs(ops[:, 0]).max(axis=1) ** 2)
-        elif case in ("commuting-pair", "square-one-ulp-off"):
+            assert dense == (tuple(np.abs(ops[:, 0]).max(axis=1) ** 2), True)
+        elif case == "commuting-pair":
+            assert dense == (tuple(np.abs(ops[:, 0]).max(axis=1) ** 2), False)
+        elif case == "square-one-ulp-off":
             assert dense is None
 
 
@@ -1997,6 +2000,72 @@ def test_violation_floors_the_seesaw_at_the_lhs_bound():
     assert seesaw.value < report.s_lhs_exact
     assert (report.s_q, report.s_q_method) == (report.s_lhs_exact, "lhs-lower")
     assert report.violation >= 1
+
+
+def plus_minus_custom(ops):
+    """The custom-labelled +- table of the (n, d, d) stack B_x."""
+    return SteeringFunctional.from_table(np.stack([ops, -ops], axis=1), kind="custom")
+
+
+def proven_squares_tables():
+    """(id, custom +- table whose squares B_x^2 = c_x^2 I hold exactly, its
+    S_Q = sum_x c_x): both anticommuting kinds relabelled, the commuting
+    diagonal Z I, I Z, Z Z, and all 15 two-qubit Pauli strings."""
+    for name, build, n, s_q in (
+        ("dichotomic-12", dichotomic_functional, 12, 12.0),
+        ("clifford-5", clifford_functional, 5, 2.5),
+    ):
+        table = build(build_clifford_family(n)).coefficients
+        yield name, SteeringFunctional.from_table(table, kind="custom"), s_q
+    diagonal = [_pauli_string(letters) for letters in ((3, 0), (0, 3), (3, 3))]
+    yield "commuting-diagonal", plus_minus_custom(np.stack(diagonal)), 3.0
+    strings = [_pauli_string(s) for s in itertools.product(range(4), repeat=2) if any(s)]
+    yield "pauli-15", plus_minus_custom(np.stack(strings)), 15.0
+
+
+@pytest.mark.parametrize("name, functional, s_q", list(proven_squares_tables()))
+def test_violation_takes_s_q_from_proven_squares_without_the_seesaw(
+    monkeypatch, name, functional, s_q
+):
+    def no_seesaw(*args, **kwargs):
+        raise AssertionError("the see-saw ran on a table with proven squares")
+
+    monkeypatch.setattr(bounds_module, "quantum_bound_seesaw", no_seesaw)
+    report = violation(functional)
+    assert (report.s_q, report.s_q_method, report.certificates) == (s_q, "analytic", ())
+    assert not any(key.startswith("seesaw") for key in report.diagnostics)
+    if name == "commuting-diagonal":  # S_LHS = S_Q = 3: the table cannot steer
+        assert report.violation == 1.0
+
+
+@pytest.mark.parametrize("factor", [1e150, 1e155, 1e160])
+def test_proven_squares_are_finite(factor):
+    # c_x^2 = factor^2 overflows above about 1.3e154; an infinite square
+    # proves nothing, so the table is enumerated and see-sawed instead
+    table = dichotomic_functional(build_clifford_family(4)).coefficients * factor
+    report = violation(SteeringFunctional.from_table(table, kind="custom"))
+    if factor < 1e154:
+        assert (report.diagnostics["lhs_method"], report.s_q_method) == (
+            "anticommuting",
+            "analytic",
+        )
+        assert report.s_q == pytest.approx(4 * factor, rel=1e-15)
+    else:
+        assert (report.diagnostics["lhs_method"], report.s_q_method) == (
+            "complement-half",
+            "seesaw-lower",
+        )
+        assert math.isfinite(report.s_q)
+
+
+def test_one_setting_with_an_overflowing_square_is_enumerated():
+    # no pair product overflows to hide the infinite square: the one
+    # strategy of the a_0 = 0 half is solved
+    table = dichotomic_functional(build_clifford_family(1)).coefficients * 1e160
+    report = violation(SteeringFunctional.from_table(table, kind="custom"))
+    assert report.diagnostics["lhs_method"] == "complement-half"
+    assert report.diagnostics["strategies_solved"] == 1
+    assert report.s_lhs_exact == pytest.approx(1e160, rel=1e-15)
 
 
 def test_steering_witness_strict_gap():

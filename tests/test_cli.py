@@ -463,14 +463,15 @@ def test_bounds_mislabelled_kind_is_a_one_line_check_failure(
     assert not out.exists()
 
 
-def test_bounds_clifford_label_without_the_structure_eigensolves_every_cell(
+def test_bounds_clifford_label_without_anticommutation_takes_positivity_from_the_squares(
     tmp_path, capsys, eigvalsh_matrices
 ):
     from steerbound import build_clifford_family, dichotomic_functional, lhs_bound
     from steerbound.serialize import functional_to_json
 
     # dichotomic n = 5 with one entry of B_0 one ulp off anticommuting: no
-    # closed form for the LHS bound or for the canonical cells' positivity
+    # closed form for the LHS bound, but B_x^2 = I still holds exactly, so
+    # the canonical cells' positivity is read from the squares
     table = dichotomic_functional(build_clifford_family(5)).coefficients.copy()
     j = int(np.flatnonzero(table[0, 0, 0])[0])
     table[0, 0, 0, j] += 1j * np.spacing(abs(table[0, 0, 0, j]))
@@ -485,9 +486,9 @@ def test_bounds_clifford_label_without_the_structure_eigensolves_every_cell(
         "its canonical assemblage fails positivity\n"
     )
     # the a_0 = 0 half in one chunk, pruned: the strategy with the largest
-    # bound, then the 15 others, whose bounds all reach its value; then all
-    # 10 canonical cells at once
-    assert eigvalsh_matrices == [1, 15, 10]
+    # bound, then the 15 others, whose bounds all reach its value; no
+    # canonical cell is eigensolved
+    assert eigvalsh_matrices == [1, 15]
     lhs = lhs_bound(SteeringFunctional.from_table(table, kind="clifford"))
     assert lhs.strategies_evaluated == lhs.strategies_solved == 2**4
 

@@ -158,6 +158,13 @@ def test_random_functional_dimension_validated():
         random_functional(1, 0)
 
 
+@pytest.mark.parametrize("shape", [(0, 2, 2, 2), (1, 0, 2, 2), (1, 2, 0, 0)])
+def test_from_table_rejects_an_empty_axis(shape):
+    # an empty axis leaves no strategy to bound and no cell to check
+    with pytest.raises(PreconditionError, match="non-empty"):
+        SteeringFunctional.from_table(np.zeros(shape))
+
+
 @pytest.mark.parametrize(
     ("build", "size"),
     [
