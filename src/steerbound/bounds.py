@@ -1,22 +1,21 @@
 """The full report of a steering functional: its exact LHS bound
-(lhs.lhs_bound), its quantum value, analytic for the paper's kinds
-(quantum.paper_values, checked by one attainment certificate) and for
-proven +- squares (structure), from below by the see-saw otherwise
-(seesaw.quantum_bound_seesaw), their ratio, and one certificate per
-proven bound the values must respect.
+(lhs.lhs_bound), its quantum value, analytic where
+quantum.analytic_quantum_value gives one (the paper's kinds, checked by
+one attainment certificate, and proven +- squares), from below by the
+see-saw otherwise (seesaw.quantum_bound_seesaw), their ratio, and one
+certificate per proven bound the values must respect.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 import time
 from dataclasses import dataclass, field
 
 from .errors import BoundCheckError, PreconditionError
 from .functionals import SteeringFunctional
 from .lhs import DEFAULT_ENUMERATION_CAP, lhs_bound
-from .quantum import Certificate, _canonical_attainment, paper_values
+from .quantum import Certificate, analytic_quantum_value, paper_values
 from .seesaw import DEFAULT_MAX_ITERS, DEFAULT_RESTARTS
 from .seesaw import _check_seesaw_parameters, quantum_bound_seesaw
 from .tolerances import TOLERANCES
@@ -59,21 +58,18 @@ def violation(
     """Full report: exact LHS bound, quantum bound, their ratio, and one
     certificate per proven bound the values must respect.
 
-    Kinds with paper values (paper_values) get the analytic quantum value,
-    a canonical-attainment certificate and one certificate per LHS upper
-    bound and per violation lower bound; an invalid canonical assemblage
-    or a value above the PSD envelope raises as in quantum_bound, but a
-    missed attainment is a failed certificate, and s_q is then the value
-    the valid canonical assemblage attains, a lower bound tagged
-    "canonical-lower". The canonical assemblage reuses the structure
-    lhs_bound found, so table_structure runs once. Other tables with
-    proven +- squares (structure) get their S_Q = sum_x c_x, tagged
-    "analytic"; the rest fall back to the see-saw lower bound, tagged
-    "seesaw-lower", or to S_LHS, tagged "lhs-lower", where that is
-    strictly larger. A table whose LHS
-    bound is 0 has no ratio and is rejected. The see-saw parameters
-    are checked first, for every table. With strict enabled, a failed
-    certificate raises instead of being reported.
+    s_q is quantum_bound's (quantum.analytic_quantum_value), given the
+    squares of the structure lhs_bound found, so table_structure runs
+    once; but a missed canonical attainment is a failed certificate, with
+    s_q the value the valid canonical assemblage attains, a lower bound
+    tagged "canonical-lower". Kinds with paper values (paper_values) also
+    get one certificate per LHS upper bound and per violation lower bound.
+    Tables without an analytic S_Q fall back to the see-saw lower bound,
+    tagged "seesaw-lower", or to S_LHS, tagged "lhs-lower", where that is
+    strictly larger. A table whose LHS bound is 0 has no ratio and is
+    rejected. The see-saw parameters are checked first, for every table.
+    With strict enabled, a failed certificate raises instead of being
+    reported.
     """
     _check_seesaw_parameters(seesaw_restarts, seesaw_max_iters, seesaw_seed)
     t0 = time.perf_counter()
@@ -90,18 +86,10 @@ def violation(
         "strategies_solved": lhs.strategies_solved,
     }
     paper = paper_values(f)
-    certificates: list[Certificate] = []
-    if paper is not None:
-        attainment = _canonical_attainment(f, paper, lhs.structure.squares)
-        certificates.append(attainment)
-        if attainment.satisfied:
-            s_q, method = paper.s_q, "analytic"
-        else:
-            s_q, method = attainment.value, "canonical-lower"
-    elif lhs.structure.squares:
-        s_q, method = 0.0, "analytic"
-        for c2 in lhs.structure.squares:  # in setting order, whatever sum() would do
-            s_q += math.sqrt(c2)
+    found = analytic_quantum_value(f, paper, lhs.structure.squares)
+    certificates = [found[2]] if found and found[2] else []
+    if found is not None:
+        s_q, method = found[:2]
     else:
         seesaw = quantum_bound_seesaw(
             f, restarts=seesaw_restarts, max_iters=seesaw_max_iters, seed=seesaw_seed
@@ -120,24 +108,15 @@ def violation(
     value = s_q / lhs.value
     analytic = paper.lhs_upper if paper else {}
     lower_bounds = paper.violation_lower if paper else {}
-    for tag, bound in analytic.items():
-        certificates.append(
-            Certificate(
-                name=f"lhs_exact_le_{tag}",
-                satisfied=bool(lhs.value <= bound + TOLERANCES.bound_slack),
-                value=lhs.value,
-                bound=bound,
-            )
-        )
-    for tag, bound in lower_bounds.items():
-        certificates.append(
-            Certificate(
-                name=f"violation_ge_{tag}",
-                satisfied=bool(value >= bound - TOLERANCES.bound_slack),
-                value=value,
-                bound=bound,
-            )
-        )
+    slack = TOLERANCES.bound_slack
+    certificates += [
+        Certificate(f"lhs_exact_le_{tag}", bool(lhs.value <= bound + slack), lhs.value, bound)
+        for tag, bound in analytic.items()
+    ]
+    certificates += [
+        Certificate(f"violation_ge_{tag}", bool(value >= bound - slack), value, bound)
+        for tag, bound in lower_bounds.items()
+    ]
     diagnostics["timings"] = {
         "lhs_ms": (t1 - t0) * 1e3,
         "quantum_ms": (t2 - t1) * 1e3,

@@ -91,7 +91,7 @@ class SteeringFunctional:
     hermitian (within TOLERANCES.hermiticity of its largest entry modulus)
     and exactly_hermitian (F = F^dagger entry for entry) from one shared
     pass over the table. Building a table runs neither, and the monomial
-    +- tables never read them (structure.anticommuting_squares reads their
+    +- tables never read them (structure._squares_proof reads their
     exact Hermiticity from their nonzeros). `monomials`, the nonzeros of a
     two-outcome table of monomial cells, is derived on its first read in
     the same way. Whether a table is positive

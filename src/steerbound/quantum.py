@@ -1,17 +1,18 @@
-"""The paper's quantum values, and the certificate that a table attains
-the one its kind claims.
+"""The analytic quantum value of a table, and the certificate that a
+table attains the one its kind claims.
 
 paper_values, the one reader of `kind`, holds what the paper proves for
 the kind a table claims, including the scale and shift of the canonical
 assemblage (scale F_x^a + shift I)/d that attains its quantum value.
-quantum_bound and bounds.violation check that claim with one attainment
-certificate (_canonical_attainment), which pairs the table with that
+analytic_quantum_value, the one S_Q rule of quantum_bound and
+bounds.violation, checks that claim by pairing the table with that
 assemblage through sums over the table (_canonical_check), without
-building it.
+building it, or else sums the c_x of proven +- squares.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import BoundCheckError, PreconditionError
 from .functionals import Assemblage, AssemblageReport, SteeringFunctional
 from .linalg import _blocks, hermitian_part
-from .structure import anticommuting_squares
+from .structure import proven_squares
 from .tolerances import TOLERANCES
 
 
@@ -195,29 +196,39 @@ def canonical_quantum_assemblage(f: SteeringFunctional) -> Assemblage:
     table's kind; random and custom tables have none (PreconditionError).
     A table without its kind's structure gives an invalid assemblage:
     PreconditionError names the failed properties, as _canonical_check
-    finds them with the cells eigensolved."""
+    finds them given structure.proven_squares."""
     paper = paper_values(f)
     if paper is None:
         raise PreconditionError(f"no canonical quantum assemblage for kind {f.kind!r}")
-    _canonical_check(f, paper, None)[0].require()
+    _canonical_check(f, paper, proven_squares(f))[0].require()
     members = f.coefficients * paper.scale  # in place after this: one table-sized array
     members += paper.shift * np.eye(f.d, dtype=complex)
     members /= f.d
     return Assemblage(members=members)
 
 
-def _canonical_attainment(
-    f: SteeringFunctional, paper: PaperValues, squares: tuple[float, ...] | None
-) -> Certificate:
-    """Whether the kind's canonical assemblage attains paper.s_q on the
-    table (_canonical_check), after checks that raise BoundCheckError: the
-    assemblage must be valid (a kind the table lacks fails positivity,
-    no-signalling or normalisation), and for a positive-semidefinite table
-    s_q must stay within the envelope sum_x max_a ||F_x^a||, both read
-    from the eigenvalues _canonical_check found (_psd_envelope). A table
-    with `squares` is not probed: its cells B and -B are both positive
-    semidefinite only when B = 0, which fails attainment anyway. A pairing
-    with an imaginary part misses s_q by it."""
+def analytic_quantum_value(
+    f: SteeringFunctional, paper: PaperValues | None, squares: tuple[float, ...]
+) -> tuple[float, str, Certificate | None] | None:
+    """(s_q, method, certificate) where S_Q is analytic, else None.
+    With paper values, whether the kind's canonical assemblage attains
+    paper.s_q (_canonical_check): "analytic" if so, else the attained
+    value, a lower bound, "canonical-lower" (an imaginary part of the
+    pairing misses s_q by it). An invalid assemblage (a kind the table
+    lacks) raises BoundCheckError, as does, for a positive-semidefinite
+    table, an s_q above the envelope sum_x max_a ||F_x^a|| (_psd_envelope).
+    A table with `squares` is not probed: its cells B and -B are both
+    positive semidefinite only when B = 0, which fails attainment anyway.
+    Else proven +- squares B_x^2 = c_x^2 I (structure.proven_squares)
+    give sum_x c_x, "analytic", with no certificate: sigma_x^+- = (I +-
+    B_x/c_x)/(2d) attains it, and sum_a Tr sigma_x^a = 1 caps each c_x."""
+    if paper is None:
+        if not squares:
+            return None
+        s_q = 0.0
+        for c2 in squares:  # in setting order, whatever sum() would do
+            s_q += math.sqrt(c2)
+        return s_q, "analytic", None
     report, attained, eigs = _canonical_check(f, paper, squares)
     try:
         report.require()
@@ -228,31 +239,27 @@ def _canonical_attainment(
     envelope = None if eigs is None else _psd_envelope(f, eigs)
     if envelope is not None and paper.s_q > envelope + TOLERANCES.bound_slack:
         raise BoundCheckError(f"quantum bound {paper.s_q} exceeds the PSD envelope {envelope}")
-    return Certificate(
-        name="canonical_attainment",
-        satisfied=abs(attained - paper.s_q) <= TOLERANCES.bound_slack,
-        value=attained.real,
-        bound=paper.s_q,
-    )
+    satisfied = abs(attained - paper.s_q) <= TOLERANCES.bound_slack
+    certificate = Certificate("canonical_attainment", satisfied, attained.real, paper.s_q)
+    if satisfied:
+        return paper.s_q, "analytic", certificate
+    return attained.real, "canonical-lower", certificate
 
 
 def quantum_bound(f: SteeringFunctional) -> float:
-    """The quantum value paper_values gives the table's kind, checked on
-    the table by _canonical_attainment. Attainment gives the lower half;
-    the upper half follows from sum_a Tr(sigma_x^a) = 1 per setting
-    (unbiased bases: Tr(F sigma) <= ||F|| Tr(sigma) termwise;
-    anticommuting kinds: |Tr(A_x (sigma_x^1 - sigma_x^2))| <=
-    ||sigma_x^1 - sigma_x^2||_1 <= 1). Each failed check raises
-    BoundCheckError; random and custom tables raise PreconditionError.
+    """The analytic quantum value (analytic_quantum_value, given
+    structure.proven_squares). Attainment gives the lower half; the upper
+    half follows from sum_a Tr(sigma_x^a) = 1 per setting (unbiased bases:
+    Tr(F sigma) <= ||F|| Tr(sigma) termwise; +- cells: |Tr(B_x delta_x)|
+    <= c_x ||delta_x||_1 <= c_x, delta_x = sigma_x^1 - sigma_x^2). Each
+    failed check raises BoundCheckError; other tables PreconditionError.
     """
     paper = paper_values(f)
-    if paper is None:
+    found = analytic_quantum_value(f, paper, proven_squares(f))
+    if found is None:
         raise PreconditionError(
             f"no analytic quantum bound for kind {f.kind!r}; use quantum_bound_seesaw"
         )
-    attainment = _canonical_attainment(f, paper, anticommuting_squares(f))
-    if not attainment.satisfied:
-        raise BoundCheckError(
-            f"canonical assemblage attains {attainment.value!r}, expected {paper.s_q!r}"
-        )
-    return paper.s_q
+    if found[1] == "canonical-lower":
+        raise BoundCheckError(f"canonical assemblage attains {found[0]!r}, expected {paper.s_q!r}")
+    return found[0]

@@ -350,10 +350,10 @@ def quantum_bound_seesaw(
     restart with the largest final value, which is the result, and
     `extrapolations_kept`/`extrapolations_tried` count extrapolated
     updates over all restarts. A plain update that falls by more than
-    TOLERANCES.seesaw_monotone * table_scale(f), a slack that grows with
-    the table's scale as its rounding does, raises BoundCheckError; so
-    does, once per group, a restart whose final POVM for some setting
-    misses sum_a E_x^a = I or E_x^a >= 0 by more than
+    TOLERANCES.seesaw_monotone * table_scale(f), a slack proportional to
+    the table's scale at every scale, as its rounding is, raises
+    BoundCheckError; so does, once per group, a restart whose final POVM
+    for some setting misses sum_a E_x^a = I or E_x^a >= 0 by more than
     TOLERANCES.assemblage.
     """
     d = f.d

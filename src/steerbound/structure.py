@@ -5,9 +5,9 @@ the LHS bound can take; it never reads `kind`, so a file labelled `mub`
 or `clifford-dichotomic` that lacks the structure gets no shortcut.
 Whatever the path, it keeps the c_x^2 of a +- table (squares): two
 outcomes with F_x^2 = -F_x^1, B_x = F_x^1 Hermitian and B_x^2 = c_x^2 I,
-c_x^2 finite, all exactly. They give the canonical assemblage's
-positivity in closed form (quantum._canonical_check) and S_Q = sum_x c_x
-(bounds.violation). Monomial cells (one nonzero per row and column, as
+c_x^2 a normal float, all exactly; proven_squares reads them alone. They
+give the canonical assemblage's positivity in closed form and S_Q =
+sum_x c_x (quantum). Monomial cells (one nonzero per row and column, as
 in Pauli strings; f.monomials, one boolean mask of the table taken once)
 are read as (column, value) arrays by this check and complement_symmetric,
 never as d x d cells: Hermiticity and squares in O(n d), pair products by
@@ -100,6 +100,11 @@ def _monomial_hermitian(columns: np.ndarray, values: np.ndarray) -> bool:
     return bool((values[x, columns] == values.conj()).all())
 
 
+def _normal(c2):
+    """tiny <= c_x^2 < inf: an overflowed or underflowed square proves nothing."""
+    return (c2 >= np.finfo(float).tiny) & (c2 < np.inf)
+
+
 def _monomial_squares(columns: np.ndarray, values: np.ndarray) -> _Proof | None:
     """_dense_squares for Hermitian monomial B_x (_monomial_hermitian), row
     i holding values[x, i] at column columns[x, i], from O(d) gathers: c_x
@@ -114,7 +119,7 @@ def _monomial_squares(columns: np.ndarray, values: np.ndarray) -> _Proof | None:
     with np.errstate(over="ignore", invalid="ignore"):
         squares = values * values[np.arange(n)[:, None], columns]
         c2 = squares[:, :1]
-        if (c2.imag != 0).any() or not (squares == c2).all() or not np.isfinite(c2).all():
+        if (c2.imag != 0).any() or not (squares == c2).all() or not _normal(c2.real).all():
             return None
         proven = tuple(c2[:, 0].real)
         rows = np.arange(d)
@@ -132,7 +137,7 @@ def _monomial_squares(columns: np.ndarray, values: np.ndarray) -> _Proof | None:
 
 def _dense_squares(ops: np.ndarray) -> _Proof | None:
     """(c_x^2 per setting, whether every pair anticommutes exactly) of
-    Hermitian B_x with B_x^2 = c_x^2 I, c_x^2 finite, exactly, else None;
+    Hermitian B_x with B_x^2 = c_x^2 I exactly, c_x^2 _normal, else None;
     pair by pair up to the first that fails, O(d^2) memory per pair."""
     eye = np.eye(ops.shape[-1])
     squares = []
@@ -140,7 +145,7 @@ def _dense_squares(ops: np.ndarray) -> _Proof | None:
         for b in ops:
             square = b @ b
             c2 = square[0, 0]
-            if c2.imag != 0 or not np.isfinite(c2) or not np.array_equal(square, c2 * eye):
+            if c2.imag != 0 or not _normal(c2.real) or not np.array_equal(square, c2 * eye):
                 return None
             squares.append(c2.real)
         for x, b in enumerate(ops):
@@ -172,10 +177,10 @@ def _squares_proof(f: SteeringFunctional, symmetric: bool) -> _Proof | None:
         return _dense_squares(f.coefficients[:, 0])
 
 
-def anticommuting_squares(f: SteeringFunctional) -> tuple[float, ...] | None:
-    """c_x^2 per setting of an anticommuting +- table, else None."""
-    squares, anticommuting = _squares_proof(f, complement_symmetric(f)) or ((), False)
-    return squares if anticommuting else None
+def proven_squares(f: SteeringFunctional) -> tuple[float, ...]:
+    """c_x^2 per setting of a +- table with proven squares, anticommuting
+    or not (TableStructure.squares), else ()."""
+    return (_squares_proof(f, complement_symmetric(f)) or ((), False))[0]
 
 
 def _rank_one_row(f: SteeringFunctional) -> int | None:
@@ -189,16 +194,16 @@ def _rank_one_row(f: SteeringFunctional) -> int | None:
 
 
 def table_scale(f: SteeringFunctional) -> float:
-    """max(1, sum_x max_a ||F_x^a||_F): a bound on every strategy
-    operator's norm, and the unit of scale-relative tolerances. Taken over
-    blocks of whole settings whose cells stay within 256 KiB
-    (linalg._blocks), each setting scaled so that no square overflows
-    (square_safe)."""
+    """sum_x max_a ||F_x^a||_F, with no floor, so a scaled table decides as
+    the table does: a bound on every strategy operator's norm, and the
+    unit of scale-relative tolerances. Taken over blocks of whole settings
+    whose cells stay within 256 KiB (linalg._blocks), each setting scaled
+    so that no square overflows (square_safe)."""
     table, peaks = f.coefficients, np.empty(f.n)
     for part in _blocks(table, f.m):
         cells, scales = square_safe(table[part])
         peaks[part] = np.linalg.norm(cells, axis=(2, 3)).max(axis=1) / scales
-    return max(1.0, float(np.sum(peaks)))
+    return float(np.sum(peaks))
 
 
 def _outcome_permutation(f: SteeringFunctional, conjugate) -> tuple[np.ndarray, float] | None:

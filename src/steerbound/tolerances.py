@@ -26,7 +26,7 @@ class Tolerances:
         analytic bounds.
     seesaw_monotone: per-step decrease tolerated before the alternating
         optimizer is considered non-monotone, per unit of the table's
-        scale (structure.table_scale).
+        scale (structure.table_scale), at every scale, below 1 too.
     outcome_symmetry: largest change of the LHS bound, per unit of the
         table's scale, that the Weyl-orbit reduction may carry: orbit depth
         times the norm change one shift or clock step makes to a strategy

@@ -18,6 +18,7 @@ import numpy as np
 from .clifford import CliffordFamily, build_clifford_family
 from .errors import BoundCheckError, PreconditionError
 from .functionals import (
+    Assemblage,
     SteeringFunctional,
     clifford_functional,
     dichotomic_functional,
@@ -38,6 +39,7 @@ from .serialize import (
     functional_from_json,
     functional_to_json,
 )
+from .structure import proven_squares
 from .tolerances import TOLERANCES
 
 _SEESAW_RESTARTS = 8
@@ -338,7 +340,8 @@ def _check_lhs_structure_shortcuts(rng, threads: int) -> tuple[bool, str]:
 def _check_canonical_attainment() -> tuple[bool, str]:
     """quantum_bound's value against the dense pairing of each table with
     its built canonical assemblage, apart from the sums quantum_bound
-    checked it with."""
+    checked it with; for the custom-labelled commuting +- diagonal Z I,
+    I Z, Z Z, 3 against its valid spectral projectors (I +- B_x/c_x)/(2d)."""
     tables = [
         (f"mub d={d} n={d + 1}", mub_functional(build_mub_family(d, d + 1))) for d in (2, 3, 5, 7)
     ]
@@ -348,13 +351,22 @@ def _check_canonical_attainment() -> tuple[bool, str]:
             (f"clifford n={n}", clifford_functional(family)),
             (f"dichotomic n={n}", dichotomic_functional(family)),
         ]
+    diagonal = np.stack([np.diag(z) for z in ([1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1])])
+    tables.append(("commuting", SteeringFunctional.from_table(np.stack([diagonal, -diagonal], 1))))
     worst = 0.0
     for label, functional in tables:
         try:
             value = quantum_bound(functional)
-        except BoundCheckError as exc:
+        except (BoundCheckError, PreconditionError) as exc:
             return False, f"{label}: {exc}"
-        attained = evaluate(functional, canonical_quantum_assemblage(functional))
+        if functional.kind == "custom":  # the projectors of its proven squares
+            c = np.sqrt(proven_squares(functional))[:, None, None, None]
+            sigma = Assemblage(members=(np.eye(4) + functional.coefficients / c) / 8)
+            if value != 3.0 or sigma.validate().failed:
+                return False, f"{label}: reads {value!r}, spectral assemblage {sigma.validate()}"
+        else:
+            sigma = canonical_quantum_assemblage(functional)
+        attained = evaluate(functional, sigma)
         defect = abs(attained - value)
         if not defect <= TOLERANCES.bound_slack:
             return False, f"{label}: canonical assemblage attains {attained!r}, not {value!r}"

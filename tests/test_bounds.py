@@ -480,7 +480,7 @@ def test_canonical_pairing_is_the_einsum_bit_for_bit(functional):
     involutions, is the dense einsum pairing's, compared with ==."""
     assert (functional.monomials is None) == (functional.kind == "mub")
     paper = paper_values(functional)
-    squares = structure_module.anticommuting_squares(functional)
+    squares = structure_module.proven_squares(functional)
     _, value, _ = quantum_module._canonical_check(functional, paper, squares)
     c = functional.coefficients
     trace = np.einsum("xaii->", c)
@@ -513,7 +513,7 @@ def whole_table_checks(functional):
         c.shape[1] == 2 and bool(np.array_equal(c[:, 1], -c[:, 0])),
         bool(mass < lhs_module._MAX_TABLE_MASS),
         (defect, ratio),
-        max(1.0, float(np.sum(peaks))),
+        float(np.sum(peaks)),
         int(rows[0]) if rows.size == 1 else None,
     )
 
@@ -830,9 +830,9 @@ def test_monomial_exactness_decides_like_the_entrywise_comparison(
     )
     exact = all(np.array_equal(b, b.conj().T) for b in ops)
     assert exact is (name in EXACTLY_HERMITIAN_NEAR_MISSES)
-    squares = structure_module.anticommuting_squares(functional)
-    assert (squares is None) == (dense_anticommuting_value(functional) is None)
-    assert (squares is None) is not exact
+    squares = structure_module.proven_squares(functional)
+    assert (not squares) == (dense_anticommuting_value(functional) is None)
+    assert (not squares) is not exact
     assert dense_checks == [] and hermiticity_passes == []
     lhs, report = PAULI_NEAR_MISS_RESULTS[name]
     if isinstance(lhs, type):
@@ -926,7 +926,7 @@ def test_pair_gathers_reject_many_settings_within_the_table_memory():
     functional = SteeringFunctional.from_table(np.stack((ops, -ops), axis=1), kind="custom")
     tracemalloc.start()
     try:
-        assert structure_module.anticommuting_squares(functional) is None
+        assert structure_module._squares_proof(functional, True) == ((1.0,) * 3000, False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1295,6 +1295,25 @@ def test_weyl_orbit_tolerance_follows_the_table_scale():
     assert result.method == "weyl-orbit"
     scale = 1e10 * 4
     assert abs(result.value - strategy_norms(functional).max()) <= 1e-12 * scale
+
+
+def test_weyl_orbit_tolerance_is_relative_below_unit_scale():
+    # a random Hermitian table without the Weyl symmetry, scaled down: with
+    # the table scale floored at 1 the orbit tolerance turned absolute, the
+    # shortcut was taken and S_LHS read 3.68e-20 for 8.54e-20, a violation
+    # of 2.3 on a table the see-saw cannot steer at scale 1
+    rng = np.random.default_rng(17)
+    raw = rng.normal(size=(2, 2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2, 2))
+    table = raw + raw.conj().swapaxes(-1, -2)
+    for factor in (1.0, 1e-20):
+        functional = SteeringFunctional.from_table(table * factor)
+        result = lhs_bound(functional)
+        assert result.method == "enumeration"
+        assert result.value == strategy_norms(functional).max()
+        assert violation(functional).violation == pytest.approx(1.0, abs=1e-12)
+    mub = mub_functional(build_mub_family(5, 4)).coefficients
+    for factor in (1e-20, 1e20):  # a scaled copy of a covariant table keeps it
+        assert lhs_bound(SteeringFunctional.from_table(mub * factor)).method == "weyl-orbit"
 
 
 def _uneven_mub_table(factor):
@@ -2034,17 +2053,36 @@ def test_violation_takes_s_q_from_proven_squares_without_the_seesaw(
     report = violation(functional)
     assert (report.s_q, report.s_q_method, report.certificates) == (s_q, "analytic", ())
     assert not any(key.startswith("seesaw") for key in report.diagnostics)
+    assert quantum_bound(functional) == s_q  # one rule for both
     if name == "commuting-diagonal":  # S_LHS = S_Q = 3: the table cannot steer
         assert report.violation == 1.0
 
 
-@pytest.mark.parametrize("factor", [1e150, 1e155, 1e160])
-def test_proven_squares_are_finite(factor):
-    # c_x^2 = factor^2 overflows above about 1.3e154; an infinite square
-    # proves nothing, so the table is enumerated and see-sawed instead
-    table = dichotomic_functional(build_clifford_family(4)).coefficients * factor
-    report = violation(SteeringFunctional.from_table(table, kind="custom"))
-    if factor < 1e154:
+DENSE_PAIR = np.array([[[3, 4], [4, -3]], [[4, -3], [-3, -4]]], dtype=complex)
+
+
+SQUARE_FACTORS = [("dichotomic-4", f) for f in (1e150, 1e155, 1e160, 1e-150, 1.234e-160, 1e-170)]
+SQUARE_FACTORS += [("dense-pair", f) for f in (1e-160, 1e-165)]
+
+
+@pytest.mark.parametrize(
+    "ops, factor",
+    SQUARE_FACTORS,
+    ids=[str(f) if ops == "dichotomic-4" else f"{ops}-{f}" for ops, f in SQUARE_FACTORS],
+)
+def test_proven_squares_are_finite(ops, factor):
+    # c_x^2 = factor^2 (25 factor^2 for the anticommuting dense pair)
+    # overflows above about 1.3e154 and leaves the normal floats below
+    # about 1.5e-154. A square out of that range proves nothing: an
+    # overflowed one is infinite, an underflowed one holds B_x^2 = c_x^2 I
+    # only after rounding. The table is enumerated and see-sawed instead
+    if ops == "dense-pair":
+        functional = plus_minus_custom(DENSE_PAIR * factor)
+    else:
+        table = dichotomic_functional(build_clifford_family(4)).coefficients * factor
+        functional = SteeringFunctional.from_table(table, kind="custom")
+    report = violation(functional)
+    if 1e-154 < factor < 1e154:
         assert (report.diagnostics["lhs_method"], report.s_q_method) == (
             "anticommuting",
             "analytic",
@@ -2056,6 +2094,7 @@ def test_proven_squares_are_finite(factor):
             "seesaw-lower",
         )
         assert math.isfinite(report.s_q)
+        assert report.s_lhs_exact == strategy_norms(functional).max()
 
 
 def test_one_setting_with_an_overflowing_square_is_enumerated():
@@ -2294,7 +2333,7 @@ def test_canonical_positivity_formula_matches_an_eigensolve():
     tables = positivity_tables()
     for i, functional in enumerate(tables):
         paper = paper_values(functional)
-        squares = structure_module.anticommuting_squares(functional)
+        squares = structure_module.proven_squares(functional)
         assert squares
         closed_form = quantum_module._canonical_check(functional, paper, squares)[0]
         eigensolved = quantum_module._canonical_check(functional, paper, None)[0]
@@ -2344,7 +2383,7 @@ def test_canonical_check_is_the_members_pairing_and_validation():
     failures = []
     for functional in attainment_tables():
         paper = paper_values(functional)
-        squares = structure_module.anticommuting_squares(functional)
+        squares = structure_module.proven_squares(functional)
         members = canonical_members(functional)
         expected = Assemblage(members=members).validate()
         for given in (squares, None):
@@ -2362,7 +2401,7 @@ def test_canonical_check_is_the_members_pairing_and_validation():
     for functional in positivity_tables():
         paper = paper_values(functional)
         expected = Assemblage(members=canonical_members(functional)).validate()
-        squares = structure_module.anticommuting_squares(functional)
+        squares = structure_module.proven_squares(functional)
         for given in (squares, None):
             report = quantum_module._canonical_check(functional, paper, given)[0]
             assert report.failed == expected.failed
@@ -2385,7 +2424,7 @@ def test_proven_squares_certify_no_signalling_without_a_norm(monkeypatch, eigval
     """With the structure proof's squares every R_x = F_x^1 + F_x^2 is
     exactly 0: the deviation is 0.0 with no outcome sum, norm or
     eigensolve taken, and the rest of the report is the eigensolved one."""
-    tables = [f for f in attainment_tables() if structure_module.anticommuting_squares(f)]
+    tables = [f for f in attainment_tables() if structure_module.proven_squares(f)]
     expected = [quantum_module._canonical_check(f, paper_values(f), None) for f in tables]
 
     def refuse(*args, **kwargs):
@@ -2395,7 +2434,7 @@ def test_proven_squares_certify_no_signalling_without_a_norm(monkeypatch, eigval
         monkeypatch.setattr(np.linalg, name, refuse)
     eigvalsh_matrices.clear()
     for functional, (eigensolved, value, _) in zip(tables, expected):
-        squares = structure_module.anticommuting_squares(functional)
+        squares = structure_module.proven_squares(functional)
         report, attained, eigs = quantum_module._canonical_check(
             functional, paper_values(functional), squares
         )
@@ -2472,6 +2511,23 @@ def test_mub_label_on_a_plus_minus_table_does_not_fit(eigvalsh_matrices):
     ):
         quantum_bound(SteeringFunctional.from_table(table, kind="mub"))
     assert eigvalsh_matrices == []
+
+
+def test_quantum_bound_takes_positivity_from_squares_without_anticommutation(
+    eigvalsh_matrices,
+):
+    # dichotomic 6 with B_0 one ulp off anticommuting keeps its squares, so
+    # quantum_bound reads the canonical positivity from them, as violation does
+    near_miss = off_anticommuting(dichotomic_functional(build_clifford_family(6)))
+    assert quantum_bound(near_miss) == 6.0
+    assert eigvalsh_matrices == []
+
+
+def test_canonical_assemblage_takes_positivity_from_the_squares(eigvalsh_matrices):
+    functional = clifford_functional(build_clifford_family(7, full_dimension=True))
+    members = canonical_quantum_assemblage(functional).members
+    assert eigvalsh_matrices == []
+    assert np.array_equal(members, canonical_members(functional))
 
 
 def test_strict_violation_raises_on_forced_failure(monkeypatch):
