@@ -8,7 +8,7 @@ assignments on the response side and eigenstates on the state side.
 Mixtures over a hidden variable are therefore redundant and never
 materialize; per strategy the state optimization collapses to a
 top-|eigenvalue| computation (Hermitian tables) or a numerical radius
-(general tables).
+(general tables; linalg.numerical_radius_bounds, to a relative 2^-40).
 
 lhs_bound is the one entry point. It takes the path that
 structure.table_structure finds in the table, never its `kind`: a
@@ -21,23 +21,23 @@ the full enumeration, stays the reference: the top |eigenvalue| of each
 strategy operator of a Hermitian table, its numerical radius otherwise,
 one call per chunk of operators built as one GEMM of a one-hot selector
 with the flattened table. lhs_bound solves, per chunk, only the
-strategies whose certified upper bound ((Tr H^4)^(1/4), or 16 support
-lines of the numerical range; linalg) reaches the value of the strategy
-with the largest bound; if the first chunk's bounds skip nothing, as on
-a near miss of the closed form, the other chunks are solved without
-bounds. Chunks have fixed, shape-only ends, the first one decides
-before any pool worker runs, the `threads` workers are the only
-parallelism (OpenBLAS is held at one thread) and the maximum is the
-first in lexicographic order, so reports are identical for any
-`threads` and any OPENBLAS_NUM_THREADS. The command line holds OpenBLAS
-at one thread for its whole command, so load, table_structure and the
-certificates run single-threaded too.
+strategies whose certified upper bound ((Tr H^4)^(1/4), or the 16
+phases that start the numerical radius's search; linalg) reaches the
+value of the strategy with the largest bound; if the first chunk's
+bounds skip nothing, as on a near miss of the closed form, the other
+chunks are solved without bounds. Chunks have fixed, shape-only ends,
+the first one decides before any pool worker runs, the `threads`
+workers are the only parallelism (OpenBLAS is held at one thread) and
+the maximum is the first in lexicographic order, so reports are
+identical for any `threads` and any OPENBLAS_NUM_THREADS. The command
+line holds OpenBLAS at one thread for its whole command, so load,
+table_structure and the certificates run single-threaded too.
 
 Memory is bounded by shape alone: 1 MiB of strategy operators per chunk,
 beside the copy of those a pruned chunk still solves, and 256 KiB of
 squared or rotated matrices per block of the upper bounds and of the
-numerical-radius grid (see linalg). On a two-outcome table of monomial
-cells, such as the Pauli tables, one boolean mask of the table
+numerical radius's support values (see linalg). On a two-outcome table
+of monomial cells, such as the Pauli tables, one boolean mask of the table
 (SteeringFunctional.monomials, taken once, over blocks whose masks stay
 within 256 KiB) gives its nonzeros, and the passes over the table - its
 entry sum, complement symmetry and the anticommutation proof - read
@@ -64,7 +64,7 @@ from .linalg import (
     blas_threads,
     hermitian_norm_upper_bounds,
     numerical_radius,
-    numerical_radius_upper_bounds,
+    numerical_radius_bounds,
     square_safe,
 )
 from .structure import TableStructure, complement_symmetric, table_structure
@@ -163,17 +163,19 @@ def _pruned_values(ops: np.ndarray, norms, upper_bounds) -> np.ndarray:
     return values
 
 
-def _checked_total(f: SteeringFunctional, cap: int, threads: int) -> int:
-    """m^n, after every check strategy_norms and lhs_bound share."""
+def _require_enumerable(f: SteeringFunctional, threads: int) -> None:
+    """The checks strategy_norms and lhs_bound share before any work."""
     if threads < 1:
         raise PreconditionError(f"thread count must be positive, got {threads}")
     _require_bounded_table(f)
-    total = f.m**f.n
-    if total > cap:
+
+
+def _require_cap(count: int, cap: int) -> int:
+    if count > cap:
         raise EnumerationCapExceeded(
-            f"enumeration needs {total} deterministic strategies, cap is {cap}"
+            f"enumeration needs {count} deterministic strategies, cap is {cap}"
         )
-    return total
+    return count
 
 
 def _strategy_values(
@@ -190,10 +192,10 @@ def _strategy_values(
     or, when every cell is zero outside `row`, the exact rank-one radius
     (|w_row| + |w|)/2 of that row w of the operator. With `prune`, a
     chunk of operators solves only the strategies that can reach its
-    maximum (_pruned_values, bounded by hermitian_norm_upper_bounds or
-    numerical_radius_upper_bounds), each to its unpruned value, and gives
-    the others -inf; the first chunk runs before the pool starts, and the
-    others are pruned only if it skipped a strategy.
+    maximum (_pruned_values, bounded by hermitian_norm_upper_bounds or the
+    upper end of numerical_radius_bounds at rtol = inf), each to its
+    unpruned value, and gives the others -inf; the first chunk runs before
+    the pool starts, and the others are pruned only if it skipped one.
 
     An exactly Hermitian table's strategy sums are bounded as they come
     (hermitian_norm_upper_bounds with `exact`), not rebuilt from their
@@ -210,14 +212,13 @@ def _strategy_values(
         cells, (scale,) = square_safe(cells[None, :, :, row : row + 1])
         cells = cells[0]
     cells = np.ascontiguousarray(cells).reshape(n * m, -1).view(np.float64)
-    if f.hermitian:
-        norms, exact = _top_abs_eigenvalues, f.exactly_hermitian
+    hermitian, exact = f.hermitian, f.exactly_hermitian
+    norms = _top_abs_eigenvalues if hermitian else numerical_radius
 
-        def upper_bounds(ops):
+    def upper_bounds(ops):
+        if hermitian:
             return hermitian_norm_upper_bounds(ops, exact=exact)
-
-    else:
-        upper_bounds, norms = numerical_radius_upper_bounds, numerical_radius
+        return numerical_radius_bounds(ops, np.inf)[1]
 
     def values_of(span, prune):
         sums = _chunk_sums(cells, n, m, *span)
@@ -246,8 +247,9 @@ def strategy_norms(
     lexicographic strategy order.
 
     The norm is the one the state optimization of |<F, sigma>| produces:
-    the top |eigenvalue| for Hermitian tables, the numerical radius (on
-    numerical_radius's grid of 720 angles, accurate to about 1e-7) otherwise;
+    the top |eigenvalue| for Hermitian tables, the numerical radius (the
+    lower end of its phase search, within a relative 2^-40 of the
+    certified upper end) otherwise;
     a table whose strategy sums can overflow is rejected first
     (_require_bounded_table). Fixed, shape-only chunks run on `threads`
     pool workers with OpenBLAS held at one thread; a chunk of a
@@ -255,9 +257,11 @@ def strategy_norms(
     complement-symmetric tables only the a_0 = 0 half is computed: the
     complement of strategy i is m^n - 1 - i, so the second half is the
     first one reversed. No other structure is used: this is the full
-    enumeration lhs_bound's shortcuts are tested against.
+    enumeration lhs_bound's shortcuts are tested against, and the cap
+    applies to all m^n strategies.
     """
-    total = _checked_total(f, cap, threads)
+    _require_enumerable(f, threads)
+    total = _require_cap(f.m**f.n, cap)
     mirrored = complement_symmetric(f)
     values = _strategy_values(f, total // 2 if mirrored else total, threads)
     return np.concatenate([values, values[::-1]]) if mirrored else values
@@ -283,29 +287,29 @@ def lhs_bound(
     maximum; if the first chunk's bounds skip none, the other chunks are
     solved unbounded. strategies_evaluated counts the strategies the
     maximum covers, strategies_solved those whose norm was computed;
-    neither depends on `threads`. The cap applies to m^n whatever the
-    path, and strategy_count is always m^n.
+    neither depends on `threads`. The cap applies to the strategies the
+    path evaluates (none for the closed form); strategy_count is m^n.
     """
-    total = _checked_total(f, cap, threads)
+    _require_enumerable(f, threads)
     structure = table_structure(f)
-    if structure.value is not None:
+    closed = structure.value is not None
+    count = _require_cap(0 if closed else f.m ** (f.n - structure.prefix), cap)
+    if closed:
         return LhsExactResult(
             value=structure.value,
             witness=(0,) * f.n,
-            strategy_count=total,
+            strategy_count=f.m**f.n,
             structure=structure,
             strategies_evaluated=0,
             strategies_solved=0,
         )
-    values = _strategy_values(
-        f, f.m ** (f.n - structure.prefix), threads, structure.row, prune=True
-    )
+    values = _strategy_values(f, count, threads, structure.row, prune=True)
     best = int(np.argmax(values))
     witness = tuple(int(a) for a in np.unravel_index(best, (f.m,) * f.n))
     return LhsExactResult(
         value=float(values[best]),
         witness=witness,
-        strategy_count=total,
+        strategy_count=f.m**f.n,
         structure=structure,
         strategies_evaluated=values.size,
         strategies_solved=int(np.count_nonzero(values != -np.inf)),

@@ -17,8 +17,6 @@ import numpy as np
 
 from .errors import PreconditionError
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
 _blas_lock = threading.Lock()
 _blas_requests: dict[object, int] = {}  # active blas_threads bodies, oldest first
 _blas_ambient = 0  # count to restore once no request is active
@@ -88,13 +86,6 @@ def require_table_size(n: int, m: int, d: int) -> None:
         )
 
 
-def require_square(m) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise PreconditionError(f"expected a square matrix, got shape {m.shape}")
-    return m
-
-
 def hermitian_part(m) -> np.ndarray:
     """(m + m^dagger) / 2 of a square matrix, or of each one in a stack."""
     m = np.asarray(m, dtype=complex)
@@ -107,7 +98,9 @@ def hermitian_part(m) -> np.ndarray:
 
 def operator_norm(m) -> float:
     """Largest singular value; for Hermitian input, the largest |eigenvalue|."""
-    m = require_square(m)
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise PreconditionError(f"expected a square matrix, got shape {m.shape}")
     if not m.any():
         return 0.0
     return float(np.linalg.norm(m, 2))
@@ -116,30 +109,40 @@ def operator_norm(m) -> float:
 def square_safe(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(the stack with each member s * member, the (k,) s), one s per member
     of the leading axis, a power of two after which squares of its entries,
-    and of sums of up to 2^100 of them, cannot overflow: 1 while every
-    modulus of the member is below 2^400, else 2^-e, e the np.frexp
-    exponent of its largest. The stack itself comes back when every s is 1.
-    A norm of a scaled member, divided by its s, is the unscaled one bit
-    for bit wherever that is finite: the scaling is exact down to 2^-1022
-    of the member's largest modulus, below a norm's last bit."""
+    and of sums of up to 2^100 of them, can neither overflow nor underflow:
+    1 while the member's largest modulus lies in [2^-400, 2^400), else
+    2^-e, e the np.frexp exponent of that modulus (at least -1022). The
+    stack itself comes back when every s is 1. A norm of a scaled member,
+    divided by its s, is the unscaled one bit for bit wherever that is
+    finite and its squares are normal: the scaling is exact down to
+    2^-1022 of the member's largest modulus, below a norm's last bit."""
     _, e = np.frexp(np.abs(stack).max(axis=tuple(range(1, stack.ndim)), initial=0.0))
-    big = e > 400
-    scales = np.ldexp(1.0, -np.where(big, e, 0))
-    if big.any():
+    e = np.where((e > 400) | (e < -399), np.maximum(e, -1022), 0)
+    scales, off = np.ldexp(1.0, -e), e != 0
+    if off.any():
         stack = stack.copy()
-        stack[big] *= scales[big].reshape(-1, *(1,) * (stack.ndim - 1))
+        stack[off] *= scales[off].reshape(-1, *(1,) * (stack.ndim - 1))
     return stack, scales
 
 
 _GRID_BLOCK_BYTES = 1 << 18  # temporaries of one block, see _blocks
-_SUPPORT_LINES = 16  # directions of numerical_radius_upper_bounds
 _BOUND_FLOOR = 2.0**-225  # smaller upper bounds are inf, see hermitian_norm_upper_bounds
+_PHASES = 16  # first level of numerical_radius_bounds: phases 2 pi j / 16
+_SUPPORT_BUDGET = 1024  # support values one matrix may take in numerical_radius_bounds
+_RADIUS_ROUNDING = 16  # c of numerical_radius_bounds' widening, c d eps lower
+_COS_DELTA = np.cos(np.ldexp(np.pi / _PHASES, -np.arange(_SUPPORT_BUDGET)))  # by halvings
+RADIUS_RTOL = 2.0**-40  # relative width of numerical_radius's search
 
 
-def _rotated_top_eigenvalues(ms: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Top eigenvalue of the Hermitian part of e^{i theta} m, for the
-    matrices of `ms` broadcast against the angles of `thetas`."""
-    return np.linalg.eigvalsh(hermitian_part(np.exp(1j * thetas)[..., None, None] * ms))[..., -1]
+def _support_values(ms: np.ndarray, owners: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """h(theta) of ms[owner] per (owner, theta) pair, in blocks of pairs
+    whose rotated matrices stay within 256 KiB (at least one pair each)."""
+    block = max(1, _GRID_BLOCK_BYTES // (16 * ms.shape[-1] ** 2))
+    values = np.empty(thetas.size)
+    for s in range(0, thetas.size, block):
+        rotated = np.exp(1j * thetas[s : s + block])[:, None, None] * ms[owners[s : s + block]]
+        values[s : s + block] = np.linalg.eigvalsh(hermitian_part(rotated))[:, -1]
+    return values
 
 
 def _blocks(ms: np.ndarray, per_matrix: int, itemsize: int = 16):
@@ -201,91 +204,68 @@ def hermitian_norm_upper_bounds(ms, exact: bool = False) -> np.ndarray:
     return np.where(bounds < _BOUND_FLOOR, np.inf, bounds)
 
 
-def numerical_radius_upper_bounds(ms) -> np.ndarray:
-    """Upper bound on the numerical radius, up to rounding, per matrix of
-    a (k, d, d) stack, from 16 support lines (C. R. Johnson, SIAM J. Numer.
-    Anal. 15, 1978): W(m) lies in the polygon cut out by Re(e^{i theta} z)
-    <= lambda_max(H(e^{i theta} m)) at theta = 2 pi j / 16, inside the
-    regular 16-gon of inradius h, the largest of those eigenvalues, so
-    w(m) <= h / cos(pi/16), at most 2% above it. Runs in blocks whose
-    rotated stacks stay within 256 KiB, like numerical_radius's grid.
-    Below 2^-225 the bound is inf, as hermitian_norm_upper_bounds is, so
-    that no bound is trusted near the subnormal range, where the
-    rotations (numerical_radius's too) round absolutely, not relatively."""
+def numerical_radius_bounds(ms, rtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) ends of the numerical radius w(m) = max_theta
+    h(theta), h(theta) = lambda_max(H(e^{i theta} m)) for H the Hermitian
+    part, per matrix of a (k, d, d) stack, by branch and bound over the
+    phase from the 16 phases 2 pi j / 16. Every computed h is attained, up
+    to rounding, and the largest is the lower end. On an interval of
+    half-width delta, h is at most max(h(t1), h(t2)) / cos(delta), the
+    vertex of the wedge that the support lines at its ends cut out (C. R.
+    Johnson, SIAM J. Numer. Anal. 15, 1978), widened here by 16 d eps lower
+    for the rounding of eigvalsh (taken as d eps ||H||), of the rotation,
+    the cosine and the division. Each round halves the intervals whose bound
+    exceeds lower (1 + rtol), until none does, so upper - lower <= rtol
+    lower (twice the widening where that alone passes rtol: d > 258 at
+    2^-40), or until the round would take the matrix past 1024 support
+    values, as a disc about 0 does (flat h: e_0 w^T with w_0 = 0, J_d).
+    With rtol = inf the upper end is max_j h_j / cos(pi/16), widened: at
+    most 2% above the radius. Upper ends below 2^-225, a zero matrix's too,
+    are inf, as in hermitian_norm_upper_bounds. Blocks of support values
+    stay within 256 KiB, and a matrix's search reads it alone, so a stack
+    gives exactly the ends of per-matrix calls."""
     ms = np.asarray(ms, dtype=complex)
-    thetas = np.linspace(0.0, 2.0 * np.pi, _SUPPORT_LINES, endpoint=False)
-    bounds = np.zeros(ms.shape[0])
-    for part in _blocks(ms, _SUPPORT_LINES):
-        bounds[part] = _rotated_top_eigenvalues(ms[part, None], thetas).max(axis=1)
-    bounds /= np.cos(np.pi / _SUPPORT_LINES)
-    return np.where(bounds < _BOUND_FLOOR, np.inf, bounds)
+    if ms.ndim != 3 or ms.shape[-1] != ms.shape[-2]:
+        raise PreconditionError(f"expected a square matrix or a stack, got shape {ms.shape}")
+    count = ms.shape[0]
+    # interval j of a matrix runs from phase j to phase j + 1, the last to 2 pi
+    phases = np.linspace(0.0, 2.0 * np.pi, _PHASES + 1)
+    owner = np.repeat(np.arange(count), _PHASES)
+    t1, t2 = np.tile(phases[:-1], count), np.tile(phases[1:], count)
+    h1 = _support_values(ms, owner, t1)
+    h2 = np.roll(h1.reshape(count, _PHASES), -1, axis=1).ravel()
+    best, level = h1.reshape(count, _PHASES).max(axis=1), np.zeros(owner.size, dtype=np.intp)
+    spent, top = np.full(count, _PHASES), np.full(count, -np.inf)
+    widening = _RADIUS_ROUNDING * ms.shape[-1] * np.finfo(float).eps
+    while True:
+        bound = np.maximum(h1, h2) / _COS_DELTA[level]
+        if rtol == np.inf:
+            break
+        split = bound > best[owner] * (1.0 + (rtol - widening if rtol > widening else widening))
+        split &= (spent + np.bincount(owner[split], minlength=count) <= _SUPPORT_BUDGET)[owner]
+        if not split.any():
+            break
+        np.maximum.at(top, owner[~split], bound[~split])
+        owner, t1, t2, h1, h2, level = (a[split] for a in (owner, t1, t2, h1, h2, level))
+        middle = (t1 + t2) / 2
+        h = _support_values(ms, owner, middle)
+        spent += np.bincount(owner, minlength=count)
+        np.maximum.at(best, owner, h)
+        owner, level = np.tile(owner, 2), np.tile(level + 1, 2)
+        t1, t2 = np.concatenate((t1, middle)), np.concatenate((middle, t2))
+        h1, h2 = np.concatenate((h1, h)), np.concatenate((h, h2))
+    np.maximum.at(top, owner, bound)
+    top += widening * best
+    return best, np.where(top < _BOUND_FLOOR, np.inf, top)
 
 
-def numerical_radius(m, angular_resolution: int = 720) -> float | np.ndarray:
-    """Max over unit vectors of |<v, m v>|, from below.
-
-    Evaluates the top eigenvalue of the Hermitian part of e^{i theta} m on
-    a uniform theta grid over [0, 2pi), then refines around the best grid
-    point with a golden-section search. The result is always a lower bound
-    on the radius (it is a max of sampled values) and converges to it as
-    the grid refines; at resolution 720 the value is accurate to better
-    than 1e-7 away from degenerate spectra. For Hermitian input the grid
-    hits theta = 0 and pi, so the value equals max |eigenvalue| exactly.
-
-    `m` is one (d, d) matrix, giving a float, or a (k, d, d) stack, giving
-    a (k,) array. A stack runs its grid in blocks of whole matrices whose
-    rotated (block, resolution, d, d) stack stays within 256 KiB (at least
-    one matrix per block), a bound that depends only on the shape, then
-    refines every matrix at once: one bracket per matrix, and matrices
-    whose bracket has closed drop out. Each matrix goes through the same
-    floating-point operations as on its own, so a stack gives exactly the
-    values of per-matrix calls.
-    """
+def numerical_radius(m) -> float | np.ndarray:
+    """Max over unit vectors of |<v, m v>|: the lower end of
+    numerical_radius_bounds at RADIUS_RTOL, so max |eigenvalue| for
+    Hermitian input, up to rounding. `m` is one (d, d) matrix, giving a
+    float, or a (k, d, d) stack, giving a (k,) array with exactly the
+    values of per-matrix calls."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
-        raise PreconditionError(
-            f"expected a square matrix or a stack of them, got shape {m.shape}"
-        )
-    if angular_resolution < 8:
-        raise PreconditionError(
-            f"angular_resolution must be at least 8, got {angular_resolution}"
-        )
     if m.ndim == 2:
-        return float(numerical_radius(m[None], angular_resolution)[0])
-    radii = np.zeros(m.shape[0])
-    live = np.flatnonzero(m.any(axis=(1, 2)))
-    if not live.size:
-        return radii
-    ms = m[live]
-    thetas = np.linspace(0.0, 2.0 * np.pi, angular_resolution, endpoint=False)
-    j = np.zeros(ms.shape[0], dtype=np.intp)
-    best = np.zeros(ms.shape[0])
-    for part in _blocks(ms, angular_resolution):
-        grid_vals = _rotated_top_eigenvalues(ms[part, None], thetas)
-        j[part] = np.argmax(grid_vals, axis=1)
-        best[part] = grid_vals.max(axis=1)
-
-    # Local refinement on the bracket spanned by the neighbours of the
-    # best grid point; keeps the lower-bound guarantee.
-    step = 2.0 * np.pi / angular_resolution
-    a = thetas[j] - step
-    b = thetas[j] + step
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc = _rotated_top_eigenvalues(ms, c)
-    fd = _rotated_top_eigenvalues(ms, d)
-    open_ = np.flatnonzero(b - a > 1e-12)
-    while open_.size:
-        left = fc[open_] >= fd[open_]
-        lo, hi = open_[left], open_[~left]
-        b[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
-        c[lo] = b[lo] - _GOLDEN * (b[lo] - a[lo])
-        a[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
-        d[hi] = a[hi] + _GOLDEN * (b[hi] - a[hi])
-        probes = np.where(left, c[open_], d[open_])
-        values = _rotated_top_eigenvalues(ms[open_], probes)
-        fc[lo], fd[hi] = values[left], values[~left]
-        best[open_] = np.maximum(best[open_], np.maximum(fc[open_], fd[open_]))
-        open_ = open_[b[open_] - a[open_] > 1e-12]
-    radii[live] = best
-    return radii
+        return float(numerical_radius(m[None])[0])
+    return numerical_radius_bounds(m, RADIUS_RTOL)[0]

@@ -326,9 +326,14 @@ def quantum_bound_seesaw(
     to the top eigenvector of the assembled operator sum_xa E_x^a (x) F_x^a,
     built as one GEMM of the POVMs with the table. Non-Hermitian tables
     are handled through |<F, sigma>| by rotating with the phase of the
-    current value, which preserves monotonicity of the modulus. The result is a lower bound on
-    the quantum value up to solver tolerance; restarts draw fresh random
-    initial states, in restart order from one generator.
+    current value, which preserves monotonicity of the modulus. The
+    result is a lower bound on the quantum value up to solver tolerance;
+    restarts draw fresh random initial states, in restart order from one
+    generator. A table whose scale (structure.table_scale) lies outside
+    [2^-8, 2^8) is see-sawed times the power of two 2^-e that brings the
+    scale into [1, 2), exactly, and the value and trace are multiplied
+    back by 2^e, so that _SEESAW_TOL, which is absolute, and the squares
+    of the rank-one split act as on a table of scale near 1.
 
     The coordinate ascent converges linearly, so updates 3, 6, 9, ...
     (0-based) start instead from the SQUAREM extrapolation of the last
@@ -350,18 +355,22 @@ def quantum_bound_seesaw(
     restart with the largest final value, which is the result, and
     `extrapolations_kept`/`extrapolations_tried` count extrapolated
     updates over all restarts. A plain update that falls by more than
-    TOLERANCES.seesaw_monotone * table_scale(f), a slack proportional to
-    the table's scale at every scale, as its rounding is, raises
-    BoundCheckError; so does, once per group, a restart whose final POVM
-    for some setting misses sum_a E_x^a = I or E_x^a >= 0 by more than
-    TOLERANCES.assemblage.
+    TOLERANCES.seesaw_monotone times the scale, as its rounding does,
+    raises BoundCheckError; so does, once per group, a restart whose final
+    POVM for some setting misses sum_a E_x^a = I or E_x^a >= 0 by more
+    than TOLERANCES.assemblage.
     """
     d = f.d
     _check_seesaw_parameters(restarts, max_iters, seed)
     _require_bounded_table(f)
+    scale = table_scale(f)
+    shift = 0 if 2.0**-8 <= scale < 2.0**8 else int(np.frexp(scale)[1]) - 1
+    if shift:  # scale * 2^-shift lies in [1, 2)
+        parts = np.ascontiguousarray(f.coefficients).view(np.float64)
+        f = SteeringFunctional._adopt(np.ldexp(parts, -shift).view(complex), f.kind, f.seed)
     rng = np.random.default_rng(seed)
     group = max(1, _SEESAW_GROUP_BYTES // (16 * d**4))
-    slack = TOLERANCES.seesaw_monotone * table_scale(f)
+    slack = TOLERANCES.seesaw_monotone * float(np.ldexp(scale, -shift))
     finals, converged, traces = [], [], []
     iterations = kept = tried = 0
     with blas_threads(1):
@@ -380,10 +389,10 @@ def quantum_bound_seesaw(
     values = np.concatenate(finals)
     best = int(np.argmax(values))
     return SeesawResult(
-        value=float(values[best]),
+        value=float(np.ldexp(values[best], shift)),
         converged=bool(np.concatenate(converged)[best]),
         iterations=iterations,
-        trace=tuple(traces[best]),
+        trace=tuple(np.ldexp(traces[best], shift).tolist()),
         extrapolations_kept=kept,
         extrapolations_tried=tried,
     )

@@ -28,7 +28,7 @@ from .functionals import (
     require_seed,
 )
 from .lhs import lhs_bound, strategy_norms
-from .linalg import hermitian_part, operator_norm
+from .linalg import RADIUS_RTOL, hermitian_part, numerical_radius_bounds, operator_norm
 from .mub import MubFamily, build_mub_family
 from .quantum import canonical_quantum_assemblage, paper_values, quantum_bound
 from .seesaw import quantum_bound_seesaw
@@ -307,12 +307,14 @@ def _check_lhs_dominance(threads: int) -> tuple[bool, str]:
 
 
 def _check_lhs_structure_shortcuts(rng, threads: int) -> tuple[bool, str]:
-    """One small table per lhs_bound path, against the full enumeration."""
+    """One small table per lhs_bound path, against the full enumeration, and
+    the general table's witness radius interval, at most RADIUS_RTOL wide."""
     plus_minus = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
     plus_minus = plus_minus + plus_minus.conj().transpose(0, 2, 1)
     perturbed = mub_functional(build_mub_family(3, 3)).coefficients.copy()
     perturbed[1, 1, 0, 0] += 1e-9
     general = rng.normal(size=(3, 3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3, 3))
+    general = SteeringFunctional.from_table(general)
     near = dichotomic_functional(build_clifford_family(6)).coefficients[:, 0].copy()
     j = int(np.flatnonzero(near[0, 0])[0])  # B_0 an ulp off anticommuting: nothing prunes
     near[0, 0, j] += 1j * np.spacing(abs(near[0, 0, j]))
@@ -324,7 +326,7 @@ def _check_lhs_structure_shortcuts(rng, threads: int) -> tuple[bool, str]:
         ("complement-half", SteeringFunctional.from_table(np.stack([plus_minus, -plus_minus], 1))),
         ("complement-half", SteeringFunctional.from_table(np.stack([near, -near], 1))),
         ("enumeration", SteeringFunctional.from_table(perturbed, kind="mub")),
-        ("enumeration", SteeringFunctional.from_table(general)),  # numerical radii
+        ("enumeration", general),  # numerical radii
     )
     worst = 0.0
     for method, functional in cases:
@@ -334,7 +336,12 @@ def _check_lhs_structure_shortcuts(rng, threads: int) -> tuple[bool, str]:
             return False, f"{method} table took the {result.method} path"
         witness = int(np.ravel_multi_index(result.witness, (functional.m,) * functional.n))
         worst = _worst(worst, abs(result.value - norms.max()), abs(norms[witness] - norms.max()))
-    return worst <= 1e-12, f"max gap to the full enumeration {worst:.2e}"
+        if functional is general:
+            operator = sum(general.coefficients[x, a] for x, a in enumerate(result.witness))
+            (lower,), (upper,) = numerical_radius_bounds(operator[None], RADIUS_RTOL)
+            width = (upper - lower) / upper
+    detail = f"max gap to the full enumeration {worst:.2e}, radius interval width {width:.2e}"
+    return worst <= 1e-12 and width <= RADIUS_RTOL, detail
 
 
 def _check_canonical_attainment() -> tuple[bool, str]:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import tracemalloc
@@ -110,9 +111,34 @@ def test_lhs_exact_threads_identical():
 
 
 def test_lhs_exact_cap():
+    # the Weyl orbit leaves 3^2 of the 81 strategies
     functional = mub_functional(build_mub_family(3, 4))
-    with pytest.raises(EnumerationCapExceeded, match="81"):
-        lhs_bound(functional, cap=80)
+    with pytest.raises(EnumerationCapExceeded, match="9"):
+        lhs_bound(functional, cap=8)
+
+
+# lhs_bound's (value, witness) on three random complex custom tables of
+# shape (n, m, d), drawn in this order from default_rng(5), when the
+# numerical radius took a 720-angle grid and a golden-section refinement
+GRID_RADIUS_VALUES = {
+    (4, 3, 4): (9.818429345016074, (0, 0, 0, 1)),
+    (5, 2, 6): (12.035075912458623, (0, 1, 0, 1, 0)),
+    (3, 4, 8): (11.577463985516626, (3, 1, 1)),
+}
+
+
+def test_witness_radius_interval_holds_the_grid_value():
+    rng = np.random.default_rng(5)
+    for (n, m, d), (value, witness) in GRID_RADIUS_VALUES.items():
+        table = rng.normal(size=(n, m, d, d)) + 1j * rng.normal(size=(n, m, d, d))
+        result = lhs_bound(SteeringFunctional.from_table(table))
+        assert result.witness == witness
+        assert (result.strategies_solved, result.strategies_evaluated) == (1, m**n)
+        operator = sum(table[x, a] for x, a in enumerate(witness))
+        (lower,), (upper,) = linalg_module.numerical_radius_bounds(operator[None], 2.0**-40)
+        assert lower <= value <= upper
+        assert upper - lower <= 2.0**-40 * upper
+        assert result.value == pytest.approx(lower, rel=1e-14, abs=0)
 
 
 def test_lhs_exact_redirects_non_hermitian():
@@ -779,7 +805,13 @@ def _pauli_near_misses():
 # what lhs_bound and violation(strict=False) returned for each near miss
 # before the monomial proof replaced the Hermiticity pass: (method, value,
 # witness) and (s_q, s_q_method, violation, failed certificates), or the
-# exception raised
+# exception raised. The two non-Hermitian tables (columns shifted or
+# collapsed) read the lower end of the numerical radius's phase search,
+# within 2^-40 of the radius and so up to 7e-14 below the 720-angle grid
+# value recorded first (3.2841750840240387 at witness (0, 1, 1, 1, 1, 1, 0),
+# violation 1.8269427927844553; 3.9702555234583587 at (0, 0, 0, 1, 0, 1,
+# 0)); several of their strategies tie to within rounding, so the last
+# bits pick the witness
 _CLOSED_FORM = ("anticommuting", 2.6457513110645907, (0,) * 7)
 _ANALYTIC = (7.0, "analytic", 2.6457513110645903, ())
 _VIOLATION_CHECK = "violation_ge_dichotomic"
@@ -791,15 +823,15 @@ EXACTLY_HERMITIAN_NEAR_MISSES = (
 PAULI_NEAR_MISS_RESULTS = {
     "pauli": (_CLOSED_FORM, _ANALYTIC),
     "columns shifted, no involution": (
-        ("complement-half", 3.2841750840240387, (0, 1, 1, 1, 1, 1, 0)),
-        (6.0, "canonical-lower", 1.8269427927844553, ("canonical_attainment", _VIOLATION_CHECK)),
+        ("complement-half", 3.284175084023983, (0, 1, 0, 1, 1, 0, 1)),
+        (6.0, "canonical-lower", 1.8269427927844861, ("canonical_attainment", _VIOLATION_CHECK)),
     ),
     "one setting, columns shifted": (
         ("complement-half", 1.0000000000000004, (0,)),
         (0.0, "canonical-lower", 0.0, ("canonical_attainment", _VIOLATION_CHECK)),
     ),
     "columns collapsed, no permutation": (
-        ("complement-half", 3.9702555234583587, (0, 0, 0, 1, 0, 1, 0)),
+        ("complement-half", 3.970255523458077, (0, 1, 0, 0, 0, 1, 0)),
         BoundCheckError,
     ),
     "one ulp off its conjugate": (
@@ -1336,6 +1368,23 @@ def test_large_entries_keep_the_weyl_check_and_table_scale_finite():
     assert result.value == pytest.approx(2.2844212084666236 * 6e154, rel=1e-12)
 
 
+@pytest.mark.parametrize("factor", [1e-160, 1e-170, 1e-300])
+def test_tiny_entries_keep_norms_table_scale_and_the_weyl_check(factor):
+    # squares of entries below 2^-400 underflow, to subnormals near 1e-160
+    # and to 0 below; the norms scale before they square, so a scaled copy
+    # decides and reads as the table does
+    base, mub = random_functional(4, 0), mub_functional(build_mub_family(3, 4))
+    functional = SteeringFunctional.from_table(base.coefficients * factor, kind="custom")
+    result = lhs_bound(functional)
+    assert result.method == "rank-one"
+    assert result.value == pytest.approx(lhs_bound(base).value * factor, rel=1e-15, abs=0)
+    assert result.value == pytest.approx(strategy_norms(functional).max(), rel=1e-12, abs=0)
+    assert table_scale(functional) == pytest.approx(table_scale(base) * factor, rel=1e-15, abs=0)
+    scaled = lhs_bound(SteeringFunctional.from_table(mub.coefficients * factor, kind="custom"))
+    assert scaled.method == "weyl-orbit"
+    assert scaled.value == pytest.approx(lhs_bound(mub).value * factor, rel=1e-15, abs=0)
+
+
 def test_large_entries_keep_the_rank_one_radius_finite():
     functional = random_functional(3, 0)
     large = SteeringFunctional.from_table(functional.coefficients * 1e155)
@@ -1373,10 +1422,29 @@ def test_weyl_orbit_residue_is_charged_per_orbit_step():
         assert abs(result.value - strategy_norms(functional).max()) <= 1e-12
 
 
-def test_lhs_cap_applies_before_any_shortcut():
-    functional = dichotomic_functional(build_clifford_family(4))
-    with pytest.raises(EnumerationCapExceeded, match="16"):
-        lhs_bound(functional, cap=15)
+def test_lhs_cap_prices_the_strategies_the_path_evaluates():
+    # the closed form evaluates none of its 16 strategies
+    result = lhs_bound(dichotomic_functional(build_clifford_family(4)), cap=15)
+    assert (result.value, result.strategies_evaluated, result.strategy_count) == (2.0, 0, 16)
+    # the Weyl orbit evaluates 9 of 81
+    with pytest.raises(EnumerationCapExceeded, match="needs 9 deterministic"):
+        lhs_bound(mub_functional(build_mub_family(3, 4)), cap=8)
+    # the full enumeration keeps pricing m^n
+    with pytest.raises(EnumerationCapExceeded, match="needs 16 deterministic"):
+        strategy_norms(dichotomic_functional(build_clifford_family(4)), cap=15)
+
+
+def test_complete_mub_set_of_dimension_seven_is_reported():
+    # 7^8 = 5,764,801 strategies, above the default cap; the Weyl orbit
+    # evaluates the 7^6 = 117,649 with a_0 = a_1 = 0
+    functional = mub_functional(build_mub_family(7, 8))
+    report = violation(functional)
+    assert report.diagnostics["lhs_method"] == "weyl-orbit"
+    assert report.diagnostics["strategy_count"] == 7**8
+    assert report.diagnostics["strategies_evaluated"] == 7**6
+    assert report.certificates and not report.failed
+    assert report.s_lhs_exact < report.s_lhs_analytic["mub-uncertainty"]
+    assert report.violation > max(report.violation_lower_bounds.values())
 
 
 def test_report_names_the_lhs_path():
@@ -2019,6 +2087,29 @@ def test_violation_floors_the_seesaw_at_the_lhs_bound():
     assert seesaw.value < report.s_lhs_exact
     assert (report.s_q, report.s_q_method) == (report.s_lhs_exact, "lhs-lower")
     assert report.violation >= 1
+
+
+@functools.cache
+def unscaled_seesaw(d, seed):
+    """(violation report, see-saw value) of random table (d, seed)."""
+    table = random_functional(d, seed)
+    return violation(table), seesaw_module.quantum_bound_seesaw(table).value
+
+
+@pytest.mark.parametrize("factor", [1e-300, 1e-160, 1e-20, 1e20, 1e200])
+def test_violation_reads_a_scaled_table_as_the_table(factor):
+    # the see-saw runs on the table times the power of two that brings its
+    # scale into [1, 2): its absolute stop, the rank-one split's squared
+    # norms and the eigensolves then see the numbers of a scale near 1
+    for d, seed in ((4, 0), (3, 3)):
+        reference, value = unscaled_seesaw(d, seed)
+        table = random_functional(d, seed).coefficients * factor
+        report = violation(SteeringFunctional.from_table(table, kind="custom"))
+        assert report.s_q_method == reference.s_q_method
+        assert report.violation == pytest.approx(reference.violation, rel=1e-9, abs=0)
+        seesaw = seesaw_module.quantum_bound_seesaw(SteeringFunctional.from_table(table))
+        assert seesaw.trace[-1] == seesaw.value
+        assert seesaw.value == pytest.approx(value * factor, rel=1e-9, abs=0)
 
 
 def plus_minus_custom(ops):

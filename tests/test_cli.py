@@ -161,7 +161,7 @@ def test_format_flag_is_gone(tmp_path):
     ],
 )
 def test_fixed_numerical_settings_are_not_flags(argv):
-    # the see-saw stop (1e-10), the numerical-radius grid (720 angles) and
+    # the see-saw stop (1e-10), the numerical radius's width (2^-40) and
     # the suite's see-saw size (8 restarts x 300 updates) are constants
     assert run(argv) == EXIT_USAGE
 
@@ -496,7 +496,8 @@ def test_bounds_clifford_label_without_anticommutation_takes_positivity_from_the
 def test_bounds_cap_exceeded(tmp_path):
     functional = tmp_path / "m34.json"
     run(["generate", "--kind", "mub", "--d", "3", "--n", "4", "--out", str(functional)])
-    assert run(["bounds", str(functional), "--cap", "10"]) == EXIT_CAP
+    # the Weyl orbit evaluates 3^2 of its 3^4 strategies
+    assert run(["bounds", str(functional), "--cap", "8"]) == EXIT_CAP
 
 
 def test_bounds_thread_count_invariant(tmp_path):
@@ -588,6 +589,19 @@ def test_verify_attainment_check_pairs_the_built_assemblage(capsys, monkeypatch)
     monkeypatch.setattr(verify_module, "evaluate", lambda f, a: pairing(f, a) + 1e-6)
     assert run(["verify", "--filter", "quantum-canonical-attainment"]) == EXIT_CHECK
     assert "canonical assemblage attains" in capsys.readouterr().out
+
+
+def test_verify_structure_check_reads_the_witness_radius_interval(capsys, monkeypatch):
+    search = verify_module.numerical_radius_bounds
+
+    def widened(ms, rtol):
+        lower, upper = search(ms, rtol)
+        return lower, upper * (1 + 2 * rtol)
+
+    assert run(["verify", "--filter", "lhs-structure-shortcuts"]) == EXIT_OK
+    assert "radius interval width" in capsys.readouterr().out
+    monkeypatch.setattr(verify_module, "numerical_radius_bounds", widened)
+    assert run(["verify", "--filter", "lhs-structure-shortcuts"]) == EXIT_CHECK
 
 
 def test_verify_unknown_filter():

@@ -132,7 +132,7 @@ def test_numerical_radius_rank_one_oracle():
         u = rng.normal(size=k) + 1j * rng.normal(size=k)
         v = rng.normal(size=k) + 1j * rng.normal(size=k)
         exact = (abs(v.conj() @ u) + np.linalg.norm(u) * np.linalg.norm(v)) / 2
-        assert numerical_radius(np.outer(u, v.conj()), 720) == pytest.approx(exact, abs=1e-7)
+        assert numerical_radius(np.outer(u, v.conj())) == pytest.approx(exact, abs=1e-7)
 
 
 def test_numerical_radius_sandwich_bounds():
@@ -144,11 +144,6 @@ def test_numerical_radius_sandwich_bounds():
         radius = numerical_radius(m)
         assert radius >= norm / 2 - 1e-7
         assert radius <= norm + 1e-9
-
-
-def test_numerical_radius_resolution_validated():
-    with pytest.raises(PreconditionError, match="at least 8"):
-        numerical_radius(np.eye(2), angular_resolution=4)
 
 
 def bound_stacks():
@@ -180,7 +175,7 @@ def bound_stacks():
 @pytest.mark.parametrize("name, stack", list(bound_stacks()))
 def test_upper_bounds_cover_the_computed_values(name, stack):
     hermitian_bound = linalg.hermitian_norm_upper_bounds(stack)
-    radius_bound = linalg.numerical_radius_upper_bounds(stack)
+    radius_bound = linalg.numerical_radius_bounds(stack, np.inf)[1]
     if name in ("zero", "tiny Hermitian"):
         assert (hermitian_bound == np.inf).all() and (radius_bound == np.inf).all()
         return
@@ -198,11 +193,16 @@ def test_upper_bounds_cover_the_computed_values(name, stack):
     assert (radius_bound <= radius / np.cos(np.pi / 16) * (1 + 1e-7)).all(), name
 
 
+def pruning_bounds(stack):
+    """The upper ends the LHS enumeration prunes with: the 16 phases alone."""
+    return linalg.numerical_radius_bounds(stack, np.inf)[1]
+
+
 def test_upper_bounds_of_a_stack_are_those_of_its_matrices():
     # blocks of the stack: 256 KiB / (16 bytes * 16 directions * 8 * 8) = 16 matrices
     rng = np.random.default_rng(21)
     stack = rng.normal(size=(37, 8, 8)) + 1j * rng.normal(size=(37, 8, 8))
-    for bounds in (linalg.hermitian_norm_upper_bounds, linalg.numerical_radius_upper_bounds):
+    for bounds in (linalg.hermitian_norm_upper_bounds, pruning_bounds):
         whole = bounds(stack)
         assert np.array_equal(whole, np.concatenate([bounds(m[None]) for m in stack]))
 
@@ -272,39 +272,23 @@ def test_blas_threads_concurrent_bodies_restore_ambient():
     assert get() == before
 
 
-def loop_numerical_radius(m, angular_resolution=720):
-    """One matrix at a time, refining with one eigensolve per golden-section
-    step: the reference a stack must reproduce bit for bit."""
+def dense_support_values(m, phases=1 << 16):
+    """h on `phases` equally spaced phases, in batches."""
+    thetas = np.arange(phases) * (2 * np.pi / phases)
+    return np.concatenate([
+        np.linalg.eigvalsh(linalg.hermitian_part(np.exp(1j * t)[:, None, None] * m))[:, -1]
+        for t in np.array_split(thetas, max(1, phases // 4096))
+    ])
 
-    def top(theta):
-        h = np.exp(1j * theta) * m
-        return float(np.linalg.eigvalsh((h + h.conj().T) / 2)[-1])
 
-    m = np.asarray(m, dtype=complex)
-    if not m.any():
-        return 0.0
-    golden = (np.sqrt(5.0) - 1.0) / 2.0
-    thetas = np.linspace(0.0, 2.0 * np.pi, angular_resolution, endpoint=False)
-    rotated = np.exp(1j * thetas)[:, None, None] * m[None, :, :]
-    rotated = (rotated + rotated.conj().transpose(0, 2, 1)) / 2
-    grid_vals = np.linalg.eigvalsh(rotated)[:, -1]
-    j = int(np.argmax(grid_vals))
-    best = float(grid_vals[j])
-    step = 2.0 * np.pi / angular_resolution
-    a, b = thetas[j] - step, thetas[j] + step
-    c, d = b - golden * (b - a), a + golden * (b - a)
-    fc, fd = top(c), top(d)
-    while b - a > 1e-12:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - golden * (b - a)
-            fc = top(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + golden * (b - a)
-            fd = top(d)
-        best = max(best, fc, fd)
-    return best
+def assert_dense_grid_inside(m, lower, upper, phases=1 << 16):
+    """The dense grid's largest support value lies below the upper end,
+    and its own support-line bound, max h / cos(pi / phases), above the
+    lower end: a grid may sit up to a relative 1e-9 below the radius,
+    which the lower end is within 2^-40 of."""
+    top = dense_support_values(m, phases).max()
+    assert top <= upper
+    assert lower <= top / np.cos(np.pi / phases) * (1 + 1e-15)
 
 
 def test_numerical_radius_stack_matches_per_matrix_calls():
@@ -315,15 +299,91 @@ def test_numerical_radius_stack_matches_per_matrix_calls():
         stack[1] = random_hermitian(rng, d)
         stack[2] = np.triu(stack[2], 1)  # nilpotent
         stack[3] = np.outer(stack[3, 0], stack[4, 0].conj())  # rank one
-        for resolution in (8, 720):
-            radii = numerical_radius(stack, resolution)
-            single = [numerical_radius(m, resolution) for m in stack]
-            assert radii.shape == (8,)
-            assert all(type(r) is float for r in single)
-            assert np.array_equal(radii, single)
-            assert np.array_equal(radii, [loop_numerical_radius(m, resolution) for m in stack])
-    # more matrices than one grid block holds
-    stack = rng.normal(size=(13, 2, 2)) + 1j * rng.normal(size=(13, 2, 2))
-    assert stack.shape[0] > linalg._GRID_BLOCK_BYTES // (16 * 720 * 2 * 2)
-    assert np.array_equal(numerical_radius(stack), [loop_numerical_radius(m) for m in stack])
+        radii = numerical_radius(stack)
+        single = [numerical_radius(m) for m in stack]
+        assert radii.shape == (8,)
+        assert all(type(r) is float for r in single)
+        assert np.array_equal(radii, single)
+        lower, upper = linalg.numerical_radius_bounds(stack, linalg.RADIUS_RTOL)
+        for j, m in enumerate(stack):
+            ends = linalg.numerical_radius_bounds(m[None], linalg.RADIUS_RTOL)
+            assert (lower[j], upper[j]) == (ends[0][0], ends[1][0])
+        assert np.array_equal(radii, lower)
+        assert_dense_grid_inside(stack[5], lower[5], upper[5], phases=1 << 12)
+    # more (matrix, phase) pairs than one block of support values holds
+    stack = rng.normal(size=(37, 8, 8)) + 1j * rng.normal(size=(37, 8, 8))
+    assert stack.shape[0] * 16 > linalg._GRID_BLOCK_BYTES // (16 * 8 * 8)
+    assert np.array_equal(numerical_radius(stack), [numerical_radius(m) for m in stack])
     assert numerical_radius(np.zeros((0, 3, 3))).shape == (0,)
+
+
+def complex_stacks():
+    """(id, seeded complex (k, d, d) stack) for the phase search."""
+    rng = np.random.default_rng(24)
+    for d in (1, 2, 3, 4, 6, 8):
+        yield f"complex d={d}", rng.normal(size=(6, d, d)) + 1j * rng.normal(size=(6, d, d))
+
+
+@pytest.mark.parametrize("name, stack", list(bound_stacks()) + list(complex_stacks()))
+def test_phase_search_brackets_the_radius(name, stack):
+    lower, upper = linalg.numerical_radius_bounds(stack, linalg.RADIUS_RTOL)
+    # none of these numerical ranges is a disc about 0, so each search closes
+    finite = upper < np.inf
+    assert finite.all() or name in ("zero", "tiny Hermitian")
+    assert (lower[finite] <= upper[finite]).all(), name
+    assert (upper - lower <= linalg.RADIUS_RTOL * upper)[finite].all(), name
+    assert (lower <= linalg.numerical_radius_bounds(stack, np.inf)[1]).all(), name
+    assert_dense_grid_inside(stack[0], lower[0], upper[0])
+
+
+def test_phase_search_below_its_rounding_closes_to_twice_the_widening(eigvalsh_matrices):
+    # at rtol 2^-52 the widening 16 d eps alone passes rtol lower, as it
+    # does at 2^-40 for d > 258: the search closes to the rounding instead
+    # of running to 1024 support values
+    rng = np.random.default_rng(25)
+    stack = rng.normal(size=(1, 4, 4)) + 1j * rng.normal(size=(1, 4, 4))
+    eigvalsh_matrices.clear()
+    (lower,), (upper,) = linalg.numerical_radius_bounds(stack, 2.0**-52)
+    assert upper - lower <= 2 * 16 * 4 * np.finfo(float).eps * lower
+    assert sum(eigvalsh_matrices) < 256
+
+
+@pytest.mark.parametrize("d", [1, 4])
+def test_upper_end_is_widened_by_the_rounding_bound(d):
+    # h(theta) = cos(theta) for the identity: h(0) = 1 exactly, so the
+    # 16-phase upper end is 1 / cos(pi/16) plus 16 d eps, bit for bit
+    (lower,), (upper,) = linalg.numerical_radius_bounds(np.eye(d)[None], np.inf)
+    assert lower == 1.0
+    assert upper == 1.0 / np.cos(np.pi / 16) + 16 * d * np.finfo(float).eps
+
+
+def jordan_block(d):
+    return np.eye(d, k=1, dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "name, m, radius",
+    [
+        ("J2", jordan_block(2), 0.5),
+        ("J3", jordan_block(3), np.cos(np.pi / 4)),
+        ("e_0 w^T, w_0 = 0", np.outer(np.eye(4)[0], [0, 1, 2j, -1.5]), np.sqrt(7.25) / 2),
+    ],
+)
+def test_flat_support_values_stop_at_the_budget(name, m, radius):
+    # a disc about 0 has h(theta) = radius at every phase: no interval
+    # closes, so the search halves all of them until its 1024th support
+    # value, 16 * 2^6 phases, interval half-width pi / 1024
+    (lower,), (upper,) = linalg.numerical_radius_bounds(m[None], linalg.RADIUS_RTOL)
+    assert lower == pytest.approx(radius, rel=8 * np.finfo(float).eps, abs=0)
+    assert upper == pytest.approx(lower / np.cos(np.pi / 1024), rel=1e-13, abs=0)
+    assert upper - lower > 2**-20 * upper
+    assert numerical_radius(m) == lower
+
+
+def test_phase_search_splits_only_the_intervals_it_cannot_close(eigvalsh_matrices):
+    # h(theta) = cos(theta) for m = [1]: only the two intervals at 0 stay
+    # open past the first rounds, so closing them at 2^-40 takes far fewer
+    # than the 1024 support values of a flat h
+    (lower,), (upper,) = linalg.numerical_radius_bounds(np.ones((1, 1, 1)), linalg.RADIUS_RTOL)
+    assert lower == 1.0 and upper - lower <= linalg.RADIUS_RTOL
+    assert 16 < sum(eigvalsh_matrices) < 128
